@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ClearanceViolated
 from .metric import GridFunctionSpace, Process, ProcessConstants
@@ -76,6 +75,7 @@ def godunov_flux(flux: ParamFlux, u_left, u_right, w) -> np.ndarray:
             vmin = np.where(inside, np.minimum(vmin, fc), vmin)
             vmax = np.where(inside, np.maximum(vmax, fc), vmax)
     if not flux.critical_points_complete:
+        from scipy.optimize import minimize_scalar
         vmin = vmin.copy()
         vmax = vmax.copy()
         for i in range(ul.size):

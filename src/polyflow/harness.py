@@ -20,7 +20,7 @@ import numpy as np
 
 from . import claw as _claw
 from . import measures as _measures
-from .errors import ConfigError, DomainExit
+from .errors import ConfigError, DomainExit, InadmissibleHorizon
 from .ibvp import IbvpCoefficients, ibvp_domain_bounds, ibvp_solve
 from .metric import (EuclideanSpace, LocalFlow, Process, ProcessConstants,
                      couple, coupling_bounds, euler_polygonal,
@@ -29,7 +29,8 @@ from .ode import OdeField, make_ode_process, ode_solve
 from .renewal import (RenewalCoefficients, characteristic,
                       ivp_domain_bounds, renewal_solve)
 from .scenarios import (EpidemicParams, PredatorPreyParams,
-                        RefineSchedule, run_epidemic, run_predator_prey)
+                        RefineSchedule, _macro_count, run_epidemic,
+                        run_predator_prey)
 from .spaces import (AtomicMeasure, BvTimeSeries, GridFunction,
                      bv_estimate_checks, flat_distance, l1_distance)
 
@@ -138,9 +139,9 @@ def validate_config(cfg: dict) -> None:
                           or isinstance(cfg["seed"], bool)):
         raise ConfigError("field seed must be an integer")
     tcfg = _need(cfg, "time", dict)
-    _positive(tcfg, "horizon", "time")
+    horizon = _positive(tcfg, "horizon", "time")
     if scenario in ("epidemic", "predator_prey"):
-        _positive(tcfg, "macro_step", "time")
+        _macro_count(horizon, _positive(tcfg, "macro_step", "time"))
     rcfg = cfg.get("refine", {})
     if rcfg:
         if "tol" in rcfg and (not isinstance(rcfg["tol"], (int, float))
@@ -601,7 +602,7 @@ def _fit_radius_renewal(coef: RenewalCoefficients, u0: GridFunction,
             a = ivp_domain_bounds(0.0, radius, horizon, coef)
             if (u0.l1() <= a[0] and u0.linf() <= a[1] and u0.tv() <= a[2]):
                 return radius
-        except Exception:
+        except InadmissibleHorizon:
             pass
         radius *= 2
     raise ConfigError("no admissible radius for the renewal suite")
@@ -697,7 +698,7 @@ def _fit_radius_ibvp(coef: IbvpCoefficients, u0: GridFunction,
             if (u0.l1() <= a[0] and u0.linf() <= a[1]
                     and u0.tv() + trace_gap <= a[2]):
                 return radius
-        except Exception:
+        except InadmissibleHorizon:
             pass
         radius *= 2
     raise ConfigError("no admissible radius for the boundary suite")

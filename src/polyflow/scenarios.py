@@ -49,19 +49,13 @@ class Bump:
     amp: float = 1.0
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        y = s / self.radius
-        inside = np.abs(y) < 1.0
-        return np.where(inside, self.amp * (1.0 - y * y) ** 4, 0.0)
+        y = np.asarray(s, dtype=float) / self.radius
+        return self.amp * np.maximum(1.0 - y * y, 0.0) ** 4
 
     def slope(self, s):
-        s = np.asarray(s, dtype=float)
-        y = s / self.radius
-        inside = np.abs(y) < 1.0
-        return np.where(
-            inside,
-            self.amp * 4.0 * (1.0 - y * y) ** 3 * (-2.0 * y / self.radius),
-            0.0)
+        y = np.asarray(s, dtype=float) / self.radius
+        return (self.amp * 4.0 * np.maximum(1.0 - y * y, 0.0) ** 3
+                * (-2.0 * y / self.radius))
 
 
 def spatial_bump_norm(radius: float, dim: int) -> float:
@@ -162,24 +156,17 @@ def predator_prey_fields(params: PredatorPreyParams) -> PredatorPreyFields:
     alpha = params.alpha
 
     def prey_velocity(t, x, p):
-        p = np.asarray(p, dtype=float)
-        x = np.asarray(x, dtype=float)
-        d = p - x  # (n,) in 1D, (n,2) in 2D with p (2,)
+        d = np.asarray(p, dtype=float) - np.asarray(x, dtype=float)
         if dim == 1:
-            dist_sq = d * d
-            return -d / (alpha + dist_sq) * escape(np.abs(d))
+            return -d / (alpha + d * d) * _profile_sq(escape, d * d)
         dist_sq = np.sum(d * d, axis=-1)
-        w = escape(np.sqrt(dist_sq)) / (alpha + dist_sq)
+        w = _profile_sq(escape, dist_sq) / (alpha + dist_sq)
         return -d * w[..., None]
 
     def prey_sink(t, x, p):
-        p = np.asarray(p, dtype=float)
-        x = np.asarray(x, dtype=float)
-        if dim == 1:
-            dist = np.abs(p - x)
-        else:
-            dist = np.linalg.norm(p - x, axis=-1)
-        return -feeding(dist)
+        d = np.asarray(p, dtype=float) - np.asarray(x, dtype=float)
+        dist_sq = d * d if dim == 1 else np.sum(d * d, axis=-1)
+        return -_profile_sq(feeding, dist_sq)
 
     def zero_source(t, x, p):
         return np.zeros(np.shape(x)[0] if np.ndim(x) else 1)
@@ -232,23 +219,33 @@ def predator_prey_fields(params: PredatorPreyParams) -> PredatorPreyFields:
     rho0 = params.initial_density()
     mass_bound = rho0.l1() * 1.5 + 1e-9
 
+    # grad_p of search(|p - x|) is the polynomial
+    # -8 amp / r^2 (1 - |z|^2 / r^2)_+^3 z in z = p - x, so the drift sums
+    # it over the window of cells within search_radius of p on each axis
+    r = params.search_radius
+    r2 = r * r
+    drift_scale = -8.0 * search.amp / r2
+
     def predator_velocity(t, p, rho: GridFunction):
-        pts = rho.centers()
         p = np.asarray(p, dtype=float)
+        z, window = [], []
+        for a in range(dim):
+            xc = rho.axis_centers(a)
+            lo, hi = np.searchsorted(xc, (p[a] - r, p[a] + r),
+                                     side="right")
+            z.append(p[a] - xc[lo:hi])
+            window.append(slice(lo, hi))
+        weight = rho.values[tuple(window)]
         if dim == 1:
-            diff = p[0] - pts
-            # gradient of the radial bump: slope(|z|) * z/|z|
-            grad = search.slope(np.abs(diff)) * np.sign(diff)
-            val = np.sum(grad * rho.values) * rho.cell_volume
-            return np.array([val])
-        diff = p[None, :] - pts
-        dist = np.linalg.norm(diff, axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            safe = np.maximum(dist, 1e-300)[:, None]
-            unit = np.where(dist[:, None] > 0, diff / safe, 0.0)
-        grad = search.slope(dist)[:, None] * unit
-        val = np.sum(grad * rho.values.reshape(-1, 1), axis=0) * rho.cell_volume
-        return val
+            q = np.maximum(1.0 - z[0] * z[0] / r2, 0.0)
+            val = np.array([np.dot(z[0], q ** 3 * weight)])
+        else:
+            q = np.maximum(1.0 - (z[0][:, None] ** 2 + z[1][None, :] ** 2)
+                           / r2, 0.0)
+            w = q ** 3 * weight
+            val = np.array([np.dot(z[0], w.sum(axis=1)),
+                            np.dot(z[1], w.sum(axis=0))])
+        return val * (drift_scale * rho.cell_volume)
 
     predator = OdeField(
         f=predator_velocity,
@@ -260,6 +257,12 @@ def predator_prey_fields(params: PredatorPreyParams) -> PredatorPreyFields:
                               search=search, feeding=feeding)
 
 
+def _profile_sq(bump: Bump, dist_sq):
+    """``bump`` at the distance whose square is ``dist_sq``."""
+    return bump.amp * np.maximum(
+        1.0 - dist_sq / (bump.radius * bump.radius), 0.0) ** 4
+
+
 def _numeric_div(vfun, pts: np.ndarray, h: float) -> np.ndarray:
     div = np.zeros(pts.shape[0])
     for a in range(pts.shape[1]):
@@ -267,6 +270,15 @@ def _numeric_div(vfun, pts: np.ndarray, h: float) -> np.ndarray:
         e[a] = h
         div += (vfun(pts + e)[:, a] - vfun(pts - e)[:, a]) / (2 * h)
     return div
+
+
+def _macro_count(horizon: float, macro: float) -> int:
+    """Number of macro steps; the horizon must be a multiple of the step."""
+    n_macro = int(round(horizon / macro))
+    if (n_macro < 1
+            or abs(n_macro * macro - horizon) > 1e-9 * max(1.0, horizon)):
+        raise ConfigError("time.horizon must be a multiple of time.macro_step")
+    return n_macro
 
 
 def _fit_density_radius(coef: RenewalCoefficients, u0: GridFunction,
@@ -363,7 +375,7 @@ def run_predator_prey(params: PredatorPreyParams,
     record(0.0, states[0], 0.0)
     state = states[0]
     t = 0.0
-    n_macro = int(round(horizon / macro))
+    n_macro = _macro_count(horizon, macro)
     for k in range(n_macro):
         prey_proc = make_renewal_process(
             fields.prey, radius_const, macro, n_sub_per_unit=n_sub_per_unit,
@@ -528,9 +540,7 @@ def run_epidemic(params: EpidemicParams,
     """
     macro = params.macro_step
     horizon = params.horizon
-    n_macro = int(round(horizon / macro))
-    if abs(n_macro * macro - horizon) > 1e-9 * max(1.0, horizon):
-        raise ConfigError("time.horizon must be a multiple of time.macro_step")
+    n_macro = _macro_count(horizon, macro)
 
     pop0 = params.s0 + params.i0 + params.r0 + params.v0.l1()
     ball = 2.0 * (math.hypot(params.s0, params.i0) + 0.5)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import GridMismatch
 
@@ -178,20 +177,23 @@ class GridFunction:
     # -- serialization ---------------------------------------------------------
 
     def to_csv(self, path) -> None:
-        """Write ``x[,y],value`` rows with cell-center coordinates."""
+        """Write ``x[,y],value`` rows with cell-center coordinates.
+
+        The bytes are those of ``csv.writer`` rows of ``repr`` floats; the
+        fields are written directly since a float repr needs no quoting.
+        """
+        xs = [repr(x) for x in self.axis_centers(0).tolist()]
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
             if self.dim == 1:
-                w.writerow(["x", "value"])
-                for x, v in zip(self.axis_centers(0), self.values):
-                    w.writerow([repr(float(x)), repr(float(v))])
-            else:
-                w.writerow(["x", "y", "value"])
-                xs, ys = self.axis_centers(0), self.axis_centers(1)
-                for i, x in enumerate(xs):
-                    for j, y in enumerate(ys):
-                        w.writerow([repr(float(x)), repr(float(y)),
-                                    repr(float(self.values[i, j]))])
+                fh.write("x,value\r\n")
+                fh.writelines(f"{x},{v!r}\r\n"
+                              for x, v in zip(xs, self.values.tolist()))
+                return
+            fh.write("x,y,value\r\n")
+            ys = [repr(y) for y in self.axis_centers(1).tolist()]
+            for x, row in zip(xs, self.values.tolist()):
+                fh.writelines(f"{x},{y},{v!r}\r\n"
+                              for y, v in zip(ys, row))
 
     @staticmethod
     def read_csv(path) -> "GridFunction":
@@ -404,6 +406,7 @@ def flat_distance(mu: AtomicMeasure, nu: AtomicMeasure,
         cols += [i + 1, i, i, i + 1]
         data += [1.0, -1.0, 1.0, -1.0]
         rhs += [g, g]
+    from scipy.optimize import linprog
     from scipy.sparse import coo_matrix
     a_ub = coo_matrix((data, (rows, cols)), shape=(2 * gaps.size, m))
     res = linprog(-w_nodes, A_ub=a_ub, b_ub=rhs, bounds=[(-1.0, 1.0)] * m,

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polyflow
 from polyflow.cli import main
 from polyflow.errors import ConfigError
 from polyflow.harness import (load_config, polygonal_convergence,
@@ -183,6 +187,20 @@ class TestCli:
         assert code == 3
         assert "time.horizon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["epidemic.json",
+                                      "predator_prey_1d.json"])
+    def test_horizon_not_a_multiple_of_macro_step_exit_3(self, tmp_path,
+                                                         capsys, name):
+        cfg = json.loads((CONFIG_DIR / name).read_text())
+        cfg["time"] = {"horizon": 0.3, "macro_step": 0.2}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["run", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"])
+        assert code == 3
+        assert "time.macro_step" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exit_3(self):
         assert main(["run", "/nonexistent/cfg.json", "--quiet"]) == 3
 
@@ -210,3 +228,13 @@ class TestCli:
                      "predator_prey_1d.json", "predator_prey_2d.json",
                      "rotation.json", "verify_all.json"):
             load_config(CONFIG_DIR / name)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(polyflow.__file__).resolve().parent.parent)
+    code = ("import sys, polyflow, polyflow.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -1,0 +1,128 @@
+"""The pursuit kernels against their full-grid reference formulas.
+
+The model evaluates the predator drift only on the cells within
+``search_radius`` of the predator, as a polynomial in ``z = p - x``, and
+the prey speed and sink from the squared distance.  The references below
+are the direct formulas: the radial bump gradient ``slope(|z|) z / |z|``
+summed over every cell, and the bumps taken at the plain distance.
+"""
+
+import numpy as np
+import pytest
+
+from polyflow.scenarios import Bump, PredatorPreyParams, predator_prey_fields
+
+REL_TOL = 1e-12
+
+
+def pursuit_params(dim):
+    return PredatorPreyParams(
+        dim=dim, alpha=1.2, escape_radius=0.8, search_radius=0.6,
+        feeding_radius=0.4, feeding_rate=0.5,
+        box=((-1.0, 1.0),) * dim, cells=(50,) * dim, horizon=0.3,
+        macro_step=0.3, prey_center=(0.0,) * dim, prey_radius=0.7,
+        prey_amp=1.0, predator_start=(0.15,) + (0.0,) * (dim - 1))
+
+
+def random_density(params, seed=0):
+    rho = params.initial_density()
+    rng = np.random.default_rng(seed)
+    return rho.with_values(rng.uniform(0.0, 1.0, rho.values.shape))
+
+
+def bump_reference(bump, s):
+    y = np.asarray(s, dtype=float) / bump.radius
+    return np.where(np.abs(y) < 1.0, bump.amp * (1.0 - y * y) ** 4, 0.0)
+
+
+def bump_slope_reference(bump, s):
+    y = np.asarray(s, dtype=float) / bump.radius
+    return np.where(np.abs(y) < 1.0,
+                    bump.amp * 4.0 * (1.0 - y * y) ** 3
+                    * (-2.0 * y / bump.radius), 0.0)
+
+
+def drift_reference(search, p, rho):
+    pts = rho.centers()
+    if rho.dim == 1:
+        diff = p[0] - pts
+        grad = bump_slope_reference(search, np.abs(diff)) * np.sign(diff)
+        return np.array([np.sum(grad * rho.values) * rho.cell_volume])
+    diff = p[None, :] - pts
+    dist = np.linalg.norm(diff, axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit = np.where(dist[:, None] > 0,
+                        diff / np.maximum(dist, 1e-300)[:, None], 0.0)
+    grad = bump_slope_reference(search, dist)[:, None] * unit
+    return np.sum(grad * rho.values.reshape(-1, 1), axis=0) * rho.cell_volume
+
+
+def distance(p, x, dim):
+    return np.abs(p - x) if dim == 1 else np.linalg.norm(p - x, axis=-1)
+
+
+def assert_close(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= REL_TOL * np.max(np.abs(ref))
+
+
+class TestBump:
+    def test_value_and_slope_match_reference(self):
+        bump = Bump(0.6, 1.7)
+        s = np.concatenate([np.linspace(-1.0, 1.0, 2001),
+                            [0.0, -0.0, 0.6, -0.6, np.nextafter(0.6, 0.0),
+                             np.nextafter(0.6, 1.0)]])
+        assert np.array_equal(bump(s), bump_reference(bump, s))
+        assert np.array_equal(bump.slope(s), bump_slope_reference(bump, s))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+class TestPredatorDrift:
+    def places(self, rho, dim):
+        dx = rho.dx[0]
+        centre = rho.axis_centers(0)[17]
+        if dim == 1:
+            return {"centre": [0.0], "edge": [1.0 - dx], "corner": [-1.0],
+                    "on-cell": [centre], "overhang": [1.3]}
+        return {"centre": [0.0, 0.0], "edge": [1.0 - dx, 0.1],
+                "corner": [-1.0, 1.0], "on-cell": [centre, centre],
+                "overhang": [1.3, -0.2]}
+
+    def test_matches_full_grid_sum(self, dim):
+        params = pursuit_params(dim)
+        fields = predator_prey_fields(params)
+        rho = random_density(params)
+        for name, p in self.places(rho, dim).items():
+            p = np.array(p)
+            got = fields.predator.f(0.0, p, rho)
+            assert isinstance(got, np.ndarray) and got.shape == (dim,), name
+            assert_close(got, drift_reference(fields.search, p, rho))
+
+    def test_zero_outside_the_reach_of_the_box(self, dim):
+        params = pursuit_params(dim)
+        fields = predator_prey_fields(params)
+        rho = random_density(params)
+        p = np.array([1.7, 0.0][:dim])
+        got = fields.predator.f(0.0, p, rho)
+        assert got.shape == (dim,)
+        assert np.array_equal(got, np.zeros(dim))
+        assert np.array_equal(drift_reference(fields.search, p, rho),
+                              np.zeros(dim))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_prey_speed_and_sink_match_reference(dim):
+    params = pursuit_params(dim)
+    fields = predator_prey_fields(params)
+    rng = np.random.default_rng(1)
+    x = rng.uniform(-1.0, 1.0, (4000, dim) if dim == 2 else 4000)
+    for p in (np.array([0.2, -0.1][:dim]), np.array([0.95, 0.9][:dim])):
+        d = p - x
+        dist = distance(p, x, dim)
+        weight = bump_reference(fields.escape, dist) / (params.alpha
+                                                        + dist * dist)
+        speed = -d * (weight if dim == 1 else weight[:, None])
+        assert_close(fields.prey.velocity(0.0, x, p), speed)
+        assert_close(fields.prey.growth(0.0, x, p),
+                     -bump_reference(fields.feeding, dist))

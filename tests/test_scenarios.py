@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polyflow.errors import KernelOutOfBox
+from polyflow.errors import ConfigError, KernelOutOfBox
 from polyflow.scenarios import (EpidemicParams, PredatorPreyParams,
                                 RefineSchedule, epidemic_cohort_reference,
                                 predator_prey_fields, run_epidemic,
@@ -126,6 +126,11 @@ class TestPursuitRuns:
         # the same float operations; one-step tolerance is generous
         one_step = 2 * min(rho_d.dx)
         assert gap <= 5 * one_step
+
+    def test_horizon_not_a_multiple_of_macro_step(self):
+        with pytest.raises(ConfigError, match="time.macro_step"):
+            run_predator_prey(pursuit_params(horizon=0.3, macro=0.2),
+                              RefineSchedule(0, 0, math.inf))
 
     def test_1d_variant(self):
         # 1D lacks the transverse cancellation of the 2D lookup noise, so

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -93,6 +94,31 @@ class TestGridFunction:
         back = GridFunction.read_csv(tmp_path / "g.csv")
         assert back.same_grid(g)
         assert np.array_equal(back.values, g.values)
+
+
+    @pytest.mark.parametrize("g", [
+        GridFunction(np.array([1.5, -2.0, 0.0, -0.0, 5e-324, 1e-17, 1e300,
+                               -3.0e-7]), (-1.0,), (0.1,)),
+        GridFunction(np.array([[0.0, -1e-310, 2.5], [-7.25, 1e-12, 3.0]]),
+                     (-0.3, 1.0), (0.1, 1.0 / 3.0)),
+    ], ids=["1d", "2d"])
+    def test_csv_bytes_match_csv_writer(self, tmp_path, g):
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            w = csv.writer(fh)
+            xs = g.axis_centers(0)
+            if g.dim == 1:
+                w.writerow(["x", "value"])
+                for x, v in zip(xs, g.values):
+                    w.writerow([repr(float(x)), repr(float(v))])
+            else:
+                w.writerow(["x", "y", "value"])
+                for i, x in enumerate(xs):
+                    for j, y in enumerate(g.axis_centers(1)):
+                        w.writerow([repr(float(x)), repr(float(y)),
+                                    repr(float(g.values[i, j]))])
+        g.to_csv(tmp_path / "g.csv")
+        assert (tmp_path / "g.csv").read_bytes() == ref.read_bytes()
 
 
 class TestFlatDistance:
