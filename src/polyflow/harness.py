@@ -912,6 +912,7 @@ def run(cfg: dict, out_dir, seed: int | None = None,
     schedule = schedule_from_config(cfg)
     started = time.perf_counter()
     checks: list[dict] = []
+    meta = None
 
     try:
         if scenario == "epidemic":
@@ -926,6 +927,7 @@ def run(cfg: dict, out_dir, seed: int | None = None,
             drift = _population_drift(traj, params)
             checks.append({"name": "population-balance",
                            "value": repr(drift)})
+            meta = _run_meta(traj)
         elif scenario == "predator_prey":
             params = predator_prey_params_from_config(cfg)
             traj = run_predator_prey(params, schedule)
@@ -937,6 +939,7 @@ def run(cfg: dict, out_dir, seed: int | None = None,
                            "value": bool(all(masses[i + 1]
                                              <= masses[i] + 1e-9
                                              for i in range(len(masses) - 1)))})
+            meta = _run_meta(traj)
         elif scenario in ("rotation", "translation"):
             table = scenario_convergence(cfg, levels=6)
             _write_convergence_csv(out / f"{scenario}_convergence.csv", table)
@@ -955,12 +958,25 @@ def run(cfg: dict, out_dir, seed: int | None = None,
         "runtime_s": round(time.perf_counter() - started, 3),
         "checks": checks,
     }
+    if meta is not None:
+        summary["meta"] = meta
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if not quiet:
         print(f"{scenario}: wrote {out}/summary.json")
     return 0
+
+
+def _run_meta(traj) -> dict:
+    """What a coupled run did: its metadata plus the final refinement gap.
+
+    Non-finite numbers are written as the strings ``"nan"`` / ``"inf"`` so
+    the summary stays strict JSON.
+    """
+    meta = dict(traj.meta, refine_gap=traj.column("refine_gap")[-1])
+    return {k: (repr(float(v)) if isinstance(v, float)
+                and not math.isfinite(v) else v) for k, v in meta.items()}
 
 
 def _population_drift(traj, params: EpidemicParams) -> float:

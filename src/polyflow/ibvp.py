@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -61,9 +62,20 @@ class IbvpCoefficients:
 
     def as_renewal(self) -> RenewalCoefficients:
         """Parameter-blind view of the coefficients for the interior branch."""
+        return self._renewal
+
+    @cached_property
+    def _renewal(self) -> RenewalCoefficients:
+        # built once per coefficient set; a frozen dataclass still has a
+        # writable __dict__ for the cache
+        def velocity(t, x, w):
+            v = np.asarray(self.speed(t, x), dtype=float)
+            if v.shape == np.shape(x):
+                return v
+            return np.broadcast_to(v, np.shape(x)).copy()
+
         return RenewalCoefficients(
-            velocity=lambda t, x, w: np.broadcast_to(
-                np.asarray(self.speed(t, x), dtype=float), np.shape(x)).copy(),
+            velocity=velocity,
             growth=self.growth,
             source=self.source,
             v_sup=self.speed_max,

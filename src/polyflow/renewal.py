@@ -28,7 +28,10 @@ class RenewalCoefficients:
     The callables must be elementwise-vectorized: ``velocity(t, x, w)``
     returns an array shaped like ``x`` (1D positions ``(n,)`` or 2D points
     ``(n, 2)``); ``growth`` and ``source`` return ``(n,)``.  ``t`` may be a
-    scalar or an ``(n,)`` array.
+    scalar or an ``(n,)`` array.  ``divergence(t, x, w)``, when given,
+    returns ``div v`` at the points as ``(n,)``; the transport then uses it
+    for the ``m - div v`` exponent instead of central differences of the
+    velocity on the grid spacing.
 
     Certificates (never inferred, optionally audited): ``v_sup`` bounds
     ``|v|``, ``v_lip`` bounds the space gradient and the parameter modulus of
@@ -40,6 +43,7 @@ class RenewalCoefficients:
     velocity: Callable[[Any, np.ndarray, Any], np.ndarray]
     growth: Callable[[Any, np.ndarray, Any], np.ndarray]
     source: Callable[[Any, np.ndarray, Any], np.ndarray]
+    divergence: Callable[[Any, np.ndarray, Any], np.ndarray] | None = None
     v_sup: float = 0.0
     v_lip: float = 0.0
     v_div_lip: float = 0.0
@@ -117,6 +121,14 @@ def _divergence(velocity, t, pts: np.ndarray, dx: tuple[float, ...], w
     return div
 
 
+def _velocity_divergence(coef: RenewalCoefficients, t, pts: np.ndarray,
+                         dx: tuple[float, ...], w) -> np.ndarray:
+    """The supplied ``div v``, else its central difference on step dx/2."""
+    if coef.divergence is None:
+        return _divergence(coef.velocity, t, pts, dx, w)
+    return np.asarray(coef.divergence(t, pts, w), dtype=float)
+
+
 def backward_transport(coef: RenewalCoefficients, w, t: float, t_lo,
                        x: np.ndarray, n_sub: int, dx: tuple[float, ...]
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -151,7 +163,7 @@ def backward_transport(coef: RenewalCoefficients, w, t: float, t_lo,
         s_mid = s_hi + 0.5 * h
         p_mid = 0.5 * (pts + nxt)
         contrib = (np.asarray(coef.growth(s_mid, p_mid, w), dtype=float)
-                   - _divergence(coef.velocity, s_mid, p_mid, dx, w)) * ds
+                   - _velocity_divergence(coef, s_mid, p_mid, dx, w)) * ds
         factor_mid = np.exp(exponent + 0.5 * contrib)
         source_acc = source_acc + (np.asarray(coef.source(s_mid, p_mid, w),
                                               dtype=float)

@@ -155,18 +155,34 @@ def predator_prey_fields(params: PredatorPreyParams) -> PredatorPreyFields:
     feeding = Bump(params.feeding_radius, params.feeding_rate)
     alpha = params.alpha
 
-    def prey_velocity(t, x, p):
+    def offset(x, p):
+        """``z = p - x`` and ``|z|^2`` (two products, no axis reduction)."""
         d = np.asarray(p, dtype=float) - np.asarray(x, dtype=float)
         if dim == 1:
-            return -d / (alpha + d * d) * _profile_sq(escape, d * d)
-        dist_sq = np.sum(d * d, axis=-1)
+            return d, d * d
+        return d, d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+
+    def prey_velocity(t, x, p):
+        d, dist_sq = offset(x, p)
         w = _profile_sq(escape, dist_sq) / (alpha + dist_sq)
-        return -d * w[..., None]
+        return -d * (w if dim == 1 else w[..., None])
+
+    # v = -z g(s) with s = |z|^2 and g(s) = amp q^4 / (alpha + s),
+    # q = (1 - s / R^2)_+, so div v = dim g + 2 s g'(s) with
+    # g'(s) = -4 amp q^3 / (R^2 (alpha + s)) - g / (alpha + s)
+    inv_r2 = 1.0 / (escape.radius * escape.radius)
+    four_amp = 4.0 * escape.amp * inv_r2
+
+    def prey_divergence(t, x, p):
+        _, dist_sq = offset(x, p)
+        inv = 1.0 / (alpha + dist_sq)
+        q = np.maximum(1.0 - dist_sq * inv_r2, 0.0)
+        q3 = q * q * q
+        g = escape.amp * q3 * q * inv
+        return dim * g - 2.0 * dist_sq * inv * (four_amp * q3 + g)
 
     def prey_sink(t, x, p):
-        d = np.asarray(p, dtype=float) - np.asarray(x, dtype=float)
-        dist_sq = d * d if dim == 1 else np.sum(d * d, axis=-1)
-        return -_profile_sq(feeding, dist_sq)
+        return -_profile_sq(feeding, offset(x, p)[1])
 
     def zero_source(t, x, p):
         return np.zeros(np.shape(x)[0] if np.ndim(x) else 1)
@@ -193,8 +209,7 @@ def predator_prey_fields(params: PredatorPreyParams) -> PredatorPreyFields:
         X, Y = np.meshgrid(g1, g1, indexing="ij")
         pts = np.column_stack([X.ravel(), Y.ravel()])
         dd = g1[1] - g1[0]
-        divv = _numeric_div(lambda q: prey_velocity(0.0, q, np.zeros(2)),
-                            pts, dd).reshape(n2, n2)
+        divv = prey_divergence(0.0, pts, np.zeros(2)).reshape(n2, n2)
         gx, gy = np.gradient(divv, dd, dd)
         v_div_lip = float(np.sum(np.hypot(gx, gy)) * dd * dd) * 1.1
 
@@ -209,6 +224,7 @@ def predator_prey_fields(params: PredatorPreyParams) -> PredatorPreyFields:
 
     prey = RenewalCoefficients(
         velocity=prey_velocity, growth=prey_sink, source=zero_source,
+        divergence=prey_divergence,
         v_sup=v_sup, v_lip=v_lip, v_div_lip=v_div_lip,
         m_sup_tv=m_sup + m_tv, m_param_lip=m_param_lip,
         q_sup_tv=0.0, q_l1=0.0, q_param_lip=0.0)
@@ -259,17 +275,9 @@ def predator_prey_fields(params: PredatorPreyParams) -> PredatorPreyFields:
 
 def _profile_sq(bump: Bump, dist_sq):
     """``bump`` at the distance whose square is ``dist_sq``."""
-    return bump.amp * np.maximum(
-        1.0 - dist_sq / (bump.radius * bump.radius), 0.0) ** 4
-
-
-def _numeric_div(vfun, pts: np.ndarray, h: float) -> np.ndarray:
-    div = np.zeros(pts.shape[0])
-    for a in range(pts.shape[1]):
-        e = np.zeros(pts.shape[1])
-        e[a] = h
-        div += (vfun(pts + e)[:, a] - vfun(pts - e)[:, a]) / (2 * h)
-    return div
+    q = np.maximum(1.0 - dist_sq / (bump.radius * bump.radius), 0.0)
+    q2 = q * q
+    return bump.amp * (q2 * q2)
 
 
 def _macro_count(horizon: float, macro: float) -> int:
@@ -640,6 +648,7 @@ def run_epidemic(params: EpidemicParams,
     traj = Trajectory(times=times, states=states, diagnostics=diag,
                       meta={"radius_v": radius_v, "ball": ball,
                             "macro_step": macro, "population0": pop0,
+                            "envelope": "admissible",
                             "j0": j0, "j_max": j_max})
     return EpidemicRun(trajectory=traj, recovered=recovered,
                        exit_trace=exit_trace, warnings=warnings)

@@ -166,6 +166,36 @@ class TestCli:
         traj = (tmp_path / "out" / "predator_prey_trajectory.csv").read_text()
         assert traj.splitlines()[0].split(",")[0] == "t"
 
+    def test_summary_says_what_the_run_did(self, tmp_path):
+        epi = json.loads((CONFIG_DIR / "epidemic.json").read_text())
+        epi["params"]["cells"] = 100
+        epi["time"] = {"horizon": 0.2, "macro_step": 0.04}
+        epi_path = tmp_path / "epidemic.json"
+        epi_path.write_text(json.dumps(epi))
+        runs = {"epidemic": epi_path,
+                "predator_prey": CONFIG_DIR / "predator_prey_2d.json"}
+        meta = {}
+        for name, path in runs.items():
+            assert main(["run", str(path), "--out", str(tmp_path / name),
+                         "--quiet"]) == 0
+            text = (tmp_path / name / "summary.json").read_text()
+            assert "NaN" not in text and "Infinity" not in text
+            meta[name] = json.loads(text)["meta"]
+            for key in ("j0", "j_max", "envelope", "macro_step",
+                        "refine_gap"):
+                assert key in meta[name], (name, key)
+        assert meta["epidemic"]["envelope"] == "admissible"
+        assert meta["epidemic"]["macro_step"] == 0.04
+        assert meta["epidemic"]["radius_v"] > 0
+        assert meta["epidemic"]["j0"] <= meta["epidemic"]["j_max"]
+        # the bundled 2D pursuit runs without an envelope and unrefined
+        pursuit = meta["predator_prey"]
+        assert pursuit["envelope"] == "inadmissible-at-macro-length"
+        assert pursuit["radius_rho"] == "nan"
+        assert pursuit["radius_p"] > 0
+        assert (pursuit["j0"], pursuit["j_max"]) == (0, 0)
+        assert pursuit["refine_gap"] == "inf"
+
     def test_domain_exit_maps_to_exit_2(self, tmp_path, monkeypatch):
         from polyflow import harness
         from polyflow.errors import DomainExit

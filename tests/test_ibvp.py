@@ -162,6 +162,20 @@ class TestIbvpSolve:
             assert u_t.tv() + gap <= atv + 10 * grid.dx[0]
 
 
+class TestRenewalView:
+    def test_built_once(self):
+        coef = make_coef()
+        assert coef.as_renewal() is coef.as_renewal()
+
+    @pytest.mark.parametrize("speed", [ones_speed, lambda t, x: 1.5])
+    def test_velocity_keeps_the_shape_of_x(self, speed):
+        coef = make_coef(speed=speed, speed_max=1.5)
+        x = np.linspace(0.0, 1.0, 7)
+        v = coef.as_renewal().velocity(0.0, x, None)
+        assert v.shape == x.shape and v.dtype == float
+        assert np.array_equal(v, np.asarray(speed(0.0, x)) * np.ones(7))
+
+
 class TestDomainBounds:
     def test_all_zero_with_zero_inflow(self):
         coef = make_coef(speed_min=1e-12, speed_max=1e-12)

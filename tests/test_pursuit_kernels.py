@@ -1,15 +1,17 @@
 """The pursuit kernels against their full-grid reference formulas.
 
 The model evaluates the predator drift only on the cells within
-``search_radius`` of the predator, as a polynomial in ``z = p - x``, and
-the prey speed and sink from the squared distance.  The references below
-are the direct formulas: the radial bump gradient ``slope(|z|) z / |z|``
-summed over every cell, and the bumps taken at the plain distance.
+``search_radius`` of the predator, as a polynomial in ``z = p - x``, the
+prey speed and sink from the squared distance, and the divergence of the
+prey speed in closed form.  The references below are the direct formulas:
+the radial bump gradient ``slope(|z|) z / |z|`` summed over every cell, the
+bumps taken at the plain distance, and central differences of the speed.
 """
 
 import numpy as np
 import pytest
 
+from polyflow.renewal import _divergence
 from polyflow.scenarios import Bump, PredatorPreyParams, predator_prey_fields
 
 REL_TOL = 1e-12
@@ -126,3 +128,31 @@ def test_prey_speed_and_sink_match_reference(dim):
         assert_close(fields.prey.velocity(0.0, x, p), speed)
         assert_close(fields.prey.growth(0.0, x, p),
                      -bump_reference(fields.feeding, dist))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_prey_divergence_matches_central_differences(dim):
+    params = pursuit_params(dim)
+    fields = predator_prey_fields(params)
+    reach = params.escape_radius
+    step = (2e-6,) * dim  # central differences at +-1e-6
+    rng = np.random.default_rng(2)
+    for p in (np.array([0.15, 0.0][:dim]), np.array([-0.3, 0.45][:dim])):
+        # at the predator, inside the support, on its boundary, outside
+        radii = np.array([0.0, 0.1, 0.5, 0.9, 1.0, 1.2, 1.7]) * reach
+        if dim == 1:
+            x = np.concatenate([p[0] - radii, p[0] + radii])
+        else:
+            angle = rng.uniform(0.0, 2.0 * np.pi, radii.size)
+            ring = radii[:, None] * np.column_stack([np.cos(angle),
+                                                     np.sin(angle)])
+            axes = radii[:, None] * np.array([[1.0, 0.0]])
+            x = p - np.concatenate([ring, axes])
+        got = fields.prey.divergence(0.0, x, p)
+        ref = _divergence(fields.prey.velocity, 0.0, x, step, p)
+        assert got.shape == (x.shape[0],)
+        assert np.max(np.abs(got - ref)) <= 1e-6
+        outside = distance(p, x, dim) > reach
+        assert outside.any()
+        assert np.all(got[outside] == 0.0)
+        assert got[distance(p, x, dim) == 0.0][0] > 0.0  # source at z = 0

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from polyflow.errors import InadmissibleHorizon, SupportClearanceViolated
-from polyflow.renewal import (RenewalCoefficients, audit_coefficients,
+from polyflow.renewal import (RenewalCoefficients, _divergence,
+                              audit_coefficients, backward_transport,
                               characteristic, ivp_domain_bounds,
                               ivp_lipschitz_constants, renewal_solve)
 from polyflow.spaces import GridFunction, l1_distance
@@ -140,6 +141,42 @@ class TestRenewalSolve:
         assert l1_distance(got, ref) <= 4 * max(grid.dx) * bump.tv()
         # expansion preserves mass exactly in the continuum
         assert abs(got.mass() - bump.mass()) / bump.mass() <= 5e-3
+
+
+class TestSuppliedDivergence:
+    def swirl(self, t, x, w):
+        return np.column_stack([0.3 * np.sin(x[:, 1]) + 0.2 * x[:, 0],
+                                0.1 * x[:, 0] * x[:, 1] - 0.2 * t])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_without_divergence_uses_central_differences(self, dim):
+        # the default path stays the central difference, bit for bit
+        if dim == 1:
+            velocity = lambda t, x, w: 0.5 + 0.2 * np.sin(x) * w
+            x = np.linspace(-1.0, 2.0, 301)
+        else:
+            velocity = self.swirl
+            g = np.linspace(-1.0, 1.0, 21)
+            x = np.column_stack([np.repeat(g, 21), np.tile(g, 21)])
+        dx = (0.01,) * dim
+        growth = lambda t, x, w: 0.3 * np.cos(x if dim == 1 else x[:, 0])
+        plain = coefficients(velocity=velocity, growth=growth)
+        spelled = coefficients(
+            velocity=velocity, growth=growth,
+            divergence=lambda t, p, w: _divergence(velocity, t, p, dx, w))
+        for a, b in zip(backward_transport(plain, 1.5, 0.7, 0.1, x, 6, dx),
+                        backward_transport(spelled, 1.5, 0.7, 0.1, x, 6, dx)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_supplied_divergence_enters_the_growth_factor(self):
+        coef = coefficients(divergence=lambda t, x, w: np.full(x.shape[0],
+                                                               0.75))
+        x = np.linspace(0.0, 1.0, 11)
+        foot, factor, src = backward_transport(coef, None, 1.0, 0.2, x, 8,
+                                               (0.1,))
+        assert np.array_equal(foot, x)
+        assert np.allclose(factor, math.exp(-0.75 * 0.8), rtol=1e-14)
+        assert np.array_equal(src, np.zeros(11))
 
 
 def smooth_coefficients():
