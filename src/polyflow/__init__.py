@@ -10,7 +10,7 @@ balance law; plus two assembled applications (pursuit, staged vaccination).
 """
 
 from .claw import (ParamFlux, claw_constants, claw_solve, entropy_residuals,
-                   godunov_flux, make_claw_process)
+                   godunov_flux)
 from .errors import (ClearanceViolated, ConfigError, DomainExit,
                      GridMismatch, HorizonExceeded, HorizonUnreachable,
                      InadmissibleHorizon, KernelOutOfBox, MassBlowup,
@@ -21,11 +21,10 @@ from .ibvp import (IbvpCoefficients, boundary_crossing_time,
                    make_ibvp_process)
 from .measures import (MeasureCoefficients, measure_domain_bound,
                        measure_step, weak_residual)
-from .metric import (AtomicMeasureSpace, CouplingBounds, EuclideanSpace,
-                     GridFunctionSpace, LocalFlow, MetricSpace, Process,
-                     ProcessConstants, ProductSpace, RefinementResult,
-                     couple, coupling_bounds, euler_polygonal,
-                     merge_constants, refine_to_process)
+from .metric import (CouplingBounds, EuclideanSpace, GridFunctionSpace,
+                     LocalFlow, MetricSpace, Process, ProcessConstants,
+                     ProductSpace, RefinementResult, couple, coupling_bounds,
+                     euler_polygonal, merge_constants, refine_to_process)
 from .ode import (NonlocalField, OdeField, make_ode_process,
                   nonlocal_constants, nonlocal_eval, nonlocal_ode_field,
                   ode_constants, ode_continue_global, ode_domain_radius,

@@ -16,7 +16,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import ClearanceViolated
-from .metric import GridFunctionSpace, Process, ProcessConstants
+from .metric import ProcessConstants
 from .spaces import GridFunction
 
 
@@ -160,22 +160,3 @@ def entropy_residuals(flux: ParamFlux, u_before: np.ndarray,
          - godunov_flux(flux, np.minimum(ub[:-1], k), np.minimum(ub[1:], k), w))
     return (np.abs(u_before - k) - np.abs(u_after - k)
             - (dt / dx) * (g[1:] - g[:-1]))
-
-
-def make_claw_process(flux: ParamFlux, radius: float, horizon: float,
-                      cfl: float = 0.9, enforce_domain: bool = True
-                      ) -> Process:
-    """Wrap the Godunov solver as a process handle on the TV ball."""
-
-    def solve(t, t0, u, w):
-        return claw_solve(flux, u, w, t0, t, cfl=cfl)
-
-    def domain(t, u: GridFunction):
-        if not enforce_domain:
-            return True
-        return u.tv() <= radius * (1 + 1e-9)
-
-    return Process(solve=solve,
-                   constants=claw_constants(flux.lip, radius, horizon),
-                   space=GridFunctionSpace(), domain=domain,
-                   interval=(0.0, horizon))

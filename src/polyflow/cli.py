@@ -44,7 +44,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
         if args.command == "run":
-            return run(cfg, args.out, seed=args.seed, quiet=args.quiet)
+            return run(cfg, args.out, quiet=args.quiet)
         if args.command == "converge":
             if args.levels < 3:
                 raise ConfigError("field levels must be at least 3")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import claw as _claw
 from . import measures as _measures
-from .errors import ConfigError, DomainExit, InadmissibleHorizon
+from .errors import ConfigError, DomainExit
 from .ibvp import IbvpCoefficients, ibvp_domain_bounds, ibvp_solve
 from .metric import (EuclideanSpace, LocalFlow, Process, ProcessConstants,
                      couple, coupling_bounds, euler_polygonal,
@@ -29,8 +29,8 @@ from .ode import OdeField, make_ode_process, ode_solve
 from .renewal import (RenewalCoefficients, characteristic,
                       ivp_domain_bounds, renewal_solve)
 from .scenarios import (EpidemicParams, PredatorPreyParams,
-                        RefineSchedule, _macro_count, run_epidemic,
-                        run_predator_prey)
+                        RefineSchedule, _depth_floor, _fit_radius,
+                        _macro_count, run_epidemic, run_predator_prey)
 from .spaces import (AtomicMeasure, BvTimeSeries, GridFunction,
                      bv_estimate_checks, flat_distance, l1_distance)
 
@@ -340,17 +340,24 @@ def polygonal_convergence(flow: LocalFlow, t0: float, x0, tau: float,
     else:
         ref = reference
         err_levels = list(levels)
-    errors = {j: flow.space.distance(results[j], ref) for j in err_levels}
-    scale = max((abs(e) for e in errors.values()), default=0.0)
-    exact = scale <= 1e-13
+    js = sorted(err_levels)
+    return _order_table([tau / 2.0 ** j for j in js],
+                        [flow.space.distance(results[j], ref) for j in js])
+
+
+def _order_table(eps: list[float], errors: list[float]) -> ConvergenceTable:
+    """Table of ``errors`` at steps ``eps`` (coarse to fine) with orders.
+
+    Each order is the log2 ratio of the previous error to this one.
+    """
+    exact = max(errors, default=0.0) <= 1e-13
     rows: list[ConvergenceRow] = []
     prev = None
-    for j in sorted(err_levels):
-        err = errors[j]
+    for e, err in zip(eps, errors):
         order = None
         if prev is not None and err > 1e-15 and prev > 1e-15:
             order = math.log2(prev / err)
-        rows.append(ConvergenceRow(eps=tau / 2.0 ** j, error=err, order=order))
+        rows.append(ConvergenceRow(eps=e, error=err, order=order))
         prev = err
     orders = [r.order for r in rows if r.order is not None]
     converged = exact or (len(orders) > 0
@@ -377,9 +384,8 @@ def scenario_convergence(cfg: dict, levels: int) -> ConvergenceTable:
         params = epidemic_params_from_config(cfg)
         # sub-cell polygonal steps stall the age transport (cell lookup),
         # so only levels above the crossing-time floor are meaningful
-        dx_tau = params.immunization_lag / int(cfg["params"]["cells"])
-        j_floor = max(0, int(math.floor(
-            math.log2(params.macro_step / dx_tau) + 1e-9)))
+        macro = params.macro_step
+        j_floor = _depth_floor(macro, 1.0, params.v0.dx[0])
         js = [j for j in js if j <= j_floor]
         if len(js) < 3:
             raise ConfigError(
@@ -391,26 +397,10 @@ def scenario_convergence(cfg: dict, levels: int) -> ConvergenceTable:
                                RefineSchedule(j0=j, j_max=j, tol=math.inf))
             ends.append(run.trajectory.states[-1])
         space_u = EuclideanSpace()
-        errors = []
-        for j in js[:-1]:
-            du = space_u.distance(ends[j][0], ends[-1][0])
-            dv = l1_distance(ends[j][1], ends[-1][1])
-            errors.append(du + dv)
-        rows, prev = [], None
-        macro = params.macro_step
-        for i, j in enumerate(js[:-1]):
-            order = None
-            if prev is not None and errors[i] > 1e-15 and prev > 1e-15:
-                order = math.log2(prev / errors[i])
-            rows.append(ConvergenceRow(eps=macro / 2.0 ** j, error=errors[i],
-                                       order=order))
-            prev = errors[i]
-        orders = [r.order for r in rows if r.order is not None]
-        exact = max(errors, default=0.0) <= 1e-13
-        return ConvergenceTable(
-            rows=rows, exact=exact,
-            converged=exact or (len(orders) > 0
-                                and float(np.median(orders)) >= 0.9))
+        errors = [space_u.distance(ends[i][0], ends[-1][0])
+                  + l1_distance(ends[i][1], ends[-1][1])
+                  for i in range(len(js) - 1)]
+        return _order_table([macro / 2.0 ** j for j in js[:-1]], errors)
     raise ConfigError(f"converge does not support scenario '{scenario}'")
 
 
@@ -563,7 +553,10 @@ def suite_renewal(seed: int, cells: int = 400) -> list[CheckResult]:
     bump = GridFunction.from_callable(
         lambda x: np.clip(1 - np.abs(x), 0, None) ** 2,
         grid.origin, grid.dx, grid.values.shape)
-    horizon, radius = 0.4, _fit_radius_renewal(coef, bump, 0.4)
+    horizon = 0.4
+    radius = _fit_radius(
+        lambda r: ivp_domain_bounds(0.0, r, horizon, coef),
+        (bump.l1(), bump.linf(), bump.tv()))
     worst = -math.inf
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         t = horizon * frac
@@ -592,20 +585,6 @@ def suite_renewal(seed: int, cells: int = 400) -> list[CheckResult]:
     out.append(check("renewal/transport-shift", "transport-l1-shift",
                      lhs, rhs + 10 * dx * bump.tv()))
     return out
-
-
-def _fit_radius_renewal(coef: RenewalCoefficients, u0: GridFunction,
-                        horizon: float) -> float:
-    radius = max(u0.l1(), u0.linf(), u0.tv(), 1e-6) * 2
-    for _ in range(50):
-        try:
-            a = ivp_domain_bounds(0.0, radius, horizon, coef)
-            if (u0.l1() <= a[0] and u0.linf() <= a[1] and u0.tv() <= a[2]):
-                return radius
-        except InadmissibleHorizon:
-            pass
-        radius *= 2
-    raise ConfigError("no admissible radius for the renewal suite")
 
 
 def suite_ibvp(seed: int, cells: int = 400) -> list[CheckResult]:
@@ -675,7 +654,10 @@ def suite_ibvp(seed: int, cells: int = 400) -> list[CheckResult]:
     # envelope margins along a trajectory; the variation envelope needs
     # (m_sup_tv + v_slope) * horizon < 1
     horizon = 0.5
-    radius = _fit_radius_ibvp(decay, zero, horizon)
+    trace_gap0 = abs(float(ones(0.0)) - float(zero.values[0]))
+    radius = _fit_radius(
+        lambda r: ibvp_domain_bounds(0.0, r, horizon, decay),
+        (zero.l1(), zero.linf(), zero.tv() + trace_gap0))
     worst = -math.inf
     for t in (0.125, 0.25, 0.375, 0.5):
         u_t = ibvp_solve(decay, zero, None, 0.0, t, n_sub=10)
@@ -686,22 +668,6 @@ def suite_ibvp(seed: int, cells: int = 400) -> list[CheckResult]:
     out.append(check("ibvp/domain-envelope", "invariant-envelope",
                      worst, 10 * dx * 1.0))
     return out
-
-
-def _fit_radius_ibvp(coef: IbvpCoefficients, u0: GridFunction,
-                     horizon: float) -> float:
-    trace_gap = abs(float(coef.inflow(0.0)) - float(u0.values[0]))
-    radius = max(u0.l1(), u0.linf(), u0.tv() + trace_gap, 1e-6) * 2
-    for _ in range(50):
-        try:
-            a = ibvp_domain_bounds(0.0, radius, horizon, coef)
-            if (u0.l1() <= a[0] and u0.linf() <= a[1]
-                    and u0.tv() + trace_gap <= a[2]):
-                return radius
-        except InadmissibleHorizon:
-            pass
-        radius *= 2
-    raise ConfigError("no admissible radius for the boundary suite")
 
 
 def suite_claw(seed: int, cells_per_unit: int = 400) -> list[CheckResult]:
@@ -899,8 +865,7 @@ def verify(cfg: dict, seed: int | None = None) -> VerificationReport:
 # Scenario runs
 # --------------------------------------------------------------------------
 
-def run(cfg: dict, out_dir, seed: int | None = None,
-        quiet: bool = False) -> int:
+def run(cfg: dict, out_dir, quiet: bool = False) -> int:
     """Execute a configured scenario; write trajectory CSV + summary JSON.
 
     Returns the exit code (0 ok, 2 domain exit, 3 config error handled by

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (InadmissibleHorizon, NoCrossing,
                      SupportClearanceViolated, UndefinedBoundaryDatum)
 from .metric import GridFunctionSpace, Process, ProcessConstants
+from .ode import _rk4
 from .renewal import RenewalCoefficients, backward_transport, characteristic
 from .spaces import BvTimeSeries, GridFunction
 
@@ -99,14 +100,11 @@ def boundary_crossing_time(speed, t: float, x, t0: float,
     tau = np.full(xs.shape, float(t))
     h = -xs / n_sub
     pos = xs.copy()
-    rhs = lambda s, p: 1.0 / np.asarray(speed(s, np.maximum(p, 0.0)),
+    # dt/dx at position p and time s; the space variable is the RK4 clock
+    rhs = lambda p, s: 1.0 / np.asarray(speed(s, np.maximum(p, 0.0)),
                                         dtype=float)
     for _ in range(n_sub):
-        k1 = rhs(tau, pos)
-        k2 = rhs(tau + 0.5 * h * k1, pos + 0.5 * h)
-        k3 = rhs(tau + 0.5 * h * k2, pos + 0.5 * h)
-        k4 = rhs(tau + h * k3, pos + h)
-        tau = tau + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        tau = _rk4(rhs, pos, tau, h)
         pos = pos + h
     tol = 1e-9 * max(1.0, t - t0)
     if np.any(tau < t0 - tol):
@@ -235,7 +233,6 @@ def ibvp_lipschitz_constants(coef: IbvpCoefficients, horizon: float,
 def make_ibvp_process(coef: IbvpCoefficients, radius: float, horizon: float,
                       n_sub_per_unit: float = 32.0, min_sub: int = 2,
                       domain_slack: float = 1e-6,
-                      enforce_domain: bool = True,
                       outflow_edge: bool = False) -> Process:
     """Wrap the solver as a process handle with the envelope domain."""
 
@@ -245,8 +242,6 @@ def make_ibvp_process(coef: IbvpCoefficients, radius: float, horizon: float,
                           outflow_edge=outflow_edge)
 
     def domain(t, u: GridFunction):
-        if not enforce_domain:
-            return True
         tc = min(max(t, 0.0), horizon)
         try:
             a1, ai, atv = ibvp_domain_bounds(tc, radius, horizon, coef)

@@ -19,7 +19,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import DomainExit, HorizonExceeded, StepTooLarge
-from .spaces import AtomicMeasure, GridFunction, flat_distance, l1_distance
+from .spaces import GridFunction, l1_distance
 
 
 # --------------------------------------------------------------------------
@@ -46,16 +46,6 @@ class GridFunctionSpace(MetricSpace):
 
     def distance(self, a: GridFunction, b: GridFunction) -> float:
         return l1_distance(a, b)
-
-
-class AtomicMeasureSpace(MetricSpace):
-    """Flat (bounded-Lipschitz) distance between atomic measures."""
-
-    def __init__(self, resolution: int = 16):
-        self.resolution = resolution
-
-    def distance(self, a: AtomicMeasure, b: AtomicMeasure) -> float:
-        return flat_distance(a, b, self.resolution)
 
 
 class ProductSpace(MetricSpace):

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import InadmissibleHorizon, SupportClearanceViolated
 from .metric import GridFunctionSpace, Process, ProcessConstants
+from .ode import _rk4
 from .spaces import GridFunction
 
 
@@ -91,13 +92,10 @@ def characteristic(velocity, t_bar: float, x_bar, t: float, w,
     if t == t_bar:
         return x
     h = (t - t_bar) / n_sub
+    rhs = lambda s, y: np.asarray(velocity(s, y, w), dtype=float)
     s = t_bar
     for _ in range(n_sub):
-        k1 = np.asarray(velocity(s, x, w), dtype=float)
-        k2 = np.asarray(velocity(s + 0.5 * h, x + 0.5 * h * k1, w), dtype=float)
-        k3 = np.asarray(velocity(s + 0.5 * h, x + 0.5 * h * k2, w), dtype=float)
-        k4 = np.asarray(velocity(s + h, x + h * k3, w), dtype=float)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = _rk4(rhs, s, x, h)
         s += h
     return x
 
@@ -150,16 +148,11 @@ def backward_transport(coef: RenewalCoefficients, w, t: float, t_lo,
     n_pts = pts.shape[0]
     exponent = np.zeros(n_pts)
     source_acc = np.zeros(n_pts)
+    rhs = lambda s, y: np.asarray(coef.velocity(s, y, w), dtype=float)
     for j in range(n_sub):
         s_hi = t - j * ds
         h = -ds
-        k1 = np.asarray(coef.velocity(s_hi, pts, w), dtype=float)
-        k2 = np.asarray(coef.velocity(s_hi + 0.5 * h, pts + 0.5 * h * k1, w),
-                        dtype=float)
-        k3 = np.asarray(coef.velocity(s_hi + 0.5 * h, pts + 0.5 * h * k2, w),
-                        dtype=float)
-        k4 = np.asarray(coef.velocity(s_hi + h, pts + h * k3, w), dtype=float)
-        nxt = pts + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        nxt = _rk4(rhs, s_hi, pts, h)
         s_mid = s_hi + 0.5 * h
         p_mid = 0.5 * (pts + nxt)
         contrib = (np.asarray(coef.growth(s_mid, p_mid, w), dtype=float)
@@ -243,8 +236,8 @@ def ivp_lipschitz_constants(coef: RenewalCoefficients, horizon: float,
 
 def make_renewal_process(coef: RenewalCoefficients, radius: float,
                          horizon: float, n_sub_per_unit: float = 32.0,
-                         min_sub: int = 2, domain_slack: float = 1e-6,
-                         enforce_domain: bool = True) -> Process:
+                         min_sub: int = 2, domain_slack: float = 1e-6
+                         ) -> Process:
     """Wrap the solver as a process handle with the envelope domain."""
 
     def solve(t, t0, u, w):
@@ -252,8 +245,6 @@ def make_renewal_process(coef: RenewalCoefficients, radius: float,
         return renewal_solve(coef, u, w, t0, t, n_sub=n)
 
     def domain(t, u: GridFunction):
-        if not enforce_domain:
-            return True
         tc = min(max(t, 0.0), horizon)
         try:
             a1, ai, atv = ivp_domain_bounds(tc, radius, horizon, coef)

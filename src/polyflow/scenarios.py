@@ -11,7 +11,7 @@ age, fed by the vaccination-rate boundary series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -19,8 +19,7 @@ import numpy as np
 from .errors import ConfigError, InadmissibleHorizon, KernelOutOfBox
 from .ibvp import (IbvpCoefficients, ibvp_domain_bounds,
                    make_ibvp_process)
-from .metric import (EuclideanSpace, GridFunctionSpace, Process,
-                     couple, refine_to_process)
+from .metric import Process, _always, couple, refine_to_process
 from .ode import OdeField, make_ode_process, ode_domain_radius
 from .renewal import (RenewalCoefficients, ivp_domain_bounds,
                       make_renewal_process)
@@ -289,21 +288,64 @@ def _macro_count(horizon: float, macro: float) -> int:
     return n_macro
 
 
-def _fit_density_radius(coef: RenewalCoefficients, u0: GridFunction,
-                        horizon: float) -> float:
-    """Smallest doubling radius whose envelope admits the datum at t=0."""
-    norms = (u0.l1(), u0.linf(), u0.tv())
+def _fit_radius(envelope: Callable[[float], tuple[float, float, float]],
+                norms: tuple[float, float, float]) -> float:
+    """Smallest doubling radius whose envelope admits the datum's norms.
+
+    ``envelope(radius)`` returns the bounds ``(alpha_1, alpha_inf,
+    alpha_tv)`` at the start time, or raises ``InadmissibleHorizon``;
+    ``norms`` are the datum's matching ``(L1, sup, variation)`` measures.
+    """
     radius = max(max(norms), 1e-6) * 2.0
     for _ in range(60):
         try:
-            a = ivp_domain_bounds(0.0, radius, horizon, coef)
-            if all(n <= b for n, b in zip(norms, a)):
+            if all(n <= b for n, b in zip(norms, envelope(radius))):
                 return radius
         except InadmissibleHorizon:
             pass
         radius *= 2.0
     raise InadmissibleHorizon(
         "no admissible radius: horizon too long for the coefficient bounds")
+
+
+def _depth_floor(macro: float, v: float, dx: float) -> int:
+    """Deepest dyadic level whose polygonal step still crosses a cell.
+
+    Steps shorter than the crossing time ``dx / v`` make the cell lookup
+    quantize the transport away.
+    """
+    return max(0, int(math.floor(math.log2(max(macro * v / dx, 1.0))
+                                 + 1e-9)))
+
+
+def _run_coupled(proc_u: Process, proc_w: Process, state, macro: float,
+                 n_macro: int, schedule: RefineSchedule, j0: int, j_max: int,
+                 record: Callable[[float, object, float], None]):
+    """Advance ``state`` over ``n_macro`` refined macro steps of the coupling.
+
+    Step ``k`` shifts both processes to ``[k macro, (k + 1) macro]`` and
+    refines the coupled polygonal dyadically between levels ``j0`` and
+    ``j_max``; ``record(t, state, gap)`` sees the start and every step.
+    No domain is enforced: the runners record envelope margins instead.
+    Returns the sample times, the states and the count of converged steps.
+    """
+    times, states = [0.0], [state]
+    record(0.0, state, 0.0)
+    converged = 0
+    for k in range(n_macro):
+        t = k * macro
+        flow = couple(
+            replace(proc_u, domain=_always, interval=(t, t + macro)),
+            replace(proc_w, domain=_always, interval=(t, t + macro)))
+        res = refine_to_process(flow, macro, t, state, schedule.tol,
+                                j0, j_max)
+        state = res.point
+        converged += res.converged
+        t = (k + 1) * macro
+        times.append(t)
+        states.append(state)
+        record(t, state, res.gap)
+    return times, states, converged
 
 
 def run_predator_prey(params: PredatorPreyParams,
@@ -338,17 +380,13 @@ def run_predator_prey(params: PredatorPreyParams,
 
     # beyond the density grid's crossing time the cell lookup quantizes
     # transport away, so clamp the refinement depth accordingly
-    dx_min = min(rho0.dx)
     if fields.prey.v_sup > 0:
-        j_floor = max(0, int(math.floor(
-            math.log2(max(macro * fields.prey.v_sup / dx_min, 1.0)) + 1e-9)))
+        j_floor = _depth_floor(macro, fields.prey.v_sup, min(rho0.dx))
     else:
         j_floor = schedule.j_max
     j_max = min(schedule.j_max, j_floor)
     j0 = min(schedule.j0, j_max)
 
-    times = [0.0]
-    states = [(rho0, p0)]
     diag = {name: [] for name in
             ("mass", "l1", "linf", "tv", "alpha1_margin", "alphainf_margin",
              "alphatv_margin", "p_ball_margin", "refine_gap")}
@@ -356,7 +394,9 @@ def run_predator_prey(params: PredatorPreyParams,
     # invariant envelope; sharp kernels can make the variation envelope
     # inadmissible at this macro length, in which case margins are NaN
     try:
-        radius_rho = _fit_density_radius(fields.prey, rho0, macro)
+        radius_rho = _fit_radius(
+            lambda r: ivp_domain_bounds(0.0, r, macro, fields.prey),
+            (rho0.l1(), rho0.linf(), rho0.tv()))
         a1, ai, atv = ivp_domain_bounds(macro, radius_rho, macro, fields.prey)
         envelope = "admissible"
     except InadmissibleHorizon:
@@ -380,38 +420,20 @@ def run_predator_prey(params: PredatorPreyParams,
         diag["p_ball_margin"].append(ball - float(np.linalg.norm(p)))
         diag["refine_gap"].append(gap)
 
-    record(0.0, states[0], 0.0)
-    state = states[0]
-    t = 0.0
     n_macro = _macro_count(horizon, macro)
-    for k in range(n_macro):
-        prey_proc = make_renewal_process(
-            fields.prey, radius_const, macro, n_sub_per_unit=n_sub_per_unit,
-            enforce_domain=False)
-        pred_proc = make_ode_process(predator, macro,
-                                     steps_per_unit=n_sub_per_unit * 4)
-        prey_proc = Process(solve=prey_proc.solve,
-                            constants=prey_proc.constants,
-                            space=prey_proc.space, domain=prey_proc.domain,
-                            interval=(t, t + macro))
-        pred_proc = Process(solve=pred_proc.solve,
-                            constants=pred_proc.constants,
-                            space=pred_proc.space,
-                            domain=lambda s, x: True,
-                            interval=(t, t + macro))
-        flow = couple(prey_proc, pred_proc)
-        res = refine_to_process(flow, macro, t, state, schedule.tol,
-                                j0, j_max)
-        state = res.point
-        t += macro
-        times.append(t)
-        states.append(state)
-        record(t, state, res.gap)
+    prey_proc = make_renewal_process(fields.prey, radius_const, macro,
+                                     n_sub_per_unit=n_sub_per_unit)
+    pred_proc = make_ode_process(predator, macro,
+                                 steps_per_unit=n_sub_per_unit * 4)
+    times, states, converged = _run_coupled(
+        prey_proc, pred_proc, (rho0, p0), macro, n_macro, schedule, j0,
+        j_max, record)
 
     return Trajectory(times=times, states=states, diagnostics=diag,
                       meta={"radius_rho": radius_rho, "radius_p": radius_p,
                             "macro_step": macro, "envelope": envelope,
-                            "j0": j0, "j_max": j_max})
+                            "j0": j0, "j_max": j_max, "macro_steps": n_macro,
+                            "converged_steps": converged})
 
 
 # --------------------------------------------------------------------------
@@ -518,23 +540,6 @@ def _epidemic_ibvp(params: EpidemicParams, i_bound: float
         b_l1=p.l1(0.0, horizon), b_sup_tv=p.sup() + p.tv())
 
 
-def _fit_cohort_radius(coef: IbvpCoefficients, v0: GridFunction,
-                       span: float) -> float:
-    trace_gap = abs(float(coef.inflow(0.0)) - float(v0.values[0]))
-    norms = (v0.l1(), v0.linf(), v0.tv() + trace_gap)
-    radius = max(max(norms), 1e-6) * 2.0
-    for _ in range(60):
-        try:
-            a = ibvp_domain_bounds(0.0, radius, span, coef)
-            if all(n <= b for n, b in zip(norms, a)):
-                return radius
-        except InadmissibleHorizon:
-            pass
-        radius *= 2.0
-    raise InadmissibleHorizon(
-        "no admissible cohort radius: macro step too long for the bounds")
-
-
 def run_epidemic(params: EpidemicParams,
                  schedule: RefineSchedule = RefineSchedule(),
                  n_sub_per_unit: float = 32.0) -> EpidemicRun:
@@ -562,21 +567,18 @@ def run_epidemic(params: EpidemicParams,
             f"time.macro_step {macro} exceeds the certified segment "
             f"{seg_cap:.3g}; reduce it or the ball radius")
     ibvp_coef = _epidemic_ibvp(params, i_bound=ball)
-    radius_v = _fit_cohort_radius(ibvp_coef, params.v0, macro)
+    v0 = params.v0
+    trace_gap0 = abs(float(ibvp_coef.inflow(0.0)) - float(v0.values[0]))
+    radius_v = _fit_radius(
+        lambda r: ibvp_domain_bounds(0.0, r, macro, ibvp_coef),
+        (v0.l1(), v0.linf(), v0.tv() + trace_gap0))
+    a1, ai, atv = ibvp_domain_bounds(macro, radius_v, macro, ibvp_coef)
 
     # polygonal steps below the cohort grid's crossing time quantize the
     # age transport to zero (cell lookup), so clamp the refinement depth
-    dx_tau = params.v0.dx[0]
-    j_floor = max(0, int(math.floor(math.log2(macro / dx_tau) + 1e-9)))
-    j_max = min(schedule.j_max, j_floor)
+    j_max = min(schedule.j_max, _depth_floor(macro, 1.0, v0.dx[0]))
     j0 = min(schedule.j0, j_max)
 
-    u = np.array([params.s0, params.i0])
-    cohort = params.v0
-    last_cell = cohort.values.shape[0] - 1
-
-    times = [0.0]
-    states = [(u.copy(), cohort)]
     warnings: list[str] = []
     diag = {name: [] for name in
             ("S", "I", "l1", "linf", "tv", "alpha1_margin",
@@ -585,11 +587,6 @@ def run_epidemic(params: EpidemicParams,
 
     def record(t, state, gap):
         uu, vv = state
-        try:
-            a1, ai, atv = ibvp_domain_bounds(macro, radius_v, macro,
-                                             ibvp_coef)
-        except InadmissibleHorizon:
-            a1 = ai = atv = math.nan
         trace_gap = abs(float(params.vaccination_rate(t))
                         - float(vv.values[0]))
         diag["S"].append(float(uu[0]))
@@ -602,39 +599,21 @@ def run_epidemic(params: EpidemicParams,
         diag["alphatv_margin"].append(atv - (vv.tv() + trace_gap))
         diag["population"].append(float(uu[0]) + float(uu[1]) + vv.l1())
         diag["refine_gap"].append(gap)
+        if min(uu) < -1e-9:
+            warnings.append(f"negative state at t={t:.6g}: S={uu[0]:.3g} "
+                            f"I={uu[1]:.3g}")
 
-    record(0.0, states[0], 0.0)
-    t = 0.0
-    state = states[0]
-    for k in range(n_macro):
-        ode_proc = make_ode_process(ode_field, macro,
-                                    steps_per_unit=n_sub_per_unit)
-        ode_proc = Process(solve=ode_proc.solve, constants=ode_proc.constants,
-                           space=EuclideanSpace(),
-                           domain=lambda s, x: True,
-                           interval=(t, t + macro))
-        v_proc = make_ibvp_process(ibvp_coef, radius_v, macro,
-                                   n_sub_per_unit=n_sub_per_unit,
-                                   enforce_domain=False, outflow_edge=True)
-        v_proc = Process(solve=v_proc.solve, constants=v_proc.constants,
-                         space=GridFunctionSpace(),
-                         domain=lambda s, x: True,
-                         interval=(t, t + macro))
-        flow = couple(ode_proc, v_proc)
-        res = refine_to_process(flow, macro, t, state, schedule.tol,
-                                j0, j_max)
-        state = res.point
-        t += macro
-        times.append(t)
-        states.append(state)
-        record(t, state, res.gap)
-        if min(state[0]) < -1e-9:
-            warnings.append(
-                f"negative state at t={t:.6g}: S={state[0][0]:.3g} "
-                f"I={state[0][1]:.3g}")
+    ode_proc = make_ode_process(ode_field, macro,
+                                steps_per_unit=n_sub_per_unit)
+    v_proc = make_ibvp_process(ibvp_coef, radius_v, macro,
+                               n_sub_per_unit=n_sub_per_unit,
+                               outflow_edge=True)
+    times, states, converged = _run_coupled(
+        ode_proc, v_proc, (np.array([params.s0, params.i0]), v0), macro,
+        n_macro, schedule, j0, j_max, record)
 
     # triangular tail: recovered compartment by the trapezoid rule
-    exit_trace = [float(st[1].values[last_cell]) for st in states]
+    exit_trace = [float(st[1].values[-1]) for st in states]
     integrand = [params.recovery_rate * float(st[0][1]) + ex
                  for st, ex in zip(states, exit_trace)]
     recovered = [params.r0]
@@ -649,7 +628,8 @@ def run_epidemic(params: EpidemicParams,
                       meta={"radius_v": radius_v, "ball": ball,
                             "macro_step": macro, "population0": pop0,
                             "envelope": "admissible",
-                            "j0": j0, "j_max": j_max})
+                            "j0": j0, "j_max": j_max, "macro_steps": n_macro,
+                            "converged_steps": converged})
     return EpidemicRun(trajectory=traj, recovered=recovered,
                        exit_trace=exit_trace, warnings=warnings)
 

@@ -370,18 +370,20 @@ class AtomicMeasure:
         return AtomicMeasure(pos, mas)
 
 
-def flat_distance(mu: AtomicMeasure, nu: AtomicMeasure,
-                  resolution: int = 16) -> float:
+def flat_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     """Bounded-Lipschitz (flat) distance between two atomic measures.
 
-    Maximizes ``sum phi(x_i) * (mu - nu)({x_i})`` over piecewise-linear test
-    functions with ``|phi| <= 1`` and ``|slope| <= 1`` on the union of atom
-    positions plus padding nodes.  Piecewise-linear duals are optimal for
-    atomic marginals, so the value is exact and does not change once the
-    nodes include every atom; ``resolution`` only adds uniform padding nodes.
+    Maximizes ``sum phi(x_i) * (mu - nu)({x_i})`` over test functions with
+    ``|phi| <= 1`` and ``|slope| <= 1``.  Only the values ``phi_i`` at the
+    sorted distinct atom sites matter, under ``|phi_i| <= 1`` and
+    ``|phi_{i+1} - phi_i| <= gap_i``, so an exact dynamic program along the
+    chain solves it: the best partial sum as a function ``V`` of the current
+    value ``phi`` is concave and piecewise linear on ``[-1, 1]``.  Each gap
+    ``g`` widens ``V`` at a maximiser ``a`` into a flat top on
+    ``[a - g, a + g]`` (breakpoints left of ``a`` move by ``-g``, right of
+    it by ``+g``); the result is cut back to ``[-1, 1]`` and the next site's
+    net mass times ``phi`` is added.  The distance is ``max V``.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
     if mu.n_atoms == 0 and nu.n_atoms == 0:
         return 0.0
     # net signed mass per distinct position
@@ -391,29 +393,17 @@ def flat_distance(mu: AtomicMeasure, nu: AtomicMeasure,
     weights = np.zeros(support.size)
     np.add.at(weights, inv, sgn)
 
-    lo = max(0.0, float(support[0]) - 2.0)
-    hi = float(support[-1]) + 2.0
-    nodes = np.unique(np.concatenate([support, np.linspace(lo, hi, resolution)]))
-    w_nodes = np.zeros(nodes.size)
-    w_nodes[np.searchsorted(nodes, support)] = weights
-
-    gaps = np.diff(nodes)
-    m = nodes.size
-    # maximize w . phi  ->  minimize -w . phi
-    rows, cols, data, rhs = [], [], [], []
-    for i, g in enumerate(gaps):
-        rows += [2 * i, 2 * i, 2 * i + 1, 2 * i + 1]
-        cols += [i + 1, i, i, i + 1]
-        data += [1.0, -1.0, 1.0, -1.0]
-        rhs += [g, g]
-    from scipy.optimize import linprog
-    from scipy.sparse import coo_matrix
-    a_ub = coo_matrix((data, (rows, cols)), shape=(2 * gaps.size, m))
-    res = linprog(-w_nodes, A_ub=a_ub, b_ub=rhs, bounds=[(-1.0, 1.0)] * m,
-                  method="highs")
-    if not res.success:  # pragma: no cover - LP is always feasible/bounded
-        raise RuntimeError(f"flat distance LP failed: {res.message}")
-    return float(-res.fun)
+    phi = np.array([-1.0, 1.0])     # breakpoints of V
+    val = weights[0] * phi          # V at the breakpoints
+    for g, w in zip(np.diff(support), weights[1:]):
+        a = int(np.argmax(val))
+        xs = np.concatenate((phi[:a + 1] - g, phi[a:] + g))
+        ys = np.concatenate((val[:a + 1], val[a:]))
+        inside = np.abs(xs) < 1.0
+        ends = np.interp((-1.0, 1.0), xs, ys)
+        phi = np.concatenate(((-1.0,), xs[inside], (1.0,)))
+        val = np.concatenate((ends[:1], ys[inside], ends[1:])) + w * phi
+    return float(np.max(val))
 
 
 # --------------------------------------------------------------------------

@@ -196,6 +196,20 @@ class TestCli:
         assert (pursuit["j0"], pursuit["j_max"]) == (0, 0)
         assert pursuit["refine_gap"] == "inf"
 
+    def test_summary_counts_converged_steps(self, tmp_path):
+        # the crossing-time clamp cuts j_max = 6 to 0, so no step converges
+        cfg = json.loads((CONFIG_DIR / "epidemic_sir.json").read_text())
+        cfg["time"]["horizon"] = 0.05
+        path = tmp_path / "sir.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+        meta = json.loads((tmp_path / "out" / "summary.json").read_text())[
+            "meta"]
+        assert meta["j_max"] == 0
+        assert meta["macro_steps"] == 5
+        assert meta["converged_steps"] == 0
+
     def test_domain_exit_maps_to_exit_2(self, tmp_path, monkeypatch):
         from polyflow import harness
         from polyflow.errors import DomainExit
@@ -260,7 +274,7 @@ class TestCli:
             load_config(CONFIG_DIR / name)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
+def test_import_leaves_scipy_optimize_unloaded(tmp_path):
     src = str(Path(polyflow.__file__).resolve().parent.parent)
     code = ("import sys, polyflow, polyflow.cli; "
             "print('scipy.optimize' in sys.modules)")
@@ -268,3 +282,16 @@ def test_import_leaves_scipy_optimize_unloaded():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+    # the flat distance and the measure/BV suites need no scipy at all
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_config(
+        verify=["metric", "measures", "bv"])))
+    code = ("import sys; from polyflow.cli import main; "
+            f"rc = main(['verify', {str(path)!r}, '--out', "
+            f"{str(tmp_path / 'out')!r}, '--quiet']); "
+            "print(rc, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "0 []"

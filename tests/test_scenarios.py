@@ -249,6 +249,12 @@ class TestEpidemicRuns:
         tol = max(max(one.trajectory.column("refine_gap")), 1e-6)
         assert du + dv <= 5 * tol * len(one.trajectory.times)
 
+    def test_sample_times_are_whole_macro_steps(self):
+        # an accumulated t += 0.02 reads 0.23999999999999996 at step 12
+        params = epidemic_params(cells=100, horizon=0.3, macro=0.02)
+        run = run_epidemic(params, RefineSchedule(0, 0, math.inf))
+        assert run.trajectory.times == [k * 0.02 for k in range(16)]
+
     def test_negative_state_warning_not_clamped(self):
         # aggressive vaccination drives S below zero; must warn, not clamp
         p = BvTimeSeries.constant(3.0)

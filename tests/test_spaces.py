@@ -188,13 +188,44 @@ class TestFlatDistance:
         assert flat_distance(AtomicMeasure.empty(),
                              AtomicMeasure.empty()) == 0.0
 
-    def test_resolution_monotone(self):
-        mu = AtomicMeasure(np.array([0.2, 1.7]), np.array([1.0, 0.4]))
-        nu = AtomicMeasure(np.array([0.9]), np.array([0.8]))
-        vals = [flat_distance(mu, nu, resolution=r) for r in (2, 8, 32, 128)]
-        for a, b in zip(vals, vals[1:]):
-            assert b >= a - 1e-9
-        assert max(vals) - min(vals) < 1e-9  # atoms are nodes: exact already
+    def test_matches_lp_oracle(self):
+        # empty sides, shared sites, gaps of 2 and more, up to 8 atoms a side
+        rng = np.random.default_rng(12)
+        for trial in range(400):
+            n_mu, n_nu = rng.integers(0, 9, 2)
+            span = (0.5, 3.0, 20.0)[trial % 3]
+            p_mu = rng.uniform(0, span, n_mu)
+            p_nu = rng.uniform(0, span, n_nu)
+            shared = min(n_mu, n_nu) // 2
+            p_nu[:shared] = p_mu[:shared]
+            mu = AtomicMeasure(p_mu, rng.uniform(0, 1, n_mu))
+            nu = AtomicMeasure(p_nu, rng.uniform(0, 1, n_nu))
+            assert abs(flat_distance(mu, nu) - _flat_distance_lp(mu, nu)) \
+                <= 1e-12
+
+
+def _flat_distance_lp(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
+    """The flat distance as a linear program over test-function values."""
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+    if mu.n_atoms == 0 and nu.n_atoms == 0:
+        return 0.0
+    pos = np.concatenate([mu.positions, nu.positions])
+    sgn = np.concatenate([mu.masses, -nu.masses])
+    nodes, inv = np.unique(pos, return_inverse=True)
+    weights = np.zeros(nodes.size)
+    np.add.at(weights, inv, sgn)
+    gaps = np.diff(nodes)
+    rows, cols, data = [], [], []
+    for i in range(gaps.size):
+        rows += [2 * i, 2 * i, 2 * i + 1, 2 * i + 1]
+        cols += [i + 1, i, i, i + 1]
+        data += [1.0, -1.0, 1.0, -1.0]
+    a_ub = coo_matrix((data, (rows, cols)), shape=(2 * gaps.size, nodes.size))
+    res = linprog(-weights, A_ub=a_ub, b_ub=np.repeat(gaps, 2),
+                  bounds=[(-1.0, 1.0)] * nodes.size, method="highs")
+    assert res.success, res.message
+    return float(-res.fun)
 
 
 class TestMetricAxioms:
