@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -21,9 +21,10 @@ import numpy as np
 from . import claw as _claw
 from . import measures as _measures
 from .errors import ConfigError, DomainExit
-from .ibvp import IbvpCoefficients, ibvp_domain_bounds, ibvp_solve
+from .ibvp import (IbvpCoefficients, _envelope_norms, ibvp_domain_bounds,
+                   ibvp_solve)
 from .metric import (EuclideanSpace, LocalFlow, Process, ProcessConstants,
-                     couple, coupling_bounds, euler_polygonal,
+                     _always, couple, coupling_bounds, euler_polygonal,
                      refine_to_process)
 from .ode import OdeField, make_ode_process, ode_solve
 from .renewal import (RenewalCoefficients, characteristic,
@@ -128,6 +129,10 @@ def _positive(cfg: dict, key: str, where: str = "") -> float:
     return v
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def validate_config(cfg: dict) -> None:
     if _need(cfg, "schema", int) != SCHEMA_VERSION:
         raise ConfigError(f"schema must be {SCHEMA_VERSION}")
@@ -142,21 +147,30 @@ def validate_config(cfg: dict) -> None:
     horizon = _positive(tcfg, "horizon", "time")
     if scenario in ("epidemic", "predator_prey"):
         _macro_count(horizon, _positive(tcfg, "macro_step", "time"))
-    rcfg = cfg.get("refine", {})
-    if rcfg:
-        if "tol" in rcfg and (not isinstance(rcfg["tol"], (int, float))
-                              or rcfg["tol"] <= 0):
-            raise ConfigError("field refine.tol must be positive")
+    rcfg = _need(cfg, "refine", dict) if "refine" in cfg else {}
+    if "tol" in rcfg and (not _is_number(rcfg["tol"]) or rcfg["tol"] <= 0):
+        raise ConfigError("field refine.tol must be positive")
+    for key in ("j0", "j_max"):
+        v = rcfg.get(key, 0)
+        if not (_is_number(v) and float(v).is_integer() and v >= 0):
+            raise ConfigError(f"field refine.{key} must be a nonnegative "
+                              "integer")
     params = cfg.get("params", {})
     if scenario == "epidemic":
+        given = {"r0": 0.0, **params}
         for key in ("infection_rate", "recovery_rate", "mortality_rate",
-                    "immunization_lag", "admissible_radius"):
-            v = _need(params, key, float, "params")
+                    "immunization_lag", "admissible_radius", "s0", "i0",
+                    "r0"):
+            v = _need(given, key, float, "params")
             if v < 0:
                 raise ConfigError(f"field params.{key} must be nonnegative")
         cells = _need(params, "cells", int, "params")
         if cells <= 0:
             raise ConfigError("field params.cells must be positive")
+        try:
+            epidemic_params_from_config(cfg)
+        except ValueError as exc:  # the data bounds of EpidemicParams
+            raise ConfigError(f"params: {exc}") from None
     if scenario == "predator_prey":
         for key in ("alpha", "escape_radius", "search_radius",
                     "feeding_radius", "prey_radius", "prey_amp"):
@@ -177,9 +191,15 @@ def validate_config(cfg: dict) -> None:
                                   "positive integers")
         for b in box:
             if (not isinstance(b, list) or len(b) != 2
-                    or not b[1] > b[0]):
+                    or not all(_is_number(e) for e in b) or not b[1] > b[0]):
                 raise ConfigError("field params.box entries must be "
                                   "[lo, hi] with hi > lo")
+        # every kernel must fit the box (scenarios.predator_prey_fields)
+        span = min(b[1] - b[0] for b in box)
+        for key in ("escape_radius", "search_radius", "feeding_radius"):
+            if 2.0 * params[key] > span:
+                raise ConfigError(f"field params.{key} must be at most "
+                                  f"half the box span {span:.3g}")
 
 
 def schedule_from_config(cfg: dict) -> RefineSchedule:
@@ -211,8 +231,11 @@ def epidemic_params_from_config(cfg: dict) -> EpidemicParams:
             and "values" in rate_entry):
         raise ConfigError("field params.vaccination_rate must carry times "
                           "and values")
-    rate = BvTimeSeries(np.asarray(rate_entry["times"], dtype=float),
-                        np.asarray(rate_entry["values"], dtype=float))
+    try:
+        rate = BvTimeSeries(np.asarray(rate_entry["times"], dtype=float),
+                            np.asarray(rate_entry["values"], dtype=float))
+    except ValueError as exc:
+        raise ConfigError(f"field params.vaccination_rate: {exc}") from None
     return EpidemicParams(
         infection_rate=float(p["infection_rate"]),
         recovery_rate=float(p["recovery_rate"]),
@@ -267,14 +290,9 @@ def rotation_processes(ball: float = 2.0, horizon: float = 1.0,
                        lip=1.0, sup=ball, radius=ball)
     w_field = OdeField(f=lambda t, w, u: -np.atleast_1d(np.asarray(u, float)),
                        lip=1.0, sup=ball, radius=ball)
-    pu = make_ode_process(u_field, horizon, steps_per_unit=1.0)
-    pw = make_ode_process(w_field, horizon, steps_per_unit=1.0)
     # ball-domain bookkeeping is exercised elsewhere; keep the demo total
-    pu = Process(solve=pu.solve, constants=pu.constants, space=pu.space,
-                 interval=(0.0, horizon))
-    pw = Process(solve=pw.solve, constants=pw.constants, space=pw.space,
-                 interval=(0.0, horizon))
-    return pu, pw
+    return tuple(replace(make_ode_process(f, horizon, steps_per_unit=1.0),
+                         domain=_always) for f in (u_field, w_field))
 
 
 def rotation_flow(ball: float = 2.0, horizon: float = 1.0) -> LocalFlow:
@@ -654,17 +672,15 @@ def suite_ibvp(seed: int, cells: int = 400) -> list[CheckResult]:
     # envelope margins along a trajectory; the variation envelope needs
     # (m_sup_tv + v_slope) * horizon < 1
     horizon = 0.5
-    trace_gap0 = abs(float(ones(0.0)) - float(zero.values[0]))
     radius = _fit_radius(
         lambda r: ibvp_domain_bounds(0.0, r, horizon, decay),
-        (zero.l1(), zero.linf(), zero.tv() + trace_gap0))
+        _envelope_norms(decay, 0.0, zero))
     worst = -math.inf
     for t in (0.125, 0.25, 0.375, 0.5):
         u_t = ibvp_solve(decay, zero, None, 0.0, t, n_sub=10)
-        a1, ai, atv = ibvp_domain_bounds(t, radius, horizon, decay)
-        trace_gap = abs(float(ones(t)) - float(u_t.values[0]))
-        worst = max(worst, u_t.l1() - a1, u_t.linf() - ai,
-                    (u_t.tv() + trace_gap) - atv)
+        bounds = ibvp_domain_bounds(t, radius, horizon, decay)
+        worst = max(worst, *(n - b for n, b in
+                             zip(_envelope_norms(decay, t, u_t), bounds)))
     out.append(check("ibvp/domain-envelope", "invariant-envelope",
                      worst, 10 * dx * 1.0))
     return out

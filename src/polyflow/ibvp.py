@@ -189,8 +189,8 @@ def ibvp_domain_bounds(t: float, radius: float, horizon: float,
     """Envelope (alpha_1, alpha_inf, alpha_tv) of the invariant domain at t.
 
     The variation component also controls the boundary mismatch
-    ``TV(u) + |b(t) - u(0+)|`` and subtracts the remaining variation of the
-    boundary series on ``[t, horizon]``.
+    ``TV(u) + |b(t) - u(0+)|`` (see ``_envelope_norms``) and subtracts the
+    remaining variation of the boundary series on ``[t, horizon]``.
     """
     if not 0 <= t <= horizon * (1 + 1e-12):
         raise ValueError("t must lie in [0, horizon]")
@@ -213,6 +213,13 @@ def ibvp_domain_bounds(t: float, radius: float, horizon: float,
     return a1, ai, atv
 
 
+def _envelope_norms(coef: IbvpCoefficients, t: float, u: GridFunction
+                    ) -> tuple[float, float, float]:
+    """The norms ``(L1, sup, TV + |b(t) - u(0+)|)`` bounded by the envelope."""
+    trace_gap = abs(float(coef.inflow(t)) - float(u.values[0]))
+    return u.l1(), u.linf(), u.tv() + trace_gap
+
+
 def ibvp_lipschitz_constants(coef: IbvpCoefficients, horizon: float,
                              radius: float) -> ProcessConstants:
     """Process moduli (data, time, parameter) over ``horizon``."""
@@ -231,28 +238,15 @@ def ibvp_lipschitz_constants(coef: IbvpCoefficients, horizon: float,
 
 
 def make_ibvp_process(coef: IbvpCoefficients, radius: float, horizon: float,
-                      n_sub_per_unit: float = 32.0, min_sub: int = 2,
-                      domain_slack: float = 1e-6,
+                      n_sub_per_unit: float = 32.0,
                       outflow_edge: bool = False) -> Process:
-    """Wrap the solver as a process handle with the envelope domain."""
+    """Wrap the solver as a process handle; ``radius`` sizes its moduli."""
 
     def solve(t, t0, u, w):
-        n = max(min_sub, int(math.ceil((t - t0) * n_sub_per_unit - 1e-12)))
+        n = max(2, int(math.ceil((t - t0) * n_sub_per_unit - 1e-12)))
         return ibvp_solve(coef, u, w, t0, t, n_sub=n,
                           outflow_edge=outflow_edge)
 
-    def domain(t, u: GridFunction):
-        tc = min(max(t, 0.0), horizon)
-        try:
-            a1, ai, atv = ibvp_domain_bounds(tc, radius, horizon, coef)
-        except InadmissibleHorizon:
-            return False
-        slack = 1.0 + domain_slack
-        trace_gap = abs(float(coef.inflow(tc)) - float(u.values[0]))
-        return (u.l1() <= a1 * slack and u.linf() <= ai * slack
-                and u.tv() + trace_gap <= atv * slack)
-
     return Process(solve=solve,
                    constants=ibvp_lipschitz_constants(coef, horizon, radius),
-                   space=GridFunctionSpace(), domain=domain,
-                   interval=(0.0, horizon))
+                   space=GridFunctionSpace(), interval=(0.0, horizon))

@@ -235,26 +235,14 @@ def ivp_lipschitz_constants(coef: RenewalCoefficients, horizon: float,
 
 
 def make_renewal_process(coef: RenewalCoefficients, radius: float,
-                         horizon: float, n_sub_per_unit: float = 32.0,
-                         min_sub: int = 2, domain_slack: float = 1e-6
+                         horizon: float, n_sub_per_unit: float = 32.0
                          ) -> Process:
-    """Wrap the solver as a process handle with the envelope domain."""
+    """Wrap the solver as a process handle; ``radius`` sizes its moduli."""
 
     def solve(t, t0, u, w):
-        n = max(min_sub, int(math.ceil((t - t0) * n_sub_per_unit - 1e-12)))
+        n = max(2, int(math.ceil((t - t0) * n_sub_per_unit - 1e-12)))
         return renewal_solve(coef, u, w, t0, t, n_sub=n)
-
-    def domain(t, u: GridFunction):
-        tc = min(max(t, 0.0), horizon)
-        try:
-            a1, ai, atv = ivp_domain_bounds(tc, radius, horizon, coef)
-        except InadmissibleHorizon:
-            return False
-        slack = 1.0 + domain_slack
-        return (u.l1() <= a1 * slack and u.linf() <= ai * slack
-                and u.tv() <= atv * slack)
 
     return Process(solve=solve,
                    constants=ivp_lipschitz_constants(coef, horizon, radius),
-                   space=GridFunctionSpace(), domain=domain,
-                   interval=(0.0, horizon))
+                   space=GridFunctionSpace(), interval=(0.0, horizon))

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, InadmissibleHorizon, KernelOutOfBox
-from .ibvp import (IbvpCoefficients, ibvp_domain_bounds,
+from .ibvp import (IbvpCoefficients, _envelope_norms, ibvp_domain_bounds,
                    make_ibvp_process)
 from .metric import Process, _always, couple, refine_to_process
 from .ode import OdeField, make_ode_process, ode_domain_radius
@@ -319,18 +319,16 @@ def _depth_floor(macro: float, v: float, dx: float) -> int:
 
 
 def _run_coupled(proc_u: Process, proc_w: Process, state, macro: float,
-                 n_macro: int, schedule: RefineSchedule, j0: int, j_max: int,
-                 record: Callable[[float, object, float], None]):
+                 n_macro: int, schedule: RefineSchedule, j0: int, j_max: int):
     """Advance ``state`` over ``n_macro`` refined macro steps of the coupling.
 
     Step ``k`` shifts both processes to ``[k macro, (k + 1) macro]`` and
     refines the coupled polygonal dyadically between levels ``j0`` and
-    ``j_max``; ``record(t, state, gap)`` sees the start and every step.
-    No domain is enforced: the runners record envelope margins instead.
-    Returns the sample times, the states and the count of converged steps.
+    ``j_max``.  No domain is enforced: the runners record envelope margins
+    instead.  Returns the sample times, the states, the refinement gaps
+    (0 at the start) and the count of converged steps.
     """
-    times, states = [0.0], [state]
-    record(0.0, state, 0.0)
+    times, states, gaps = [0.0], [state], [0.0]
     converged = 0
     for k in range(n_macro):
         t = k * macro
@@ -344,13 +342,33 @@ def _run_coupled(proc_u: Process, proc_w: Process, state, macro: float,
         t = (k + 1) * macro
         times.append(t)
         states.append(state)
-        record(t, state, res.gap)
-    return times, states, converged
+        gaps.append(res.gap)
+    return times, states, gaps, converged
+
+
+def _envelope_columns(fields: list[GridFunction],
+                      norms: list[tuple[float, float, float]],
+                      bounds: tuple[float, float, float]
+                      ) -> dict[str, list[float]]:
+    """The ``l1, linf, tv`` and ``alpha*_margin`` columns of ``fields``.
+
+    ``norms`` holds each field's envelope norms ``(L1, sup, variation)``
+    and ``bounds`` the end-of-step envelope ``(alpha_1, alpha_inf,
+    alpha_tv)``, NaN when it is inadmissible; a margin is the bound minus
+    the norm.
+    """
+    cols = {"l1": [f.l1() for f in fields],
+            "linf": [f.linf() for f in fields],
+            "tv": [f.tv() for f in fields]}
+    for name, bound, col in zip(
+            ("alpha1_margin", "alphainf_margin", "alphatv_margin"),
+            bounds, zip(*norms)):
+        cols[name] = [bound - n for n in col]
+    return cols
 
 
 def run_predator_prey(params: PredatorPreyParams,
                       schedule: RefineSchedule = RefineSchedule(),
-                      n_sub_per_unit: float = 16.0,
                       initial: tuple[GridFunction, np.ndarray] | None = None,
                       ) -> Trajectory:
     """Run the coupled pursuit model over macro steps.
@@ -387,9 +405,6 @@ def run_predator_prey(params: PredatorPreyParams,
     j_max = min(schedule.j_max, j_floor)
     j0 = min(schedule.j0, j_max)
 
-    diag = {name: [] for name in
-            ("mass", "l1", "linf", "tv", "alpha1_margin", "alphainf_margin",
-             "alphatv_margin", "p_ball_margin", "refine_gap")}
     # samples sit at macro boundaries, i.e. at the end of each per-macro
     # invariant envelope; sharp kernels can make the variation envelope
     # inadmissible at this macro length, in which case margins are NaN
@@ -397,37 +412,32 @@ def run_predator_prey(params: PredatorPreyParams,
         radius_rho = _fit_radius(
             lambda r: ivp_domain_bounds(0.0, r, macro, fields.prey),
             (rho0.l1(), rho0.linf(), rho0.tv()))
-        a1, ai, atv = ivp_domain_bounds(macro, radius_rho, macro, fields.prey)
+        bounds = ivp_domain_bounds(macro, radius_rho, macro, fields.prey)
         envelope = "admissible"
     except InadmissibleHorizon:
         radius_rho = math.nan
-        a1 = ai = atv = math.nan
+        bounds = (math.nan,) * 3
         envelope = "inadmissible-at-macro-length"
     ball = ode_domain_radius(macro, macro, radius_p, sup_p)
     # moduli bookkeeping needs a finite radius even without an envelope
     radius_const = (radius_rho if math.isfinite(radius_rho)
                     else 2.0 * max(rho0.l1(), rho0.linf(), rho0.tv(), 1.0))
 
-    def record(t, state, gap):
-        rho, p = state
-        diag["mass"].append(rho.mass())
-        diag["l1"].append(rho.l1())
-        diag["linf"].append(rho.linf())
-        diag["tv"].append(rho.tv())
-        diag["alpha1_margin"].append(a1 - rho.l1())
-        diag["alphainf_margin"].append(ai - rho.linf())
-        diag["alphatv_margin"].append(atv - rho.tv())
-        diag["p_ball_margin"].append(ball - float(np.linalg.norm(p)))
-        diag["refine_gap"].append(gap)
-
     n_macro = _macro_count(horizon, macro)
     prey_proc = make_renewal_process(fields.prey, radius_const, macro,
-                                     n_sub_per_unit=n_sub_per_unit)
-    pred_proc = make_ode_process(predator, macro,
-                                 steps_per_unit=n_sub_per_unit * 4)
-    times, states, converged = _run_coupled(
+                                     n_sub_per_unit=16.0)
+    pred_proc = make_ode_process(predator, macro, steps_per_unit=64.0)
+    times, states, gaps, converged = _run_coupled(
         prey_proc, pred_proc, (rho0, p0), macro, n_macro, schedule, j0,
-        j_max, record)
+        j_max)
+
+    rhos = [rho for rho, _ in states]
+    diag = {"mass": [rho.mass() for rho in rhos],
+            **_envelope_columns(rhos, [(rho.l1(), rho.linf(), rho.tv())
+                                       for rho in rhos], bounds),
+            "p_ball_margin": [ball - float(np.linalg.norm(p))
+                              for _, p in states],
+            "refine_gap": gaps}
 
     return Trajectory(times=times, states=states, diagnostics=diag,
                       meta={"radius_rho": radius_rho, "radius_p": radius_p,
@@ -485,8 +495,6 @@ class EpidemicParams:
 @dataclass
 class EpidemicRun:
     trajectory: Trajectory
-    recovered: list[float]
-    exit_trace: list[float]
     warnings: list[str] = field(default_factory=list)
 
     def final_cohort(self) -> GridFunction:
@@ -541,8 +549,7 @@ def _epidemic_ibvp(params: EpidemicParams, i_bound: float
 
 
 def run_epidemic(params: EpidemicParams,
-                 schedule: RefineSchedule = RefineSchedule(),
-                 n_sub_per_unit: float = 32.0) -> EpidemicRun:
+                 schedule: RefineSchedule = RefineSchedule()) -> EpidemicRun:
     """Run the coupled vaccination model over macro steps.
 
     The (S, I) block and the cohort transport advance together through the
@@ -568,70 +575,51 @@ def run_epidemic(params: EpidemicParams,
             f"{seg_cap:.3g}; reduce it or the ball radius")
     ibvp_coef = _epidemic_ibvp(params, i_bound=ball)
     v0 = params.v0
-    trace_gap0 = abs(float(ibvp_coef.inflow(0.0)) - float(v0.values[0]))
     radius_v = _fit_radius(
         lambda r: ibvp_domain_bounds(0.0, r, macro, ibvp_coef),
-        (v0.l1(), v0.linf(), v0.tv() + trace_gap0))
-    a1, ai, atv = ibvp_domain_bounds(macro, radius_v, macro, ibvp_coef)
+        _envelope_norms(ibvp_coef, 0.0, v0))
+    bounds = ibvp_domain_bounds(macro, radius_v, macro, ibvp_coef)
 
     # polygonal steps below the cohort grid's crossing time quantize the
     # age transport to zero (cell lookup), so clamp the refinement depth
     j_max = min(schedule.j_max, _depth_floor(macro, 1.0, v0.dx[0]))
     j0 = min(schedule.j0, j_max)
 
-    warnings: list[str] = []
-    diag = {name: [] for name in
-            ("S", "I", "l1", "linf", "tv", "alpha1_margin",
-             "alphainf_margin", "alphatv_margin", "population",
-             "refine_gap")}
-
-    def record(t, state, gap):
-        uu, vv = state
-        trace_gap = abs(float(params.vaccination_rate(t))
-                        - float(vv.values[0]))
-        diag["S"].append(float(uu[0]))
-        diag["I"].append(float(uu[1]))
-        diag["l1"].append(vv.l1())
-        diag["linf"].append(vv.linf())
-        diag["tv"].append(vv.tv())
-        diag["alpha1_margin"].append(a1 - vv.l1())
-        diag["alphainf_margin"].append(ai - vv.linf())
-        diag["alphatv_margin"].append(atv - (vv.tv() + trace_gap))
-        diag["population"].append(float(uu[0]) + float(uu[1]) + vv.l1())
-        diag["refine_gap"].append(gap)
-        if min(uu) < -1e-9:
-            warnings.append(f"negative state at t={t:.6g}: S={uu[0]:.3g} "
-                            f"I={uu[1]:.3g}")
-
-    ode_proc = make_ode_process(ode_field, macro,
-                                steps_per_unit=n_sub_per_unit)
+    ode_proc = make_ode_process(ode_field, macro, steps_per_unit=32.0)
     v_proc = make_ibvp_process(ibvp_coef, radius_v, macro,
-                               n_sub_per_unit=n_sub_per_unit,
-                               outflow_edge=True)
-    times, states, converged = _run_coupled(
+                               n_sub_per_unit=32.0, outflow_edge=True)
+    times, states, gaps, converged = _run_coupled(
         ode_proc, v_proc, (np.array([params.s0, params.i0]), v0), macro,
-        n_macro, schedule, j0, j_max, record)
+        n_macro, schedule, j0, j_max)
 
     # triangular tail: recovered compartment by the trapezoid rule
-    exit_trace = [float(st[1].values[-1]) for st in states]
-    integrand = [params.recovery_rate * float(st[0][1]) + ex
-                 for st, ex in zip(states, exit_trace)]
+    integrand = [params.recovery_rate * float(uu[1]) + float(vv.values[-1])
+                 for uu, vv in states]
     recovered = [params.r0]
     for k in range(len(times) - 1):
         dt = times[k + 1] - times[k]
         recovered.append(recovered[-1]
                          + 0.5 * dt * (integrand[k] + integrand[k + 1]))
 
-    diag["R"] = recovered
-    diag["population"] = [p + r for p, r in zip(diag["population"], recovered)]
+    cohorts = [vv for _, vv in states]
+    diag = {"S": [float(uu[0]) for uu, _ in states],
+            "I": [float(uu[1]) for uu, _ in states],
+            **_envelope_columns(
+                cohorts, [_envelope_norms(ibvp_coef, t, vv)
+                          for t, vv in zip(times, cohorts)], bounds),
+            "population": [float(uu[0]) + float(uu[1]) + vv.l1() + r
+                           for (uu, vv), r in zip(states, recovered)],
+            "refine_gap": gaps,
+            "R": recovered}
+    warnings = [f"negative state at t={t:.6g}: S={uu[0]:.3g} I={uu[1]:.3g}"
+                for t, (uu, _) in zip(times, states) if min(uu) < -1e-9]
     traj = Trajectory(times=times, states=states, diagnostics=diag,
                       meta={"radius_v": radius_v, "ball": ball,
                             "macro_step": macro, "population0": pop0,
                             "envelope": "admissible",
                             "j0": j0, "j_max": j_max, "macro_steps": n_macro,
                             "converged_steps": converged})
-    return EpidemicRun(trajectory=traj, recovered=recovered,
-                       exit_trace=exit_trace, warnings=warnings)
+    return EpidemicRun(trajectory=traj, warnings=warnings)
 
 
 def epidemic_cohort_reference(params: EpidemicParams, times: list[float],

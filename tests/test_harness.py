@@ -245,6 +245,35 @@ class TestCli:
         assert "time.macro_step" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name, path, value, field", [
+        ("epidemic.json", ("params", "s0"), 1e6, "s0"),
+        ("epidemic.json", ("params", "r0"), [1], "params.r0"),
+        ("epidemic.json", ("params", "vaccination_rate", "times"), [0, 0],
+         "params.vaccination_rate"),
+        ("epidemic.json", ("refine", "j_max"), "x", "refine.j_max"),
+        ("epidemic.json", ("refine", "j_max"), -1, "refine.j_max"),
+        ("epidemic.json", ("refine", "j0"), -2, "refine.j0"),
+        ("epidemic.json", ("refine", "j_max"), 2.5, "refine.j_max"),
+        ("predator_prey_1d.json", ("params", "search_radius"), 100,
+         "params.search_radius"),
+    ], ids=["s0-above-radius", "r0-list", "repeated-rate-time", "j_max-string",
+            "j_max-negative", "j0-negative", "j_max-fraction",
+            "kernel-out-of-box"])
+    def test_config_mistake_exit_3(self, tmp_path, capsys, name, path,
+                                   value, field):
+        cfg = json.loads((CONFIG_DIR / name).read_text())
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--quiet"])
+        assert code == 3
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exit_3(self):
         assert main(["run", "/nonexistent/cfg.json", "--quiet"]) == 3
 

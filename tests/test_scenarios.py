@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from polyflow.errors import ConfigError, KernelOutOfBox
+from polyflow.ibvp import ibvp_domain_bounds
+from polyflow.renewal import ivp_domain_bounds
 from polyflow.scenarios import (EpidemicParams, PredatorPreyParams,
-                                RefineSchedule, epidemic_cohort_reference,
+                                RefineSchedule, _epidemic_ibvp,
+                                epidemic_cohort_reference,
                                 predator_prey_fields, run_epidemic,
                                 run_predator_prey)
 from polyflow.spaces import BvTimeSeries, GridFunction, l1_distance
@@ -266,3 +269,53 @@ class TestEpidemicRuns:
         run = run_epidemic(params, RefineSchedule(0, 2, 1e-6))
         assert run.warnings
         assert run.trajectory.column("S")[-1] < 0
+
+
+class TestEnvelopeMargins:
+    """Each margin column is the end-of-step envelope bound minus the
+    state's norm, recomputed here from the returned states."""
+
+    @staticmethod
+    def assert_columns(traj, fields, norms, bounds):
+        assert traj.column("l1") == [f.l1() for f in fields]
+        assert traj.column("linf") == [f.linf() for f in fields]
+        assert traj.column("tv") == [f.tv() for f in fields]
+        for k, name in enumerate(("alpha1_margin", "alphainf_margin",
+                                  "alphatv_margin")):
+            assert traj.column(name) == [bounds[k] - n[k] for n in norms]
+
+    def test_epidemic_variation_margin_has_boundary_mismatch(self):
+        params = epidemic_params(cells=100, horizon=0.2, macro=0.04)
+        traj = run_epidemic(params, RefineSchedule(0, 2, 1e-6)).trajectory
+        macro = params.macro_step
+        coef = _epidemic_ibvp(params, i_bound=traj.meta["ball"])
+        bounds = ibvp_domain_bounds(macro, traj.meta["radius_v"], macro,
+                                    coef)
+        cohorts = [v for _, v in traj.states]
+        gaps = [abs(float(params.vaccination_rate(t)) - float(v.values[0]))
+                for t, v in zip(traj.times, cohorts)]
+        assert min(gaps) > 0.0
+        norms = [(v.l1(), v.linf(), v.tv() + g)
+                 for v, g in zip(cohorts, gaps)]
+        self.assert_columns(traj, cohorts, norms, bounds)
+
+    def test_admissible_pursuit(self):
+        params = pursuit_params(dim=1, predator=(0.1,), horizon=0.2,
+                                macro=0.1)
+        traj = run_predator_prey(params, RefineSchedule(0, 2, 1e-6))
+        assert traj.meta["envelope"] == "admissible"
+        bounds = ivp_domain_bounds(0.1, traj.meta["radius_rho"], 0.1,
+                                   predator_prey_fields(params).prey)
+        rhos = [rho for rho, _ in traj.states]
+        norms = [(rho.l1(), rho.linf(), rho.tv()) for rho in rhos]
+        self.assert_columns(traj, rhos, norms, bounds)
+
+    def test_inadmissible_pursuit_margins_are_nan(self):
+        params = pursuit_params(dim=1, predator=(0.1,), horizon=0.2,
+                                macro=0.2)
+        traj = run_predator_prey(params, RefineSchedule(0, 2, 1e-6))
+        assert traj.meta["envelope"] == "inadmissible-at-macro-length"
+        for name in ("alpha1_margin", "alphainf_margin", "alphatv_margin"):
+            assert all(math.isnan(m) for m in traj.column(name))
+        rhos = [rho for rho, _ in traj.states]
+        assert traj.column("tv") == [rho.tv() for rho in rhos]
