@@ -12,10 +12,10 @@ balance law; plus two assembled applications (pursuit, staged vaccination).
 from .claw import (ParamFlux, claw_constants, claw_solve, entropy_residuals,
                    godunov_flux)
 from .errors import (ClearanceViolated, ConfigError, DomainExit,
-                     GridMismatch, HorizonExceeded, HorizonUnreachable,
-                     InadmissibleHorizon, KernelOutOfBox, MassBlowup,
-                     NegativeRadius, NoCrossing, PolyflowError, StepTooLarge,
-                     SupportClearanceViolated, UndefinedBoundaryDatum)
+                     GridMismatch, HorizonExceeded, InadmissibleHorizon,
+                     KernelOutOfBox, MassBlowup, NegativeRadius, NoCrossing,
+                     PolyflowError, StepTooLarge, SupportClearanceViolated,
+                     UndefinedBoundaryDatum)
 from .ibvp import (IbvpCoefficients, boundary_crossing_time,
                    ibvp_domain_bounds, ibvp_lipschitz_constants, ibvp_solve,
                    make_ibvp_process)
@@ -25,10 +25,8 @@ from .metric import (CouplingBounds, EuclideanSpace, GridFunctionSpace,
                      LocalFlow, MetricSpace, Process, ProcessConstants,
                      ProductSpace, RefinementResult, couple, coupling_bounds,
                      euler_polygonal, merge_constants, refine_to_process)
-from .ode import (NonlocalField, OdeField, make_ode_process,
-                  nonlocal_constants, nonlocal_eval, nonlocal_ode_field,
-                  ode_constants, ode_continue_global, ode_domain_radius,
-                  ode_solve)
+from .ode import (OdeField, make_ode_process, ode_constants,
+                  ode_domain_radius, ode_solve)
 from .renewal import (RenewalCoefficients, characteristic,
                       ivp_domain_bounds, ivp_lipschitz_constants,
                       make_renewal_process, renewal_solve)

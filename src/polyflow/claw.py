@@ -24,16 +24,14 @@ from .spaces import GridFunction
 class ParamFlux:
     """Flux ``f(u, w)`` with a Lipschitz certificate and critical points.
 
-    ``critical_points`` lists the interior extrema of ``u -> f(u, w)`` (the
-    list may be empty, e.g. for monotone fluxes).  When
-    ``critical_points_complete`` is false, the interval extremum search adds
-    a bounded golden-section refinement as a fallback.
+    ``critical_points`` is a caller certificate: it must list every interior
+    extremum of ``u -> f(u, w)`` (empty for monotone fluxes), because the
+    Godunov flux searches only those points and the interval endpoints.
     """
 
     f: Callable[[np.ndarray, Any], np.ndarray]
     lip: float
     critical_points: tuple[float, ...] = ()
-    critical_points_complete: bool = True
 
     def __call__(self, u, w):
         return np.asarray(self.f(np.asarray(u, dtype=float), w), dtype=float)
@@ -74,19 +72,6 @@ def godunov_flux(flux: ParamFlux, u_left, u_right, w) -> np.ndarray:
             fc = float(flux(np.array([c]), w)[0])
             vmin = np.where(inside, np.minimum(vmin, fc), vmin)
             vmax = np.where(inside, np.maximum(vmax, fc), vmax)
-    if not flux.critical_points_complete:
-        from scipy.optimize import minimize_scalar
-        vmin = vmin.copy()
-        vmax = vmax.copy()
-        for i in range(ul.size):
-            if hi[i] - lo[i] <= 0:
-                continue
-            neg = minimize_scalar(lambda s: float(flux(np.array([s]), w)[0]),
-                                  bounds=(lo[i], hi[i]), method="bounded")
-            pos = minimize_scalar(lambda s: -float(flux(np.array([s]), w)[0]),
-                                  bounds=(lo[i], hi[i]), method="bounded")
-            vmin[i] = min(vmin[i], float(neg.fun))
-            vmax[i] = max(vmax[i], -float(pos.fun))
     need_min = ul <= ur
     out = np.where(need_min, vmin, vmax)
     return out if np.ndim(u_left) else float(out[0])

@@ -12,7 +12,7 @@ class DomainExit(PolyflowError):
 
     Attributes:
         step: index of the failing step within the composition (0-based).
-        time: time at which the domain predicate failed.
+        time: time at which the state was found outside its domain.
         component: component tag when raised inside a coupled flow ("u" or "w").
     """
 
@@ -30,10 +30,6 @@ class StepTooLarge(PolyflowError):
 
 class HorizonExceeded(PolyflowError):
     """Requested time lies outside the handle's horizon interval."""
-
-
-class HorizonUnreachable(PolyflowError):
-    """Dyadic continuation stalled before reaching the requested horizon."""
 
 
 class NegativeRadius(PolyflowError):

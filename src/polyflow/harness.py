@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -24,7 +24,7 @@ from .errors import ConfigError, DomainExit
 from .ibvp import (IbvpCoefficients, _envelope_norms, ibvp_domain_bounds,
                    ibvp_solve)
 from .metric import (EuclideanSpace, LocalFlow, Process, ProcessConstants,
-                     _always, couple, coupling_bounds, euler_polygonal,
+                     couple, coupling_bounds, euler_polygonal,
                      refine_to_process)
 from .ode import OdeField, make_ode_process, ode_solve
 from .renewal import (RenewalCoefficients, characteristic,
@@ -290,9 +290,8 @@ def rotation_processes(ball: float = 2.0, horizon: float = 1.0,
                        lip=1.0, sup=ball, radius=ball)
     w_field = OdeField(f=lambda t, w, u: -np.atleast_1d(np.asarray(u, float)),
                        lip=1.0, sup=ball, radius=ball)
-    # ball-domain bookkeeping is exercised elsewhere; keep the demo total
-    return tuple(replace(make_ode_process(f, horizon, steps_per_unit=1.0),
-                         domain=_always) for f in (u_field, w_field))
+    return tuple(make_ode_process(f, horizon, steps_per_unit=1.0)
+                 for f in (u_field, w_field))
 
 
 def rotation_flow(ball: float = 2.0, horizon: float = 1.0) -> LocalFlow:
@@ -885,10 +884,9 @@ def run(cfg: dict, out_dir, quiet: bool = False) -> int:
     """Execute a configured scenario; write trajectory CSV + summary JSON.
 
     Returns the exit code (0 ok, 2 domain exit, 3 config error handled by
-    the CLI wrapper).
+    the CLI wrapper).  The output directory is made only once the scenario
+    has computed, so a failed run leaves nothing behind.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     scenario = cfg["scenario"]
     schedule = schedule_from_config(cfg)
     started = time.perf_counter()
@@ -900,8 +898,10 @@ def run(cfg: dict, out_dir, quiet: bool = False) -> int:
             params = epidemic_params_from_config(cfg)
             result = run_epidemic(params, schedule)
             traj = result.trajectory
-            traj.write_csv(out / "epidemic_trajectory.csv")
-            result.final_cohort().to_csv(out / "epidemic_cohort_final.csv")
+            outputs = {
+                "epidemic_trajectory.csv": traj.write_csv,
+                "epidemic_cohort_final.csv": result.final_cohort().to_csv,
+            }
             for wmsg in result.warnings:
                 checks.append({"name": "negative-state-warning",
                                "detail": wmsg})
@@ -912,9 +912,12 @@ def run(cfg: dict, out_dir, quiet: bool = False) -> int:
         elif scenario == "predator_prey":
             params = predator_prey_params_from_config(cfg)
             traj = run_predator_prey(params, schedule)
-            traj.write_csv(out / "predator_prey_trajectory.csv",
-                           state_columns=_predator_state_columns(traj))
-            traj.states[-1][0].to_csv(out / "prey_density_final.csv")
+            columns = _predator_state_columns(traj)
+            outputs = {
+                "predator_prey_trajectory.csv":
+                    lambda path: traj.write_csv(path, state_columns=columns),
+                "prey_density_final.csv": traj.states[-1][0].to_csv,
+            }
             masses = traj.column("mass")
             checks.append({"name": "prey-mass-monotone",
                            "value": bool(all(masses[i + 1]
@@ -923,7 +926,8 @@ def run(cfg: dict, out_dir, quiet: bool = False) -> int:
             meta = _run_meta(traj)
         elif scenario in ("rotation", "translation"):
             table = scenario_convergence(cfg, levels=6)
-            _write_convergence_csv(out / f"{scenario}_convergence.csv", table)
+            outputs = {f"{scenario}_convergence.csv":
+                       lambda path: _write_convergence_csv(path, table)}
             checks.append({"name": "self-convergence",
                            "value": bool(table.converged)})
         else:  # pragma: no cover - validated earlier
@@ -933,6 +937,15 @@ def run(cfg: dict, out_dir, quiet: bool = False) -> int:
             print(f"domain exit: {exc}")
         return 2
 
+    if meta is not None and meta["j_max"] < schedule.j_max:
+        checks.append({"name": "refine-depth-clamped",
+                       "detail": f"refine.j_max {schedule.j_max} requested, "
+                                 f"{meta['j_max']} run: shorter polygonal "
+                                 "steps stay within one grid cell"})
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in outputs.items():
+        write(out / name)
     summary = {
         "schema": SCHEMA_VERSION,
         "scenario": scenario,

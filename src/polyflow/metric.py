@@ -2,7 +2,7 @@
 
 A *local flow* is a short-time solution-like map ``F(tau, t0) x`` with
 ``F(0, t0) x = x``; a *global process* is a two-time solution operator
-``P(t, t0) x`` satisfying identity, domain invariance and the semigroup law.
+``P(t, t0) x`` satisfying identity and the semigroup law.
 Two parametrized processes are coupled into one local flow on the product
 space by freezing each component's parameter at the step's start time; Euler
 polygonals of that flow converge (as the step goes to zero) to the process
@@ -60,10 +60,6 @@ class ProductSpace(MetricSpace):
                 + self.second.distance(a[1], b[1]))
 
 
-def _always(t, x) -> bool:
-    return True
-
-
 # --------------------------------------------------------------------------
 # Handles
 # --------------------------------------------------------------------------
@@ -97,14 +93,12 @@ class LocalFlow:
 
     ``evaluate(tau, t0, x)`` advances ``x`` from ``t0`` by ``tau``, with
     ``tau <= delta``; ``evaluate(0, t0, x)`` must return ``x`` unchanged.
-    ``domain(t, x)`` is a pointwise admissibility predicate; ``interval``
-    is the time horizon on which the flow is defined.
+    ``interval`` is the time horizon on which the flow is defined.
     """
 
     evaluate: Callable[[float, float, Any], Any]
     delta: float
     space: MetricSpace
-    domain: Callable[[float, Any], bool] = _always
     interval: tuple[float, float] = (0.0, math.inf)
 
 
@@ -119,7 +113,6 @@ class Process:
     solve: Callable[[float, float, Any, Any], Any]
     constants: ProcessConstants
     space: MetricSpace
-    domain: Callable[[float, Any], bool] = _always
     interval: tuple[float, float] | None = None
 
     def time_interval(self) -> tuple[float, float]:
@@ -139,7 +132,7 @@ def euler_polygonal(flow: LocalFlow, tau: float, t0: float, x,
     With ``k = floor(tau / eps)``, applies ``k`` full steps at times
     ``t0 + h*eps`` in increasing ``h`` and one final step of length
     ``tau - k*eps``; no reassociation, so results are reproducible bit for
-    bit.  The domain predicate is checked at every node at its own time.
+    bit.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -151,25 +144,14 @@ def euler_polygonal(flow: LocalFlow, tau: float, t0: float, x,
     if t0 < lo - 1e-12 or t0 + tau > hi + 1e-12:
         raise HorizonExceeded(
             f"[{t0}, {t0 + tau}] outside flow horizon [{lo}, {hi}]")
-    if not flow.domain(t0, x):
-        raise DomainExit("initial point outside domain", step=0, time=t0)
     if tau == 0.0:
         return x
     k = int(math.floor(tau / eps))
     for h in range(k):
-        t_h = t0 + h * eps
-        if h > 0 and not flow.domain(t_h, x):
-            raise DomainExit(f"domain left at step {h}", step=h, time=t_h)
-        x = flow.evaluate(eps, t_h, x)
+        x = flow.evaluate(eps, t0 + h * eps, x)
     rem = tau - k * eps
-    t_k = t0 + k * eps
-    if k > 0 and not flow.domain(t_k, x):
-        raise DomainExit(f"domain left at step {k}", step=k, time=t_k)
     if rem > 0.0:
-        x = flow.evaluate(rem, t_k, x)
-    if not flow.domain(t0 + tau, x):
-        raise DomainExit("domain left at final time", step=k + 1,
-                         time=t0 + tau)
+        x = flow.evaluate(rem, t0 + k * eps, x)
     return x
 
 
@@ -243,14 +225,10 @@ def couple(process_u: Process, process_w: Process) -> LocalFlow:
                              component="w") from exc
         return (u_next, w_next)
 
-    def domain(t, state):
-        return process_u.domain(t, state[0]) and process_w.domain(t, state[1])
-
     return LocalFlow(
         evaluate=evaluate,
         delta=hi - lo,
         space=ProductSpace(process_u.space, process_w.space),
-        domain=domain,
         interval=(lo, hi),
     )
 

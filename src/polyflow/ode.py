@@ -1,4 +1,4 @@
-"""Parametrized ODE process: fixed-step RK4, invariant balls, continuation.
+"""Parametrized ODE process: fixed-step RK4 on certified invariant balls.
 
 The right-hand side ``f(t, u, w)`` carries user-supplied certificates (joint
 Lipschitz constant, sup bound, ball radius); the solver never infers them.
@@ -16,11 +16,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import (DomainExit, GridMismatch, HorizonExceeded,
-                     HorizonUnreachable, NegativeRadius)
+from .errors import DomainExit, HorizonExceeded, NegativeRadius
 from .metric import EuclideanSpace, Process, ProcessConstants
-from .spaces import GridFunction
-from .trajectory import Trajectory
 
 
 @dataclass(frozen=True)
@@ -131,136 +128,14 @@ def ode_constants(field: OdeField, horizon: float) -> ProcessConstants:
 
 def make_ode_process(field: OdeField, horizon: float,
                      steps_per_unit: float = 64.0) -> Process:
-    """Wrap the RK4 solver as a process handle with the ball domain."""
+    """Wrap the RK4 solver as a process handle.
+
+    ``ode_solve`` raises ``DomainExit`` when a substep leaves the ball.
+    """
 
     def solve(t, t0, x, w):
         n = max(1, int(math.ceil((t - t0) * steps_per_unit - 1e-12)))
         return ode_solve(field, t0, t, x, w, n_sub=n, horizon=horizon)
 
-    def domain(t, x):
-        r = ode_domain_radius(min(max(t, 0.0), horizon), horizon,
-                              field.radius, field.sup)
-        return bool(np.linalg.norm(np.asarray(x, dtype=float))
-                    <= r * (1 + 1e-9))
-
     return Process(solve=solve, constants=ode_constants(field, horizon),
-                   space=EuclideanSpace(), domain=domain,
-                   interval=(0.0, horizon))
-
-
-def ode_continue_global(field_family: Callable[[float], OdeField],
-                        t0: float, u0, horizon: float,
-                        steps_per_unit: float = 64.0,
-                        k_max: int = 60) -> Trajectory:
-    """Reach an arbitrary horizon by stitching segments with doubling radii.
-
-    Radii double (``2**k``); each segment runs for ``radius / (2 sup(radius))``
-    so the invariant ball never degenerates.  Raises ``HorizonUnreachable``
-    when the accumulated time stalls below ``horizon`` within ``k_max``
-    doublings, which signals sup bounds growing faster than R log R.
-    """
-    u = np.atleast_1d(np.asarray(u0, dtype=float)).copy()
-    norm0 = float(np.linalg.norm(u))
-    k = 1
-    while 2.0 ** (k - 1) < norm0:
-        k += 1
-
-    times = [t0]
-    states = [u.copy()]
-    segments = []
-    t = t0
-    t_end = t0 + horizon
-    while t < t_end - 1e-15:
-        if k > k_max:
-            raise HorizonUnreachable(
-                f"continuation stalled at t={t} after {k_max} doublings")
-        radius = 2.0 ** k
-        field = field_family(radius)
-        if field.sup <= 0:
-            seg_len = t_end - t
-        else:
-            seg_len = radius / (2.0 * field.sup)
-        seg_end = min(t + seg_len, t_end)
-        n = max(1, int(math.ceil((seg_end - t) * steps_per_unit - 1e-12)))
-        h = (seg_end - t) / n
-        rhs = lambda s, v: np.asarray(field.f(s, v, None), dtype=float)
-        for j in range(n):
-            u = _rk4(rhs, t + j * h, u, h)
-            times.append(t + (j + 1) * h)
-            states.append(u.copy())
-        segments.append({"k": k, "radius": radius, "t_start": t,
-                         "t_end": seg_end})
-        t = seg_end
-        k += 1
-
-    norms = [float(np.linalg.norm(s)) for s in states]
-    return Trajectory(times=times, states=states,
-                      diagnostics={"norm": norms},
-                      meta={"segments": segments})
-
-
-# --------------------------------------------------------------------------
-# Nonlocal right-hand sides
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NonlocalField:
-    """RHS ``g(t, u, W)`` with ``W`` a kernel average of a grid parameter.
-
-    ``W = sum eta(t, x_i) * w_i * cell_volume`` by the midpoint rule on the
-    stored quadrature grid.  Certificates: ``g_lip`` (joint Lipschitz bound
-    of g), ``g_sup``, and ``kernel_sup`` bounding |eta|.
-    """
-
-    g: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    g_lip: float
-    g_sup: float
-    kernel: Callable[[float, np.ndarray], np.ndarray]
-    grid: GridFunction          # quadrature grid template (values unused)
-    kernel_sup: float = 1.0
-    radius: float = 1.0
-
-    def average(self, t: float, w: GridFunction) -> float:
-        if not w.same_grid(self.grid):
-            raise GridMismatch("parameter grid differs from quadrature grid")
-        if w.dim == 1:
-            k = np.asarray(self.kernel(t, w.axis_centers(0)), dtype=float)
-        else:
-            pts = w.centers()
-            k = np.asarray(self.kernel(t, pts), dtype=float).reshape(-1)
-        return float(np.sum(k * w.values.reshape(-1)) * w.cell_volume)
-
-
-def nonlocal_eval(field: NonlocalField, t: float, u, w: GridFunction
-                  ) -> np.ndarray:
-    """Evaluate ``g(t, u, W)`` with the kernel average of ``w``."""
-    avg = field.average(t, w)
-    return np.atleast_1d(np.asarray(
-        field.g(t, np.atleast_1d(np.asarray(u, dtype=float)), avg),
-        dtype=float))
-
-
-def nonlocal_ode_field(field: NonlocalField) -> OdeField:
-    """View the nonlocal RHS as a plain ODE field with derived certificates.
-
-    Effective Lipschitz constant ``g_lip * (1 + kernel_sup)`` (the kernel
-    average is ``kernel_sup``-Lipschitz from L1 parameters), sup bound
-    ``g_sup``.
-    """
-    def f(t, u, w):
-        return nonlocal_eval(field, t, u, w)
-
-    lip = field.g_lip * (1.0 + field.kernel_sup)
-    return OdeField(f=f, lip=lip, sup=field.g_sup, radius=field.radius)
-
-
-def nonlocal_constants(field: NonlocalField, horizon: float
-                       ) -> ProcessConstants:
-    """Process moduli of the nonlocal ODE over ``horizon``."""
-    lip = field.g_lip * (1.0 + field.kernel_sup)
-    return ProcessConstants(
-        c_u=lip,
-        c_t=field.g_sup,
-        c_w=lip * math.exp(lip * horizon),
-        horizon=horizon,
-    )
+                   space=EuclideanSpace(), interval=(0.0, horizon))

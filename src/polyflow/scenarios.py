@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, InadmissibleHorizon, KernelOutOfBox
 from .ibvp import (IbvpCoefficients, _envelope_norms, ibvp_domain_bounds,
                    make_ibvp_process)
-from .metric import Process, _always, couple, refine_to_process
+from .metric import Process, couple, refine_to_process
 from .ode import OdeField, make_ode_process, ode_domain_radius
 from .renewal import (RenewalCoefficients, ivp_domain_bounds,
                       make_renewal_process)
@@ -324,8 +324,8 @@ def _run_coupled(proc_u: Process, proc_w: Process, state, macro: float,
 
     Step ``k`` shifts both processes to ``[k macro, (k + 1) macro]`` and
     refines the coupled polygonal dyadically between levels ``j0`` and
-    ``j_max``.  No domain is enforced: the runners record envelope margins
-    instead.  Returns the sample times, the states, the refinement gaps
+    ``j_max``.  The runners record envelope margins from the returned
+    states.  Returns the sample times, the states, the refinement gaps
     (0 at the start) and the count of converged steps.
     """
     times, states, gaps = [0.0], [state], [0.0]
@@ -333,8 +333,8 @@ def _run_coupled(proc_u: Process, proc_w: Process, state, macro: float,
     for k in range(n_macro):
         t = k * macro
         flow = couple(
-            replace(proc_u, domain=_always, interval=(t, t + macro)),
-            replace(proc_w, domain=_always, interval=(t, t + macro)))
+            replace(proc_u, interval=(t, t + macro)),
+            replace(proc_w, interval=(t, t + macro)))
         res = refine_to_process(flow, macro, t, state, schedule.tol,
                                 j0, j_max)
         state = res.point

@@ -60,12 +60,6 @@ class TestGodunovFlux:
         assert godunov_flux(flux, ul + d, ur, None) >= base - 1e-12
         assert godunov_flux(flux, ul, ur + d, None) <= base + 1e-12
 
-    def test_incomplete_critical_points_fallback(self):
-        flux = ParamFlux(f=lambda u, w: 0.5 * u * u, lip=1.0,
-                         critical_points=(), critical_points_complete=False)
-        assert godunov_flux(flux, -1.0, 1.0, None) == pytest.approx(
-            0.0, abs=1e-8)
-
 
 class TestClawSolve:
     def test_burgers_shock(self, burgers, grid):

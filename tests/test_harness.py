@@ -209,6 +209,11 @@ class TestCli:
         assert meta["j_max"] == 0
         assert meta["macro_steps"] == 5
         assert meta["converged_steps"] == 0
+        checks = json.loads((tmp_path / "out" / "summary.json").read_text())[
+            "checks"]
+        clamped = [c for c in checks if c["name"] == "refine-depth-clamped"]
+        assert len(clamped) == 1
+        assert "6 requested, 0 run" in clamped[0]["detail"]
 
     def test_domain_exit_maps_to_exit_2(self, tmp_path, monkeypatch):
         from polyflow import harness
@@ -223,6 +228,7 @@ class TestCli:
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--out", str(tmp_path / "out"),
                      "--quiet"]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_config_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -256,9 +262,12 @@ class TestCli:
         ("epidemic.json", ("refine", "j_max"), 2.5, "refine.j_max"),
         ("predator_prey_1d.json", ("params", "search_radius"), 100,
          "params.search_radius"),
+        # caught inside run_epidemic, after validation
+        ("epidemic.json", ("time",), {"horizon": 0.5, "macro_step": 0.5},
+         "exceeds the certified segment"),
     ], ids=["s0-above-radius", "r0-list", "repeated-rate-time", "j_max-string",
             "j_max-negative", "j0-negative", "j_max-fraction",
-            "kernel-out-of-box"])
+            "kernel-out-of-box", "uncertified-macro-step"])
     def test_config_mistake_exit_3(self, tmp_path, capsys, name, path,
                                    value, field):
         cfg = json.loads((CONFIG_DIR / name).read_text())
@@ -311,10 +320,8 @@ def test_import_leaves_scipy_optimize_unloaded(tmp_path):
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
-    # the flat distance and the measure/BV suites need no scipy at all
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(base_config(
-        verify=["metric", "measures", "bv"])))
+    # no verify suite needs scipy at all
+    path = CONFIG_DIR / "verify_all.json"
     code = ("import sys; from polyflow.cli import main; "
             f"rc = main(['verify', {str(path)!r}, '--out', "
             f"{str(tmp_path / 'out')!r}, '--quiet']); "

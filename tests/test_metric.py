@@ -50,14 +50,6 @@ class TestEulerPolygonal:
         with pytest.raises(HorizonExceeded):
             euler_polygonal(f, 1.5, 0.0, np.array([0.0]), 0.5)
 
-    def test_domain_exit_reports_step(self):
-        f = LocalFlow(evaluate=lambda tau, t0, x: x + tau, delta=10.0,
-                      space=EuclideanSpace(),
-                      domain=lambda t, x: float(x[0]) < 0.35)
-        with pytest.raises(DomainExit) as exc:
-            euler_polygonal(f, 1.0, 0.0, np.array([0.0]), 0.125)
-        assert exc.value.step == 3  # fails once x reaches 0.375
-
     def test_discrete_semigroup_bitexact(self):
         flow = rotation_flow(ball=4.0, horizon=4.0)
         x0 = (np.array([0.75]), np.array([-0.5]))
@@ -262,18 +254,3 @@ class TestStabilityAndDomains:
         assert lim_exact.converged and lim_euler.converged
         assert space.distance(lim_exact.point, lim_euler.point) < 5e-4
 
-    def test_domain_nesting_along_polygonal(self):
-        # ball domains: each polygonal node must satisfy its own-time radius
-        from polyflow.ode import OdeField, make_ode_process
-        field = OdeField(f=lambda t, u, w: np.atleast_1d(np.asarray(w, float)),
-                         lip=1.0, sup=1.0, radius=4.0)
-        pu = make_ode_process(field, horizon=1.0)
-        pw = make_ode_process(
-            OdeField(f=lambda t, w, u: -np.atleast_1d(np.asarray(u, float)),
-                     lip=1.0, sup=1.0, radius=4.0), horizon=1.0)
-        flow = couple(pu, pw)
-        x0 = (np.array([0.5]), np.array([0.5]))
-        assert flow.domain(0.0, x0)
-        # euler_polygonal raises if any node violates its own-time domain
-        out = euler_polygonal(flow, 1.0, 0.0, x0, 0.125)
-        assert flow.domain(1.0, out)

@@ -3,13 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from polyflow.errors import (DomainExit, GridMismatch, HorizonExceeded,
-                             HorizonUnreachable, NegativeRadius)
-from polyflow.ode import (NonlocalField, OdeField, nonlocal_constants,
-                          nonlocal_eval, nonlocal_ode_field,
-                          ode_continue_global, ode_constants,
-                          ode_domain_radius, ode_solve)
-from polyflow.spaces import GridFunction
+from polyflow.errors import DomainExit, HorizonExceeded, NegativeRadius
+from polyflow.ode import OdeField, ode_constants, ode_domain_radius, ode_solve
 
 
 def linear_field(radius=8.0):
@@ -108,82 +103,3 @@ class TestDomainRadius:
     def test_negative_radius_configuration(self):
         with pytest.raises(NegativeRadius):
             ode_domain_radius(0.0, 1.0, 1.0, 1.0)  # horizon > R/(2 sup)
-
-
-class TestContinuation:
-    def test_unit_sup_doubling_segments(self):
-        family = lambda R: OdeField(f=lambda t, u, w: np.zeros_like(u),
-                                    lip=0.0, sup=1.0, radius=R)
-        traj = ode_continue_global(family, 0.0, np.array([0.2]), 10.0,
-                                   steps_per_unit=4)
-        segments = traj.meta["segments"]
-        assert len(segments) <= 5
-        assert traj.times[-1] == pytest.approx(10.0)
-
-    def test_linear_sup_constant_segments(self):
-        family = lambda R: OdeField(f=lambda t, u, w: np.zeros_like(u),
-                                    lip=0.0, sup=R, radius=R)
-        traj = ode_continue_global(family, 0.0, np.array([0.2]), 3.0,
-                                   steps_per_unit=4)
-        segments = traj.meta["segments"]
-        assert len(segments) == 6  # half-unit segments
-        for seg in segments[:-1]:
-            assert seg["t_end"] - seg["t_start"] == pytest.approx(0.5)
-
-    def test_zero_field_single_segment(self):
-        family = lambda R: OdeField(f=lambda t, u, w: np.zeros_like(u),
-                                    lip=0.0, sup=0.0, radius=R)
-        traj = ode_continue_global(family, 0.0, np.zeros(1), 5.0,
-                                   steps_per_unit=2)
-        assert len(traj.meta["segments"]) == 1
-        assert all(abs(s[0]) == 0.0 for s in traj.states)
-
-    def test_unreachable_horizon(self):
-        # sup growing quadratically: segment lengths ~ 1/R shrink too fast
-        family = lambda R: OdeField(f=lambda t, u, w: np.zeros_like(u),
-                                    lip=0.0, sup=R * R, radius=R)
-        with pytest.raises(HorizonUnreachable):
-            ode_continue_global(family, 0.0, np.zeros(1), 10.0,
-                                steps_per_unit=1, k_max=25)
-
-
-class TestNonlocal:
-    def make_field(self, kernel):
-        grid = GridFunction.uniform((-1.0, 2.0), 3000)
-        return NonlocalField(
-            g=lambda t, u, W: u * 0 + W,
-            g_lip=1.0, g_sup=5.0, kernel=kernel, grid=grid,
-            kernel_sup=1.0, radius=5.0)
-
-    def test_zero_kernel(self):
-        field = self.make_field(lambda t, x: np.zeros_like(x))
-        w = field.grid.with_values(np.ones(3000))
-        assert nonlocal_eval(field, 0.0, np.zeros(1), w)[0] == 0.0
-
-    def test_unit_kernel_indicator(self):
-        field = self.make_field(lambda t, x: np.ones_like(x))
-        xs = field.grid.axis_centers(0)
-        w = field.grid.with_values(((xs >= 0) & (xs < 1)).astype(float))
-        out = nonlocal_eval(field, 0.0, np.zeros(1), w)
-        assert abs(out[0] - 1.0) < 1e-3
-
-    def test_zero_parameter(self):
-        field = self.make_field(lambda t, x: np.ones_like(x))
-        w = field.grid.with_values(np.zeros(3000))
-        assert nonlocal_eval(field, 0.0, np.zeros(1), w)[0] == 0.0
-
-    def test_grid_mismatch(self):
-        field = self.make_field(lambda t, x: np.ones_like(x))
-        other = GridFunction.uniform((-1.0, 2.0), 100)
-        with pytest.raises(GridMismatch):
-            nonlocal_eval(field, 0.0, np.zeros(1), other)
-
-    def test_derived_constants(self):
-        field = self.make_field(lambda t, x: np.ones_like(x))
-        ode = nonlocal_ode_field(field)
-        assert ode.lip == pytest.approx(2.0)  # g_lip * (1 + kernel_sup)
-        assert ode.sup == 5.0
-        c = nonlocal_constants(field, horizon=0.5)
-        assert c.c_u == pytest.approx(2.0)
-        assert c.c_t == 5.0
-        assert c.c_w == pytest.approx(2.0 * math.exp(2.0 * 0.5))
