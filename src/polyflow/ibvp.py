@@ -31,7 +31,10 @@ class IbvpCoefficients:
     """Coefficients of the inflow problem with certified bounds.
 
     ``speed(t, x)`` takes values in ``[speed_min, speed_max]`` with
-    ``speed_min > 0`` and does not depend on the parameter; ``growth`` and
+    ``speed_min > 0`` and does not depend on the parameter.  ``speed`` may
+    instead be a number: a constant speed in ``[speed_min, speed_max]``,
+    whose characteristics, origin curve and boundary crossing times are
+    then computed in closed form rather than by RK4.  ``growth`` and
     ``source`` have the renewal signatures; ``inflow`` is the left-continuous
     boundary series.  Certificates: ``v_var`` bounds the time+space variation
     of the speed, ``v_slope`` its space derivative's sup and variation;
@@ -39,7 +42,7 @@ class IbvpCoefficients:
     in the renewal problem; ``b_l1``, ``b_sup_tv`` bound the boundary series.
     """
 
-    speed: Callable[[Any, np.ndarray], np.ndarray]
+    speed: Callable[[Any, np.ndarray], np.ndarray] | float
     growth: Callable[[Any, np.ndarray, Any], np.ndarray]
     source: Callable[[Any, np.ndarray, Any], np.ndarray]
     inflow: BvTimeSeries
@@ -60,6 +63,10 @@ class IbvpCoefficients:
             raise ValueError("speed_min must be strictly positive (inflow)")
         if self.speed_max < self.speed_min:
             raise ValueError("speed_max must be >= speed_min")
+        if (not callable(self.speed)
+                and not self.speed_min <= self.speed <= self.speed_max):
+            raise ValueError(f"constant speed {self.speed} lies outside "
+                             f"[speed_min, speed_max]")
 
     def as_renewal(self) -> RenewalCoefficients:
         """Parameter-blind view of the coefficients for the interior branch."""
@@ -76,7 +83,7 @@ class IbvpCoefficients:
             return np.broadcast_to(v, np.shape(x)).copy()
 
         return RenewalCoefficients(
-            velocity=velocity,
+            velocity=velocity if callable(self.speed) else float(self.speed),
             growth=self.growth,
             source=self.source,
             v_sup=self.speed_max,
@@ -91,21 +98,26 @@ def boundary_crossing_time(speed, t: float, x, t0: float,
                            n_sub: int = 10) -> np.ndarray:
     """Time at which the backward characteristic through ``(t, x)`` hits 0.
 
-    Integrates ``dt/dx = 1 / speed`` from ``x`` down to the boundary (RK4 in
-    the space variable, vectorized over points).  Raises ``NoCrossing`` when
-    the crossing happens before ``t0`` beyond a small consistency tolerance,
-    which means the caller should have used the interior branch.
+    For a callable speed, integrates ``dt/dx = 1 / speed`` from ``x`` down
+    to the boundary (``n_sub`` RK4 steps in the space variable, vectorized
+    over points); for a constant speed ``c`` (a number) the crossing is the
+    closed form ``t - x / c``.  Raises ``NoCrossing`` when the crossing
+    happens before ``t0`` beyond a small consistency tolerance, which means
+    the caller should have used the interior branch.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    tau = np.full(xs.shape, float(t))
-    h = -xs / n_sub
-    pos = xs.copy()
-    # dt/dx at position p and time s; the space variable is the RK4 clock
-    rhs = lambda p, s: 1.0 / np.asarray(speed(s, np.maximum(p, 0.0)),
-                                        dtype=float)
-    for _ in range(n_sub):
-        tau = _rk4(rhs, pos, tau, h)
-        pos = pos + h
+    if callable(speed):
+        tau = np.full(xs.shape, float(t))
+        h = -xs / n_sub
+        pos = xs.copy()
+        # dt/dx at position p and time s; the space variable is the RK4 clock
+        rhs = lambda p, s: 1.0 / np.asarray(speed(s, np.maximum(p, 0.0)),
+                                            dtype=float)
+        for _ in range(n_sub):
+            tau = _rk4(rhs, pos, tau, h)
+            pos = pos + h
+    else:
+        tau = t - xs / speed
     tol = 1e-9 * max(1.0, t - t0)
     if np.any(tau < t0 - tol):
         raise NoCrossing("backward characteristic exits through the initial "

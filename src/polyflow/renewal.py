@@ -5,7 +5,8 @@ grid (1D or 2D) by evaluating the exact representation formula per cell: the
 datum is carried along the backward characteristic and multiplied by the
 exponential of the accumulated ``m - div v``, plus the matching source
 convolution.  Discretization error enters only through characteristic
-integration (RK4), midpoint quadrature, and the piecewise-constant lookup.
+integration (RK4, exact for a constant velocity), midpoint quadrature, and the
+piecewise-constant lookup.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ class RenewalCoefficients:
     scalar or an ``(n,)`` array.  ``divergence(t, x, w)``, when given,
     returns ``div v`` at the points as ``(n,)``; the transport then uses it
     for the ``m - div v`` exponent instead of central differences of the
-    velocity on the grid spacing.
+    velocity on the grid spacing.  In 1D ``velocity`` may instead be a
+    number ``c``: a constant speed, whose characteristics are the closed-form
+    translations ``x + (t - t_bar) c`` and whose divergence is zero.
 
     Certificates (never inferred, optionally audited): ``v_sup`` bounds
     ``|v|``, ``v_lip`` bounds the space gradient and the parameter modulus of
@@ -41,7 +44,7 @@ class RenewalCoefficients:
     L1 norm of q; ``m_param_lip`` / ``q_param_lip`` the parameter moduli.
     """
 
-    velocity: Callable[[Any, np.ndarray, Any], np.ndarray]
+    velocity: Callable[[Any, np.ndarray, Any], np.ndarray] | float
     growth: Callable[[Any, np.ndarray, Any], np.ndarray]
     source: Callable[[Any, np.ndarray, Any], np.ndarray]
     divergence: Callable[[Any, np.ndarray, Any], np.ndarray] | None = None
@@ -60,17 +63,20 @@ def audit_coefficients(coef: RenewalCoefficients, grid: GridFunction, w,
                        t_range: tuple[float, float] = (0.0, 1.0)) -> float:
     """Randomized certificate audit on grid samples (worst violation, <=0 ok).
 
-    Checks sup bounds of the velocity, the sup+variation bound of the growth
-    rate, and the L1 plus sup+variation bounds of the source, with the
-    variation taken on the supplied grid.  Evidence, not proof.
+    Checks sup bounds of the velocity (a constant one without sampling),
+    the sup+variation bound of the growth rate, and the L1 plus
+    sup+variation bounds of the source, with the variation taken on the
+    supplied grid.  Evidence, not proof.
     """
-    worst = -math.inf
+    sampled = callable(coef.velocity)
+    worst = -math.inf if sampled else abs(coef.velocity) - coef.v_sup
     pts = grid.centers()
     for _ in range(n):
         t = float(rng.uniform(*t_range))
-        v = np.asarray(coef.velocity(t, pts, w), dtype=float)
-        speeds = np.abs(v) if v.ndim == 1 else np.linalg.norm(v, axis=1)
-        worst = max(worst, float(np.max(speeds)) - coef.v_sup)
+        if sampled:
+            v = np.asarray(coef.velocity(t, pts, w), dtype=float)
+            speeds = np.abs(v) if v.ndim == 1 else np.linalg.norm(v, axis=1)
+            worst = max(worst, float(np.max(speeds)) - coef.v_sup)
         m = grid.with_values(np.asarray(coef.growth(t, pts, w), dtype=float)
                              .reshape(grid.values.shape))
         worst = max(worst, m.linf() + m.tv() - coef.m_sup_tv)
@@ -83,14 +89,18 @@ def audit_coefficients(coef: RenewalCoefficients, grid: GridFunction, w,
 
 def characteristic(velocity, t_bar: float, x_bar, t: float, w,
                    n_sub: int = 16) -> np.ndarray:
-    """Integrate ``dx/ds = velocity(s, x, w)`` from ``t_bar`` to ``t`` (RK4).
+    """Integrate ``dx/ds = velocity(s, x, w)`` from ``t_bar`` to ``t``.
 
+    A callable velocity takes ``n_sub`` RK4 steps; a constant one (a
+    number) is the closed form ``x_bar + (t - t_bar) * velocity``.
     Backward integration (``t < t_bar``) is supported; velocity stays
     bounded, so no domain bookkeeping is needed.
     """
     x = np.asarray(x_bar, dtype=float).copy()
     if t == t_bar:
         return x
+    if not callable(velocity):
+        return x + (t - t_bar) * velocity
     h = (t - t_bar) / n_sub
     rhs = lambda s, y: np.asarray(velocity(s, y, w), dtype=float)
     s = t_bar
@@ -121,7 +131,10 @@ def _divergence(velocity, t, pts: np.ndarray, dx: tuple[float, ...], w
 
 def _velocity_divergence(coef: RenewalCoefficients, t, pts: np.ndarray,
                          dx: tuple[float, ...], w) -> np.ndarray:
-    """The supplied ``div v``, else its central difference on step dx/2."""
+    """Zero for a constant velocity, else the supplied ``div v``, else its
+    central difference on step dx/2."""
+    if not callable(coef.velocity):
+        return 0.0
     if coef.divergence is None:
         return _divergence(coef.velocity, t, pts, dx, w)
     return np.asarray(coef.divergence(t, pts, w), dtype=float)
@@ -133,9 +146,10 @@ def backward_transport(coef: RenewalCoefficients, w, t: float, t_lo,
     """Feet, growth factors and source integrals of backward characteristics.
 
     Integrates from ``(t, x)`` down to ``t_lo`` (scalar, or per-point array
-    in 1D) in ``n_sub`` RK4 steps, accumulating by the midpoint rule the
+    in 1D) in ``n_sub`` steps, accumulating by the midpoint rule the
     exponent ``int (m - div v) ds`` and the source convolution
-    ``int q * exp(int_s^t (m - div v)) ds``.
+    ``int q * exp(int_s^t (m - div v)) ds``.  Each foot step is RK4 for a
+    callable velocity and the exact translation for a constant one.
 
     Returns ``(foot, growth, source_integral)``.
     """
@@ -143,16 +157,22 @@ def backward_transport(coef: RenewalCoefficients, w, t: float, t_lo,
     scalar_lo = np.ndim(t_lo) == 0
     if pts.ndim == 2 and not scalar_lo:
         raise ValueError("per-point end times only supported in 1D")
+    if pts.ndim == 2 and not callable(coef.velocity):
+        raise ValueError("a constant velocity is only supported in 1D")
     lo = float(t_lo) if scalar_lo else np.asarray(t_lo, dtype=float)
     ds = (t - lo) / n_sub
     n_pts = pts.shape[0]
     exponent = np.zeros(n_pts)
     source_acc = np.zeros(n_pts)
-    rhs = lambda s, y: np.asarray(coef.velocity(s, y, w), dtype=float)
+    if callable(coef.velocity):
+        rhs = lambda s, y: np.asarray(coef.velocity(s, y, w), dtype=float)
+        step = lambda s, y, h: _rk4(rhs, s, y, h)
+    else:
+        step = lambda s, y, h: y + h * coef.velocity
     for j in range(n_sub):
         s_hi = t - j * ds
         h = -ds
-        nxt = _rk4(rhs, s_hi, pts, h)
+        nxt = step(s_hi, pts, h)
         s_mid = s_hi + 0.5 * h
         p_mid = 0.5 * (pts + nxt)
         contrib = (np.asarray(coef.growth(s_mid, p_mid, w), dtype=float)

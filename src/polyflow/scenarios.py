@@ -539,8 +539,7 @@ def _epidemic_ibvp(params: EpidemicParams, i_bound: float
     p = params.vaccination_rate
     horizon = params.horizon
     return IbvpCoefficients(
-        speed=lambda t, x: np.ones(np.shape(np.asarray(x))[0]),
-        growth=growth, source=source, inflow=p,
+        speed=1.0, growth=growth, source=source, inflow=p,
         speed_min=1.0, speed_max=1.0, v_var=0.0, v_slope=0.0,
         m_sup_tv=(rho_v.linf() + rho_v.tv()) * i_bound,
         m_param_lip=rho_v.l1(),

@@ -53,6 +53,20 @@ class TestCrossingTime:
         with pytest.raises(NoCrossing):
             boundary_crossing_time(ones_speed, 1.0, 1.5, 0.0)
 
+    def test_constant_speed_matches_rk4(self):
+        speed = lambda t, x: np.full(np.shape(np.asarray(x))[0], 2.0)
+        x = np.linspace(0.0, 1.4, 29)
+        exact = boundary_crossing_time(2.0, 1.0, x, 0.2)
+        assert np.allclose(exact, 1.0 - x / 2.0, rtol=0.0, atol=1e-15)
+        assert np.allclose(exact, boundary_crossing_time(speed, 1.0, x, 0.2),
+                           rtol=0.0, atol=1e-14)
+        assert boundary_crossing_time(2.0, 1.0, 0.3, 0.0).shape == (1,)
+
+    def test_constant_speed_no_crossing(self):
+        for speed in (2.0, lambda t, x: np.full(np.shape(x)[0], 2.0)):
+            with pytest.raises(NoCrossing):
+                boundary_crossing_time(speed, 1.0, np.array([0.5, 1.7]), 0.2)
+
 
 class TestIbvpSolve:
     def test_inflow_fill(self, grid):
@@ -75,6 +89,35 @@ class TestIbvpSolve:
         sigma = float(characteristic(coef.as_renewal().velocity, 0.0,
                                      np.array([0.0]), 0.5, None, n_sub=8)[0])
         mask = xs >= sigma
+        assert np.array_equal(got.values[mask], free.values[mask])
+
+    def test_constant_speed_matches_unit_lambda(self, grid):
+        xs = grid.axis_centers(0)
+        bump = grid.with_values(np.clip(1 - np.abs(xs - 0.6) / 0.3, 0, None))
+        inflow = BvTimeSeries(np.array([0.0, 0.3]), np.array([1.0, 0.4]))
+        fields = dict(
+            growth=lambda t, x, w: 0.3 * np.cos(np.asarray(x)) - 0.2 * t,
+            source=lambda t, x, w: 0.1 * np.exp(-np.asarray(x)) * (1 + t),
+            inflow=inflow, m_sup_tv=1.0, q_l1=0.2, q_sup_tv=0.4,
+            b_l1=1.0, b_sup_tv=1.6)
+        exact = make_coef(speed=1.0, **fields)
+        rk4 = make_coef(speed=ones_speed, **fields)
+        got = ibvp_solve(exact, bump, 0.5, 0.0, 0.8, n_sub=10)
+        ref = ibvp_solve(rk4, bump, 0.5, 0.0, 0.8, n_sub=10)
+        # both branches are populated; the inflow jump (t = 0.3) is at x = 0.5
+        assert np.any(xs < 0.8) and np.any((xs >= 0.8) & (ref.values > 0))
+        assert np.max(np.abs(got.values - ref.values)) <= 1e-13
+
+    def test_constant_speed_interior_matches_free_solver_bitexact(self, grid):
+        xs = grid.axis_centers(0)
+        bump = grid.with_values(np.clip(1 - np.abs(xs - 1.0) / 0.3, 0, None))
+        coef = make_coef(
+            speed=0.8, growth=lambda t, x, w: 0.2 * np.sin(np.asarray(x)),
+            inflow=BvTimeSeries.constant(0.5),
+            speed_min=0.7, speed_max=0.9, m_sup_tv=0.7, b_sup_tv=0.5)
+        got = ibvp_solve(coef, bump, None, 0.0, 0.5, n_sub=8)
+        free = renewal_solve(coef.as_renewal(), bump, None, 0.0, 0.5, n_sub=8)
+        mask = xs >= 0.8 * 0.5
         assert np.array_equal(got.values[mask], free.values[mask])
 
     def test_boundary_decay_closed_form(self, grid):
@@ -174,6 +217,16 @@ class TestRenewalView:
         v = coef.as_renewal().velocity(0.0, x, None)
         assert v.shape == x.shape and v.dtype == float
         assert np.array_equal(v, np.asarray(speed(0.0, x)) * np.ones(7))
+
+    def test_constant_speed_handed_on_as_a_number(self):
+        ren = make_coef(speed=1.25, speed_max=1.5).as_renewal()
+        assert ren.velocity == 1.25 and not callable(ren.velocity)
+        assert ren.v_sup == 1.5
+
+    @pytest.mark.parametrize("speed", [0.5, 1.6])
+    def test_constant_speed_outside_certificate_rejected(self, speed):
+        with pytest.raises(ValueError, match="constant speed"):
+            make_coef(speed=speed, speed_min=1.0, speed_max=1.5)
 
 
 class TestDomainBounds:

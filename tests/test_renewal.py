@@ -59,6 +59,45 @@ class TestCharacteristic:
         out = characteristic(v, 1.0, np.array([math.e]), 0.0, None, n_sub=64)
         assert abs(out[0] - 1.0) < 1e-8
 
+    @pytest.mark.parametrize("t", [0.4, -0.7])
+    def test_constant_number_matches_rk4(self, t):
+        x = np.linspace(-1.0, 2.0, 13)
+        exact = characteristic(2.5, 0.1, x, t, None)
+        assert np.array_equal(exact, x + (t - 0.1) * 2.5)
+        rk4 = characteristic(still(2.5), 0.1, x, t, None)
+        assert np.max(np.abs(exact - rk4)) <= 1e-14
+
+
+class TestConstantVelocity:
+    def test_transport_matches_rk4(self):
+        growth = lambda t, x, w: 0.3 * np.cos(x) - 0.1 * t
+        source = lambda t, x, w: 0.2 * np.exp(-x * x) * (1 + t)
+        x = np.linspace(-1.0, 2.0, 61)
+        t_lo = np.linspace(0.1, 0.6, 61)  # per-point end times as for ibvp
+        for lo in (0.1, t_lo):
+            exact = backward_transport(
+                coefficients(velocity=-0.6, growth=growth, source=source),
+                None, 1.0, lo, x, 12, (0.05,))
+            rk4 = backward_transport(
+                coefficients(velocity=still(-0.6), growth=growth,
+                             source=source),
+                None, 1.0, lo, x, 12, (0.05,))
+            for a, b in zip(exact, rk4):
+                assert np.max(np.abs(a - b)) <= 1e-13
+
+    def test_solve_translates(self, grid, indicator):
+        coef = coefficients(velocity=1.0, v_sup=1.0)
+        got = renewal_solve(coef, indicator, None, 0.0, 0.5, n_sub=4)
+        ref = renewal_solve(coefficients(velocity=still(1.0), v_sup=1.0),
+                            indicator, None, 0.0, 0.5, n_sub=4)
+        assert np.array_equal(got.values, ref.values)
+
+    def test_two_dimensional_points_rejected(self):
+        pts = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="constant velocity"):
+            backward_transport(coefficients(velocity=1.0), None, 1.0, 0.0,
+                               pts, 4, (0.1, 0.1))
+
 
 class TestRenewalSolve:
     def test_pure_translation(self, grid, indicator):
@@ -285,6 +324,14 @@ class TestAudit:
             growth=zeros, source=zeros, v_sup=1.0)
         rng = np.random.default_rng(0)
         assert audit_coefficients(coef, grid, None, rng) > 0.5
+
+    @pytest.mark.parametrize("v_sup, flagged", [(2.0, False), (1.0, True)])
+    def test_constant_velocity_checked_without_a_call(self, grid, v_sup,
+                                                      flagged):
+        coef = coefficients(velocity=-2.0, v_sup=v_sup)
+        worst = audit_coefficients(coef, grid, None,
+                                   np.random.default_rng(0))
+        assert (worst > 0.5) if flagged else (worst <= 0.0)
 
 
 class TestDomainBounds:

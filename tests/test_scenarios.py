@@ -270,6 +270,10 @@ class TestEpidemicRuns:
         assert run.warnings
         assert run.trajectory.column("S")[-1] < 0
 
+    def test_epidemic_age_speed_is_the_constant_one(self):
+        coef = _epidemic_ibvp(epidemic_params(), i_bound=1.0)
+        assert coef.as_renewal().velocity == 1.0
+
 
 class TestEnvelopeMargins:
     """Each margin column is the end-of-step envelope bound minus the
