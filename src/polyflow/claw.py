@@ -64,17 +64,22 @@ def godunov_flux(flux: ParamFlux, u_left, u_right, w) -> np.ndarray:
     fr = flux(ur, w)
     vmin = np.minimum(fl, fr)
     vmax = np.maximum(fl, fr)
-    lo = np.minimum(ul, ur)
-    hi = np.maximum(ul, ur)
-    for c in flux.critical_points:
-        inside = (lo < c) & (c < hi)
-        if np.any(inside):
-            fc = float(flux(np.array([c]), w)[0])
-            vmin = np.where(inside, np.minimum(vmin, fc), vmin)
-            vmax = np.where(inside, np.maximum(vmax, fc), vmax)
-    need_min = ul <= ur
-    out = np.where(need_min, vmin, vmax)
+    if flux.critical_points:
+        lo = np.minimum(ul, ur)
+        hi = np.maximum(ul, ur)
+        for c in flux.critical_points:
+            inside = (lo < c) & (c < hi)
+            if inside.any():
+                fc = float(flux(np.array([c]), w)[0])
+                np.minimum(vmin, fc, out=vmin, where=inside)
+                np.maximum(vmax, fc, out=vmax, where=inside)
+    out = np.where(ul <= ur, vmin, vmax)
     return out if np.ndim(u_left) else float(out[0])
+
+
+# claw_solve's step window widens by this many cells per side, once every
+# this many steps
+_WINDOW_BLOCK = 32
 
 
 def _edge_collar_constant(u: GridFunction, width: float) -> bool:
@@ -94,6 +99,15 @@ def claw_solve(flux: ParamFlux, u0: GridFunction, w, t0: float, t: float,
     Time step ``cfl * dx / lip``; requires the datum to be constant on edge
     collars of width ``lip * (t - t0)`` so the truncation boundary never
     influences the interior.
+
+    A step updates only a window of cells around the datum's jumps.  A cell
+    whose three-point stencil reads one value ``a`` sees the same flux
+    ``f(a)`` on both faces, and ``f(a) - f(a) == 0.0`` leaves it unchanged
+    bit for bit, so a step changes only cells next to a jump and the hull of
+    the jumps widens by at most one cell per side per step.  The window
+    starts at that hull and widens ahead of it in blocks of
+    ``_WINDOW_BLOCK`` cells (its size changes rarely); the result equals
+    the full-grid update exactly, and a constant datum is returned as is.
     """
     if not 0 < cfl <= 1:
         raise ValueError("cfl must lie in (0, 1]")
@@ -105,19 +119,30 @@ def claw_solve(flux: ParamFlux, u0: GridFunction, w, t0: float, t: float,
     if not _edge_collar_constant(u0, span):
         raise ClearanceViolated(
             f"datum not constant on edge collars of width {span:.3g}")
-    u = u0.values.copy()
     if t == t0:
         return u0
+    jumps = np.flatnonzero(np.diff(u0.values))
+    if jumps.size == 0:
+        return u0
+    # padded buffer: cell i lives at buf[i + 1], the pads copy the edge cells
+    buf = np.concatenate([u0.values[:1], u0.values, u0.values[-1:]])
+    n = u0.values.shape[0]
+    # buf[lo:hi] holds the cells on either side of a jump
+    lo, hi = int(jumps[0]) + 1, int(jumps[-1]) + 3
     dx = u0.dx[0]
     dt_max = cfl * dx / flux.lip if flux.lip > 0 else (t - t0)
     now = t0
+    steps = 0
     while now < t - 1e-15 * max(1.0, abs(t)):
+        if steps % _WINDOW_BLOCK == 0:
+            lo, hi = max(1, lo - _WINDOW_BLOCK), min(n + 1, hi + _WINDOW_BLOCK)
         dt = min(dt_max, t - now)
-        padded = np.concatenate([u[:1], u, u[-1:]])
-        f_iface = godunov_flux(flux, padded[:-1], padded[1:], w)
-        u = u - (dt / dx) * (f_iface[1:] - f_iface[:-1])
+        f_iface = godunov_flux(flux, buf[lo - 1:hi], buf[lo:hi + 1], w)
+        buf[lo:hi] -= (dt / dx) * (f_iface[1:] - f_iface[:-1])
+        buf[0], buf[-1] = buf[1], buf[-2]
         now += dt
-    return u0.with_values(u)
+        steps += 1
+    return u0.with_values(buf[1:-1])
 
 
 def claw_constants(lip: float, radius: float, horizon: float = 1.0

@@ -817,12 +817,12 @@ def suite_measures(seed: int) -> list[CheckResult]:
 
 def _three_atom_coefficients() -> "_measures.MeasureCoefficients":
     # offspring lands at a fixed site so the atom count stays bounded
+    child = AtomicMeasure(np.array([0.3]), np.array([0.2]))
     return _measures.MeasureCoefficients(
         drift=lambda t, mu, w, x: 0.4 + 0.1 * np.sin(x)
         + 0.05 * mu.total_mass() * np.ones(np.shape(x)),
         decay=lambda t, mu, w, x: 0.3 + 0.1 * np.cos(x),
-        offspring=lambda t, mu, w, y: AtomicMeasure(
-            np.array([0.3]), np.array([0.2])),
+        offspring=lambda t, mu, w, y: child,
         drift_bound=0.6, decay_bound=0.4, birth_bound=0.2)
 
 

@@ -108,9 +108,10 @@ class GridFunction:
         if self.dim == 1:
             pts = pts.reshape(-1)
             idx = np.floor((pts - self.origin[0]) / self.dx[0]).astype(np.int64)
-            inside = (idx >= 0) & (idx < self.values.shape[0])
+            n = self.values.shape[0]
             if outside == "clamp":
-                return self.values[np.clip(idx, 0, self.values.shape[0] - 1)]
+                return self.values[np.minimum(np.maximum(idx, 0), n - 1)]
+            inside = (idx >= 0) & (idx < n)
             out = np.zeros(pts.shape[0])
             out[inside] = self.values[idx[inside]]
             return out
@@ -118,12 +119,12 @@ class GridFunction:
         ij = np.empty((pts.shape[0], 2), dtype=np.int64)
         for a in range(2):
             ij[:, a] = np.floor((pts[:, a] - self.origin[a]) / self.dx[a])
+        if outside == "clamp":
+            i = np.minimum(np.maximum(ij[:, 0], 0), self.values.shape[0] - 1)
+            j = np.minimum(np.maximum(ij[:, 1], 0), self.values.shape[1] - 1)
+            return self.values[i, j]
         inside = ((ij[:, 0] >= 0) & (ij[:, 0] < self.values.shape[0])
                   & (ij[:, 1] >= 0) & (ij[:, 1] < self.values.shape[1]))
-        if outside == "clamp":
-            i = np.clip(ij[:, 0], 0, self.values.shape[0] - 1)
-            j = np.clip(ij[:, 1], 0, self.values.shape[1] - 1)
-            return self.values[i, j]
         out = np.zeros(pts.shape[0])
         out[inside] = self.values[ij[inside, 0], ij[inside, 1]]
         return out
@@ -262,26 +263,26 @@ def shifted_l1_difference(u: GridFunction, delta: GridFunction) -> float:
         raise ValueError("shift field must be nonnegative")
     vals = u.values
     n = vals.shape[0]
+    if n == 0:
+        return 0.0
     dx = u.dx[0]
     org = u.origin[0]
-    total = 0.0
-    for i in range(n):
-        d = float(delta.values[i])
-        a = org + i * dx + d
-        b = a + dx
-        # overlap [a, b) against the grid cells, with constant extension
-        j0 = int(math.floor((a - org) / dx))
-        j1 = int(math.floor((b - org) / dx - 1e-15))
-        acc = 0.0
-        for j in range(j0, j1 + 1):
-            lo = max(a, org + j * dx)
-            hi = min(b, org + (j + 1) * dx)
-            if hi <= lo:
-                continue
-            jj = min(max(j, 0), n - 1)
-            acc += (hi - lo) * abs(vals[jj] - vals[i])
-        total += acc
-    return total
+    # overlap of each shifted cell [a, b) against the grid cells j0..j1,
+    # with constant extension; cell i adds its terms in the order j0, j0+1..
+    a = org + np.arange(n) * dx + delta.values
+    b = a + dx
+    j0 = np.floor((a - org) / dx).astype(np.int64)
+    j1 = np.floor((b - org) / dx - 1e-15).astype(np.int64)
+    acc = np.zeros(n)
+    for k in range(int(np.max(j1 - j0)) + 1):
+        j = j0 + k
+        lo = np.maximum(a, org + j * dx)
+        hi = np.minimum(b, org + (j + 1) * dx)
+        jj = np.minimum(np.maximum(j, 0), n - 1)
+        term = (hi - lo) * np.abs(vals[jj] - vals)
+        acc += np.where((j <= j1) & (hi > lo), term, 0.0)
+    # cumsum adds the cells left to right; np.sum is pairwise (other bits)
+    return float(np.cumsum(acc)[-1])
 
 
 # --------------------------------------------------------------------------
@@ -439,7 +440,7 @@ class BvTimeSeries:
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         idx = np.searchsorted(self.times, t, side="left") - 1
-        return self.vals[np.clip(idx, 0, self.vals.size - 1)]
+        return self.vals[np.minimum(np.maximum(idx, 0), self.vals.size - 1)]
 
     def tv(self, a: float = -math.inf, b: float = math.inf) -> float:
         """Total variation over [a, b]; a jump at sample time s counts iff

@@ -136,6 +136,125 @@ class TestClawSolve:
         assert l1_distance(rest, direct) <= 5 * (2 * grid.dx[0])
 
 
+def where_godunov_flux(flux, ul, ur, w):
+    """The Godunov flux rebuilt with ``np.where`` at every critical point."""
+    fl, fr = flux(ul, w), flux(ur, w)
+    vmin, vmax = np.minimum(fl, fr), np.maximum(fl, fr)
+    lo, hi = np.minimum(ul, ur), np.maximum(ul, ur)
+    for c in flux.critical_points:
+        inside = (lo < c) & (c < hi)
+        if np.any(inside):
+            fc = float(flux(np.array([c]), w)[0])
+            vmin = np.where(inside, np.minimum(vmin, fc), vmin)
+            vmax = np.where(inside, np.maximum(vmax, fc), vmax)
+    return np.where(ul <= ur, vmin, vmax)
+
+
+def full_grid_solve(flux, u0, w, t0, t, cfl=0.9):
+    """Reference: every step updates every cell of the grid."""
+    u = u0.values.copy()
+    dx = u0.dx[0]
+    dt_max = cfl * dx / flux.lip if flux.lip > 0 else (t - t0)
+    now = t0
+    while now < t - 1e-15 * max(1.0, abs(t)):
+        dt = min(dt_max, t - now)
+        padded = np.concatenate([u[:1], u, u[-1:]])
+        f_iface = where_godunov_flux(flux, padded[:-1], padded[1:], w)
+        u = u - (dt / dx) * (f_iface[1:] - f_iface[:-1])
+        now += dt
+    return u
+
+
+def cubic():
+    # f' = u^2 - 1 on [-2, 2]: non-convex, extrema at -1 and 1
+    return ParamFlux(f=lambda u, w: u ** 3 / 3 - u, lip=3.0,
+                     critical_points=(-1.0, 1.0))
+
+
+class TestWindowedSolve:
+    """``claw_solve`` steps only near the jumps; it must equal the full grid
+    bit for bit."""
+
+    def assert_matches_full_grid(self, flux, u0, w, t, cfl=0.9):
+        before = u0.values.copy()
+        got = claw_solve(flux, u0, w, 0.0, t, cfl=cfl)
+        assert np.array_equal(got.values,
+                              full_grid_solve(flux, u0, w, 0.0, t, cfl))
+        assert np.array_equal(u0.values, before)
+        return got
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_burgers_random_steps(self, burgers, grid, seed):
+        rng = np.random.default_rng(seed)
+        for t in (0.25, 0.6):
+            self.assert_matches_full_grid(burgers, random_steps(rng, grid),
+                                          None, t)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_two_critical_points(self, grid, seed):
+        u0 = random_steps(np.random.default_rng(seed), grid)
+        u0 = u0.with_values(2.0 * u0.values)
+        self.assert_matches_full_grid(cubic(), u0, None, 0.2)
+
+    def test_lean_flux_kernel_matches_where(self):
+        rng = np.random.default_rng(7)
+        ul, ur = rng.uniform(-2, 2, (2, 500))
+        assert np.array_equal(godunov_flux(cubic(), ul, ur, None),
+                              where_godunov_flux(cubic(), ul, ur, None))
+
+    def test_jumps_at_the_edge_collar(self, burgers):
+        # 5-cell collars for lip * t = 0.1; at cfl 0.3 the fans reach the
+        # edge cells after five of the 14 steps
+        grid = GridFunction.uniform((0.0, 1.0), 40)
+        vals = np.random.default_rng(3).uniform(-0.5, 0.5, 40)
+        vals[:5], vals[-5:] = -1.0, 1.0
+        u0 = grid.with_values(vals)
+        got = self.assert_matches_full_grid(burgers, u0, None, 0.1, cfl=0.3)
+        assert got.values[0] != -1.0 and got.values[-1] != 1.0
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_edge_cell_with_slow_inflow(self, side):
+        # -1.002 enters slowly past the sonic point -1 and the fan next to
+        # it moves the edge cell; the next step reads the pad, so the pad
+        # must follow the edge cell (mirrored: flux -f, datum reversed)
+        grid = GridFunction.uniform((0.0, 1.0), 30)
+        vals = np.full(30, 0.5)
+        vals[:3], vals[-3:] = -1.002, 0.9
+        flux = cubic()
+        if side == "right":
+            flux = ParamFlux(f=lambda u, w: u - u ** 3 / 3, lip=3.0,
+                             critical_points=(-1.0, 1.0))
+            vals = vals[::-1].copy()
+        u0 = grid.with_values(vals)
+        got = self.assert_matches_full_grid(flux, u0, None, 0.02, cfl=0.3)
+        edge = 0 if side == "left" else -1
+        assert got.values[edge] != u0.values[edge]
+
+    def test_constant_datum(self, burgers, grid):
+        u0 = grid.with_values(np.full(2000, 0.3))
+        got = self.assert_matches_full_grid(burgers, u0, None, 0.5)
+        assert np.array_equal(got.values, u0.values)
+
+    def test_zero_lipschitz_flux(self, grid):
+        flux = ParamFlux(f=lambda u, w: np.full(np.shape(u), 0.25), lip=0.0)
+        u0 = random_steps(np.random.default_rng(2), grid)
+        got = self.assert_matches_full_grid(flux, u0, None, 0.5)
+        assert np.array_equal(got.values, u0.values)
+
+    def test_unit_courant_advection(self, grid):
+        flux = ParamFlux(f=lambda u, w: 0.7 * u, lip=0.7)
+        xs = grid.axis_centers(0)
+        box = grid.with_values(((xs >= 0) & (xs < 1)).astype(float))
+        self.assert_matches_full_grid(flux, box, None, 1.0, cfl=1.0)
+        u0 = random_steps(np.random.default_rng(5), grid)
+        self.assert_matches_full_grid(flux, u0, None, 0.25, cfl=1.0)
+
+    def test_parametrized_flux(self, grid):
+        flux = ParamFlux(f=lambda u, w: w * u, lip=1.0)
+        u0 = random_steps(np.random.default_rng(6), grid)
+        self.assert_matches_full_grid(flux, u0, 0.5, 0.4)
+
+
 class TestAudit:
     def test_burgers_certificate(self, burgers):
         rng = np.random.default_rng(0)

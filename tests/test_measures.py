@@ -72,6 +72,32 @@ class TestMeasureStep:
         assert a.total_mass() == mu.total_mass()
 
 
+    def test_shared_offspring_measure(self):
+        # one AtomicMeasure returned for every atom and every call must
+        # come out untouched and give what a fresh measure per call gives
+        def coef(offspring):
+            return MeasureCoefficients(
+                drift=lambda t, mu, w, x: 0.4 + 0.1 * np.sin(x),
+                decay=lambda t, mu, w, x: 0.3 + 0.1 * np.cos(x),
+                offspring=offspring, drift_bound=0.5, decay_bound=0.4,
+                birth_bound=0.2)
+        shared = AtomicMeasure(np.array([0.3]), np.array([0.2]))
+        pos, mas = shared.positions.copy(), shared.masses.copy()
+        same = coef(lambda t, mu, w, y: shared)
+        fresh = coef(lambda t, mu, w, y: AtomicMeasure(np.array([0.3]),
+                                                       np.array([0.2])))
+        mu = AtomicMeasure(np.array([0.2, 0.8, 1.5]),
+                           np.array([0.4, 0.3, 0.3]))
+        a = measure_step(same, measure_step(same, mu, None, 0.0, 0.125),
+                         None, 0.125, 0.125)
+        b = measure_step(fresh, measure_step(fresh, mu, None, 0.0, 0.125),
+                         None, 0.125, 0.125)
+        assert np.array_equal(shared.positions, pos)
+        assert np.array_equal(shared.masses, mas)
+        assert np.array_equal(a.positions, b.positions)
+        assert np.array_equal(a.masses, b.masses)
+
+
 class TestDomainBound:
     def test_at_horizon(self):
         assert measure_domain_bound(1.0, 1.0, 3.0, 1.0, 1.0, 1.0) == 3.0

@@ -297,6 +297,86 @@ class TestBvTimeSeries:
         assert b.l1(0.0, 2.0) == pytest.approx(2.0 + 1.0)
 
 
+def loop_shifted_l1_difference(u, delta):
+    """Reference: the shift integral summed cell by cell, term by term."""
+    vals, n = u.values, u.values.shape[0]
+    dx, org = u.dx[0], u.origin[0]
+    total = 0.0
+    for i in range(n):
+        a = org + i * dx + float(delta.values[i])
+        b = a + dx
+        j0 = int(math.floor((a - org) / dx))
+        j1 = int(math.floor((b - org) / dx - 1e-15))
+        acc = 0.0
+        for j in range(j0, j1 + 1):
+            lo = max(a, org + j * dx)
+            hi = min(b, org + (j + 1) * dx)
+            if hi <= lo:
+                continue
+            jj = min(max(j, 0), n - 1)
+            acc += (hi - lo) * abs(vals[jj] - vals[i])
+        total += acc
+    return total
+
+
+class TestShiftedL1Difference:
+    """The vectorized shift integral adds in the loop's order: equal bits."""
+
+    def random_steps(self, rng, n, box=(-1.0, 2.0)):
+        grid = GridFunction.uniform(box, n)
+        cuts = np.sort(rng.integers(0, n, 8))
+        vals = np.zeros(n)
+        for lo, hi in zip(cuts[::2], cuts[1::2]):
+            vals[lo:hi] += rng.uniform(-1, 1)
+        return grid.with_values(vals)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_shifts_of_several_cells(self, seed):
+        rng = np.random.default_rng(seed)
+        u = self.random_steps(rng, 160)
+        d = u.with_values(rng.uniform(0.0, 6 * u.dx[0], 160))
+        assert shifted_l1_difference(u, d) == loop_shifted_l1_difference(u, d)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shifts_past_the_right_edge(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        u = self.random_steps(rng, 60)
+        u = u.with_values(u.values + np.linspace(0.0, 1.0, 60))
+        d = u.with_values(rng.uniform(0.0, 1.5, 60))  # box length 3
+        assert d.values[-1] > 0
+        assert shifted_l1_difference(u, d) == loop_shifted_l1_difference(u, d)
+
+    def test_cell_aligned_shift(self):
+        u = self.random_steps(np.random.default_rng(8), 50, box=(0.0, 1.0))
+        d = u.with_values(np.full(50, 3 * u.dx[0]))
+        assert shifted_l1_difference(u, d) == loop_shifted_l1_difference(u, d)
+
+    def test_overlap_below_the_cutoff_is_skipped(self):
+        # cell 0 reaches 2**-52 into cell 1, under the 1e-15 cutoff; the
+        # half-cell shift of cell 1 makes every cell visit a second cell
+        u = GridFunction(np.array([0.0, 1.0, 2.0, 3.0]), (0.0,), (1.0,))
+        d = u.with_values(np.array([2.0 ** -52, 0.5, 0.0, 0.0]))
+        assert shifted_l1_difference(u, d) == loop_shifted_l1_difference(u, d)
+        assert shifted_l1_difference(u, d) == 0.5
+
+    def test_one_cell_grid(self):
+        u = GridFunction(np.array([0.7]), (0.0,), (0.5,))
+        for shift in (0.0, 0.2, 3.0):
+            d = u.with_values(np.array([shift]))
+            assert shifted_l1_difference(u, d) == 0.0
+            assert loop_shifted_l1_difference(u, d) == 0.0
+
+    def test_rejects_negative_shift_and_2d(self):
+        u = GridFunction.uniform((0.0, 1.0), 10)
+        with pytest.raises(ValueError):
+            shifted_l1_difference(u, u.with_values(np.full(10, -0.1)))
+        u2 = GridFunction.uniform([(0.0, 1.0), (0.0, 1.0)], (4, 4))
+        with pytest.raises(ValueError):
+            shifted_l1_difference(u2, u2)
+        with pytest.raises(GridMismatch):
+            shifted_l1_difference(u, GridFunction.uniform((0.0, 1.0), 11))
+
+
 class TestBvEstimates:
     def test_constant_pair_margins_equal_rhs(self):
         grid = GridFunction.uniform((0.0, 1.0), 10)
