@@ -30,7 +30,7 @@ from .ode import OdeField, make_ode_process, ode_solve
 from .renewal import (RenewalCoefficients, characteristic,
                       ivp_domain_bounds, renewal_solve)
 from .scenarios import (EpidemicParams, PredatorPreyParams,
-                        RefineSchedule, _depth_floor, _fit_radius,
+                        RefineSchedule, _fit_radius,
                         _macro_count, run_epidemic, run_predator_prey)
 from .spaces import (AtomicMeasure, BvTimeSeries, GridFunction,
                      bv_estimate_checks, flat_distance, l1_distance)
@@ -399,20 +399,21 @@ def scenario_convergence(cfg: dict, levels: int) -> ConvergenceTable:
                                      reference=ref)
     if scenario == "epidemic":
         params = epidemic_params_from_config(cfg)
-        # sub-cell polygonal steps stall the age transport (cell lookup),
-        # so only levels above the crossing-time floor are meaningful
+        # the runner clamps sub-cell polygonal steps, which would stall the
+        # age transport (cell lookup); the first clamped level ends the study
         macro = params.macro_step
-        j_floor = _depth_floor(macro, 1.0, params.v0.dx[0])
-        js = [j for j in js if j <= j_floor]
-        if len(js) < 3:
-            raise ConfigError(
-                "grid too coarse for the requested levels: increase "
-                "params.cells or time.macro_step")
         ends = []
         for j in js:
             run = run_epidemic(params,
                                RefineSchedule(j0=j, j_max=j, tol=math.inf))
+            if run.trajectory.meta["j_max"] < j:
+                break
             ends.append(run.trajectory.states[-1])
+        js = js[:len(ends)]
+        if len(js) < 3:
+            raise ConfigError(
+                "grid too coarse for the requested levels: increase "
+                "params.cells or time.macro_step")
         space_u = EuclideanSpace()
         errors = [space_u.distance(ends[i][0], ends[-1][0])
                   + l1_distance(ends[i][1], ends[-1][1])

@@ -36,10 +36,10 @@ class IbvpCoefficients:
     whose characteristics, origin curve and boundary crossing times are
     then computed in closed form rather than by RK4.  ``growth`` and
     ``source`` have the renewal signatures; ``inflow`` is the left-continuous
-    boundary series.  Certificates: ``v_var`` bounds the time+space variation
-    of the speed, ``v_slope`` its space derivative's sup and variation;
-    ``m_sup_tv``, ``m_param_lip``, ``q_l1``, ``q_sup_tv``, ``q_param_lip`` as
-    in the renewal problem; ``b_l1``, ``b_sup_tv`` bound the boundary series.
+    boundary series.  Certificates: ``v_slope`` bounds the speed's space
+    derivative's sup and variation; ``m_sup_tv``, ``m_param_lip``, ``q_l1``,
+    ``q_sup_tv``, ``q_param_lip`` as in the renewal problem; ``b_l1``,
+    ``b_sup_tv`` bound the boundary series.
     """
 
     speed: Callable[[Any, np.ndarray], np.ndarray] | float
@@ -48,7 +48,6 @@ class IbvpCoefficients:
     inflow: BvTimeSeries
     speed_min: float
     speed_max: float
-    v_var: float = 0.0
     v_slope: float = 0.0
     m_sup_tv: float = 0.0
     m_param_lip: float = 0.0
@@ -127,15 +126,17 @@ def boundary_crossing_time(speed, t: float, x, t0: float,
 
 def ibvp_solve(coef: IbvpCoefficients, u0: GridFunction, w,
                t0: float, t: float, n_sub: int = 10,
-               grid: GridFunction | None = None,
                outflow_edge: bool = False) -> GridFunction:
     """Advance the datum with the parameter frozen, filling from the boundary.
 
-    Cells are classified against the origin characteristic by their centers;
-    the straddling cell takes its center's branch (the exact solution may
-    genuinely jump there).  The interior branch reuses the renewal transport
-    kernel verbatim, so with zero inflow and source it reproduces the free
-    problem bit for bit.
+    One backward pass over all cells, each with its own end time: ``t0``
+    for cells right of the origin characteristic, the boundary crossing
+    time for cells left of it.  Cells are classified by their centers; the
+    straddling cell takes its center's branch (the exact solution may
+    genuinely jump there).  A boundary cell is seeded by the inflow series
+    at its crossing time instead of the datum at its foot.  The pass is the
+    renewal transport kernel, so with zero inflow and source it reproduces
+    the free problem bit for bit.
 
     With ``outflow_edge`` the grid's right edge is a true model boundary
     with free outflow (mass crossing it is meant to leave), so no clearance
@@ -148,7 +149,6 @@ def ibvp_solve(coef: IbvpCoefficients, u0: GridFunction, w,
         raise ValueError("half-line problem is one-dimensional")
     if coef.inflow is None or coef.inflow.times.size == 0:
         raise UndefinedBoundaryDatum("boundary series is empty")
-    target = grid if grid is not None else u0
     if not outflow_edge:
         needed = coef.speed_max * (t - t0)
         clear_right = _right_clearance(u0)
@@ -156,32 +156,22 @@ def ibvp_solve(coef: IbvpCoefficients, u0: GridFunction, w,
             raise SupportClearanceViolated(
                 f"right-edge clearance {clear_right:.3g} below required "
                 f"{needed:.3g}")
-    if t == t0 and target.same_grid(u0):
+    if t == t0:
         return u0
 
     ren = coef.as_renewal()
     sigma = float(characteristic(ren.velocity, t0, np.array([0.0]), t, w,
                                  n_sub=n_sub)[0])
-    centers = target.centers()
-    interior = centers >= sigma
-    vals = np.zeros(centers.shape[0])
-
-    if np.any(interior):
-        foot, factor, src = backward_transport(ren, w, t, t0,
-                                               centers[interior], n_sub,
-                                               target.dx)
-        vals[interior] = u0.lookup(foot, outside="zero") * factor + src
-
-    boundary = ~interior
-    if np.any(boundary):
-        cross = boundary_crossing_time(coef.speed, t, centers[boundary], t0,
-                                       n_sub=n_sub)
-        _, factor_b, src_b = backward_transport(ren, w, t, cross,
-                                                centers[boundary], n_sub,
-                                                target.dx)
-        vals[boundary] = coef.inflow(cross) * factor_b + src_b
-
-    return target.with_values(vals)
+    centers = u0.centers()
+    boundary = centers < sigma
+    t_lo = np.full(centers.shape[0], float(t0))
+    t_lo[boundary] = boundary_crossing_time(coef.speed, t, centers[boundary],
+                                            t0, n_sub=n_sub)
+    foot, factor, src = backward_transport(ren, w, t, t_lo, centers, n_sub,
+                                           u0.dx)
+    seed = u0.lookup(foot, outside="zero")
+    seed[boundary] = coef.inflow(t_lo[boundary])
+    return u0.with_values(seed * factor + src)
 
 
 def _right_clearance(u: GridFunction) -> float:

@@ -37,7 +37,6 @@ class MeasureCoefficients:
     drift_bound: float = 0.0
     decay_bound: float = 0.0
     birth_bound: float = 0.0
-    param_lip: float = 0.0
     mass_radius: float = math.inf
 
 

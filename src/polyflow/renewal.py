@@ -187,8 +187,7 @@ def backward_transport(coef: RenewalCoefficients, w, t: float, t_lo,
 
 
 def renewal_solve(coef: RenewalCoefficients, u0: GridFunction, w,
-                  t0: float, t: float, n_sub: int = 10,
-                  grid: GridFunction | None = None) -> GridFunction:
+                  t0: float, t: float, n_sub: int = 10) -> GridFunction:
     """Advance the datum from ``t0`` to ``t`` with the parameter frozen.
 
     Requires the datum's support to keep ``v_sup * (t - t0)`` clearance from
@@ -196,19 +195,18 @@ def renewal_solve(coef: RenewalCoefficients, u0: GridFunction, w,
     """
     if t < t0:
         raise ValueError("t must be >= t0")
-    target = grid if grid is not None else u0
     needed = coef.v_sup * (t - t0)
     if u0.support_clearance() < needed - 1e-12:
         raise SupportClearanceViolated(
             f"support clearance {u0.support_clearance():.3g} below "
             f"required {needed:.3g}")
-    if t == t0 and target.same_grid(u0):
+    if t == t0:
         return u0
-    centers = target.centers()
+    centers = u0.centers()
     foot, factor, src = backward_transport(coef, w, t, t0, centers, n_sub,
-                                           target.dx)
+                                           u0.dx)
     vals = u0.lookup(foot, outside="zero") * factor + src
-    return target.with_values(vals.reshape(target.values.shape))
+    return u0.with_values(vals.reshape(u0.values.shape))
 
 
 # --------------------------------------------------------------------------

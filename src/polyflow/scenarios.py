@@ -308,26 +308,50 @@ def _fit_radius(envelope: Callable[[float], tuple[float, float, float]],
         "no admissible radius: horizon too long for the coefficient bounds")
 
 
-def _depth_floor(macro: float, v: float, dx: float) -> int:
-    """Deepest dyadic level whose polygonal step still crosses a cell.
+def _fit_envelope(domain_bounds, coef, norms: tuple[float, float, float],
+                  macro: float):
+    """The invariant envelope of one macro step, or why there is none.
 
-    Steps shorter than the crossing time ``dx / v`` make the cell lookup
-    quantize the transport away.
+    ``domain_bounds(t, radius, horizon, coef)`` is the envelope of the
+    transported field (``ivp_domain_bounds`` or ``ibvp_domain_bounds``) and
+    ``norms`` the datum's matching ``(L1, sup, variation)`` measures.
+    Returns the fitted radius, a finite radius for the process moduli, the
+    end-of-step bounds ``(alpha_1, alpha_inf, alpha_tv)`` and the envelope
+    status.  Sharp coefficients can make the envelope inadmissible at the
+    macro length; the radius and bounds are then NaN, and the moduli
+    radius is ``2 max(norms, 1)``.
     """
-    return max(0, int(math.floor(math.log2(max(macro * v / dx, 1.0))
-                                 + 1e-9)))
+    try:
+        radius = _fit_radius(lambda r: domain_bounds(0.0, r, macro, coef),
+                             norms)
+        return (radius, radius, domain_bounds(macro, radius, macro, coef),
+                "admissible")
+    except InadmissibleHorizon:
+        return (math.nan, 2.0 * max(*norms, 1.0), (math.nan,) * 3,
+                "inadmissible-at-macro-length")
 
 
 def _run_coupled(proc_u: Process, proc_w: Process, state, macro: float,
-                 n_macro: int, schedule: RefineSchedule, j0: int, j_max: int):
+                 n_macro: int, schedule: RefineSchedule, speed: float,
+                 dx: float):
     """Advance ``state`` over ``n_macro`` refined macro steps of the coupling.
 
     Step ``k`` shifts both processes to ``[k macro, (k + 1) macro]`` and
-    refines the coupled polygonal dyadically between levels ``j0`` and
-    ``j_max``.  The runners record envelope margins from the returned
-    states.  Returns the sample times, the states, the refinement gaps
-    (0 at the start) and the count of converged steps.
+    refines the coupled polygonal dyadically between the schedule's levels.
+    Polygonal steps shorter than the crossing time ``dx / speed`` of the
+    transported field's grid make the cell lookup quantize the transport
+    away, so ``j_max`` is clamped to the deepest level whose step still
+    crosses a cell (no clamp when ``speed`` is 0), and ``j0`` to ``j_max``.
+    The runners record envelope margins from the returned states.  Returns
+    the sample times, the states, the refinement gaps (0 at the start) and
+    the record ``j0``, ``j_max`` (as applied), ``macro_steps`` and
+    ``converged_steps``.
     """
+    j_max = schedule.j_max
+    if speed > 0:
+        j_max = min(j_max, max(0, int(math.floor(
+            math.log2(max(macro * speed / dx, 1.0)) + 1e-9))))
+    j0 = min(schedule.j0, j_max)
     times, states, gaps = [0.0], [state], [0.0]
     converged = 0
     for k in range(n_macro):
@@ -343,7 +367,9 @@ def _run_coupled(proc_u: Process, proc_w: Process, state, macro: float,
         times.append(t)
         states.append(state)
         gaps.append(res.gap)
-    return times, states, gaps, converged
+    return times, states, gaps, {"j0": j0, "j_max": j_max,
+                                 "macro_steps": n_macro,
+                                 "converged_steps": converged}
 
 
 def _envelope_columns(fields: list[GridFunction],
@@ -396,40 +422,18 @@ def run_predator_prey(params: PredatorPreyParams,
     predator = OdeField(f=fields.predator.f, lip=fields.predator.lip,
                         sup=sup_p, radius=radius_p)
 
-    # beyond the density grid's crossing time the cell lookup quantizes
-    # transport away, so clamp the refinement depth accordingly
-    if fields.prey.v_sup > 0:
-        j_floor = _depth_floor(macro, fields.prey.v_sup, min(rho0.dx))
-    else:
-        j_floor = schedule.j_max
-    j_max = min(schedule.j_max, j_floor)
-    j0 = min(schedule.j0, j_max)
-
-    # samples sit at macro boundaries, i.e. at the end of each per-macro
-    # invariant envelope; sharp kernels can make the variation envelope
-    # inadmissible at this macro length, in which case margins are NaN
-    try:
-        radius_rho = _fit_radius(
-            lambda r: ivp_domain_bounds(0.0, r, macro, fields.prey),
-            (rho0.l1(), rho0.linf(), rho0.tv()))
-        bounds = ivp_domain_bounds(macro, radius_rho, macro, fields.prey)
-        envelope = "admissible"
-    except InadmissibleHorizon:
-        radius_rho = math.nan
-        bounds = (math.nan,) * 3
-        envelope = "inadmissible-at-macro-length"
+    radius_rho, moduli_radius, bounds, envelope = _fit_envelope(
+        ivp_domain_bounds, fields.prey, (rho0.l1(), rho0.linf(), rho0.tv()),
+        macro)
     ball = ode_domain_radius(macro, macro, radius_p, sup_p)
-    # moduli bookkeeping needs a finite radius even without an envelope
-    radius_const = (radius_rho if math.isfinite(radius_rho)
-                    else 2.0 * max(rho0.l1(), rho0.linf(), rho0.tv(), 1.0))
 
     n_macro = _macro_count(horizon, macro)
-    prey_proc = make_renewal_process(fields.prey, radius_const, macro,
+    prey_proc = make_renewal_process(fields.prey, moduli_radius, macro,
                                      n_sub_per_unit=16.0)
     pred_proc = make_ode_process(predator, macro, steps_per_unit=64.0)
-    times, states, gaps, converged = _run_coupled(
-        prey_proc, pred_proc, (rho0, p0), macro, n_macro, schedule, j0,
-        j_max)
+    times, states, gaps, record = _run_coupled(
+        prey_proc, pred_proc, (rho0, p0), macro, n_macro, schedule,
+        fields.prey.v_sup, min(rho0.dx))
 
     rhos = [rho for rho, _ in states]
     diag = {"mass": [rho.mass() for rho in rhos],
@@ -442,8 +446,7 @@ def run_predator_prey(params: PredatorPreyParams,
     return Trajectory(times=times, states=states, diagnostics=diag,
                       meta={"radius_rho": radius_rho, "radius_p": radius_p,
                             "macro_step": macro, "envelope": envelope,
-                            "j0": j0, "j_max": j_max, "macro_steps": n_macro,
-                            "converged_steps": converged})
+                            **record})
 
 
 # --------------------------------------------------------------------------
@@ -540,7 +543,7 @@ def _epidemic_ibvp(params: EpidemicParams, i_bound: float
     horizon = params.horizon
     return IbvpCoefficients(
         speed=1.0, growth=growth, source=source, inflow=p,
-        speed_min=1.0, speed_max=1.0, v_var=0.0, v_slope=0.0,
+        speed_min=1.0, speed_max=1.0, v_slope=0.0,
         m_sup_tv=(rho_v.linf() + rho_v.tv()) * i_bound,
         m_param_lip=rho_v.l1(),
         q_l1=0.0, q_sup_tv=0.0, q_param_lip=0.0,
@@ -574,22 +577,16 @@ def run_epidemic(params: EpidemicParams,
             f"{seg_cap:.3g}; reduce it or the ball radius")
     ibvp_coef = _epidemic_ibvp(params, i_bound=ball)
     v0 = params.v0
-    radius_v = _fit_radius(
-        lambda r: ibvp_domain_bounds(0.0, r, macro, ibvp_coef),
-        _envelope_norms(ibvp_coef, 0.0, v0))
-    bounds = ibvp_domain_bounds(macro, radius_v, macro, ibvp_coef)
-
-    # polygonal steps below the cohort grid's crossing time quantize the
-    # age transport to zero (cell lookup), so clamp the refinement depth
-    j_max = min(schedule.j_max, _depth_floor(macro, 1.0, v0.dx[0]))
-    j0 = min(schedule.j0, j_max)
+    radius_v, moduli_radius, bounds, envelope = _fit_envelope(
+        ibvp_domain_bounds, ibvp_coef, _envelope_norms(ibvp_coef, 0.0, v0),
+        macro)
 
     ode_proc = make_ode_process(ode_field, macro, steps_per_unit=32.0)
-    v_proc = make_ibvp_process(ibvp_coef, radius_v, macro,
+    v_proc = make_ibvp_process(ibvp_coef, moduli_radius, macro,
                                n_sub_per_unit=32.0, outflow_edge=True)
-    times, states, gaps, converged = _run_coupled(
+    times, states, gaps, record = _run_coupled(
         ode_proc, v_proc, (np.array([params.s0, params.i0]), v0), macro,
-        n_macro, schedule, j0, j_max)
+        n_macro, schedule, ibvp_coef.speed_max, v0.dx[0])
 
     # triangular tail: recovered compartment by the trapezoid rule
     integrand = [params.recovery_rate * float(uu[1]) + float(vv.values[-1])
@@ -615,9 +612,7 @@ def run_epidemic(params: EpidemicParams,
     traj = Trajectory(times=times, states=states, diagnostics=diag,
                       meta={"radius_v": radius_v, "ball": ball,
                             "macro_step": macro, "population0": pop0,
-                            "envelope": "admissible",
-                            "j0": j0, "j_max": j_max, "macro_steps": n_macro,
-                            "converged_steps": converged})
+                            "envelope": envelope, **record})
     return EpidemicRun(trajectory=traj, warnings=warnings)
 
 

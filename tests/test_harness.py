@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -97,6 +99,18 @@ class TestConvergence:
         table = scenario_convergence(cfg, levels=5)
         assert table.converged
         assert float(np.median(table.observed_orders())) >= 0.9
+
+    def test_epidemic_levels_end_at_the_depth_clamp(self):
+        # 100 cells and macro step 0.04: steps below 2^-2 macro stay
+        # within one age cell, so levels 3 to 5 are not studied
+        cfg = json.loads((CONFIG_DIR / "epidemic.json").read_text())
+        cfg["params"]["cells"] = 100
+        cfg["time"] = {"horizon": 0.2, "macro_step": 0.04}
+        table = scenario_convergence(cfg, levels=6)
+        assert [r.eps for r in table.rows] == [0.04, 0.02]
+        cfg["params"]["cells"] = 40
+        with pytest.raises(ConfigError, match="grid too coarse"):
+            scenario_convergence(cfg, levels=6)
 
     def test_needs_three_levels(self):
         flow = translation_flow()
@@ -214,6 +228,28 @@ class TestCli:
         clamped = [c for c in checks if c["name"] == "refine-depth-clamped"]
         assert len(clamped) == 1
         assert "6 requested, 0 run" in clamped[0]["detail"]
+
+    def test_epidemic_without_envelope_records_nan_margins(self, tmp_path):
+        # an alternating infectivity has a variation too large for any
+        # invariant envelope at the macro length
+        cfg = json.loads((CONFIG_DIR / "epidemic.json").read_text())
+        cells = cfg["params"]["cells"]
+        cfg["params"]["vaccinated_infectivity"] = [float(k % 2)
+                                                   for k in range(cells)]
+        path = tmp_path / "alternating.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out), "--quiet"]) == 0
+        meta = json.loads((out / "summary.json").read_text())["meta"]
+        assert meta["envelope"] == "inadmissible-at-macro-length"
+        assert meta["radius_v"] == "nan"
+        with open(out / "epidemic_trajectory.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == meta["macro_steps"] + 1
+        for name in ("alpha1_margin", "alphainf_margin", "alphatv_margin"):
+            assert all(math.isnan(float(row[name])) for row in rows)
+        assert main(["converge", str(path), "--out", str(tmp_path / "conv"),
+                     "--levels", "3", "--quiet"]) == 0
 
     def test_domain_exit_maps_to_exit_2(self, tmp_path, monkeypatch):
         from polyflow import harness

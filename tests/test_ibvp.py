@@ -9,7 +9,9 @@ from polyflow.errors import (InadmissibleHorizon, NoCrossing,
 from polyflow.ibvp import (IbvpCoefficients, boundary_crossing_time,
                            ibvp_domain_bounds, ibvp_lipschitz_constants,
                            ibvp_solve)
-from polyflow.renewal import characteristic, renewal_solve
+from polyflow.renewal import (backward_transport, characteristic,
+                              renewal_solve)
+from polyflow.scenarios import EpidemicParams, _epidemic_ibvp
 from polyflow.spaces import BvTimeSeries, GridFunction, l1_distance
 
 
@@ -203,6 +205,114 @@ class TestIbvpSolve:
             a1, ai, atv = ibvp_domain_bounds(t, radius, horizon, coef)
             gap = abs(float(inflow(t)) - float(u_t.values[0]))
             assert u_t.tv() + gap <= atv + 10 * grid.dx[0]
+
+
+def two_pass_values(coef, u0, w, t0, t, n_sub):
+    """The earlier assembly: one transport call per branch."""
+    ren = coef.as_renewal()
+    sigma = float(characteristic(ren.velocity, t0, np.array([0.0]), t, w,
+                                 n_sub=n_sub)[0])
+    centers = u0.centers()
+    interior = centers >= sigma
+    vals = np.zeros(centers.shape[0])
+    if np.any(interior):
+        foot, factor, src = backward_transport(ren, w, t, t0,
+                                               centers[interior], n_sub,
+                                               u0.dx)
+        vals[interior] = u0.lookup(foot, outside="zero") * factor + src
+    boundary = ~interior
+    if np.any(boundary):
+        cross = boundary_crossing_time(coef.speed, t, centers[boundary], t0,
+                                       n_sub=n_sub)
+        _, factor_b, src_b = backward_transport(ren, w, t, cross,
+                                                centers[boundary], n_sub,
+                                                u0.dx)
+        vals[boundary] = coef.inflow(cross) * factor_b + src_b
+    return vals
+
+
+def epidemic_step():
+    """The epidemic's cohort coefficients; the inflow jumps at t = 0.25."""
+    grid = GridFunction.uniform((0.0, 1.0), 400)
+    xs = grid.axis_centers(0)
+    params = EpidemicParams(
+        infection_rate=1.5, recovery_rate=0.3, mortality_rate=0.1,
+        vaccination_rate=BvTimeSeries(np.array([0.0, 0.25]),
+                                      np.array([0.3, 0.15])),
+        immunization_lag=1.0,
+        vaccinated_infectivity=grid.with_values(0.8 * (1 - xs)),
+        s0=0.7, i0=0.2, r0=0.0, v0=grid.with_values(0.2 * np.exp(-3 * xs)),
+        admissible_radius=1.0, horizon=0.5, macro_step=0.02)
+    coef = _epidemic_ibvp(params, i_bound=2.0)
+    return coef, params.v0, np.array([0.65, 0.21]), 0.2, 0.3, 4
+
+
+def varying_step():
+    """``suite_ibvp``'s callable speed, fed by a jumping inflow."""
+    grid = GridFunction.uniform((0.0, 2.0), 800)
+    xs = grid.axis_centers(0)
+    coef = make_coef(
+        speed=lambda t, x: 0.8 + 0.1 * np.cos(np.asarray(x)),
+        growth=lambda t, x, w: 0.2 * np.sin(np.asarray(x)),
+        source=lambda t, x, w: 0.1 * np.exp(-np.asarray(x)) * (1 + t),
+        inflow=BvTimeSeries(np.array([0.0, 0.2]), np.array([1.0, 0.4])),
+        speed_min=0.7, speed_max=0.9, v_slope=0.1, m_sup_tv=0.7,
+        q_l1=0.1, q_sup_tv=0.2, b_l1=1.0, b_sup_tv=1.6)
+    u0 = grid.with_values(np.clip(1 - np.abs(xs - 1.2) / 0.3, 0, None))
+    return coef, u0, None, 0.0, 0.5, 8
+
+
+def short_step():
+    """A step too short for any cell center to lie left of the origin
+    characteristic."""
+    grid = GridFunction.uniform((0.0, 2.0), 800)
+    coef = make_coef(speed=1.0, inflow=BvTimeSeries.constant(0.7),
+                     growth=lambda t, x, w: -np.exp(-np.asarray(x)))
+    u0 = grid.with_values(np.exp(-grid.axis_centers(0)))
+    return coef, u0, None, 0.1, 0.1 + 0.4 * grid.dx[0], 3
+
+
+def all_boundary_step():
+    """A step long enough that every cell is seeded by the inflow."""
+    grid = GridFunction.uniform((0.0, 1.0), 200)
+    xs = grid.axis_centers(0)
+    coef = make_coef(
+        speed=ones_speed, growth=lambda t, x, w: -0.5 * np.cos(t + x),
+        inflow=BvTimeSeries(np.array([0.0, 0.3, 0.9]),
+                            np.array([1.0, 0.2, 0.6])))
+    u0 = grid.with_values(np.clip(1 - np.abs(xs - 0.5) / 0.3, 0, None))
+    return coef, u0, None, 0.0, 1.2, 12
+
+
+class TestOnePass:
+    """``ibvp_solve`` makes one transport pass with per-cell end times; it
+    must equal the earlier interior-plus-boundary assembly bit for bit."""
+
+    @pytest.mark.parametrize("case", [epidemic_step, varying_step,
+                                      short_step, all_boundary_step])
+    def test_matches_two_pass_assembly(self, case):
+        coef, u0, w, t0, t, n_sub = case()
+        got = ibvp_solve(coef, u0, w, t0, t, n_sub=n_sub, outflow_edge=True)
+        assert np.array_equal(got.values,
+                              two_pass_values(coef, u0, w, t0, t, n_sub))
+
+    def test_cases_cover_both_branches_and_each_alone(self):
+        def inflow_seen(case):
+            coef, u0, w, t0, t, n_sub = case()
+            sigma = float(characteristic(coef.as_renewal().velocity, t0,
+                                         np.array([0.0]), t, w, n_sub)[0])
+            left = u0.centers() < sigma
+            if np.all(left):
+                return "all"
+            cross = boundary_crossing_time(coef.speed, t,
+                                           u0.centers()[left], t0, n_sub)
+            return sorted(set(coef.inflow(cross).tolist()))
+
+        # the epidemic and varying steps cross an inflow jump
+        assert inflow_seen(epidemic_step) == [0.15, 0.3]
+        assert inflow_seen(varying_step) == [0.4, 1.0]
+        assert inflow_seen(short_step) == []
+        assert inflow_seen(all_boundary_step) == "all"
 
 
 class TestRenewalView:

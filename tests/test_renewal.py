@@ -134,17 +134,6 @@ class TestRenewalSolve:
         with pytest.raises(SupportClearanceViolated):
             renewal_solve(coef, edge, None, 0.0, 0.5)
 
-    def test_output_grid_override(self, grid, indicator):
-        coef = coefficients(velocity=still(1.0), v_sup=1.0)
-        fine = GridFunction.uniform((-2.0, 3.0), 4000)
-        got = renewal_solve(coef, indicator, None, 0.0, 0.5, n_sub=10,
-                            grid=fine)
-        assert got.same_grid(fine)
-        ref = GridFunction.from_callable(
-            lambda x: ((x >= 0.5) & (x < 1.5)).astype(float),
-            fine.origin, fine.dx, fine.values.shape)
-        assert l1_distance(got, ref) <= 2 * grid.dx[0]
-
     def test_2d_translation(self):
         grid = GridFunction.uniform(((-1.0, 1.0), (-1.0, 1.0)), (50, 50))
         bump = GridFunction.from_callable(

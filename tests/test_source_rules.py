@@ -1,0 +1,33 @@
+"""Rules on the library source that no behavioural test can see."""
+
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "polyflow"
+
+# a bare ``except:`` or a handler naming ``Exception``/``BaseException``
+BROAD_EXCEPT = re.compile(
+    r"^\s*except(\s*:|\b[^:#]*\b(Base)?Exception\b)")
+
+
+def test_no_broad_except():
+    # a broad handler turns a solver fault into a silent wrong result;
+    # each handler names the errors it expects
+    offenders = [f"{path.name}:{n}: {line.strip()}"
+                 for path in sorted(SRC.glob("*.py"))
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if BROAD_EXCEPT.match(line)]
+    assert list(SRC.glob("*.py")) and not offenders, offenders
+
+
+def test_broad_except_pattern():
+    for line in ("except Exception:", "    except Exception as exc:",
+                 "except:", "  except  :", "except BaseException:",
+                 "except (ValueError, Exception) as exc:"):
+        assert BROAD_EXCEPT.match(line), line
+    for line in ("except ValueError:", "except InadmissibleHorizon:",
+                 "except (ConfigError, DomainExit) as exc:",
+                 "# except Exception:", "except ExceptionGroup:",
+                 "except KernelException:",
+                 "except ValueError:  # not Exception"):
+        assert not BROAD_EXCEPT.match(line), line
