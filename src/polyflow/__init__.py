@@ -9,8 +9,8 @@ balance law, scalar conservation law (Godunov), and an atomic-measure
 balance law; plus two assembled applications (pursuit, staged vaccination).
 """
 
-from .claw import (ParamFlux, claw_constants, claw_solve, entropy_residuals,
-                   godunov_flux)
+from .claw import (ParamFlux, claw_constants, claw_solve, claw_solve_many,
+                   entropy_residuals, godunov_flux)
 from .errors import (ClearanceViolated, ConfigError, DomainExit,
                      GridMismatch, HorizonExceeded, InadmissibleHorizon,
                      KernelOutOfBox, MassBlowup, NegativeRadius, NoCrossing,

@@ -77,8 +77,8 @@ def godunov_flux(flux: ParamFlux, u_left, u_right, w) -> np.ndarray:
     return out if np.ndim(u_left) else float(out[0])
 
 
-# claw_solve's step window widens by this many cells per side, once every
-# this many steps
+# claw_solve_many's step window widens by this many cells per side, once
+# every this many steps
 _WINDOW_BLOCK = 32
 
 
@@ -94,42 +94,62 @@ def _edge_collar_constant(u: GridFunction, width: float) -> bool:
 
 def claw_solve(flux: ParamFlux, u0: GridFunction, w, t0: float, t: float,
                cfl: float = 0.9) -> GridFunction:
+    """Explicit Godunov evolution of one datum; see ``claw_solve_many``."""
+    return claw_solve_many(flux, [u0], w, t0, t, cfl)[0]
+
+
+def claw_solve_many(flux: ParamFlux, data: list[GridFunction], w, t0: float,
+                    t: float, cfl: float = 0.9) -> list[GridFunction]:
     """Explicit Godunov evolution from ``t0`` to ``t`` with frozen parameter.
 
-    Time step ``cfl * dx / lip``; requires the datum to be constant on edge
-    collars of width ``lip * (t - t0)`` so the truncation boundary never
-    influences the interior.
+    Evolves data that share one 1D grid together, as the rows of one padded
+    buffer, and returns one result per datum in order.  Time step
+    ``cfl * dx / lip``; requires every datum to be constant on edge collars
+    of width ``lip * (t - t0)`` so the truncation boundary never influences
+    the interior.
 
-    A step updates only a window of cells around the datum's jumps.  A cell
+    A step updates only a window of cells around the data's jumps.  A cell
     whose three-point stencil reads one value ``a`` sees the same flux
     ``f(a)`` on both faces, and ``f(a) - f(a) == 0.0`` leaves it unchanged
     bit for bit, so a step changes only cells next to a jump and the hull of
     the jumps widens by at most one cell per side per step.  The window
-    starts at that hull and widens ahead of it in blocks of
-    ``_WINDOW_BLOCK`` cells (its size changes rarely); the result equals
-    the full-grid update exactly, and a constant datum is returned as is.
+    starts at the union of the data's jump hulls and widens ahead of it in
+    blocks of ``_WINDOW_BLOCK`` cells (its size changes rarely); each result
+    equals the full-grid update of its datum alone exactly, and a constant
+    datum is returned as is.
     """
     if not 0 < cfl <= 1:
         raise ValueError("cfl must lie in (0, 1]")
     if t < t0:
         raise ValueError("t must be >= t0")
-    if u0.dim != 1:
-        raise ValueError("scalar law is one-dimensional")
+    if not data:
+        raise ValueError("no data to evolve")
+    first = data[0]
+    for u in data:
+        if u.dim != 1:
+            raise ValueError("scalar law is one-dimensional")
+        if not u.same_grid(first):
+            raise ValueError("data must share one grid")
     span = flux.lip * (t - t0)
-    if not _edge_collar_constant(u0, span):
-        raise ClearanceViolated(
-            f"datum not constant on edge collars of width {span:.3g}")
+    for u in data:
+        if not _edge_collar_constant(u, span):
+            raise ClearanceViolated(
+                f"datum not constant on edge collars of width {span:.3g}")
+    out = list(data)
     if t == t0:
-        return u0
-    jumps = np.flatnonzero(np.diff(u0.values))
-    if jumps.size == 0:
-        return u0
-    # padded buffer: cell i lives at buf[i + 1], the pads copy the edge cells
-    buf = np.concatenate([u0.values[:1], u0.values, u0.values[-1:]])
-    n = u0.values.shape[0]
-    # buf[lo:hi] holds the cells on either side of a jump
-    lo, hi = int(jumps[0]) + 1, int(jumps[-1]) + 3
-    dx = u0.dx[0]
+        return out
+    jumps = [np.flatnonzero(np.diff(u.values)) for u in data]
+    moving = [i for i, j in enumerate(jumps) if j.size]
+    if not moving:
+        return out
+    # buf[:, lo:hi] holds the cells on either side of a jump
+    lo = min(int(jumps[i][0]) for i in moving) + 1
+    hi = max(int(jumps[i][-1]) for i in moving) + 3
+    # padded buffer: cell i lives at buf[:, i + 1], the pads copy the edges
+    vals = np.stack([data[i].values for i in moving])
+    buf = np.concatenate([vals[:, :1], vals, vals[:, -1:]], axis=1)
+    n = vals.shape[1]
+    dx = first.dx[0]
     dt_max = cfl * dx / flux.lip if flux.lip > 0 else (t - t0)
     now = t0
     steps = 0
@@ -137,12 +157,14 @@ def claw_solve(flux: ParamFlux, u0: GridFunction, w, t0: float, t: float,
         if steps % _WINDOW_BLOCK == 0:
             lo, hi = max(1, lo - _WINDOW_BLOCK), min(n + 1, hi + _WINDOW_BLOCK)
         dt = min(dt_max, t - now)
-        f_iface = godunov_flux(flux, buf[lo - 1:hi], buf[lo:hi + 1], w)
-        buf[lo:hi] -= (dt / dx) * (f_iface[1:] - f_iface[:-1])
-        buf[0], buf[-1] = buf[1], buf[-2]
+        f_iface = godunov_flux(flux, buf[:, lo - 1:hi], buf[:, lo:hi + 1], w)
+        buf[:, lo:hi] -= (dt / dx) * (f_iface[:, 1:] - f_iface[:, :-1])
+        buf[:, 0], buf[:, -1] = buf[:, 1], buf[:, -2]
         now += dt
         steps += 1
-    return u0.with_values(buf[1:-1])
+    for row, i in enumerate(moving):
+        out[i] = data[i].with_values(buf[row, 1:-1])
+    return out
 
 
 def claw_constants(lip: float, radius: float, horizon: float = 1.0

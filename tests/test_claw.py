@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyflow.claw import (ParamFlux, audit_flux, claw_constants, claw_solve,
-                           entropy_residuals, godunov_flux)
+                           claw_solve_many, entropy_residuals, godunov_flux)
 from polyflow.errors import ClearanceViolated
 from polyflow.spaces import GridFunction, l1_distance
 
@@ -253,6 +253,110 @@ class TestWindowedSolve:
         flux = ParamFlux(f=lambda u, w: w * u, lip=1.0)
         u0 = random_steps(np.random.default_rng(6), grid)
         self.assert_matches_full_grid(flux, u0, 0.5, 0.4)
+
+
+class TestSolveMany:
+    """``claw_solve_many`` evolves a block of data in one loop; each result
+    must equal its datum's own solve and the full grid bit for bit."""
+
+    def assert_matches_one_by_one(self, flux, data, w, t, cfl=0.9):
+        before = [u.values.copy() for u in data]
+        got = claw_solve_many(flux, data, w, 0.0, t, cfl=cfl)
+        assert len(got) == len(data)
+        for u, v in zip(data, got):
+            assert v.same_grid(u)
+            assert np.array_equal(v.values,
+                                  claw_solve(flux, u, w, 0.0, t, cfl).values)
+            assert np.array_equal(v.values,
+                                  full_grid_solve(flux, u, w, 0.0, t, cfl))
+        for u, vals in zip(data, before):
+            assert np.array_equal(u.values, vals)
+        return got
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_burgers_random_steps(self, burgers, grid, seed):
+        rng = np.random.default_rng(seed)
+        data = [random_steps(rng, grid) for _ in range(6)]
+        self.assert_matches_one_by_one(burgers, data, None, 0.25)
+
+    def test_two_critical_points(self, grid):
+        rng = np.random.default_rng(11)
+        data = [grid.with_values(2.0 * random_steps(rng, grid).values)
+                for _ in range(4)]
+        self.assert_matches_one_by_one(cubic(), data, None, 0.2)
+
+    def test_unit_courant_advection(self, grid):
+        flux = ParamFlux(f=lambda u, w: 0.7 * u, lip=0.7)
+        xs = grid.axis_centers(0)
+        box = grid.with_values(((xs >= 0) & (xs < 1)).astype(float))
+        data = [box, random_steps(np.random.default_rng(5), grid)]
+        self.assert_matches_one_by_one(flux, data, None, 0.25, cfl=1.0)
+
+    def test_constant_datum_among_jumping_ones(self, burgers, grid):
+        rng = np.random.default_rng(8)
+        still = grid.with_values(np.full(2000, 0.3))
+        data = [random_steps(rng, grid), still, random_steps(rng, grid)]
+        got = self.assert_matches_one_by_one(burgers, data, None, 0.3)
+        assert np.array_equal(got[1].values, still.values)
+
+    def test_jump_hulls_far_apart(self, burgers):
+        # one hull near each edge: the block's window spans both, so each
+        # datum is stepped far from its own jumps
+        grid = GridFunction.uniform((0.0, 10.0), 1000)
+        xs = grid.axis_centers(0)
+        left = grid.with_values(np.where((xs > 1.0) & (xs < 1.5), 1.0, 0.0))
+        right = grid.with_values(np.where((xs > 8.5) & (xs < 9.0), -0.5,
+                                          0.0))
+        got = self.assert_matches_one_by_one(burgers, [left, right], None,
+                                             0.5)
+        assert np.array_equal(got[0].values[500:], left.values[500:])
+        assert np.array_equal(got[1].values[:500], right.values[:500])
+
+    def test_fans_reach_the_edges(self, burgers):
+        # as in TestWindowedSolve.test_jumps_at_the_edge_collar, with every
+        # row's pads in use
+        grid = GridFunction.uniform((0.0, 1.0), 40)
+        rng = np.random.default_rng(3)
+        data = []
+        for left, right in ((-1.0, 1.0), (-0.8, 0.6), (-0.9, 0.9)):
+            vals = rng.uniform(-0.5, 0.5, 40)
+            vals[:5], vals[-5:] = left, right
+            data.append(grid.with_values(vals))
+        got = self.assert_matches_one_by_one(burgers, data, None, 0.1,
+                                             cfl=0.3)
+        for u, v in zip(data, got):
+            assert v.values[0] != u.values[0] and v.values[-1] != u.values[-1]
+
+    def test_one_datum(self, burgers, grid):
+        u0 = random_steps(np.random.default_rng(4), grid)
+        self.assert_matches_one_by_one(burgers, [u0], None, 0.25)
+
+    def test_no_time_returns_the_data(self, burgers, grid):
+        data = [random_steps(np.random.default_rng(i), grid)
+                for i in range(3)]
+        got = claw_solve_many(burgers, data, None, 0.5, 0.5)
+        assert all(v is u for u, v in zip(data, got))
+
+    def test_clearance_checked_for_every_datum(self, burgers, grid):
+        rng = np.random.default_rng(9)
+        data = [random_steps(rng, grid) for _ in range(4)]
+        vals = data[2].values.copy()
+        vals[3] = 0.5
+        data[2] = grid.with_values(vals)
+        with pytest.raises(ClearanceViolated):
+            claw_solve_many(burgers, data, None, 0.0, 0.25)
+        claw_solve_many(burgers, data[:2] + data[3:], None, 0.0, 0.25)
+
+    def test_rejects_bad_batches(self, burgers, grid):
+        u0 = random_steps(np.random.default_rng(1), grid)
+        with pytest.raises(ValueError, match="no data"):
+            claw_solve_many(burgers, [], None, 0.0, 0.25)
+        other = GridFunction.uniform((-2.0, 3.0), 1000)
+        with pytest.raises(ValueError, match="one grid"):
+            claw_solve_many(burgers, [u0, other], None, 0.0, 0.25)
+        flat = GridFunction(np.zeros((4, 4)), (0.0, 0.0), (1.0, 1.0))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            claw_solve_many(burgers, [flat], None, 0.0, 0.25)
 
 
 class TestAudit:

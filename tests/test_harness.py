@@ -10,12 +10,17 @@ import numpy as np
 import pytest
 
 import polyflow
+from polyflow import harness
+from polyflow.claw import (ParamFlux, claw_constants, claw_solve,
+                           entropy_residuals)
 from polyflow.cli import main
 from polyflow.errors import ConfigError
-from polyflow.harness import (load_config, polygonal_convergence,
-                              rotation_exact, rotation_flow,
-                              scenario_convergence, translation_flow,
-                              validate_config, verify)
+from polyflow.harness import (_random_step_data, check, load_config,
+                              polygonal_convergence, rotation_exact,
+                              rotation_flow, scenario_convergence,
+                              suite_claw, translation_flow, validate_config,
+                              verify)
+from polyflow.spaces import GridFunction, l1_distance
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -120,6 +125,63 @@ class TestConvergence:
                                   levels=[0, 1])
 
 
+def reference_suite_claw(seed, cells_per_unit):
+    """``suite_claw`` as it was with one ``claw_solve`` call per datum."""
+    rng = np.random.default_rng(seed)
+    out = []
+    burgers = ParamFlux(f=lambda u, w: 0.5 * u * u, lip=1.0,
+                        critical_points=(0.0,))
+    dx = 1.0 / cells_per_unit
+    grid = GridFunction.uniform((-2.0, 3.0), int(5.0 / dx))
+    xs = grid.axis_centers(0)
+    got = claw_solve(burgers, grid.with_values((xs < 0.0).astype(float)),
+                     None, 0.0, 1.0)
+    out.append(check("claw/burgers-shock", "jump-speed-half",
+                     l1_distance(got, grid.with_values(
+                         (xs < 0.5).astype(float))), 2 * dx))
+    got = claw_solve(burgers, grid.with_values((xs >= 0.0).astype(float)),
+                     None, 0.0, 1.0)
+    out.append(check("claw/burgers-rarefaction", "fan-profile",
+                     l1_distance(got, grid.with_values(
+                         np.clip(xs / 1.0, 0.0, 1.0))),
+                     5 * dx * abs(math.log(dx))))
+    adv = ParamFlux(f=lambda u, w: 0.7 * u, lip=0.7)
+    box = grid.with_values(((xs >= 0) & (xs < 1)).astype(float))
+    got = claw_solve(adv, box, None, 0.0, 1.0, cfl=1.0)
+    ref = grid.with_values(((xs >= 0.7) & (xs < 1.7)).astype(float))
+    out.append(check("claw/linear-advection", "exact-translation",
+                     l1_distance(got, ref), 2 * dx))
+    worst_contract, worst_tvd = -math.inf, -math.inf
+    for _ in range(50):
+        u1 = _random_step_data(rng, grid)
+        u2 = _random_step_data(rng, grid)
+        v1 = claw_solve(burgers, u1, None, 0.0, 0.25)
+        v2 = claw_solve(burgers, u2, None, 0.0, 0.25)
+        worst_contract = max(worst_contract,
+                             l1_distance(v1, v2) - l1_distance(u1, u2))
+        worst_tvd = max(worst_tvd, v1.tv() - u1.tv())
+    out.append(check("claw/l1-contraction", "monotone-contraction",
+                     worst_contract, 1e-10))
+    out.append(check("claw/tvd", "variation-diminishing", worst_tvd, 1e-10))
+    u0 = _random_step_data(rng, grid)
+    got = claw_solve(burgers, u0, None, 0.0, 0.5)
+    out.append(check("claw/conservation", "telescoping-fluxes",
+                     abs(got.mass() - u0.mass()), 1e-12))
+    dt = 0.9 * dx / burgers.lip
+    stepped = claw_solve(burgers, u0, None, 0.0, dt)
+    worst_entropy = math.inf
+    for k in rng.uniform(-1.0, 1.0, 5):
+        res = entropy_residuals(burgers, u0.values, stepped.values,
+                                float(k), dt, dx, None)
+        worst_entropy = min(worst_entropy, float(np.min(res)))
+    out.append(check("claw/entropy-residual", "discrete-entropy",
+                     -worst_entropy, 1e-10))
+    c = claw_constants(2.0, 3.0)
+    out.append(check("claw/constants", "contraction-modulus-zero",
+                     abs(c.c_u) + abs(c.c_t - 6.0) + abs(c.c_w - 6.0), 0.0))
+    return out
+
+
 class TestVerifyReports:
     def test_deterministic_bytes(self):
         cfg = base_config(verify=["ode", "claw", "bv"])
@@ -138,6 +200,14 @@ class TestVerifyReports:
     def test_unknown_suite(self):
         with pytest.raises(ConfigError, match="suite"):
             verify(base_config(verify=["nope"]))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_claw_suite_matches_one_solve_per_datum(self, seed):
+        got = suite_claw(seed, cells_per_unit=40)
+        want = reference_suite_claw(seed, cells_per_unit=40)
+        assert [c.name for c in got] == [c.name for c in want]
+        for a, b in zip(got, want):
+            assert (a.lhs, a.rhs) == (b.lhs, b.rhs), a.name
 
     def test_all_pass(self):
         cfg = base_config(verify=["metric", "ode", "renewal", "ibvp",
@@ -330,6 +400,25 @@ class TestCli:
         assert code == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["checks"]
+
+    @pytest.mark.parametrize("suites, message", [
+        ([], "non-empty list"),
+        ("bv", "non-empty list"),
+        (["bv", "claw", "bv"], "repeat"),
+        (["bv", "nope"], "unknown verify suite: nope"),
+    ], ids=["empty", "string", "duplicate", "unknown"])
+    def test_verify_suites_exit_3(self, tmp_path, capsys, monkeypatch,
+                                  suites, message):
+        ran = []
+        monkeypatch.setitem(harness.SUITES, "bv",
+                            lambda seed: ran.append(seed) or [])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(verify=suites)))
+        code = main(["verify", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert ran == [] and not (tmp_path / "out").exists()
 
     def test_converge_translation(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
