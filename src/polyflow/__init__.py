@@ -16,7 +16,7 @@ from .errors import (ClearanceViolated, ConfigError, DomainExit,
                      KernelOutOfBox, MassBlowup, NegativeRadius, NoCrossing,
                      PolyflowError, StepTooLarge, SupportClearanceViolated,
                      UndefinedBoundaryDatum)
-from .ibvp import (IbvpCoefficients, boundary_crossing_time,
+from .ibvp import (InflowBoundary, boundary_crossing_time,
                    ibvp_domain_bounds, ibvp_lipschitz_constants, ibvp_solve,
                    make_ibvp_process)
 from .measures import (MeasureCoefficients, measure_domain_bound,

@@ -21,7 +21,7 @@ import numpy as np
 from . import claw as _claw
 from . import measures as _measures
 from .errors import ConfigError, DomainExit
-from .ibvp import (IbvpCoefficients, _envelope_norms, ibvp_domain_bounds,
+from .ibvp import (InflowBoundary, _envelope_norms, ibvp_domain_bounds,
                    ibvp_solve)
 from .metric import (EuclideanSpace, LocalFlow, Process, ProcessConstants,
                      couple, coupling_bounds, euler_polygonal,
@@ -156,6 +156,10 @@ def validate_config(cfg: dict) -> None:
         if not (_is_number(v) and float(v).is_integer() and v >= 0):
             raise ConfigError(f"field refine.{key} must be a nonnegative "
                               "integer")
+    schedule = schedule_from_config(cfg)
+    if schedule.j0 > schedule.j_max:
+        raise ConfigError(f"field refine.j0 {schedule.j0} must not exceed "
+                          f"refine.j_max {schedule.j_max}")
     params = cfg.get("params", {})
     if scenario == "epidemic":
         given = {"r0": 0.0, **params}
@@ -522,6 +526,7 @@ def _smooth_renewal() -> RenewalCoefficients:
         velocity=lambda t, x, w: 0.5 + 0.2 * np.sin(x),
         growth=lambda t, x, w: 0.3 * np.cos(x) - 0.1,
         source=lambda t, x, w: np.zeros(np.shape(x)[0]),
+        divergence=lambda t, x, w: 0.2 * np.cos(x),
         v_sup=0.7, v_lip=0.2, v_div_lip=0.7,
         m_sup_tv=1.5, m_param_lip=0.0, q_sup_tv=0.0, q_l1=0.0,
         q_param_lip=0.0)
@@ -536,11 +541,10 @@ def suite_renewal(seed: int, cells: int = 400) -> list[CheckResult]:
         lambda x: ((x >= 0) & (x < 1)).astype(float),
         grid.origin, grid.dx, grid.values.shape)
 
+    zeros = lambda t, x, w: np.zeros(np.shape(x)[0])
     move = RenewalCoefficients(
         velocity=lambda t, x, w: np.ones(np.shape(x)[0]),
-        growth=lambda t, x, w: np.zeros(np.shape(x)[0]),
-        source=lambda t, x, w: np.zeros(np.shape(x)[0]),
-        v_sup=1.0)
+        growth=zeros, source=zeros, divergence=zeros, v_sup=1.0)
     got = renewal_solve(move, ind, None, 0.0, 0.5, n_sub=10)
     ref = GridFunction.from_callable(
         lambda x: ((x >= 0.5) & (x < 1.5)).astype(float),
@@ -549,20 +553,17 @@ def suite_renewal(seed: int, cells: int = 400) -> list[CheckResult]:
                      l1_distance(got, ref), 2 * dx))
 
     fade = RenewalCoefficients(
-        velocity=lambda t, x, w: np.zeros(np.shape(x)[0]),
-        growth=lambda t, x, w: -np.ones(np.shape(x)[0]),
-        source=lambda t, x, w: np.zeros(np.shape(x)[0]),
-        m_sup_tv=1.0)
+        velocity=zeros, growth=lambda t, x, w: -np.ones(np.shape(x)[0]),
+        source=zeros, divergence=zeros, m_sup_tv=1.0)
     got = renewal_solve(fade, ind, None, 0.0, 1.0, n_sub=10)
     ref = ind.with_values(ind.values * math.exp(-1.0))
     out.append(check("renewal/decay", "exact-exponential",
                      l1_distance(got, ref), 1e-6))
 
     feed = RenewalCoefficients(
-        velocity=lambda t, x, w: np.zeros(np.shape(x)[0]),
-        growth=lambda t, x, w: np.zeros(np.shape(x)[0]),
+        velocity=zeros, growth=zeros,
         source=lambda t, x, w: ((x >= 0) & (x < 1)).astype(float),
-        q_sup_tv=2.0, q_l1=1.0)
+        divergence=zeros, q_sup_tv=2.0, q_l1=1.0)
     got = renewal_solve(feed, ind, None, 0.0, 0.25, n_sub=10)
     ref = ind.with_values(ind.values * 1.25)
     out.append(check("renewal/source", "exact-time-integral",
@@ -606,33 +607,38 @@ def suite_renewal(seed: int, cells: int = 400) -> list[CheckResult]:
     return out
 
 
+def _varying_ibvp() -> RenewalCoefficients:
+    return RenewalCoefficients(
+        velocity=lambda t, x, w: 0.8 + 0.1 * np.cos(x),
+        growth=lambda t, x, w: 0.2 * np.sin(x),
+        source=lambda t, x, w: np.zeros(np.shape(x)[0]),
+        divergence=lambda t, x, w: -0.1 * np.sin(x),
+        v_sup=0.9, v_lip=0.1, m_sup_tv=0.7)
+
+
 def suite_ibvp(seed: int, cells: int = 400) -> list[CheckResult]:
     out: list[CheckResult] = []
     dx = 2.0 / cells if cells else 0.005
     n = int(2.0 / dx)
     grid = GridFunction.uniform((0.0, 2.0), n)
     zero = grid
-    ones = BvTimeSeries.constant(1.0)
+    unit = InflowBoundary(BvTimeSeries.constant(1.0), speed_min=1.0,
+                          b_l1=1.0, b_sup_tv=1.0)
+    zeros = lambda t, x, w: np.zeros(np.shape(x)[0])
+    ones = lambda t, x, w: np.ones(np.shape(x)[0])
 
-    fill = IbvpCoefficients(
-        speed=lambda t, x: np.ones(np.shape(np.asarray(x))[0]),
-        growth=lambda t, x, w: np.zeros(np.shape(np.asarray(x))[0]),
-        source=lambda t, x, w: np.zeros(np.shape(np.asarray(x))[0]),
-        inflow=ones, speed_min=1.0, speed_max=1.0,
-        b_l1=1.0, b_sup_tv=1.0)
-    got = ibvp_solve(fill, zero, None, 0.0, 1.0, n_sub=10)
+    fill = RenewalCoefficients(velocity=ones, growth=zeros, source=zeros,
+                               divergence=zeros, v_sup=1.0)
+    got = ibvp_solve(fill, unit, zero, None, 0.0, 1.0, n_sub=10)
     ref = GridFunction.from_callable(lambda x: (x < 1.0).astype(float),
                                      grid.origin, grid.dx, grid.values.shape)
     out.append(check("ibvp/inflow-fill", "unit-speed-fill",
                      l1_distance(got, ref), 2 * dx))
 
-    decay = IbvpCoefficients(
-        speed=lambda t, x: np.ones(np.shape(np.asarray(x))[0]),
-        growth=lambda t, x, w: -np.ones(np.shape(np.asarray(x))[0]),
-        source=lambda t, x, w: np.zeros(np.shape(np.asarray(x))[0]),
-        inflow=ones, speed_min=1.0, speed_max=1.0,
-        m_sup_tv=1.0, b_l1=1.0, b_sup_tv=1.0)
-    got = ibvp_solve(decay, zero, None, 0.0, 1.0, n_sub=10)
+    decay = RenewalCoefficients(
+        velocity=ones, growth=lambda t, x, w: -np.ones(np.shape(x)[0]),
+        source=zeros, divergence=zeros, v_sup=1.0, m_sup_tv=1.0)
+    got = ibvp_solve(decay, unit, zero, None, 0.0, 1.0, n_sub=10)
     ref = GridFunction.from_callable(
         lambda x: np.where(x < 1.0, np.exp(-x), 0.0),
         grid.origin, grid.dx, grid.values.shape)
@@ -648,40 +654,36 @@ def suite_ibvp(seed: int, cells: int = 400) -> list[CheckResult]:
     bump = GridFunction.from_callable(
         lambda x: np.clip(1 - np.abs(x - 1.2) / 0.3, 0, None),
         grid.origin, grid.dx, grid.values.shape)
-    varying = IbvpCoefficients(
-        speed=lambda t, x: 0.8 + 0.1 * np.cos(np.asarray(x)),
-        growth=lambda t, x, w: 0.2 * np.sin(np.asarray(x)),
-        source=lambda t, x, w: np.zeros(np.shape(np.asarray(x))[0]),
-        inflow=BvTimeSeries.constant(0.0), speed_min=0.7, speed_max=0.9,
-        v_slope=0.1, m_sup_tv=0.7)
-    got = ibvp_solve(varying, bump, None, 0.0, 0.5, n_sub=8)
-    free = renewal_solve(varying.as_renewal(), bump, None, 0.0, 0.5, n_sub=8)
-    sigma = float(characteristic(varying.as_renewal().velocity, 0.0,
-                                 np.array([0.0]), 0.5, None, n_sub=8)[0])
+    varying = _varying_ibvp()
+    still = InflowBoundary(BvTimeSeries.constant(0.0), speed_min=0.7)
+    got = ibvp_solve(varying, still, bump, None, 0.0, 0.5, n_sub=8)
+    free = renewal_solve(varying, bump, None, 0.0, 0.5, n_sub=8)
+    sigma = float(characteristic(varying.velocity, 0.0, np.array([0.0]),
+                                 0.5, None, n_sub=8)[0])
     mask = grid.axis_centers(0) >= sigma
     diff = float(np.max(np.abs(got.values[mask] - free.values[mask])))
     out.append(check("ibvp/interior-branch-bitexact", "shared-kernel",
                      diff, 0.0))
 
     # mass identity: no growth/source, inflow only
-    got = ibvp_solve(fill, bump, None, 0.0, 0.4, n_sub=10)
+    got = ibvp_solve(fill, unit, bump, None, 0.0, 0.4, n_sub=10)
     influx = 1.0 * 0.4  # speed * integral of the unit boundary series
     lhs = abs(got.l1() - (bump.l1() + influx))
     out.append(check("ibvp/mass-identity", "boundary-influx",
                      lhs / max(got.l1(), 1.0), 1e-3))
 
     # envelope margins along a trajectory; the variation envelope needs
-    # (m_sup_tv + v_slope) * horizon < 1
+    # (m_sup_tv + v_lip) * horizon < 1
     horizon = 0.5
     radius = _fit_radius(
-        lambda r: ibvp_domain_bounds(0.0, r, horizon, decay),
-        _envelope_norms(decay, 0.0, zero))
+        lambda r: ibvp_domain_bounds(0.0, r, horizon, decay, unit),
+        _envelope_norms(unit, 0.0, zero))
     worst = -math.inf
     for t in (0.125, 0.25, 0.375, 0.5):
-        u_t = ibvp_solve(decay, zero, None, 0.0, t, n_sub=10)
-        bounds = ibvp_domain_bounds(t, radius, horizon, decay)
+        u_t = ibvp_solve(decay, unit, zero, None, 0.0, t, n_sub=10)
+        bounds = ibvp_domain_bounds(t, radius, horizon, decay, unit)
         worst = max(worst, *(n - b for n, b in
-                             zip(_envelope_norms(decay, t, u_t), bounds)))
+                             zip(_envelope_norms(unit, t, u_t), bounds)))
     out.append(check("ibvp/domain-envelope", "invariant-envelope",
                      worst, 10 * dx * 1.0))
     return out

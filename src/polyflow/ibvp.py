@@ -1,20 +1,23 @@
 """Balance law on the half line with strict inflow at the origin.
 
 Solves ``du/dt + d/dx(v(t,x) u) = m(t,x,w) u + q(t,x,w)`` for ``x >= 0``
-with boundary trace ``u(t, 0) = b(t)``.  The explicit solution splits at the
-curve traced by the characteristic leaving the origin at the start time: to
-its right the interior representation applies (datum carried backward along
+with boundary trace ``u(t, 0) = b(t)``.  The balance law is the renewal
+problem's, so its coefficients are a ``RenewalCoefficients``; the boundary
+datum and its certificates are an ``InflowBoundary``.  The speed does not
+depend on the parameter: a callable ``velocity(t, x, w)`` must not read
+``w``.  The explicit solution splits at the curve traced by the
+characteristic leaving the origin at the start time: to its right the
+interior representation applies (datum carried backward along
 characteristics), to its left the state is seeded by the boundary series at
-the crossing time.  The speed is bounded away from zero, so every backward
-characteristic from the left region reaches the boundary.
+the crossing time.  The speed lies in ``[speed_min, v_sup]`` with
+``speed_min > 0``, so every backward characteristic from the left region
+reaches the boundary.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Any, Callable
 
 import numpy as np
 
@@ -27,96 +30,47 @@ from .spaces import BvTimeSeries, GridFunction
 
 
 @dataclass(frozen=True)
-class IbvpCoefficients:
-    """Coefficients of the inflow problem with certified bounds.
+class InflowBoundary:
+    """The boundary datum of the inflow problem with its certificates.
 
-    ``speed(t, x)`` takes values in ``[speed_min, speed_max]`` with
-    ``speed_min > 0`` and does not depend on the parameter.  ``speed`` may
-    instead be a number: a constant speed in ``[speed_min, speed_max]``,
-    whose characteristics, origin curve and boundary crossing times are
-    then computed in closed form rather than by RK4.  ``growth`` and
-    ``source`` have the renewal signatures; ``inflow`` is the left-continuous
-    boundary series.  Certificates: ``v_slope`` bounds the speed's space
-    derivative's sup and variation; ``m_sup_tv``, ``m_param_lip``, ``q_l1``,
-    ``q_sup_tv``, ``q_param_lip`` as in the renewal problem; ``b_l1``,
-    ``b_sup_tv`` bound the boundary series.
+    ``series`` is the left-continuous boundary series ``b``; ``speed_min >
+    0`` bounds the transport speed from below, so every backward
+    characteristic left of the origin curve reaches the boundary;
+    ``b_l1`` bounds the L1 norm of ``b`` over the horizon and ``b_sup_tv``
+    its ``sup + TV``.
     """
 
-    speed: Callable[[Any, np.ndarray], np.ndarray] | float
-    growth: Callable[[Any, np.ndarray, Any], np.ndarray]
-    source: Callable[[Any, np.ndarray, Any], np.ndarray]
-    inflow: BvTimeSeries
+    series: BvTimeSeries
     speed_min: float
-    speed_max: float
-    v_slope: float = 0.0
-    m_sup_tv: float = 0.0
-    m_param_lip: float = 0.0
-    q_l1: float = 0.0
-    q_sup_tv: float = 0.0
-    q_param_lip: float = 0.0
     b_l1: float = 0.0
     b_sup_tv: float = 0.0
 
-    def __post_init__(self):
-        if self.speed_min <= 0:
-            raise ValueError("speed_min must be strictly positive (inflow)")
-        if self.speed_max < self.speed_min:
-            raise ValueError("speed_max must be >= speed_min")
-        if (not callable(self.speed)
-                and not self.speed_min <= self.speed <= self.speed_max):
-            raise ValueError(f"constant speed {self.speed} lies outside "
-                             f"[speed_min, speed_max]")
 
-    def as_renewal(self) -> RenewalCoefficients:
-        """Parameter-blind view of the coefficients for the interior branch."""
-        return self._renewal
-
-    @cached_property
-    def _renewal(self) -> RenewalCoefficients:
-        # built once per coefficient set; a frozen dataclass still has a
-        # writable __dict__ for the cache
-        def velocity(t, x, w):
-            v = np.asarray(self.speed(t, x), dtype=float)
-            if v.shape == np.shape(x):
-                return v
-            return np.broadcast_to(v, np.shape(x)).copy()
-
-        return RenewalCoefficients(
-            velocity=velocity if callable(self.speed) else float(self.speed),
-            growth=self.growth,
-            source=self.source,
-            v_sup=self.speed_max,
-            v_lip=self.v_slope,
-            m_sup_tv=self.m_sup_tv,
-            q_sup_tv=self.q_sup_tv,
-            q_l1=self.q_l1,
-        )
-
-
-def boundary_crossing_time(speed, t: float, x, t0: float,
+def boundary_crossing_time(velocity, t: float, x, t0: float,
                            n_sub: int = 10) -> np.ndarray:
     """Time at which the backward characteristic through ``(t, x)`` hits 0.
 
-    For a callable speed, integrates ``dt/dx = 1 / speed`` from ``x`` down
-    to the boundary (``n_sub`` RK4 steps in the space variable, vectorized
-    over points); for a constant speed ``c`` (a number) the crossing is the
+    For a callable speed ``velocity(t, x, w)``, which must not read the
+    parameter ``w``, integrates ``dt/dx = 1 / velocity`` from ``x`` down to
+    the boundary (``n_sub`` RK4 steps in the space variable, vectorized over
+    points); for a constant speed ``c`` (a number) the crossing is the
     closed form ``t - x / c``.  Raises ``NoCrossing`` when the crossing
     happens before ``t0`` beyond a small consistency tolerance, which means
     the caller should have used the interior branch.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if callable(speed):
+    if callable(velocity):
         tau = np.full(xs.shape, float(t))
         h = -xs / n_sub
         pos = xs.copy()
         # dt/dx at position p and time s; the space variable is the RK4 clock
-        rhs = lambda p, s: 1.0 / np.asarray(speed(s, np.maximum(p, 0.0)),
-                                            dtype=float)
+        rhs = lambda p, s: 1.0 / np.asarray(
+            velocity(s, np.maximum(p, 0.0), None), dtype=float)
         for _ in range(n_sub):
             tau = _rk4(rhs, pos, tau, h)
             pos = pos + h
     else:
-        tau = t - xs / speed
+        tau = t - xs / velocity
     tol = 1e-9 * max(1.0, t - t0)
     if np.any(tau < t0 - tol):
         raise NoCrossing("backward characteristic exits through the initial "
@@ -124,8 +78,8 @@ def boundary_crossing_time(speed, t: float, x, t0: float,
     return np.clip(tau, t0, t)
 
 
-def ibvp_solve(coef: IbvpCoefficients, u0: GridFunction, w,
-               t0: float, t: float, n_sub: int = 10,
+def ibvp_solve(coef: RenewalCoefficients, inflow: InflowBoundary,
+               u0: GridFunction, w, t0: float, t: float, n_sub: int = 10,
                outflow_edge: bool = False) -> GridFunction:
     """Advance the datum with the parameter frozen, filling from the boundary.
 
@@ -140,17 +94,26 @@ def ibvp_solve(coef: IbvpCoefficients, u0: GridFunction, w,
 
     With ``outflow_edge`` the grid's right edge is a true model boundary
     with free outflow (mass crossing it is meant to leave), so no clearance
-    is required there; otherwise the datum must keep ``speed_max * (t - t0)``
-    clearance from the truncation edge.
+    is required there; otherwise the datum must keep ``v_sup * (t - t0)``
+    clearance from the truncation edge.  Requires ``0 < speed_min <=
+    v_sup``, and a constant speed in ``[speed_min, v_sup]``.
     """
     if t < t0:
         raise ValueError("t must be >= t0")
     if u0.dim != 1:
         raise ValueError("half-line problem is one-dimensional")
-    if coef.inflow is None or coef.inflow.times.size == 0:
+    if inflow.speed_min <= 0:
+        raise ValueError("speed_min must be strictly positive (inflow)")
+    if coef.v_sup < inflow.speed_min:
+        raise ValueError("v_sup must be >= speed_min")
+    if (not callable(coef.velocity)
+            and not inflow.speed_min <= coef.velocity <= coef.v_sup):
+        raise ValueError(f"constant speed {coef.velocity} lies outside "
+                         f"[speed_min, v_sup]")
+    if inflow.series is None or inflow.series.times.size == 0:
         raise UndefinedBoundaryDatum("boundary series is empty")
     if not outflow_edge:
-        needed = coef.speed_max * (t - t0)
+        needed = coef.v_sup * (t - t0)
         clear_right = _right_clearance(u0)
         if clear_right < needed - 1e-12:
             raise SupportClearanceViolated(
@@ -159,18 +122,18 @@ def ibvp_solve(coef: IbvpCoefficients, u0: GridFunction, w,
     if t == t0:
         return u0
 
-    ren = coef.as_renewal()
-    sigma = float(characteristic(ren.velocity, t0, np.array([0.0]), t, w,
+    sigma = float(characteristic(coef.velocity, t0, np.array([0.0]), t, w,
                                  n_sub=n_sub)[0])
     centers = u0.centers()
     boundary = centers < sigma
     t_lo = np.full(centers.shape[0], float(t0))
-    t_lo[boundary] = boundary_crossing_time(coef.speed, t, centers[boundary],
-                                            t0, n_sub=n_sub)
-    foot, factor, src = backward_transport(ren, w, t, t_lo, centers, n_sub,
+    t_lo[boundary] = boundary_crossing_time(coef.velocity, t,
+                                            centers[boundary], t0,
+                                            n_sub=n_sub)
+    foot, factor, src = backward_transport(coef, w, t, t_lo, centers, n_sub,
                                            u0.dx)
     seed = u0.lookup(foot, outside="zero")
-    seed[boundary] = coef.inflow(t_lo[boundary])
+    seed[boundary] = inflow.series(t_lo[boundary])
     return u0.with_values(seed * factor + src)
 
 
@@ -186,7 +149,7 @@ def _right_clearance(u: GridFunction) -> float:
 # --------------------------------------------------------------------------
 
 def ibvp_domain_bounds(t: float, radius: float, horizon: float,
-                       coef: IbvpCoefficients
+                       coef: RenewalCoefficients, inflow: InflowBoundary
                        ) -> tuple[float, float, float]:
     """Envelope (alpha_1, alpha_inf, alpha_tv) of the invariant domain at t.
 
@@ -197,17 +160,17 @@ def ibvp_domain_bounds(t: float, radius: float, horizon: float,
     if not 0 <= t <= horizon * (1 + 1e-12):
         raise ValueError("t must lie in [0, horizon]")
     m = coef.m_sup_tv
-    vl = coef.v_slope
+    vl = coef.v_lip
     qi, q1 = coef.q_sup_tv, coef.q_l1
-    b_sup = coef.b_sup_tv
+    b_sup = inflow.b_sup_tv
     rem = horizon - t
     a1 = (radius * math.exp(-m * rem)
-          - (coef.speed_max * b_sup + q1) * rem * math.exp(m * t))
+          - (coef.v_sup * b_sup + q1) * rem * math.exp(m * t))
     ai = radius * math.exp(-m * rem) - qi * rem
     atv = (radius * (1.0 - (m + vl) * rem) * math.exp((m + vl) * rem)
            - 2.0 * qi * (1.0 + (m + vl) * t) * rem * math.exp((m + vl) * t)
            - b_sup * (m + vl) * rem * math.exp((m + vl) * t)
-           - coef.inflow.tv(t, horizon) * math.exp((m + vl) * t))
+           - inflow.series.tv(t, horizon) * math.exp((m + vl) * t))
     if min(a1, ai, atv) <= 0:
         raise InadmissibleHorizon(
             f"domain envelope non-positive at t={t}: "
@@ -215,21 +178,22 @@ def ibvp_domain_bounds(t: float, radius: float, horizon: float,
     return a1, ai, atv
 
 
-def _envelope_norms(coef: IbvpCoefficients, t: float, u: GridFunction
+def _envelope_norms(inflow: InflowBoundary, t: float, u: GridFunction
                     ) -> tuple[float, float, float]:
     """The norms ``(L1, sup, TV + |b(t) - u(0+)|)`` bounded by the envelope."""
-    trace_gap = abs(float(coef.inflow(t)) - float(u.values[0]))
+    trace_gap = abs(float(inflow.series(t)) - float(u.values[0]))
     return u.l1(), u.linf(), u.tv() + trace_gap
 
 
-def ibvp_lipschitz_constants(coef: IbvpCoefficients, horizon: float,
+def ibvp_lipschitz_constants(coef: RenewalCoefficients,
+                             inflow: InflowBoundary, horizon: float,
                              radius: float) -> ProcessConstants:
     """Process moduli (data, time, parameter) over ``horizon``."""
-    m, vl = coef.m_sup_tv, coef.v_slope
-    vmax = coef.speed_max
-    c_t = ((vmax * (coef.b_l1 + 2 * radius + radius * (m + vl) * horizon)
+    m, vl = coef.m_sup_tv, coef.v_lip
+    vmax = coef.v_sup
+    c_t = ((vmax * (inflow.b_l1 + 2 * radius + radius * (m + vl) * horizon)
             + m * radius + coef.q_l1) * math.exp(m * horizon))
-    c_w = ((coef.b_sup_tv * coef.m_param_lip
+    c_w = ((inflow.b_sup_tv * coef.m_param_lip
             + vmax * coef.q_param_lip
             + 0.5 * vmax * coef.q_sup_tv * coef.m_param_lip * horizon
             + coef.m_param_lip * radius
@@ -239,16 +203,18 @@ def ibvp_lipschitz_constants(coef: IbvpCoefficients, horizon: float,
     return ProcessConstants(c_u=m, c_t=c_t, c_w=c_w, horizon=horizon)
 
 
-def make_ibvp_process(coef: IbvpCoefficients, radius: float, horizon: float,
+def make_ibvp_process(coef: RenewalCoefficients, inflow: InflowBoundary,
+                      radius: float, horizon: float,
                       n_sub_per_unit: float = 32.0,
                       outflow_edge: bool = False) -> Process:
     """Wrap the solver as a process handle; ``radius`` sizes its moduli."""
 
     def solve(t, t0, u, w):
         n = max(2, int(math.ceil((t - t0) * n_sub_per_unit - 1e-12)))
-        return ibvp_solve(coef, u, w, t0, t, n_sub=n,
+        return ibvp_solve(coef, inflow, u, w, t0, t, n_sub=n,
                           outflow_edge=outflow_edge)
 
     return Process(solve=solve,
-                   constants=ibvp_lipschitz_constants(coef, horizon, radius),
+                   constants=ibvp_lipschitz_constants(coef, inflow, horizon,
+                                                      radius),
                    space=GridFunctionSpace(), interval=(0.0, horizon))

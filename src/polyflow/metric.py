@@ -174,10 +174,13 @@ def refine_to_process(flow: LocalFlow, tau: float, t0: float, x,
     and stops when the distance between successive results drops below
     ``tol`` (or at ``j_max``, returning the best iterate with
     ``converged=False``).  An infinite ``tol`` degenerates to the coarsest
-    polygonal.  The schedule is deterministic.
+    polygonal.  The schedule is deterministic; ``j0`` must not exceed
+    ``j_max``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if j0 > j_max:
+        raise ValueError(f"j0 {j0} exceeds j_max {j_max}")
     if tau == 0.0:
         return RefinementResult(x, 0.0, True, j0)
     if math.isinf(tol):

@@ -29,13 +29,14 @@ class RenewalCoefficients:
 
     The callables must be elementwise-vectorized: ``velocity(t, x, w)``
     returns an array shaped like ``x`` (1D positions ``(n,)`` or 2D points
-    ``(n, 2)``); ``growth`` and ``source`` return ``(n,)``.  ``t`` may be a
-    scalar or an ``(n,)`` array.  ``divergence(t, x, w)``, when given,
-    returns ``div v`` at the points as ``(n,)``; the transport then uses it
-    for the ``m - div v`` exponent instead of central differences of the
-    velocity on the grid spacing.  In 1D ``velocity`` may instead be a
-    number ``c``: a constant speed, whose characteristics are the closed-form
-    translations ``x + (t - t_bar) c`` and whose divergence is zero.
+    ``(n, 2)``); ``growth``, ``source`` and ``divergence`` return ``(n,)``.
+    ``t`` may be a scalar or an ``(n,)`` array.  A callable velocity comes
+    with its ``divergence(t, x, w)``, the ``div v`` of the ``m - div v``
+    exponent.  In 1D ``velocity`` may instead be a number ``c``: a constant
+    speed, whose characteristics are the closed-form translations
+    ``x + (t - t_bar) c``, whose divergence is zero and which takes no
+    ``divergence``.  The same type describes the inflow problem of
+    ``polyflow.ibvp`` (with an ``InflowBoundary``).
 
     Certificates (never inferred, optionally audited): ``v_sup`` bounds
     ``|v|``, ``v_lip`` bounds the space gradient and the parameter modulus of
@@ -56,6 +57,12 @@ class RenewalCoefficients:
     q_sup_tv: float = 0.0
     q_l1: float = 0.0
     q_param_lip: float = 0.0
+
+    def __post_init__(self):
+        if callable(self.velocity) and not callable(self.divergence):
+            raise ValueError("a callable velocity needs a callable divergence")
+        if not callable(self.velocity) and self.divergence is not None:
+            raise ValueError("a constant velocity takes no divergence")
 
 
 def audit_coefficients(coef: RenewalCoefficients, grid: GridFunction, w,
@@ -110,36 +117,6 @@ def characteristic(velocity, t_bar: float, x_bar, t: float, w,
     return x
 
 
-def _divergence(velocity, t, pts: np.ndarray, dx: tuple[float, ...], w
-                ) -> np.ndarray:
-    """Central-difference divergence of the analytic field, step dx/2."""
-    if pts.ndim == 1:
-        h = 0.5 * dx[0]
-        vp = np.asarray(velocity(t, pts + h, w), dtype=float)
-        vm = np.asarray(velocity(t, pts - h, w), dtype=float)
-        return (vp - vm) / (2.0 * h)
-    div = np.zeros(pts.shape[0])
-    for a in range(pts.shape[1]):
-        h = 0.5 * dx[a]
-        e = np.zeros(pts.shape[1])
-        e[a] = h
-        vp = np.asarray(velocity(t, pts + e, w), dtype=float)
-        vm = np.asarray(velocity(t, pts - e, w), dtype=float)
-        div = div + (vp[:, a] - vm[:, a]) / (2.0 * h)
-    return div
-
-
-def _velocity_divergence(coef: RenewalCoefficients, t, pts: np.ndarray,
-                         dx: tuple[float, ...], w) -> np.ndarray:
-    """Zero for a constant velocity, else the supplied ``div v``, else its
-    central difference on step dx/2."""
-    if not callable(coef.velocity):
-        return 0.0
-    if coef.divergence is None:
-        return _divergence(coef.velocity, t, pts, dx, w)
-    return np.asarray(coef.divergence(t, pts, w), dtype=float)
-
-
 def backward_transport(coef: RenewalCoefficients, w, t: float, t_lo,
                        x: np.ndarray, n_sub: int, dx: tuple[float, ...]
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,7 +126,8 @@ def backward_transport(coef: RenewalCoefficients, w, t: float, t_lo,
     in 1D) in ``n_sub`` steps, accumulating by the midpoint rule the
     exponent ``int (m - div v) ds`` and the source convolution
     ``int q * exp(int_s^t (m - div v)) ds``.  Each foot step is RK4 for a
-    callable velocity and the exact translation for a constant one.
+    callable velocity and the exact translation for a constant one, whose
+    divergence is zero.  ``dx``, the grid spacing, is not read.
 
     Returns ``(foot, growth, source_integral)``.
     """
@@ -167,8 +145,10 @@ def backward_transport(coef: RenewalCoefficients, w, t: float, t_lo,
     if callable(coef.velocity):
         rhs = lambda s, y: np.asarray(coef.velocity(s, y, w), dtype=float)
         step = lambda s, y, h: _rk4(rhs, s, y, h)
+        div = lambda s, y: np.asarray(coef.divergence(s, y, w), dtype=float)
     else:
         step = lambda s, y, h: y + h * coef.velocity
+        div = lambda s, y: 0.0
     for j in range(n_sub):
         s_hi = t - j * ds
         h = -ds
@@ -176,7 +156,7 @@ def backward_transport(coef: RenewalCoefficients, w, t: float, t_lo,
         s_mid = s_hi + 0.5 * h
         p_mid = 0.5 * (pts + nxt)
         contrib = (np.asarray(coef.growth(s_mid, p_mid, w), dtype=float)
-                   - _velocity_divergence(coef, s_mid, p_mid, dx, w)) * ds
+                   - div(s_mid, p_mid)) * ds
         factor_mid = np.exp(exponent + 0.5 * contrib)
         source_acc = source_acc + (np.asarray(coef.source(s_mid, p_mid, w),
                                               dtype=float)

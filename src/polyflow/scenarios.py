@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, InadmissibleHorizon, KernelOutOfBox
-from .ibvp import (IbvpCoefficients, _envelope_norms, ibvp_domain_bounds,
+from .ibvp import (InflowBoundary, _envelope_norms, ibvp_domain_bounds,
                    make_ibvp_process)
 from .metric import Process, couple, refine_to_process
 from .ode import OdeField, make_ode_process, ode_domain_radius
@@ -308,13 +308,14 @@ def _fit_radius(envelope: Callable[[float], tuple[float, float, float]],
         "no admissible radius: horizon too long for the coefficient bounds")
 
 
-def _fit_envelope(domain_bounds, coef, norms: tuple[float, float, float],
-                  macro: float):
+def _fit_envelope(bounds: Callable[[float, float, float],
+                                   tuple[float, float, float]],
+                  norms: tuple[float, float, float], macro: float):
     """The invariant envelope of one macro step, or why there is none.
 
-    ``domain_bounds(t, radius, horizon, coef)`` is the envelope of the
-    transported field (``ivp_domain_bounds`` or ``ibvp_domain_bounds``) and
-    ``norms`` the datum's matching ``(L1, sup, variation)`` measures.
+    ``bounds(t, radius, horizon)`` is the envelope of the transported field
+    (``ivp_domain_bounds`` or ``ibvp_domain_bounds`` of its coefficients)
+    and ``norms`` the datum's matching ``(L1, sup, variation)`` measures.
     Returns the fitted radius, a finite radius for the process moduli, the
     end-of-step bounds ``(alpha_1, alpha_inf, alpha_tv)`` and the envelope
     status.  Sharp coefficients can make the envelope inadmissible at the
@@ -322,10 +323,8 @@ def _fit_envelope(domain_bounds, coef, norms: tuple[float, float, float],
     radius is ``2 max(norms, 1)``.
     """
     try:
-        radius = _fit_radius(lambda r: domain_bounds(0.0, r, macro, coef),
-                             norms)
-        return (radius, radius, domain_bounds(macro, radius, macro, coef),
-                "admissible")
+        radius = _fit_radius(lambda r: bounds(0.0, r, macro), norms)
+        return radius, radius, bounds(macro, radius, macro), "admissible"
     except InadmissibleHorizon:
         return (math.nan, 2.0 * max(*norms, 1.0), (math.nan,) * 3,
                 "inadmissible-at-macro-length")
@@ -423,8 +422,8 @@ def run_predator_prey(params: PredatorPreyParams,
                         sup=sup_p, radius=radius_p)
 
     radius_rho, moduli_radius, bounds, envelope = _fit_envelope(
-        ivp_domain_bounds, fields.prey, (rho0.l1(), rho0.linf(), rho0.tv()),
-        macro)
+        lambda t, r, h: ivp_domain_bounds(t, r, h, fields.prey),
+        (rho0.l1(), rho0.linf(), rho0.tv()), macro)
     ball = ode_domain_radius(macro, macro, radius_p, sup_p)
 
     n_macro = _macro_count(horizon, macro)
@@ -529,7 +528,8 @@ def _epidemic_ode_field(params: EpidemicParams, ball_radius: float,
 
 
 def _epidemic_ibvp(params: EpidemicParams, i_bound: float
-                   ) -> IbvpCoefficients:
+                   ) -> tuple[RenewalCoefficients, InflowBoundary]:
+    """The cohort's transport in its age at unit speed, and its inflow."""
     rho_v = params.vaccinated_infectivity
 
     def growth(t, x, w):
@@ -541,13 +541,15 @@ def _epidemic_ibvp(params: EpidemicParams, i_bound: float
 
     p = params.vaccination_rate
     horizon = params.horizon
-    return IbvpCoefficients(
-        speed=1.0, growth=growth, source=source, inflow=p,
-        speed_min=1.0, speed_max=1.0, v_slope=0.0,
+    coef = RenewalCoefficients(
+        velocity=1.0, growth=growth, source=source,
+        v_sup=1.0, v_lip=0.0,
         m_sup_tv=(rho_v.linf() + rho_v.tv()) * i_bound,
         m_param_lip=rho_v.l1(),
-        q_l1=0.0, q_sup_tv=0.0, q_param_lip=0.0,
-        b_l1=p.l1(0.0, horizon), b_sup_tv=p.sup() + p.tv())
+        q_l1=0.0, q_sup_tv=0.0, q_param_lip=0.0)
+    return coef, InflowBoundary(series=p, speed_min=1.0,
+                                b_l1=p.l1(0.0, horizon),
+                                b_sup_tv=p.sup() + p.tv())
 
 
 def run_epidemic(params: EpidemicParams,
@@ -575,18 +577,18 @@ def run_epidemic(params: EpidemicParams,
         raise ConfigError(
             f"time.macro_step {macro} exceeds the certified segment "
             f"{seg_cap:.3g}; reduce it or the ball radius")
-    ibvp_coef = _epidemic_ibvp(params, i_bound=ball)
+    coef, inflow = _epidemic_ibvp(params, i_bound=ball)
     v0 = params.v0
     radius_v, moduli_radius, bounds, envelope = _fit_envelope(
-        ibvp_domain_bounds, ibvp_coef, _envelope_norms(ibvp_coef, 0.0, v0),
-        macro)
+        lambda t, r, h: ibvp_domain_bounds(t, r, h, coef, inflow),
+        _envelope_norms(inflow, 0.0, v0), macro)
 
     ode_proc = make_ode_process(ode_field, macro, steps_per_unit=32.0)
-    v_proc = make_ibvp_process(ibvp_coef, moduli_radius, macro,
+    v_proc = make_ibvp_process(coef, inflow, moduli_radius, macro,
                                n_sub_per_unit=32.0, outflow_edge=True)
     times, states, gaps, record = _run_coupled(
         ode_proc, v_proc, (np.array([params.s0, params.i0]), v0), macro,
-        n_macro, schedule, ibvp_coef.speed_max, v0.dx[0])
+        n_macro, schedule, coef.v_sup, v0.dx[0])
 
     # triangular tail: recovered compartment by the trapezoid rule
     integrand = [params.recovery_rate * float(uu[1]) + float(vv.values[-1])
@@ -601,7 +603,7 @@ def run_epidemic(params: EpidemicParams,
     diag = {"S": [float(uu[0]) for uu, _ in states],
             "I": [float(uu[1]) for uu, _ in states],
             **_envelope_columns(
-                cohorts, [_envelope_norms(ibvp_coef, t, vv)
+                cohorts, [_envelope_norms(inflow, t, vv)
                           for t, vv in zip(times, cohorts)], bounds),
             "population": [float(uu[0]) + float(uu[1]) + vv.l1() + r
                            for (uu, vv), r in zip(states, recovered)],

@@ -13,7 +13,7 @@ import pytest
 from polyflow.claw import ParamFlux, claw_solve
 from polyflow.harness import (rotation_exact, rotation_flow,
                               rotation_processes, suite_bv)
-from polyflow.ibvp import IbvpCoefficients, ibvp_domain_bounds, ibvp_solve
+from polyflow.ibvp import InflowBoundary, ibvp_domain_bounds, ibvp_solve
 from polyflow.measures import (MeasureCoefficients, evolve,
                                measure_domain_bound, weak_residual)
 from polyflow.metric import (coupling_bounds, euler_polygonal,
@@ -125,6 +125,7 @@ def test_criterion_4_semigroup_restarts():
         velocity=lambda t, x, w: 0.5 + 0.2 * np.sin(x),
         growth=lambda t, x, w: 0.3 * np.cos(x) - 0.1,
         source=lambda t, x, w: np.zeros(np.shape(x)[0]),
+        divergence=lambda t, x, w: 0.2 * np.cos(x),
         v_sup=0.7, v_lip=0.2, m_sup_tv=1.5)
     direct_r = renewal_solve(coef, bump, None, 0.0, 0.4, n_sub=16)
     fine_r = renewal_solve(coef, bump, None, 0.0, 0.4, n_sub=64)
@@ -135,15 +136,17 @@ def test_criterion_4_semigroup_restarts():
 
     # boundary balance law: decay + inflow
     gridb = GridFunction.uniform((0.0, 2.0), 800)
-    coef_b = IbvpCoefficients(
-        speed=lambda t, x: np.ones(np.shape(np.asarray(x))[0]),
+    coef_b = RenewalCoefficients(
+        velocity=lambda t, x, w: np.ones(np.shape(np.asarray(x))[0]),
         growth=lambda t, x, w: -np.ones(np.shape(np.asarray(x))[0]),
         source=lambda t, x, w: np.zeros(np.shape(np.asarray(x))[0]),
-        inflow=BvTimeSeries.constant(1.0), speed_min=1.0, speed_max=1.0,
-        m_sup_tv=1.0, b_l1=1.0, b_sup_tv=1.0)
-    direct_b = ibvp_solve(coef_b, gridb, None, 0.0, 1.0, n_sub=16)
-    mid_b = ibvp_solve(coef_b, gridb, None, 0.0, 0.5, n_sub=8)
-    rest_b = ibvp_solve(coef_b, mid_b, None, 0.5, 1.0, n_sub=8)
+        divergence=lambda t, x, w: np.zeros(np.shape(np.asarray(x))[0]),
+        v_sup=1.0, m_sup_tv=1.0)
+    inflow_b = InflowBoundary(BvTimeSeries.constant(1.0), speed_min=1.0,
+                              b_l1=1.0, b_sup_tv=1.0)
+    direct_b = ibvp_solve(coef_b, inflow_b, gridb, None, 0.0, 1.0, n_sub=16)
+    mid_b = ibvp_solve(coef_b, inflow_b, gridb, None, 0.0, 0.5, n_sub=8)
+    rest_b = ibvp_solve(coef_b, inflow_b, mid_b, None, 0.5, 1.0, n_sub=8)
     details.append(("ibvp", l1_distance(rest_b, direct_b),
                     5 * 2 * gridb.dx[0]))
 
@@ -241,7 +244,7 @@ def test_criterion_6_transport_solvers():
     ones = lambda t, x, w: np.ones(np.shape(np.asarray(x))[0])
 
     move = RenewalCoefficients(velocity=ones, growth=zeros, source=zeros,
-                               v_sup=1.0)
+                               divergence=zeros, v_sup=1.0)
     got = renewal_solve(move, ind, None, 0.0, 0.5, n_sub=10)
     ref = GridFunction.from_callable(
         lambda x: ((x >= 0.5) & (x < 1.5)).astype(float),
@@ -250,16 +253,16 @@ def test_criterion_6_transport_solvers():
 
     fade = RenewalCoefficients(velocity=zeros,
                                growth=lambda t, x, w: -ones(t, x, w),
-                               source=zeros, m_sup_tv=1.0)
+                               source=zeros, divergence=zeros, m_sup_tv=1.0)
     got = renewal_solve(fade, ind, None, 0.0, 1.0, n_sub=10)
     decay_err = l1_distance(got, ind.with_values(ind.values * math.exp(-1)))
 
     gridb = GridFunction.uniform((0.0, 2.0), 800)
-    fill = IbvpCoefficients(
-        speed=lambda t, x: np.ones(np.shape(np.asarray(x))[0]),
-        growth=zeros, source=zeros, inflow=BvTimeSeries.constant(1.0),
-        speed_min=1.0, speed_max=1.0, b_l1=1.0, b_sup_tv=1.0)
-    got = ibvp_solve(fill, gridb, None, 0.0, 1.0, n_sub=10)
+    fill = RenewalCoefficients(velocity=ones, growth=zeros, source=zeros,
+                               divergence=zeros, v_sup=1.0)
+    unit = InflowBoundary(BvTimeSeries.constant(1.0), speed_min=1.0,
+                          b_l1=1.0, b_sup_tv=1.0)
+    got = ibvp_solve(fill, unit, gridb, None, 0.0, 1.0, n_sub=10)
     xsb = gridb.axis_centers(0)
     fill_err = l1_distance(got, gridb.with_values((xsb < 1.0).astype(float)))
 
@@ -267,7 +270,8 @@ def test_criterion_6_transport_solvers():
     coef = RenewalCoefficients(
         velocity=lambda t, x, w: 0.5 + 0.2 * np.sin(x),
         growth=lambda t, x, w: 0.3 * np.cos(x) - 0.1,
-        source=zeros, v_sup=0.7, v_lip=0.2, v_div_lip=0.7, m_sup_tv=1.5)
+        source=zeros, divergence=lambda t, x, w: 0.2 * np.cos(x),
+        v_sup=0.7, v_lip=0.2, v_div_lip=0.7, m_sup_tv=1.5)
     bump = GridFunction.from_callable(
         lambda x: np.clip(1 - np.abs(x), 0, None) ** 2,
         grid.origin, grid.dx, grid.values.shape)
@@ -289,16 +293,15 @@ def test_criterion_6_transport_solvers():
                            atv - u_t.tv())
 
     # boundary-problem envelope along the decay-fill trajectory
-    decay_b = IbvpCoefficients(
-        speed=lambda t, x: np.ones(np.shape(np.asarray(x))[0]),
-        growth=lambda t, x, w: -np.ones(np.shape(np.asarray(x))[0]),
-        source=zeros, inflow=BvTimeSeries.constant(1.0),
-        speed_min=1.0, speed_max=1.0, m_sup_tv=1.0, b_l1=1.0, b_sup_tv=1.0)
+    decay_b = RenewalCoefficients(
+        velocity=ones, growth=lambda t, x, w: -ones(t, x, w),
+        source=zeros, divergence=zeros, v_sup=1.0, m_sup_tv=1.0)
     horizon_b, radius_b = 0.5, 8.0
     worst_margin_b = math.inf
     for t in (0.125, 0.25, 0.375, 0.5):
-        u_t = ibvp_solve(decay_b, gridb, None, 0.0, t, n_sub=10)
-        a1, ai, atv = ibvp_domain_bounds(t, radius_b, horizon_b, decay_b)
+        u_t = ibvp_solve(decay_b, unit, gridb, None, 0.0, t, n_sub=10)
+        a1, ai, atv = ibvp_domain_bounds(t, radius_b, horizon_b, decay_b,
+                                         unit)
         gap = abs(1.0 - float(u_t.values[0]))
         worst_margin_b = min(worst_margin_b, a1 - u_t.l1(), ai - u_t.linf(),
                              atv - (u_t.tv() + gap))

@@ -1,0 +1,51 @@
+"""Bundled outputs, byte for byte.
+
+A design change keeps the CLI's outputs byte-identical unless it states
+otherwise; these expected files turn that rule into a check.  The run
+summaries are compared without ``runtime_s``, which is a timing.  To
+re-record after an intended change, copy the new outputs into
+``tests/golden`` (dropping ``runtime_s``) and say why in the change.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from polyflow.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+
+
+def summary_without_timing(path: Path) -> str:
+    summary = json.loads(path.read_text())
+    summary.pop("runtime_s")
+    return json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
+
+def test_verify_report(tmp_path):
+    code = main(["verify", str(ROOT / "configs" / "verify_all.json"),
+                 "--seed", "0", "--out", str(tmp_path), "--quiet"])
+    assert code == 0
+    expected = GOLDEN / "verify_all_seed0" / "report.json"
+    assert (tmp_path / "report.json").read_bytes() == expected.read_bytes()
+
+
+RUN_FILES = {
+    "epidemic": ["epidemic_trajectory.csv", "epidemic_cohort_final.csv"],
+    "predator_prey_1d": ["predator_prey_trajectory.csv",
+                         "prey_density_final.csv"],
+}
+
+
+@pytest.mark.parametrize("scenario", list(RUN_FILES))
+def test_run_outputs(tmp_path, scenario):
+    code = main(["run", str(ROOT / "configs" / f"{scenario}.json"),
+                 "--out", str(tmp_path), "--quiet"])
+    assert code == 0
+    for name in RUN_FILES[scenario]:
+        assert ((tmp_path / name).read_bytes()
+                == (GOLDEN / scenario / name).read_bytes()), name
+    assert (summary_without_timing(tmp_path / "summary.json")
+            == (GOLDEN / scenario / "summary.json").read_text())

@@ -56,6 +56,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="time.horizon"):
             validate_config(base_config(time={"horizon": -1.0}))
 
+    @pytest.mark.parametrize("refine, ok", [
+        ({"j0": 8}, True), ({"j0": 9}, False),
+        ({"j0": 3, "j_max": 3}, True), ({"j0": 4, "j_max": 3}, False)])
+    def test_start_level_at_most_the_deepest(self, refine, ok):
+        # j_max defaults to 8, as in schedule_from_config
+        cfg = base_config(refine=refine)
+        if ok:
+            validate_config(cfg)
+        else:
+            with pytest.raises(ConfigError, match="refine.j0"):
+                validate_config(cfg)
+
     def test_epidemic_field_names(self):
         cfg = base_config(scenario="epidemic",
                           time={"horizon": 1.0, "macro_step": 0.1},
@@ -366,6 +378,7 @@ class TestCli:
         ("epidemic.json", ("refine", "j_max"), -1, "refine.j_max"),
         ("epidemic.json", ("refine", "j0"), -2, "refine.j0"),
         ("epidemic.json", ("refine", "j_max"), 2.5, "refine.j_max"),
+        ("epidemic.json", ("refine", "j0"), 4, "refine.j0"),
         ("predator_prey_1d.json", ("params", "search_radius"), 100,
          "params.search_radius"),
         # caught inside run_epidemic, after validation
@@ -373,6 +386,7 @@ class TestCli:
          "exceeds the certified segment"),
     ], ids=["s0-above-radius", "r0-list", "repeated-rate-time", "j_max-string",
             "j_max-negative", "j0-negative", "j_max-fraction",
+            "j0-above-j_max",
             "kernel-out-of-box", "uncertified-macro-step"])
     def test_config_mistake_exit_3(self, tmp_path, capsys, name, path,
                                    value, field):

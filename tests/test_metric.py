@@ -174,6 +174,14 @@ class TestRefineToProcess:
         assert not res.converged
         assert res.level == 4
 
+    @pytest.mark.parametrize("tol", [1e-6, math.inf])
+    def test_start_level_above_the_deepest_rejected(self, tol):
+        # the polygonal of level j0 would be returned labelled j_max
+        flow = rotation_flow()
+        x0 = (np.array([1.0]), np.array([0.0]))
+        with pytest.raises(ValueError, match="j0 5 exceeds j_max 2"):
+            refine_to_process(flow, 0.5, 0.0, x0, tol, j0=5, j_max=2)
+
 
 class TestCouplingBounds:
     def test_zero_moduli(self):

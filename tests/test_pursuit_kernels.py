@@ -6,12 +6,14 @@ prey speed and sink from the squared distance, and the divergence of the
 prey speed in closed form.  The references below are the direct formulas:
 the radial bump gradient ``slope(|z|) z / |z|`` summed over every cell, the
 bumps taken at the plain distance, and central differences of the speed.
+The central differences also check the closed-form divergences of the
+verify suites' smooth speeds.
 """
 
 import numpy as np
 import pytest
 
-from polyflow.renewal import _divergence
+from polyflow.harness import _smooth_renewal, _varying_ibvp
 from polyflow.scenarios import Bump, PredatorPreyParams, predator_prey_fields
 
 REL_TOL = 1e-12
@@ -130,13 +132,24 @@ def test_prey_speed_and_sink_match_reference(dim):
                      -bump_reference(fields.feeding, dist))
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_prey_divergence_matches_central_differences(dim):
+def central_divergence(velocity, t, pts, h, w):
+    """Central-difference divergence of the analytic field at ``+-h``."""
+    if pts.ndim == 1:
+        return (velocity(t, pts + h, w) - velocity(t, pts - h, w)) / (2 * h)
+    div = np.zeros(pts.shape[0])
+    for a in range(pts.shape[1]):
+        e = np.zeros(pts.shape[1])
+        e[a] = h
+        div += (velocity(t, pts + e, w)[:, a]
+                - velocity(t, pts - e, w)[:, a]) / (2 * h)
+    return div
+
+
+def prey_divergence_case(dim):
     params = pursuit_params(dim)
-    fields = predator_prey_fields(params)
     reach = params.escape_radius
-    step = (2e-6,) * dim  # central differences at +-1e-6
     rng = np.random.default_rng(2)
+    samples = []
     for p in (np.array([0.15, 0.0][:dim]), np.array([-0.3, 0.45][:dim])):
         # at the predator, inside the support, on its boundary, outside
         radii = np.array([0.0, 0.1, 0.5, 0.9, 1.0, 1.2, 1.7]) * reach
@@ -148,11 +161,37 @@ def test_prey_divergence_matches_central_differences(dim):
                                                      np.sin(angle)])
             axes = radii[:, None] * np.array([[1.0, 0.0]])
             x = p - np.concatenate([ring, axes])
-        got = fields.prey.divergence(0.0, x, p)
-        ref = _divergence(fields.prey.velocity, 0.0, x, step, p)
+        samples.append((x, p))
+    return predator_prey_fields(params).prey, samples
+
+
+DIVERGENCE_CASES = {
+    1: lambda: prey_divergence_case(1),
+    2: lambda: prey_divergence_case(2),
+    "smooth_renewal": lambda: (_smooth_renewal(),
+                               [(np.linspace(-2.0, 3.0, 101), None)]),
+    "ibvp_varying": lambda: (_varying_ibvp(),
+                             [(np.linspace(0.0, 2.0, 101), None)]),
+}
+
+
+@pytest.mark.parametrize("case", list(DIVERGENCE_CASES))
+def test_prey_divergence_matches_central_differences(case):
+    """Every closed-form divergence the library supplies (the prey in 1D
+    and 2D, the renewal and ibvp verify suites' speeds) converges to the
+    central differences at second order in the step."""
+    coef, samples = DIVERGENCE_CASES[case]()
+    for x, w in samples:
+        got = coef.divergence(0.3, x, w)
         assert got.shape == (x.shape[0],)
-        assert np.max(np.abs(got - ref)) <= 1e-6
-        outside = distance(p, x, dim) > reach
-        assert outside.any()
-        assert np.all(got[outside] == 0.0)
-        assert got[distance(p, x, dim) == 0.0][0] > 0.0  # source at z = 0
+        err = [np.max(np.abs(got - central_divergence(coef.velocity, 0.3, x,
+                                                      h, w)))
+               for h in (1e-3, 5e-4)]
+        assert err[1] <= 1e-4
+        assert 3.5 <= err[0] / err[1] <= 4.5
+        if case in (1, 2):
+            dist = distance(w, x, case)
+            outside = dist > pursuit_params(case).escape_radius
+            assert outside.any()
+            assert np.all(got[outside] == 0.0)
+            assert got[dist == 0.0][0] > 0.0  # source at z = 0

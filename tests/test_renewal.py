@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from polyflow.errors import InadmissibleHorizon, SupportClearanceViolated
-from polyflow.renewal import (RenewalCoefficients, _divergence,
-                              audit_coefficients, backward_transport,
-                              characteristic, ivp_domain_bounds,
-                              ivp_lipschitz_constants, renewal_solve)
+from polyflow.renewal import (RenewalCoefficients, audit_coefficients,
+                              backward_transport, characteristic,
+                              ivp_domain_bounds, ivp_lipschitz_constants,
+                              renewal_solve)
 from polyflow.spaces import GridFunction, l1_distance
 
 
@@ -19,11 +19,16 @@ def still(v_value=0.0):
     return lambda t, x, w: np.full(np.shape(x)[0], v_value)
 
 
-def coefficients(velocity=None, growth=None, source=None, **certs):
+def coefficients(velocity=None, growth=None, source=None, divergence=None,
+                 **certs):
+    """Coefficients; the default velocity is the zero field."""
+    if velocity is None:
+        velocity, divergence = still(), divergence or zeros
     return RenewalCoefficients(
-        velocity=velocity or still(),
+        velocity=velocity,
         growth=growth or zeros,
         source=source or zeros,
+        divergence=divergence,
         **certs)
 
 
@@ -80,7 +85,7 @@ class TestConstantVelocity:
                 None, 1.0, lo, x, 12, (0.05,))
             rk4 = backward_transport(
                 coefficients(velocity=still(-0.6), growth=growth,
-                             source=source),
+                             source=source, divergence=zeros),
                 None, 1.0, lo, x, 12, (0.05,))
             for a, b in zip(exact, rk4):
                 assert np.max(np.abs(a - b)) <= 1e-13
@@ -88,7 +93,8 @@ class TestConstantVelocity:
     def test_solve_translates(self, grid, indicator):
         coef = coefficients(velocity=1.0, v_sup=1.0)
         got = renewal_solve(coef, indicator, None, 0.0, 0.5, n_sub=4)
-        ref = renewal_solve(coefficients(velocity=still(1.0), v_sup=1.0),
+        ref = renewal_solve(coefficients(velocity=still(1.0), v_sup=1.0,
+                                         divergence=zeros),
                             indicator, None, 0.0, 0.5, n_sub=4)
         assert np.array_equal(got.values, ref.values)
 
@@ -101,7 +107,7 @@ class TestConstantVelocity:
 
 class TestRenewalSolve:
     def test_pure_translation(self, grid, indicator):
-        coef = coefficients(velocity=still(1.0), v_sup=1.0)
+        coef = coefficients(velocity=still(1.0), v_sup=1.0, divergence=zeros)
         got = renewal_solve(coef, indicator, None, 0.0, 0.5, n_sub=10)
         ref = GridFunction.from_callable(
             lambda x: ((x >= 0.5) & (x < 1.5)).astype(float),
@@ -124,13 +130,13 @@ class TestRenewalSolve:
         assert l1_distance(got, ref) <= 1e-3
 
     def test_identity_at_start_time(self, indicator):
-        coef = coefficients(velocity=still(1.0), v_sup=1.0)
+        coef = coefficients(velocity=still(1.0), v_sup=1.0, divergence=zeros)
         got = renewal_solve(coef, indicator, None, 0.3, 0.3, n_sub=4)
         assert got is indicator
 
     def test_clearance_violation(self, grid):
         edge = grid.with_values(np.ones(grid.values.shape[0]))
-        coef = coefficients(velocity=still(1.0), v_sup=1.0)
+        coef = coefficients(velocity=still(1.0), v_sup=1.0, divergence=zeros)
         with pytest.raises(SupportClearanceViolated):
             renewal_solve(coef, edge, None, 0.0, 0.5)
 
@@ -142,7 +148,7 @@ class TestRenewalSolve:
         shift = np.array([0.2, -0.12])
         coef = coefficients(
             velocity=lambda t, x, w: np.broadcast_to(shift, np.shape(x)).copy(),
-            v_sup=float(np.linalg.norm(shift)) + 1e-9)
+            divergence=zeros, v_sup=float(np.linalg.norm(shift)) + 1e-9)
         got = renewal_solve(coef, bump, None, 0.0, 1.0, n_sub=6)
         ref = GridFunction.from_callable(
             lambda x, y: np.clip(1 - 8 * ((x - 0.2) ** 2 + (y + 0.12) ** 2),
@@ -160,6 +166,7 @@ class TestRenewalSolve:
                                           grid.values.shape)
         coef = coefficients(
             velocity=lambda s, x, w: lam * np.asarray(x, dtype=float),
+            divergence=lambda s, x, w: np.full(np.shape(x)[0], 2.0 * lam),
             v_sup=lam * math.sqrt(2.0) + 1e-9, v_lip=lam)
         got = renewal_solve(coef, bump, None, 0.0, t, n_sub=16)
         scale = math.exp(-lam * t)
@@ -177,24 +184,17 @@ class TestSuppliedDivergence:
                                 0.1 * x[:, 0] * x[:, 1] - 0.2 * t])
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_without_divergence_uses_central_differences(self, dim):
-        # the default path stays the central difference, bit for bit
-        if dim == 1:
-            velocity = lambda t, x, w: 0.5 + 0.2 * np.sin(x) * w
-            x = np.linspace(-1.0, 2.0, 301)
-        else:
-            velocity = self.swirl
-            g = np.linspace(-1.0, 1.0, 21)
-            x = np.column_stack([np.repeat(g, 21), np.tile(g, 21)])
-        dx = (0.01,) * dim
-        growth = lambda t, x, w: 0.3 * np.cos(x if dim == 1 else x[:, 0])
-        plain = coefficients(velocity=velocity, growth=growth)
-        spelled = coefficients(
-            velocity=velocity, growth=growth,
-            divergence=lambda t, p, w: _divergence(velocity, t, p, dx, w))
-        for a, b in zip(backward_transport(plain, 1.5, 0.7, 0.1, x, 6, dx),
-                        backward_transport(spelled, 1.5, 0.7, 0.1, x, 6, dx)):
-            assert a.tobytes() == b.tobytes()
+    def test_callable_velocity_without_divergence_rejected(self, dim):
+        velocity = (self.swirl if dim == 2
+                    else lambda t, x, w: 0.5 + 0.2 * np.sin(x) * w)
+        with pytest.raises(ValueError, match="callable divergence"):
+            coefficients(velocity=velocity)
+        with pytest.raises(ValueError, match="callable divergence"):
+            coefficients(velocity=velocity, divergence=0.0)
+
+    def test_constant_velocity_with_divergence_rejected(self):
+        with pytest.raises(ValueError, match="constant velocity"):
+            coefficients(velocity=0.5, divergence=zeros)
 
     def test_supplied_divergence_enters_the_growth_factor(self):
         coef = coefficients(divergence=lambda t, x, w: np.full(x.shape[0],
@@ -211,7 +211,7 @@ def smooth_coefficients():
     return RenewalCoefficients(
         velocity=lambda t, x, w: 0.5 + 0.2 * np.sin(x),
         growth=lambda t, x, w: 0.3 * np.cos(x) - 0.1,
-        source=zeros,
+        source=zeros, divergence=lambda t, x, w: 0.2 * np.cos(x),
         v_sup=0.7, v_lip=0.2, v_div_lip=0.7, m_sup_tv=1.5)
 
 
@@ -246,6 +246,7 @@ class TestProcessLaws:
             velocity=lambda t, x, w: 0.5 + 0.2 * np.sin(x),
             growth=lambda t, x, w: 0.3 * np.cos(x) - 0.1,
             source=lambda t, x, w: 0.2 * np.exp(-x * x),
+            divergence=lambda t, x, w: 0.2 * np.cos(x),
             v_sup=0.7, v_lip=0.2, m_sup_tv=1.5, q_l1=1.0, q_sup_tv=1.0)
         u0 = smooth_bump(grid)
         v0 = u0.with_values(np.roll(u0.values, 40))
@@ -310,7 +311,7 @@ class TestAudit:
     def test_understated_speed_flagged(self, grid):
         coef = RenewalCoefficients(
             velocity=lambda t, x, w: np.full(np.shape(x)[0], 2.0),
-            growth=zeros, source=zeros, v_sup=1.0)
+            growth=zeros, source=zeros, divergence=zeros, v_sup=1.0)
         rng = np.random.default_rng(0)
         assert audit_coefficients(coef, grid, None, rng) > 0.5
 

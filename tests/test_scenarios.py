@@ -1,17 +1,22 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polyflow.errors import ConfigError, KernelOutOfBox
+from polyflow.harness import epidemic_params_from_config, load_config
 from polyflow.ibvp import ibvp_domain_bounds
-from polyflow.renewal import ivp_domain_bounds
+from polyflow.renewal import audit_coefficients, ivp_domain_bounds
 from polyflow.scenarios import (EpidemicParams, PredatorPreyParams,
                                 RefineSchedule, _epidemic_ibvp,
                                 epidemic_cohort_reference,
                                 predator_prey_fields, run_epidemic,
                                 run_predator_prey)
 from polyflow.spaces import BvTimeSeries, GridFunction, l1_distance
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def pursuit_params(dim=2, feeding_rate=0.0, predator=(0.15, 0.0),
@@ -271,8 +276,21 @@ class TestEpidemicRuns:
         assert run.trajectory.column("S")[-1] < 0
 
     def test_epidemic_age_speed_is_the_constant_one(self):
-        coef = _epidemic_ibvp(epidemic_params(), i_bound=1.0)
-        assert coef.as_renewal().velocity == 1.0
+        coef, inflow = _epidemic_ibvp(epidemic_params(), i_bound=1.0)
+        assert coef.velocity == 1.0 and coef.divergence is None
+        assert coef.v_sup == inflow.speed_min == 1.0
+
+    @pytest.mark.parametrize("name", ["epidemic.json", "epidemic_sir.json"])
+    def test_cohort_certificates_pass_the_audit(self, name):
+        # the runner's infective bound is its ODE ball radius
+        params = epidemic_params_from_config(load_config(CONFIG_DIR / name))
+        ball = 2.0 * (math.hypot(params.s0, params.i0) + 0.5)
+        coef, _ = _epidemic_ibvp(params, i_bound=ball)
+        for i in (0.0, params.i0, ball):
+            worst = audit_coefficients(
+                coef, params.v0, np.array([params.s0, i]),
+                np.random.default_rng(0), t_range=(0.0, params.horizon))
+            assert worst <= 0.0
 
 
 class TestEnvelopeMargins:
@@ -292,9 +310,9 @@ class TestEnvelopeMargins:
         params = epidemic_params(cells=100, horizon=0.2, macro=0.04)
         traj = run_epidemic(params, RefineSchedule(0, 2, 1e-6)).trajectory
         macro = params.macro_step
-        coef = _epidemic_ibvp(params, i_bound=traj.meta["ball"])
+        coef, inflow = _epidemic_ibvp(params, i_bound=traj.meta["ball"])
         bounds = ibvp_domain_bounds(macro, traj.meta["radius_v"], macro,
-                                    coef)
+                                    coef, inflow)
         cohorts = [v for _, v in traj.states]
         gaps = [abs(float(params.vaccination_rate(t)) - float(v.values[0]))
                 for t, v in zip(traj.times, cohorts)]
