@@ -38,6 +38,12 @@ class RenewalCoefficients:
     ``divergence``.  The same type describes the inflow problem of
     ``polyflow.ibvp`` (with an ``InflowBoundary``).
 
+    ``support(w)``, optional with a callable velocity, returns ``(centre,
+    radius)``: velocity, growth, divergence and source vanish at every
+    ``t`` on the points at distance ``>= radius`` from ``centre`` under the
+    frozen parameter ``w``.  ``renewal_solve`` then transports only the
+    cells inside that ball; every other cell keeps its value.
+
     Certificates (never inferred, optionally audited): ``v_sup`` bounds
     ``|v|``, ``v_lip`` bounds the space gradient and the parameter modulus of
     v, ``v_div_lip`` the L1 norm of the divergence gradient; ``m_sup_tv``
@@ -57,12 +63,31 @@ class RenewalCoefficients:
     q_sup_tv: float = 0.0
     q_l1: float = 0.0
     q_param_lip: float = 0.0
+    support: Callable[[Any], tuple[Any, float]] | None = None
 
     def __post_init__(self):
         if callable(self.velocity) and not callable(self.divergence):
             raise ValueError("a callable velocity needs a callable divergence")
         if not callable(self.velocity) and self.divergence is not None:
             raise ValueError("a constant velocity takes no divergence")
+        if not callable(self.velocity) and self.support is not None:
+            raise ValueError("a constant velocity takes no support")
+
+
+# cells this far past the certified radius (relative) are still transported,
+# so rounding in the coefficients' own distances cannot reach a skipped cell
+_SUPPORT_MARGIN = 1e-6
+
+
+def _beyond_support(coef: RenewalCoefficients, w, pts: np.ndarray,
+                    margin: float = 0.0) -> np.ndarray:
+    """Mask of the points at distance ``>= (1 + margin) radius`` from the
+    centre of ``coef.support(w)``."""
+    centre, radius = coef.support(w)
+    d = pts - np.asarray(centre, dtype=float)
+    dist_sq = d * d if d.ndim == 1 else np.sum(d * d, axis=1)
+    reach = radius * (1.0 + margin)
+    return dist_sq >= reach * reach
 
 
 def audit_coefficients(coef: RenewalCoefficients, grid: GridFunction, w,
@@ -73,17 +98,26 @@ def audit_coefficients(coef: RenewalCoefficients, grid: GridFunction, w,
     Checks sup bounds of the velocity (a constant one without sampling),
     the sup+variation bound of the growth rate, and the L1 plus
     sup+variation bounds of the source, with the variation taken on the
-    supplied grid.  Evidence, not proof.
+    supplied grid.  With a ``support``, the largest ``|v|``, ``|m|``,
+    ``|div v|`` and ``|q|`` on the grid centres outside its ball count as
+    violations too.  Evidence, not proof.
     """
     sampled = callable(coef.velocity)
     worst = -math.inf if sampled else abs(coef.velocity) - coef.v_sup
     pts = grid.centers()
+    outside = (pts[:0] if coef.support is None
+               else pts[_beyond_support(coef, w, pts)])
     for _ in range(n):
         t = float(rng.uniform(*t_range))
         if sampled:
             v = np.asarray(coef.velocity(t, pts, w), dtype=float)
             speeds = np.abs(v) if v.ndim == 1 else np.linalg.norm(v, axis=1)
             worst = max(worst, float(np.max(speeds)) - coef.v_sup)
+        if len(outside):
+            for field in (coef.velocity, coef.growth, coef.divergence,
+                          coef.source):
+                worst = max(worst, float(np.max(np.abs(
+                    np.asarray(field(t, outside, w), dtype=float)))))
         m = grid.with_values(np.asarray(coef.growth(t, pts, w), dtype=float)
                              .reshape(grid.values.shape))
         worst = max(worst, m.linf() + m.tv() - coef.m_sup_tv)
@@ -171,7 +205,10 @@ def renewal_solve(coef: RenewalCoefficients, u0: GridFunction, w,
     """Advance the datum from ``t0`` to ``t`` with the parameter frozen.
 
     Requires the datum's support to keep ``v_sup * (t - t0)`` clearance from
-    the box edge, so no mass reaches the truncation boundary.
+    the box edge, so no mass reaches the truncation boundary.  With a
+    ``coef.support``, only the cells inside its ball (widened by a relative
+    ``_SUPPORT_MARGIN``) are transported; every other cell keeps
+    ``u0 * 1.0 + 0.0``, which is what its standing characteristic gives.
     """
     if t < t0:
         raise ValueError("t must be >= t0")
@@ -183,9 +220,17 @@ def renewal_solve(coef: RenewalCoefficients, u0: GridFunction, w,
     if t == t0:
         return u0
     centers = u0.centers()
-    foot, factor, src = backward_transport(coef, w, t, t0, centers, n_sub,
-                                           u0.dx)
-    vals = u0.lookup(foot, outside="zero") * factor + src
+    if coef.support is None:
+        foot, factor, src = backward_transport(coef, w, t, t0, centers,
+                                               n_sub, u0.dx)
+        vals = u0.lookup(foot, outside="zero") * factor + src
+        return u0.with_values(vals.reshape(u0.values.shape))
+    vals = u0.values.ravel() * 1.0 + 0.0
+    inside = ~_beyond_support(coef, w, centers, _SUPPORT_MARGIN)
+    if inside.any():
+        foot, factor, src = backward_transport(coef, w, t, t0,
+                                               centers[inside], n_sub, u0.dx)
+        vals[inside] = u0.lookup(foot, outside="zero") * factor + src
     return u0.with_values(vals.reshape(u0.values.shape))
 
 

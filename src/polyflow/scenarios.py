@@ -224,6 +224,9 @@ def predator_prey_fields(params: PredatorPreyParams) -> PredatorPreyFields:
     prey = RenewalCoefficients(
         velocity=prey_velocity, growth=prey_sink, source=zero_source,
         divergence=prey_divergence,
+        # every prey kernel vanishes outside the wider of the two discs
+        support=lambda p: (p, max(params.escape_radius,
+                                  params.feeding_radius)),
         v_sup=v_sup, v_lip=v_lip, v_div_lip=v_div_lip,
         m_sup_tv=m_sup + m_tv, m_param_lip=m_param_lip,
         q_sup_tv=0.0, q_l1=0.0, q_param_lip=0.0)

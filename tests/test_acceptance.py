@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from polyflow.claw import ParamFlux, claw_solve
+from polyflow.errors import InadmissibleHorizon
 from polyflow.harness import (rotation_exact, rotation_flow,
                               rotation_processes, suite_bv)
 from polyflow.ibvp import InflowBoundary, ibvp_domain_bounds, ibvp_solve
@@ -277,14 +278,16 @@ def test_criterion_6_transport_solvers():
         grid.origin, grid.dx, grid.values.shape)
     horizon = 0.4
     radius = 2.0
-    while True:
+    for _ in range(60):
         try:
             a = ivp_domain_bounds(0.0, radius, horizon, coef)
             if bump.l1() <= a[0] and bump.linf() <= a[1] and bump.tv() <= a[2]:
                 break
-        except Exception:
+        except InadmissibleHorizon:
             pass
         radius *= 2.0
+    else:
+        pytest.fail("no admissible radius within 60 doublings")
     worst_margin = math.inf
     for t in (0.1, 0.2, 0.3, 0.4):
         u_t = renewal_solve(coef, bump, None, 0.0, t, n_sub=10)

@@ -2,11 +2,13 @@
 
 A design change keeps the CLI's outputs byte-identical unless it states
 otherwise; these expected files turn that rule into a check.  The run
-summaries are compared without ``runtime_s``, which is a timing.  To
+summaries are compared without ``runtime_s``, which is a timing; the 2D
+prey density (382 KB) is kept as its sha256, in ``sha256sum`` format.  To
 re-record after an intended change, copy the new outputs into
 ``tests/golden`` (dropping ``runtime_s``) and say why in the change.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -36,7 +38,9 @@ RUN_FILES = {
     "epidemic": ["epidemic_trajectory.csv", "epidemic_cohort_final.csv"],
     "predator_prey_1d": ["predator_prey_trajectory.csv",
                          "prey_density_final.csv"],
+    "predator_prey_2d": ["predator_prey_trajectory.csv"],
 }
+RUN_DIGESTS = {"predator_prey_2d": ["prey_density_final.csv"]}
 
 
 @pytest.mark.parametrize("scenario", list(RUN_FILES))
@@ -47,5 +51,9 @@ def test_run_outputs(tmp_path, scenario):
     for name in RUN_FILES[scenario]:
         assert ((tmp_path / name).read_bytes()
                 == (GOLDEN / scenario / name).read_bytes()), name
+    for name in RUN_DIGESTS.get(scenario, []):
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        expected = (GOLDEN / scenario / f"{name}.sha256").read_text().split()
+        assert expected == [digest, name]
     assert (summary_without_timing(tmp_path / "summary.json")
             == (GOLDEN / scenario / "summary.json").read_text())
