@@ -75,7 +75,7 @@ def boundary_crossing_time(velocity, t: float, x, t0: float,
     if np.any(tau < t0 - tol):
         raise NoCrossing("backward characteristic exits through the initial "
                          "time; use the interior branch")
-    return np.clip(tau, t0, t)
+    return np.minimum(np.maximum(tau, t0), t)
 
 
 def ibvp_solve(coef: RenewalCoefficients, inflow: InflowBoundary,
@@ -125,15 +125,15 @@ def ibvp_solve(coef: RenewalCoefficients, inflow: InflowBoundary,
     sigma = float(characteristic(coef.velocity, t0, np.array([0.0]), t, w,
                                  n_sub=n_sub)[0])
     centers = u0.centers()
-    boundary = centers < sigma
+    # the centres ascend, so the cells left of sigma are a prefix
+    n_bdy = int(np.count_nonzero(centers < sigma))
     t_lo = np.full(centers.shape[0], float(t0))
-    t_lo[boundary] = boundary_crossing_time(coef.velocity, t,
-                                            centers[boundary], t0,
-                                            n_sub=n_sub)
+    t_lo[:n_bdy] = boundary_crossing_time(coef.velocity, t, centers[:n_bdy],
+                                          t0, n_sub=n_sub)
     foot, factor, src = backward_transport(coef, w, t, t_lo, centers, n_sub,
                                            u0.dx)
     seed = u0.lookup(foot, outside="zero")
-    seed[boundary] = inflow.series(t_lo[boundary])
+    seed[:n_bdy] = inflow.series(t_lo[:n_bdy])
     return u0.with_values(seed * factor + src)
 
 

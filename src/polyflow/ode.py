@@ -75,11 +75,22 @@ def _rk4(f: Callable[[float, np.ndarray], np.ndarray], t: float,
     return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _leaves_ball(u: np.ndarray, reach: float) -> bool:
+    """Whether ``|u| <= reach`` fails, as it does for a NaN norm.
+
+    ``sqrt(v.dot(v))`` of the flattened state is what ``np.linalg.norm``
+    computes, bit for bit.
+    """
+    flat = u.ravel()
+    return not math.sqrt(flat.dot(flat)) <= reach
+
+
 def ode_solve(field: OdeField, t0: float, t: float, u0, w,
               n_sub: int = 16, horizon: float | None = None) -> np.ndarray:
     """Classical fixed-step RK4 with the parameter held frozen.
 
-    The ball constraint is checked at substep boundaries only.
+    The ball constraint is checked at substep boundaries only; a state
+    whose norm is not finite (a NaN or infinite entry) has left the ball.
     """
     if t < t0:
         raise ValueError("t must be >= t0")
@@ -87,8 +98,9 @@ def ode_solve(field: OdeField, t0: float, t: float, u0, w,
         raise ValueError("n_sub must be >= 1")
     if horizon is not None and t - t0 > horizon * (1 + 1e-12):
         raise HorizonExceeded(f"t - t0 = {t - t0} exceeds horizon {horizon}")
-    u = np.atleast_1d(np.asarray(u0, dtype=float)).copy()
-    if np.linalg.norm(u) > field.radius * (1 + 1e-12):
+    u = np.array(u0, dtype=float, ndmin=1)
+    reach = field.radius * (1 + 1e-12)
+    if _leaves_ball(u, reach):
         raise DomainExit("initial state outside ball", step=0, time=t0)
     if t == t0:
         return u
@@ -96,7 +108,7 @@ def ode_solve(field: OdeField, t0: float, t: float, u0, w,
     rhs = lambda s, v: np.asarray(field.f(s, v, w), dtype=float)
     for k in range(n_sub):
         u = _rk4(rhs, t0 + k * h, u, h)
-        if np.linalg.norm(u) > field.radius * (1 + 1e-12):
+        if _leaves_ball(u, reach):
             raise DomainExit(f"state left ball at substep {k + 1}",
                              step=k + 1, time=t0 + (k + 1) * h)
     return u

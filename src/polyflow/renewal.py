@@ -179,18 +179,21 @@ def backward_transport(coef: RenewalCoefficients, w, t: float, t_lo,
     if callable(coef.velocity):
         rhs = lambda s, y: np.asarray(coef.velocity(s, y, w), dtype=float)
         step = lambda s, y, h: _rk4(rhs, s, y, h)
-        div = lambda s, y: np.asarray(coef.divergence(s, y, w), dtype=float)
+        rate = lambda s, y: (
+            np.asarray(coef.growth(s, y, w), dtype=float)
+            - np.asarray(coef.divergence(s, y, w), dtype=float))
     else:
         step = lambda s, y, h: y + h * coef.velocity
-        div = lambda s, y: 0.0
+        # the divergence is zero, and x - 0.0 is x bit for bit
+        rate = lambda s, y: np.asarray(coef.growth(s, y, w), dtype=float)
+    h = -ds
+    half_h = 0.5 * h
     for j in range(n_sub):
         s_hi = t - j * ds
-        h = -ds
         nxt = step(s_hi, pts, h)
-        s_mid = s_hi + 0.5 * h
+        s_mid = s_hi + half_h
         p_mid = 0.5 * (pts + nxt)
-        contrib = (np.asarray(coef.growth(s_mid, p_mid, w), dtype=float)
-                   - div(s_mid, p_mid)) * ds
+        contrib = rate(s_mid, p_mid) * ds
         factor_mid = np.exp(exponent + 0.5 * contrib)
         source_acc = source_acc + (np.asarray(coef.source(s_mid, p_mid, w),
                                               dtype=float)

@@ -11,6 +11,7 @@ age, fed by the vaccination-rate boundary series.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -127,6 +128,27 @@ class PredatorPreyFields:
     feeding: Bump
 
 
+def _memo_last(fn: Callable) -> Callable:
+    """``fn`` recomputed only when an argument is not the object of the
+    previous call.
+
+    For values computed from frozen inputs that a solver hands in again and
+    again: the parameter of one solve, or the midpoint at which
+    ``backward_transport`` evaluates both growth and divergence.  The memo
+    holds the previous arguments, so their ids cannot be reused.
+    """
+    last_args, last = (), None
+
+    def memo(*args):
+        nonlocal last_args, last
+        if len(args) != len(last_args) or not all(
+                map(operator.is_, args, last_args)):
+            last_args, last = args, fn(*args)
+        return last
+
+    return memo
+
+
 def _sampled_sup(f: Callable[[np.ndarray], np.ndarray], lo: float,
                  hi: float, n: int = 4001) -> float:
     xs = np.linspace(lo, hi, n)
@@ -154,8 +176,10 @@ def predator_prey_fields(params: PredatorPreyParams) -> PredatorPreyFields:
     feeding = Bump(params.feeding_radius, params.feeding_rate)
     alpha = params.alpha
 
+    @_memo_last
     def offset(x, p):
-        """``z = p - x`` and ``|z|^2`` (two products, no axis reduction)."""
+        """``z = p - x`` and ``|z|^2`` (two products, no axis reduction),
+        once for the growth and divergence at one midpoint."""
         d = np.asarray(p, dtype=float) - np.asarray(x, dtype=float)
         if dim == 1:
             return d, d * d
@@ -215,11 +239,14 @@ def predator_prey_fields(params: PredatorPreyParams) -> PredatorPreyFields:
     m_sup = params.feeding_rate
     if dim == 1:
         m_tv = 2.0 * params.feeding_rate
+        m_param_lip = m_tv  # same gradient integral controls the p-shift
     else:
         rr = np.linspace(0, params.feeding_radius, 2001)
-        m_tv = float(np.trapezoid(np.abs(feeding.slope(rr)) * 2 * np.pi * rr,
-                                  rr)) * 1.05
-    m_param_lip = m_tv  # same gradient integral controls the p-shift
+        # the gradient integral bounds the p-shift; GridFunction.tv sums the
+        # axis-wise jumps, which for a radial profile is 4/pi times that
+        m_param_lip = float(np.trapezoid(
+            np.abs(feeding.slope(rr)) * 2 * np.pi * rr, rr)) * 1.05
+        m_tv = m_param_lip * 4.0 / np.pi
 
     prey = RenewalCoefficients(
         velocity=prey_velocity, growth=prey_sink, source=zero_source,
@@ -514,11 +541,15 @@ def _epidemic_ode_field(params: EpidemicParams, ball_radius: float,
     rate_fn = params.vaccination_rate
     cell = rho_v.cell_volume
 
+    # the frozen cohort of one solve is handed to every RK4 stage
+    @_memo_last
+    def exposure(cohort: GridFunction) -> float:
+        return float(np.sum(rho_v.values * cohort.values) * cell)
+
     def f(t, u, cohort: GridFunction):
-        exposure = float(np.sum(rho_v.values * cohort.values) * cell)
         s, i = float(u[0]), float(u[1])
         ds = -rho_s * s * i - float(rate_fn(t))
-        di = (rho_s * s + exposure - theta - mu) * i
+        di = (rho_s * s + exposure(cohort) - theta - mu) * i
         return np.array([ds, di])
 
     rho_v_sup = rho_v.linf()

@@ -29,27 +29,33 @@ class GridFunction:
 
     ``values`` has shape ``(n,)`` or ``(nx, ny)``; cell ``i`` (1D) covers
     ``[origin + i*dx, origin + (i+1)*dx)`` (left-closed).  Instances are
-    treated as immutable values.
+    treated as immutable values.  The cell centres are computed once and
+    shared, read-only, by every grid that ``with_values`` derives.
     """
 
     values: np.ndarray
     origin: tuple[float, ...]
     dx: tuple[float, ...]
+    _centers: np.ndarray | None = field(default=None, init=False,
+                                        repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
         if vals.ndim not in (1, 2):
             raise ValueError(f"grid dimension must be 1 or 2, got {vals.ndim}")
-        origin = tuple(float(o) for o in np.atleast_1d(self.origin))
-        dx = tuple(float(d) for d in np.atleast_1d(self.dx))
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "dx", dx)
+        origin, dx = self.origin, self.dx
+        if not (type(origin) is tuple and type(dx) is tuple
+                and all(type(v) is float for v in origin + dx)):
+            origin = tuple(float(o) for o in np.atleast_1d(origin))
+            dx = tuple(float(d) for d in np.atleast_1d(dx))
+            object.__setattr__(self, "origin", origin)
+            object.__setattr__(self, "dx", dx)
         if len(origin) != vals.ndim or len(dx) != vals.ndim:
             raise ValueError("origin/dx length must match dimension")
         if any(d <= 0 for d in dx):
             raise ValueError("dx must be positive")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("grid values must be finite")
 
     # -- geometry -----------------------------------------------------------
@@ -67,12 +73,17 @@ class GridFunction:
         return self.origin[axis] + (np.arange(n) + 0.5) * self.dx[axis]
 
     def centers(self) -> np.ndarray:
-        """Cell centers, shape (n,) in 1D or (nx*ny, 2) in 2D."""
-        if self.dim == 1:
-            return self.axis_centers(0)
-        X, Y = np.meshgrid(self.axis_centers(0), self.axis_centers(1),
-                           indexing="ij")
-        return np.column_stack([X.ravel(), Y.ravel()])
+        """Cell centers, shape (n,) in 1D or (nx*ny, 2) in 2D (read-only)."""
+        if self._centers is None:
+            if self.dim == 1:
+                pts = self.axis_centers(0)
+            else:
+                X, Y = np.meshgrid(self.axis_centers(0),
+                                   self.axis_centers(1), indexing="ij")
+                pts = np.column_stack([X.ravel(), Y.ravel()])
+            pts.flags.writeable = False
+            object.__setattr__(self, "_centers", pts)
+        return self._centers
 
     def same_grid(self, other: "GridFunction") -> bool:
         return (self.values.shape == other.values.shape
@@ -80,7 +91,10 @@ class GridFunction:
                 and self.dx == other.dx)
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(values, self.origin, self.dx)
+        out = GridFunction(values, self.origin, self.dx)
+        if out.values.shape == self.values.shape:
+            object.__setattr__(out, "_centers", self._centers)
+        return out
 
     # -- functionals ---------------------------------------------------------
 
@@ -111,10 +125,10 @@ class GridFunction:
             n = self.values.shape[0]
             if outside == "clamp":
                 return self.values[np.minimum(np.maximum(idx, 0), n - 1)]
-            inside = (idx >= 0) & (idx < n)
-            out = np.zeros(pts.shape[0])
-            out[inside] = self.values[idx[inside]]
-            return out
+            # one zero cell on each side takes every index off the grid
+            padded = np.zeros(n + 2)
+            padded[1:-1] = self.values
+            return padded[np.minimum(np.maximum(idx, -1), n) + 1]
         pts = pts.reshape(-1, 2)
         ij = np.empty((pts.shape[0], 2), dtype=np.int64)
         for a in range(2):
@@ -438,6 +452,10 @@ class BvTimeSeries:
         return BvTimeSeries(np.array([t0]), np.array([float(value)]))
 
     def __call__(self, t) -> np.ndarray:
+        if isinstance(t, float):
+            # the array path's index for one time; like it, searchsorted
+            # places NaN after every sample
+            return self.vals[max(int(self.times.searchsorted(t)) - 1, 0)]
         t = np.asarray(t, dtype=float)
         idx = np.searchsorted(self.times, t, side="left") - 1
         return self.vals[np.minimum(np.maximum(idx, 0), self.vals.size - 1)]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from polyflow.errors import DomainExit, HorizonExceeded, NegativeRadius
-from polyflow.ode import OdeField, ode_constants, ode_domain_radius, ode_solve
+from polyflow.ode import (OdeField, _leaves_ball, ode_constants,
+                         ode_domain_radius, ode_solve)
 
 
 def linear_field(radius=8.0):
@@ -32,6 +33,38 @@ class TestOdeSolve:
         field = OdeField(f=lambda t, u, w: u, lip=1.0, sup=1.0, radius=1.5)
         with pytest.raises(DomainExit):
             ode_solve(field, 0.0, 1.0, np.array([1.0]), None, n_sub=16)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_start_leaves_the_ball(self, bad):
+        with pytest.raises(DomainExit) as exc:
+            ode_solve(linear_field(), 0.0, 1.0, np.array([0.1, bad]), None)
+        assert exc.value.step == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_leaves_the_ball(self, bad):
+        field = OdeField(f=lambda t, u, w: np.array([0.0, bad]),
+                         lip=1.0, sup=1.0, radius=4.0)
+        with pytest.raises(DomainExit) as exc:
+            ode_solve(field, 0.0, 1.0, np.zeros(2), None, n_sub=4)
+        assert exc.value.step == 1
+
+    def test_ball_check_matches_the_linalg_norm(self):
+        rng = np.random.default_rng(5)
+        for dim in (1, 2, 3, 7):
+            for _ in range(200):
+                u = rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 3)
+                norm = float(np.linalg.norm(u))
+                for reach in (norm, np.nextafter(norm, 0.0),
+                              np.nextafter(norm, np.inf), 0.5 * norm):
+                    assert _leaves_ball(u, reach) == (norm > reach)
+
+    def test_start_state_is_copied(self):
+        u0 = np.array([0.3, -0.4])
+        out = ode_solve(linear_field(), 0.5, 0.5, u0, None)
+        out[0] = 9.0
+        assert u0[0] == 0.3
+        scalar = ode_solve(linear_field(), 0.5, 0.5, 0.25, None)
+        assert scalar.shape == (1,) and scalar[0] == 0.25
 
     def test_horizon_exceeded(self):
         with pytest.raises(HorizonExceeded):

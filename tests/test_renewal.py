@@ -456,10 +456,6 @@ class TestSupport:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_audit(self, dim):
         coef, u0 = pursuit_prey(dim)
-        # the 2D sink's m_sup_tv bounds the radial (isotropic) variation,
-        # below the grid's axis-wise tv; relaxed so the support is audited
-        # alone next to the zero source's exact 0.0
-        coef = dataclasses.replace(coef, m_sup_tv=math.inf)
         p = np.array([0.15] + [0.0] * (dim - 1))
         audit = lambda c: audit_coefficients(c, u0, p,
                                              np.random.default_rng(0))

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from polyflow.errors import ConfigError, KernelOutOfBox
-from polyflow.harness import epidemic_params_from_config, load_config
+from polyflow.harness import (epidemic_params_from_config, load_config,
+                              predator_prey_params_from_config)
 from polyflow.ibvp import ibvp_domain_bounds
+from polyflow.ode import OdeField, ode_solve
 from polyflow.renewal import audit_coefficients, ivp_domain_bounds
 from polyflow.scenarios import (EpidemicParams, PredatorPreyParams,
                                 RefineSchedule, _epidemic_ibvp,
+                                _epidemic_ode_field,
                                 epidemic_cohort_reference,
                                 predator_prey_fields, run_epidemic,
                                 run_predator_prey)
@@ -71,6 +74,42 @@ class TestPursuitFields:
                                     "search_radius": 1.5})
         with pytest.raises(KernelOutOfBox):
             predator_prey_fields(bad)
+
+    @pytest.mark.parametrize("cells", [50, 100, 200])
+    def test_bundled_2d_prey_passes_the_audit(self, cells):
+        # the sink's variation certificate covers GridFunction.tv's
+        # axis-wise variation, 4/pi times the isotropic one
+        base = predator_prey_params_from_config(
+            load_config(CONFIG_DIR / "predator_prey_2d.json"))
+        params = PredatorPreyParams(**{**base.__dict__,
+                                       "cells": (cells, cells)})
+        prey = predator_prey_fields(params).prey
+        assert audit_coefficients(
+            prey, params.initial_density(),
+            np.asarray(params.predator_start, dtype=float),
+            np.random.default_rng(0)) == 0.0
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_kernels_fresh_when_points_or_predator_change(self, dim):
+        # growth and divergence share one offset per midpoint; alternating
+        # points and predator positions must never reuse a stale one
+        params = pursuit_params(dim=dim, feeding_rate=0.5)
+        prey = predator_prey_fields(params).prey
+        rng = np.random.default_rng(2)
+        shape = (40,) if dim == 1 else (40, 2)
+        xs = [rng.uniform(-1, 1, shape) for _ in range(2)]
+        ps = [rng.uniform(-0.3, 0.3, dim) for _ in range(2)]
+        fns = (prey.velocity, prey.growth, prey.divergence)
+        # fresh copies of the arguments never meet a remembered offset
+        ref = predator_prey_fields(params).prey
+        want = {(i, j, k): fn(0.0, xs[i].copy(), ps[j].copy())
+                for i in range(2) for j in range(2)
+                for k, fn in enumerate((ref.velocity, ref.growth,
+                                        ref.divergence))}
+        for i, j, k in [(0, 0, 1), (0, 0, 2), (1, 0, 2), (1, 1, 1),
+                        (1, 1, 0), (0, 1, 2), (0, 0, 0), (0, 0, 2),
+                        (1, 0, 1), (1, 0, 1)]:
+            assert np.array_equal(fns[k](0.3, xs[i], ps[j]), want[i, j, k])
 
     def test_velocity_certificate_sampled(self):
         params = pursuit_params()
@@ -291,6 +330,50 @@ class TestEpidemicRuns:
                 coef, params.v0, np.array([params.s0, i]),
                 np.random.default_rng(0), t_range=(0.0, params.horizon))
             assert worst <= 0.0
+
+
+def per_stage_exposure_field(params, field):
+    """The epidemic (S, I) field summing the exposure at every call."""
+    rho_v = params.vaccinated_infectivity
+    rho_s, cell = params.infection_rate, rho_v.cell_volume
+    theta, mu = params.recovery_rate, params.mortality_rate
+
+    def f(t, u, cohort):
+        exposure = float(np.sum(rho_v.values * cohort.values) * cell)
+        s, i = float(u[0]), float(u[1])
+        ds = -rho_s * s * i - float(params.vaccination_rate(t))
+        di = (rho_s * s + exposure - theta - mu) * i
+        return np.array([ds, di])
+
+    return OdeField(f=f, lip=field.lip, sup=field.sup, radius=field.radius)
+
+
+class TestEpidemicExposure:
+    def test_one_exposure_sum_per_solve(self):
+        reads = []
+
+        class Cohort(GridFunction):
+            def __getattribute__(self, name):
+                if name == "values":
+                    reads.append(id(self))
+                return super().__getattribute__(name)
+
+        params = epidemic_params()
+        field = _epidemic_ode_field(params, 4.0, 2.0)
+        reference = per_stage_exposure_field(params, field)
+        xs = params.v0.axis_centers(0)
+        a = Cohort(0.2 * np.exp(-3 * xs), params.v0.origin, params.v0.dx)
+        b = Cohort(0.5 * np.cos(xs) ** 2, params.v0.origin, params.v0.dx)
+        u0 = np.array([params.s0, params.i0])
+        for cohort in (a, b, a, a, b):
+            reads.clear()
+            got = ode_solve(field, 0.0, 0.1, u0, cohort, n_sub=8)
+            assert len(reads) <= 1
+            want = ode_solve(reference, 0.0, 0.1, u0, cohort, n_sub=8)
+            assert np.array_equal(got, want)
+        reads.clear()
+        ode_solve(field, 0.0, 0.1, u0, a, n_sub=8)
+        assert reads == [id(a)]
 
 
 class TestEnvelopeMargins:

@@ -121,6 +121,98 @@ class TestGridFunction:
         assert (tmp_path / "g.csv").read_bytes() == ref.read_bytes()
 
 
+def masked_zero_lookup(u, points):
+    """The 1D zero-extension lookup as a boolean mask of the cells hit."""
+    pts = np.asarray(points, dtype=float).reshape(-1)
+    idx = np.floor((pts - u.origin[0]) / u.dx[0]).astype(np.int64)
+    inside = (idx >= 0) & (idx < u.values.shape[0])
+    out = np.zeros(pts.shape[0])
+    out[inside] = u.values[idx[inside]]
+    return out
+
+
+def fresh_centers(u):
+    """Cell centres computed from the geometry alone."""
+    axes = [u.origin[a] + (np.arange(u.values.shape[a]) + 0.5) * u.dx[a]
+            for a in range(u.dim)]
+    if u.dim == 1:
+        return axes[0]
+    X, Y = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([X.ravel(), Y.ravel()])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+class TestGridFastPaths:
+    """The padded zero lookup, the shared centres and the geometry check."""
+
+    def test_zero_lookup_matches_the_masked_lookup(self):
+        u = GridFunction(np.array([1.5, -0.0, -2.0, 4.0, 0.25]), (-0.5,),
+                         (0.25,))
+        edges = -0.5 + 0.25 * np.arange(6)
+        pts = np.concatenate([
+            edges, edges - 1e-15, edges + 1e-15,         # on the cell edges
+            [-0.6, -5.0, -1e300, 0.75 + 1e-12, 3.0, 1e300],  # off the grid
+            [-np.inf, np.inf, np.nan, -0.0, 0.0],
+            np.random.default_rng(0).uniform(-1.0, 1.5, 64)])
+        with np.errstate(invalid="ignore"):
+            got = u.lookup(pts, outside="zero")
+            want = masked_zero_lookup(u, pts)
+        assert same_bits(got, want)
+        assert same_bits(got[-64 - 5:-64], [0.0, 0.0, 0.0, -2.0, -2.0])
+
+    def test_zero_lookup_of_a_single_cell(self):
+        u = GridFunction(np.array([3.0]), (0.0,), (1.0,))
+        pts = np.array([-0.5, 0.0, 0.5, 1.0, 1.5])
+        assert same_bits(u.lookup(pts), masked_zero_lookup(u, pts))
+
+    @pytest.mark.parametrize("shape", [(7,), (4, 3)])
+    def test_centers_are_shared_read_only(self, shape):
+        u = GridFunction(np.ones(shape), (-0.3, 0.1)[:len(shape)],
+                         (0.2, 0.5)[:len(shape)])
+        pts = u.centers()
+        assert same_bits(pts, fresh_centers(u))
+        assert not pts.flags.writeable
+        with pytest.raises(ValueError):
+            pts[0] = 1.0
+        derived = u.with_values(np.zeros(shape))
+        assert u.centers() is pts and derived.centers() is pts
+
+    def test_with_values_of_another_shape_has_its_own_centers(self):
+        u = GridFunction(np.ones(4), (0.0,), (0.5,))
+        u.centers()
+        longer = u.with_values(np.ones(6))
+        assert same_bits(longer.centers(), fresh_centers(longer))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_with_values_rejects_non_finite(self, bad):
+        u = GridFunction(np.ones(4), (0.0,), (0.5,))
+        vals = np.ones(4)
+        vals[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            u.with_values(vals)
+
+    @pytest.mark.parametrize("vals", [np.ones((2, 2, 2)), np.float64(1.0)])
+    def test_with_values_rejects_wrong_dimension(self, vals):
+        u = GridFunction(np.ones(4), (0.0,), (0.5,))
+        with pytest.raises(ValueError, match="dimension"):
+            u.with_values(vals)
+
+    def test_geometry_normalised_when_not_plain_floats(self):
+        u = GridFunction(np.ones(3), [np.float64(0.5)], np.array([2]))
+        assert u.origin == (0.5,) and u.dx == (2.0,)
+        assert all(type(v) is float for v in u.origin + u.dx)
+        with pytest.raises(ValueError, match="length"):
+            GridFunction(np.ones(3), (0.0, 1.0), (1.0,))
+        with pytest.raises(ValueError, match="positive"):
+            GridFunction(np.ones(3), (0.0,), (-1.0,))
+
+
 class TestFlatDistance:
     def test_identical(self):
         mu = AtomicMeasure(np.array([0.5, 1.5]), np.array([0.3, 0.7]))
@@ -295,6 +387,26 @@ class TestBvTimeSeries:
     def test_l1(self):
         b = BvTimeSeries(np.array([0.0, 1.0]), np.array([2.0, -1.0]))
         assert b.l1(0.0, 2.0) == pytest.approx(2.0 + 1.0)
+
+    @pytest.mark.parametrize("b", [
+        BvTimeSeries(np.array([-1.0, 0.0, 0.5, 2.0]),
+                     np.array([3.0, -0.0, 7.5, 1.0])),
+        BvTimeSeries.constant(2.5)])
+    def test_scalar_path_matches_the_array_path(self, b):
+        times = [-1.0, 0.0, 0.5, 2.0,                 # the sample times
+                 -1.5, -1e300, 2.5, 1e300,            # before, after
+                 0.25, 0.5 + 1e-16, -0.0,
+                 -math.inf, math.inf, math.nan]
+        for t in times + [np.float64(t) for t in times]:
+            got = b(t)
+            # searchsorted puts NaN after every sample time
+            idx = np.searchsorted(b.times, np.asarray([t]), side="left") - 1
+            want = b.vals[np.minimum(np.maximum(idx, 0), b.vals.size - 1)]
+            assert type(got) is np.float64
+            assert same_bits(got, want[0]), t
+            assert same_bits(got, b(np.array([t]))[0]), t
+        assert float(b(math.nan)) == b.vals[-1]
+        assert float(b(-math.inf)) == b.vals[0]
 
 
 def loop_shifted_l1_difference(u, delta):
