@@ -56,7 +56,9 @@ def godunov_flux(flux: ParamFlux, u_left, u_right, w) -> np.ndarray:
 
     ``min f`` over ``[u_left, u_right]`` when ``u_left <= u_right``, else
     ``max f`` over ``[u_right, u_left]``; extrema searched over the interval
-    endpoints plus the supplied critical points.
+    endpoints plus the supplied critical points.  The states broadcast
+    against each other, and the result is a float only when both are
+    scalars.
     """
     ul = np.atleast_1d(np.asarray(u_left, dtype=float))
     ur = np.atleast_1d(np.asarray(u_right, dtype=float))
@@ -74,12 +76,48 @@ def godunov_flux(flux: ParamFlux, u_left, u_right, w) -> np.ndarray:
                 np.minimum(vmin, fc, out=vmin, where=inside)
                 np.maximum(vmax, fc, out=vmax, where=inside)
     out = np.where(ul <= ur, vmin, vmax)
-    return out if np.ndim(u_left) else float(out[0])
+    if np.ndim(u_left) or np.ndim(u_right):
+        return out
+    return float(out[0])
 
 
-# claw_solve_many's step window widens by this many cells per side, once
-# every this many steps
+# claw_solve_many lays its spans out anew every this many steps, with this
+# many cells of margin on each side of a jump cluster
 _WINDOW_BLOCK = 32
+
+
+def _span_layout(rows: np.ndarray, cols: np.ndarray, n: int, margin: int):
+    """One flat buffer of spans around the jump clusters of the rows.
+
+    ``rows, cols`` list the jumps of an array of ``n`` columns, cells
+    ``(r, c)`` and ``(r, c + 1)`` that differ, in row-major order (at least
+    one).  Jumps of a row at most ``2 * margin + 2`` cells apart form one
+    cluster, laid out as a ghost, the cells ``first - margin ... last + 1 +
+    margin`` clipped to the grid, and a ghost; so the spans of a row never
+    overlap.  Returns ``src``, the flat index into the array that each
+    buffer entry reads; ``inner``, the positions of span cells; ``ghosts``,
+    those of the ghosts inside the grid; and ``edge_ghosts`` with
+    ``edge_cells``, the ghosts clipped at a grid edge and the edge cells
+    whose value they take.
+    """
+    new = np.ones(rows.size, dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] - cols[:-1] > 2 * margin + 2)
+    first = np.flatnonzero(new)
+    last = np.append(first[1:] - 1, rows.size - 1)
+    lo = np.maximum(cols[first] - margin, 0)
+    hi = np.minimum(cols[last] + 1 + margin, n - 1)
+    size = hi - lo + 3
+    left = np.cumsum(size) - size
+    right = left + size - 1
+    col = np.repeat(lo - 1 - left, size) + np.arange(int(size.sum()))
+    src = np.repeat(rows[first] * n, size) + np.clip(col, 0, n - 1)
+    ghost = np.zeros(src.size, dtype=bool)
+    ghost[left] = ghost[right] = True
+    at_lo, at_hi = lo == 0, hi == n - 1
+    return (src, np.flatnonzero(~ghost),
+            np.concatenate((left[~at_lo], right[~at_hi])),
+            np.concatenate((left[at_lo], right[at_hi])),
+            np.concatenate((left[at_lo] + 1, right[at_hi] - 1)))
 
 
 def _edge_collar_constant(u: GridFunction, width: float) -> bool:
@@ -108,15 +146,19 @@ def claw_solve_many(flux: ParamFlux, data: list[GridFunction], w, t0: float,
     of width ``lip * (t - t0)`` so the truncation boundary never influences
     the interior.
 
-    A step updates only a window of cells around the data's jumps.  A cell
-    whose three-point stencil reads one value ``a`` sees the same flux
+    A step updates only spans of cells around each datum's own jumps.  A
+    cell whose three-point stencil reads one value ``a`` sees the same flux
     ``f(a)`` on both faces, and ``f(a) - f(a) == 0.0`` leaves it unchanged
     bit for bit, so a step changes only cells next to a jump and the hull of
-    the jumps widens by at most one cell per side per step.  The window
-    starts at the union of the data's jump hulls and widens ahead of it in
-    blocks of ``_WINDOW_BLOCK`` cells (its size changes rarely); each result
-    equals the full-grid update of its datum alone exactly, and a constant
-    datum is returned as is.
+    a jump cluster widens by at most one cell per side per step.  Every
+    ``_WINDOW_BLOCK`` steps the spans are laid out anew: each row's jumps
+    are grouped into clusters, and each cluster, widened by
+    ``_WINDOW_BLOCK`` cells per side, becomes one stretch of a flat buffer
+    between two ghost cells.  No cell outside a span and no ghost inside the
+    grid can change before the next layout; a ghost clipped at a grid edge
+    copies the edge cell after every step, as the full grid's pad does.  So
+    each result equals the full-grid update of its datum alone exactly, and
+    a constant datum is returned as is.
     """
     if not 0 < cfl <= 1:
         raise ValueError("cfl must lie in (0, 1]")
@@ -131,40 +173,50 @@ def claw_solve_many(flux: ParamFlux, data: list[GridFunction], w, t0: float,
         if not u.same_grid(first):
             raise ValueError("data must share one grid")
     span = flux.lip * (t - t0)
-    for u in data:
+    for i, u in enumerate(data):
         if not _edge_collar_constant(u, span):
             raise ClearanceViolated(
-                f"datum not constant on edge collars of width {span:.3g}")
-    out = list(data)
+                f"datum {i} not constant on edge collars of width {span:.3g}")
     if t == t0:
-        return out
-    jumps = [np.flatnonzero(np.diff(u.values)) for u in data]
-    moving = [i for i, j in enumerate(jumps) if j.size]
-    if not moving:
-        return out
-    # buf[:, lo:hi] holds the cells on either side of a jump
-    lo = min(int(jumps[i][0]) for i in moving) + 1
-    hi = max(int(jumps[i][-1]) for i in moving) + 3
-    # padded buffer: cell i lives at buf[:, i + 1], the pads copy the edges
-    vals = np.stack([data[i].values for i in moving])
-    buf = np.concatenate([vals[:, :1], vals, vals[:, -1:]], axis=1)
-    n = vals.shape[1]
+        return list(data)
+    full = np.stack([u.values for u in data])
+    flat = full.reshape(-1)
+    # neighbours are compared bit for bit: a step can turn a -0.0 next to a
+    # 0.0 into 0.0, so that pair is a jump too
+    bits = full.view(np.uint64)
+    rows, cols = np.nonzero(bits[:, 1:] != bits[:, :-1])
+    moved = np.zeros(len(data), dtype=bool)
+    moved[rows] = True
+    if not rows.size:
+        return list(data)
+    n = full.shape[1]
     dx = first.dx[0]
     dt_max = cfl * dx / flux.lip if flux.lip > 0 else (t - t0)
     now = t0
     steps = 0
     while now < t - 1e-15 * max(1.0, abs(t)):
         if steps % _WINDOW_BLOCK == 0:
-            lo, hi = max(1, lo - _WINDOW_BLOCK), min(n + 1, hi + _WINDOW_BLOCK)
+            if steps:
+                flat[cells] = buf[inner]
+                rows, cols = np.nonzero(bits[:, 1:] != bits[:, :-1])
+                if not rows.size:
+                    break
+            src, inner, ghosts, edge_ghosts, edge_cells = _span_layout(
+                rows, cols, n, _WINDOW_BLOCK)
+            buf = flat[src]
+            cells = src[inner]
+            held = buf[ghosts]
         dt = min(dt_max, t - now)
-        f_iface = godunov_flux(flux, buf[:, lo - 1:hi], buf[:, lo:hi + 1], w)
-        buf[:, lo:hi] -= (dt / dx) * (f_iface[:, 1:] - f_iface[:, :-1])
-        buf[:, 0], buf[:, -1] = buf[:, 1], buf[:, -2]
+        f_iface = godunov_flux(flux, buf[:-1], buf[1:], w)
+        buf[1:-1] -= (dt / dx) * (f_iface[1:] - f_iface[:-1])
+        buf[ghosts] = held
+        buf[edge_ghosts] = buf[edge_cells]
         now += dt
         steps += 1
-    for row, i in enumerate(moving):
-        out[i] = data[i].with_values(buf[row, 1:-1])
-    return out
+    if steps:
+        flat[cells] = buf[inner]
+    return [u.with_values(full[i]) if moved[i] else u
+            for i, u in enumerate(data)]
 
 
 def claw_constants(lip: float, radius: float, horizon: float = 1.0

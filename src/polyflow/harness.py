@@ -717,7 +717,8 @@ def suite_claw(seed: int, cells_per_unit: int = 400) -> list[CheckResult]:
     out.append(check("claw/linear-advection", "exact-translation",
                      l1_distance(got, ref), 2 * dx))
 
-    # 50 pairs solved 4 pairs per call: blocks of 8 rows stay in cache
+    # 50 pairs solved 4 pairs per call: blocks of 8 rows keep the span
+    # buffers small (all 100 rows in one call add about 10 MB to peak RSS)
     worst_contract, worst_tvd = -math.inf, -math.inf
     for block in range(0, 50, 4):
         data = [_random_step_data(rng, grid)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyflow.claw import (ParamFlux, audit_flux, claw_constants, claw_solve,
-                           claw_solve_many, entropy_residuals, godunov_flux)
+from polyflow import claw
+from polyflow.claw import (_WINDOW_BLOCK, ParamFlux, audit_flux,
+                           claw_constants, claw_solve, claw_solve_many,
+                           entropy_residuals, godunov_flux)
 from polyflow.errors import ClearanceViolated
 from polyflow.spaces import GridFunction, l1_distance
 
@@ -49,6 +51,16 @@ class TestGodunovFlux:
         ur = np.array([0.0, 1.0, 0.3])
         out = godunov_flux(burgers, ul, ur, None)
         assert out == pytest.approx([0.5, 0.0, 0.045])
+
+    def test_scalar_against_array(self, burgers):
+        right = np.array([0.1, -0.7])
+        for ul, ur in ((0.5, right), (right, 0.5)):
+            out = godunov_flux(burgers, ul, ur, None)
+            assert isinstance(out, np.ndarray) and out.shape == (2,)
+            assert list(out) == [godunov_flux(burgers, float(a), float(b),
+                                              None)
+                                 for a, b in np.broadcast(ul, ur)]
+        assert isinstance(godunov_flux(burgers, 0.5, 0.1, None), float)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2))
@@ -178,8 +190,8 @@ class TestWindowedSolve:
     def assert_matches_full_grid(self, flux, u0, w, t, cfl=0.9):
         before = u0.values.copy()
         got = claw_solve(flux, u0, w, 0.0, t, cfl=cfl)
-        assert np.array_equal(got.values,
-                              full_grid_solve(flux, u0, w, 0.0, t, cfl))
+        assert (got.values.tobytes()
+                == full_grid_solve(flux, u0, w, 0.0, t, cfl).tobytes())
         assert np.array_equal(u0.values, before)
         return got
 
@@ -255,6 +267,38 @@ class TestWindowedSolve:
         self.assert_matches_full_grid(flux, u0, 0.5, 0.4)
 
 
+def record_interfaces(monkeypatch):
+    """Interfaces handed to each ``godunov_flux`` call of the solver."""
+    calls = []
+
+    def counted(flux, u_left, u_right, w):
+        calls.append(np.size(u_left))
+        return godunov_flux(flux, u_left, u_right, w)
+
+    monkeypatch.setattr(claw, "godunov_flux", counted)
+    return calls
+
+
+def union_hull_interfaces(data, t, cfl=0.9):
+    """Interfaces stepped by one window around the union of the data's jump
+    hulls, widened by ``_WINDOW_BLOCK`` cells every ``_WINDOW_BLOCK`` steps."""
+    jumps = [np.flatnonzero(np.diff(u.values)) for u in data]
+    jumps = [j for j in jumps if j.size]
+    n = data[0].values.size
+    lo = min(int(j[0]) for j in jumps) + 1
+    hi = max(int(j[-1]) for j in jumps) + 3
+    dt_max = cfl * data[0].dx[0]
+    now, steps, total = 0.0, 0, 0
+    while now < t - 1e-15 * max(1.0, t):
+        if steps % _WINDOW_BLOCK == 0:
+            lo = max(1, lo - _WINDOW_BLOCK)
+            hi = min(n + 1, hi + _WINDOW_BLOCK)
+        total += len(jumps) * (hi - lo + 1)
+        now += min(dt_max, t - now)
+        steps += 1
+    return total
+
+
 class TestSolveMany:
     """``claw_solve_many`` evolves a block of data in one loop; each result
     must equal its datum's own solve and the full grid bit for bit."""
@@ -265,10 +309,10 @@ class TestSolveMany:
         assert len(got) == len(data)
         for u, v in zip(data, got):
             assert v.same_grid(u)
-            assert np.array_equal(v.values,
-                                  claw_solve(flux, u, w, 0.0, t, cfl).values)
-            assert np.array_equal(v.values,
-                                  full_grid_solve(flux, u, w, 0.0, t, cfl))
+            assert (v.values.tobytes()
+                    == claw_solve(flux, u, w, 0.0, t, cfl).values.tobytes())
+            assert (v.values.tobytes()
+                    == full_grid_solve(flux, u, w, 0.0, t, cfl).tobytes())
         for u, vals in zip(data, before):
             assert np.array_equal(u.values, vals)
         return got
@@ -337,13 +381,98 @@ class TestSolveMany:
         got = claw_solve_many(burgers, data, None, 0.5, 0.5)
         assert all(v is u for u, v in zip(data, got))
 
+    @pytest.mark.parametrize("gap, spans", [(2 * _WINDOW_BLOCK + 2, 1),
+                                            (2 * _WINDOW_BLOCK + 3, 2)])
+    def test_jump_pair_joins_one_span_or_two(self, burgers, monkeypatch,
+                                             gap, spans):
+        # jumps at cells 400 and 400 + gap; over three layouts the fan and
+        # the shock of each row meet the other's span
+        grid = GridFunction.uniform((0.0, 10.0), 1000)
+        data = []
+        for a, b in ((0.0, 1.0), (1.0, 0.0), (0.5, -0.5)):
+            vals = np.full(1000, a)
+            vals[401:401 + gap] = b
+            data.append(grid.with_values(vals))
+        calls = record_interfaces(monkeypatch)
+        self.assert_matches_one_by_one(burgers, data, None, 0.8)
+        # each span is 2 * margin + 2 cells plus its jumps' distance, and
+        # two ghosts
+        cells = (gap + 2 * _WINDOW_BLOCK + 2 if spans == 1
+                 else 2 * (2 * _WINDOW_BLOCK + 2))
+        assert calls[0] == len(data) * (cells + 2 * spans) - 1
+
+    def test_signed_zeros(self, burgers):
+        # a -0.0 next to a 0.0 can turn into 0.0 on the full grid, so the
+        # pair counts as a jump; all-zero data of mixed signs move too
+        grid = GridFunction.uniform((0.0, 1.0), 400)
+        rng = np.random.default_rng(10)
+        data = []
+        for bump in (True, True, False):
+            vals = np.where(rng.random(400) < 0.5, 0.0, -0.0)
+            vals[:40] = vals[-40:] = 0.0
+            if bump:
+                vals[100:110] = 1.0
+            data.append(grid.with_values(vals))
+        for flux in (ParamFlux(f=lambda u, w: 0.7 * u, lip=0.7),
+                     ParamFlux(f=lambda u, w: -0.7 * u, lip=0.7), burgers,
+                     cubic()):
+            self.assert_matches_one_by_one(flux, data, None, 0.02)
+
+    def test_several_layouts(self, burgers):
+        grid = GridFunction.uniform((-2.0, 3.0), 1000)
+        rng = np.random.default_rng(12)
+        data = [random_steps(rng, grid) for _ in range(6)]
+        # 223 steps: the spans are laid out seven times
+        self.assert_matches_one_by_one(burgers, data, None, 1.0)
+
+    def test_one_span_clipped_at_an_edge(self, burgers, monkeypatch):
+        # row 0's fan reaches its left edge cell through the clipped ghost;
+        # the other rows' spans stay inside the grid
+        grid = GridFunction.uniform((0.0, 1.0), 200)
+        rng = np.random.default_rng(6)
+        edge = np.full(200, 0.5)
+        edge[:21] = -1.0
+        data = [grid.with_values(edge)]
+        for _ in range(3):
+            vals = np.zeros(200)
+            vals[90:110] = rng.uniform(-0.5, 0.5, 20)
+            data.append(grid.with_values(vals))
+        calls = record_interfaces(monkeypatch)
+        got = self.assert_matches_one_by_one(burgers, data, None, 0.1,
+                                             cfl=0.3)
+        assert got[0].values[0] != edge[0]
+        # row 0: cells 0 ... 21 + margin; the others: 89 - margin ... 110 +
+        # margin; each with two ghosts
+        assert calls[0] == ((22 + _WINDOW_BLOCK + 2)
+                            + 3 * (22 + 2 * _WINDOW_BLOCK + 2) - 1)
+
+    def test_two_distant_clusters(self, burgers, monkeypatch):
+        grid = GridFunction.uniform((0.0, 10.0), 1000)
+        xs = grid.axis_centers(0)
+        u0 = grid.with_values(np.where((xs > 1.0) & (xs < 1.5), 1.0, 0.0)
+                              + np.where((xs > 8.5) & (xs < 9.0), -0.5, 0.0))
+        calls = record_interfaces(monkeypatch)
+        (got,) = self.assert_matches_one_by_one(burgers, [u0], None, 0.5)
+        assert calls[0] == 2 * (50 + 2 * _WINDOW_BLOCK + 2 + 2) - 1
+        assert got.values[300:700].tobytes() == u0.values[300:700].tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_steps_fewer_interfaces_than_the_union_hull(self, burgers, grid,
+                                                       monkeypatch, seed):
+        # one block of the verify suite's contraction check
+        rng = np.random.default_rng(seed)
+        data = [random_steps(rng, grid) for _ in range(8)]
+        calls = record_interfaces(monkeypatch)
+        claw_solve_many(burgers, data, None, 0.0, 0.25)
+        assert sum(calls) <= 0.7 * union_hull_interfaces(data, 0.25)
+
     def test_clearance_checked_for_every_datum(self, burgers, grid):
         rng = np.random.default_rng(9)
         data = [random_steps(rng, grid) for _ in range(4)]
         vals = data[2].values.copy()
         vals[3] = 0.5
         data[2] = grid.with_values(vals)
-        with pytest.raises(ClearanceViolated):
+        with pytest.raises(ClearanceViolated, match=r"datum 2 .* 0\.25"):
             claw_solve_many(burgers, data, None, 0.0, 0.25)
         claw_solve_many(burgers, data[:2] + data[3:], None, 0.0, 0.25)
 

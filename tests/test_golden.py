@@ -26,12 +26,21 @@ def summary_without_timing(path: Path) -> str:
     return json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
-def test_verify_report(tmp_path):
+def check_verify_report(tmp_path: Path, seed: int) -> None:
     code = main(["verify", str(ROOT / "configs" / "verify_all.json"),
-                 "--seed", "0", "--out", str(tmp_path), "--quiet"])
+                 "--seed", str(seed), "--out", str(tmp_path), "--quiet"])
     assert code == 0
-    expected = GOLDEN / "verify_all_seed0" / "report.json"
+    expected = GOLDEN / f"verify_all_seed{seed}" / "report.json"
     assert (tmp_path / "report.json").read_bytes() == expected.read_bytes()
+
+
+def test_verify_report(tmp_path):
+    check_verify_report(tmp_path, 0)
+
+
+def test_verify_report_seed3(tmp_path):
+    # a second draw of the verify suites' random data
+    check_verify_report(tmp_path, 3)
 
 
 RUN_FILES = {
