@@ -199,6 +199,12 @@ def validate_config(cfg: dict) -> None:
                     or not all(_is_number(e) for e in b) or not b[1] > b[0]):
                 raise ConfigError("field params.box entries must be "
                                   "[lo, hi] with hi > lo")
+        for key in ("prey_center", "predator_start"):
+            point = params.get(key, [0.0] * dim)
+            if (not isinstance(point, list) or len(point) != dim
+                    or not all(_is_number(c) for c in point)):
+                raise ConfigError(f"field params.{key} must list one "
+                                  "number per axis")
         # every kernel must fit the box (scenarios.predator_prey_fields)
         span = min(b[1] - b[0] for b in box)
         for key in ("escape_radius", "search_radius", "feeding_radius"):
@@ -980,14 +986,13 @@ def run(cfg: dict, out_dir, quiet: bool = False) -> int:
 
 
 def _run_meta(traj) -> dict:
-    """What a coupled run did: its metadata plus the final refinement gap.
+    """What a coupled run did, as strict JSON.
 
-    Non-finite numbers are written as the strings ``"nan"`` / ``"inf"`` so
-    the summary stays strict JSON.
+    Non-finite numbers are written as the strings ``"nan"`` / ``"inf"``.
     """
-    meta = dict(traj.meta, refine_gap=traj.column("refine_gap")[-1])
     return {k: (repr(float(v)) if isinstance(v, float)
-                and not math.isfinite(v) else v) for k, v in meta.items()}
+                and not math.isfinite(v) else v)
+            for k, v in traj.meta.items()}
 
 
 def _population_drift(traj, params: EpidemicParams) -> float:

@@ -257,14 +257,12 @@ class CouplingBounds:
 
     ``stability`` bounds the data-to-data amplification of every polygonal;
     ``omega_coeff`` is the slope of the one-step commutation modulus
-    ``omega(tau) = omega_coeff * tau``; ``flow_lip`` is a Lipschitz constant
-    of the coupled flow in (state, step length).
+    ``omega(tau) = omega_coeff * tau``.
     """
 
     constants: ProcessConstants
     stability: float       # exp((c_u + c_w) * horizon)
     omega_coeff: float     # c_t * c_u
-    flow_lip: float        # exp(c_u d) + c_w d + 2 c_t, d = horizon
 
     def omega(self, tau: float) -> float:
         return self.omega_coeff * tau
@@ -293,5 +291,4 @@ def coupling_bounds(c1: ProcessConstants, c2: ProcessConstants
         constants=c,
         stability=math.exp((c.c_u + c.c_w) * c.horizon),
         omega_coeff=c.c_t * c.c_u,
-        flow_lip=math.exp(c.c_u * c.horizon) + c.c_w * c.horizon + 2 * c.c_t,
     )

@@ -338,88 +338,82 @@ def _fit_radius(envelope: Callable[[float], tuple[float, float, float]],
         "no admissible radius: horizon too long for the coefficient bounds")
 
 
-def _fit_envelope(bounds: Callable[[float, float, float],
-                                   tuple[float, float, float]],
-                  norms: tuple[float, float, float], macro: float):
-    """The invariant envelope of one macro step, or why there is none.
+def _run_coupled(build: Callable[[float], tuple[Process, Process]], state,
+                 index: int,
+                 bounds: Callable[[float, float, float],
+                                  tuple[float, float, float]],
+                 norms: Callable[[float, GridFunction],
+                                 tuple[float, float, float]],
+                 macro: float, horizon: float, schedule: RefineSchedule,
+                 speed: float, dx: float):
+    """Run one coupled model over the refined macro steps of ``horizon``.
 
-    ``bounds(t, radius, horizon)`` is the envelope of the transported field
-    (``ivp_domain_bounds`` or ``ibvp_domain_bounds`` of its coefficients)
-    and ``norms`` the datum's matching ``(L1, sup, variation)`` measures.
-    Returns the fitted radius, a finite radius for the process moduli, the
-    end-of-step bounds ``(alpha_1, alpha_inf, alpha_tv)`` and the envelope
-    status.  Sharp coefficients can make the envelope inadmissible at the
-    macro length; the radius and bounds are then NaN, and the moduli
-    radius is ``2 max(norms, 1)``.
-    """
-    try:
-        radius = _fit_radius(lambda r: bounds(0.0, r, macro), norms)
-        return radius, radius, bounds(macro, radius, macro), "admissible"
-    except InadmissibleHorizon:
-        return (math.nan, 2.0 * max(*norms, 1.0), (math.nan,) * 3,
-                "inadmissible-at-macro-length")
-
-
-def _run_coupled(proc_u: Process, proc_w: Process, state, macro: float,
-                 n_macro: int, schedule: RefineSchedule, speed: float,
-                 dx: float):
-    """Advance ``state`` over ``n_macro`` refined macro steps of the coupling.
+    ``state[index]`` is the grid field that one of the two processes
+    transports; ``bounds(t, radius, horizon)`` is its invariant envelope
+    (``ivp_domain_bounds`` or ``ibvp_domain_bounds``) and ``norms(t,
+    field)`` the matching ``(L1, sup, variation)`` measures.  The driver
+    fits the smallest doubling radius whose envelope admits the datum over
+    one macro step and hands it to ``build(moduli_radius)``, which returns
+    the two processes.  Sharp coefficients can make the envelope
+    inadmissible at the macro length: the radius and margins are then NaN,
+    and the moduli radius is ``2 max(norms, 1)``.
 
     Step ``k`` shifts both processes to ``[k macro, (k + 1) macro]`` and
-    refines the coupled polygonal dyadically between the schedule's levels.
-    Polygonal steps shorter than the crossing time ``dx / speed`` of the
-    transported field's grid make the cell lookup quantize the transport
-    away, so ``j_max`` is clamped to the deepest level whose step still
-    crosses a cell (no clamp when ``speed`` is 0), and ``j0`` to ``j_max``.
-    The runners record envelope margins from the returned states.  Returns
-    the sample times, the states, the refinement gaps (0 at the start) and
-    the record ``j0``, ``j_max`` (as applied), ``macro_steps`` and
-    ``converged_steps``.
+    refines the coupled polygonal dyadically between the schedule's levels;
+    its ``RefinementResult`` is the step's record.  Polygonal steps shorter
+    than the crossing time ``dx / speed`` of the field's grid make the cell
+    lookup quantize the transport away, so ``j_max`` is clamped to the
+    deepest level whose step still crosses a cell (no clamp when ``speed``
+    is 0), and ``j0`` to ``j_max``.
+
+    Returns the fitted radius, the times, the states, the field's columns
+    ``l1, linf, tv``, ``alpha*_margin`` (end-of-step bound minus norm) and
+    ``refine_gap`` (0 at the start), and the meta ``macro_step``,
+    ``envelope``, ``j0``, ``j_max`` (as applied), ``macro_steps``,
+    ``converged_steps`` and the last ``refine_gap``.
     """
+    n_macro = _macro_count(horizon, macro)
+    datum = norms(0.0, state[index])
+    try:
+        radius = _fit_radius(lambda r: bounds(0.0, r, macro), datum)
+        moduli_radius, envelope = radius, "admissible"
+        end_bounds = bounds(macro, radius, macro)
+    except InadmissibleHorizon:
+        radius, end_bounds = math.nan, (math.nan,) * 3
+        moduli_radius = 2.0 * max(*datum, 1.0)
+        envelope = "inadmissible-at-macro-length"
+    proc_u, proc_w = build(moduli_radius)
+
     j_max = schedule.j_max
     if speed > 0:
         j_max = min(j_max, max(0, int(math.floor(
             math.log2(max(macro * speed / dx, 1.0)) + 1e-9))))
     j0 = min(schedule.j0, j_max)
-    times, states, gaps = [0.0], [state], [0.0]
-    converged = 0
+    states, steps = [state], []
     for k in range(n_macro):
         t = k * macro
         flow = couple(
             replace(proc_u, interval=(t, t + macro)),
             replace(proc_w, interval=(t, t + macro)))
-        res = refine_to_process(flow, macro, t, state, schedule.tol,
-                                j0, j_max)
-        state = res.point
-        converged += res.converged
-        t = (k + 1) * macro
-        times.append(t)
-        states.append(state)
-        gaps.append(res.gap)
-    return times, states, gaps, {"j0": j0, "j_max": j_max,
-                                 "macro_steps": n_macro,
-                                 "converged_steps": converged}
+        steps.append(refine_to_process(flow, macro, t, states[-1],
+                                       schedule.tol, j0, j_max))
+        states.append(steps[-1].point)
+    times = [k * macro for k in range(n_macro + 1)]
 
-
-def _envelope_columns(fields: list[GridFunction],
-                      norms: list[tuple[float, float, float]],
-                      bounds: tuple[float, float, float]
-                      ) -> dict[str, list[float]]:
-    """The ``l1, linf, tv`` and ``alpha*_margin`` columns of ``fields``.
-
-    ``norms`` holds each field's envelope norms ``(L1, sup, variation)``
-    and ``bounds`` the end-of-step envelope ``(alpha_1, alpha_inf,
-    alpha_tv)``, NaN when it is inadmissible; a margin is the bound minus
-    the norm.
-    """
+    fields = [s[index] for s in states]
     cols = {"l1": [f.l1() for f in fields],
             "linf": [f.linf() for f in fields],
             "tv": [f.tv() for f in fields]}
     for name, bound, col in zip(
             ("alpha1_margin", "alphainf_margin", "alphatv_margin"),
-            bounds, zip(*norms)):
+            end_bounds, zip(*map(norms, times, fields))):
         cols[name] = [bound - n for n in col]
-    return cols
+    cols["refine_gap"] = [0.0] + [res.gap for res in steps]
+    meta = {"macro_step": macro, "envelope": envelope, "j0": j0,
+            "j_max": j_max, "macro_steps": n_macro,
+            "converged_steps": sum(res.converged for res in steps),
+            "refine_gap": cols["refine_gap"][-1]}
+    return radius, times, states, cols, meta
 
 
 def run_predator_prey(params: PredatorPreyParams,
@@ -428,11 +422,11 @@ def run_predator_prey(params: PredatorPreyParams,
                       ) -> Trajectory:
     """Run the coupled pursuit model over macro steps.
 
-    Each macro step advances the pair (density, position) by the dyadic
-    refinement of the frozen-parameter coupling; diagnostics record mass,
-    norms, variation, the invariant-envelope margins of the density and the
-    ball margin of the predator.  ``initial`` overrides the configured
-    initial pair (used for restarts).
+    The model is the transported prey density, the predator's ODE ball and
+    their two processes; ``_run_coupled`` fits the density's envelope and
+    refines each macro step.  Diagnostics add the density's mass and the
+    predator's ball margin to the driver's norm, margin and gap columns.
+    ``initial`` overrides the configured initial pair (used for restarts).
     """
     fields = predator_prey_fields(params)
     if initial is None:
@@ -442,40 +436,33 @@ def run_predator_prey(params: PredatorPreyParams,
         rho0 = initial[0]
         p0 = np.asarray(initial[1], dtype=float)
 
-    horizon = params.horizon
     macro = params.macro_step
-
     sup_p = fields.predator.sup
     radius_p = max(2.0 * (np.linalg.norm(p0) + 1.0),
                    2.2 * sup_p * macro)
     predator = OdeField(f=fields.predator.f, lip=fields.predator.lip,
                         sup=sup_p, radius=radius_p)
 
-    radius_rho, moduli_radius, bounds, envelope = _fit_envelope(
+    def build(moduli_radius):
+        return (make_renewal_process(fields.prey, moduli_radius, macro,
+                                     n_sub_per_unit=16.0),
+                make_ode_process(predator, macro, steps_per_unit=64.0))
+
+    radius_rho, times, states, cols, meta = _run_coupled(
+        build, (rho0, p0), 0,
         lambda t, r, h: ivp_domain_bounds(t, r, h, fields.prey),
-        (rho0.l1(), rho0.linf(), rho0.tv()), macro)
+        lambda t, rho: (rho.l1(), rho.linf(), rho.tv()),
+        macro, params.horizon, schedule, fields.prey.v_sup, min(rho0.dx))
+
     ball = ode_domain_radius(macro, macro, radius_p, sup_p)
-
-    n_macro = _macro_count(horizon, macro)
-    prey_proc = make_renewal_process(fields.prey, moduli_radius, macro,
-                                     n_sub_per_unit=16.0)
-    pred_proc = make_ode_process(predator, macro, steps_per_unit=64.0)
-    times, states, gaps, record = _run_coupled(
-        prey_proc, pred_proc, (rho0, p0), macro, n_macro, schedule,
-        fields.prey.v_sup, min(rho0.dx))
-
-    rhos = [rho for rho, _ in states]
-    diag = {"mass": [rho.mass() for rho in rhos],
-            **_envelope_columns(rhos, [(rho.l1(), rho.linf(), rho.tv())
-                                       for rho in rhos], bounds),
+    gaps = cols.pop("refine_gap")
+    diag = {"mass": [rho.mass() for rho, _ in states], **cols,
             "p_ball_margin": [ball - float(np.linalg.norm(p))
                               for _, p in states],
             "refine_gap": gaps}
-
     return Trajectory(times=times, states=states, diagnostics=diag,
                       meta={"radius_rho": radius_rho, "radius_p": radius_p,
-                            "macro_step": macro, "envelope": envelope,
-                            **record})
+                            **meta})
 
 
 # --------------------------------------------------------------------------
@@ -590,16 +577,16 @@ def run_epidemic(params: EpidemicParams,
                  schedule: RefineSchedule = RefineSchedule()) -> EpidemicRun:
     """Run the coupled vaccination model over macro steps.
 
-    The (S, I) block and the cohort transport advance together through the
-    coupler; the recovered compartment is integrated afterwards by the
-    trapezoid rule from ``recovery_rate * I`` plus the cohort's exit trace,
-    reflecting the model's triangular structure.  States dipping below
-    ``-1e-9`` are reported as warnings, never clamped.
+    The model is the (S, I) ball with its certified segment and the
+    cohort's age transport with its inflow; ``_run_coupled`` fits the
+    cohort's envelope and refines each macro step.  The recovered
+    compartment is integrated afterwards by the trapezoid rule from
+    ``recovery_rate * I`` plus the cohort's exit trace, reflecting the
+    model's triangular structure.  States dipping below ``-1e-9`` are
+    reported as warnings, never clamped.
     """
     macro = params.macro_step
     horizon = params.horizon
-    n_macro = _macro_count(horizon, macro)
-
     pop0 = params.s0 + params.i0 + params.r0 + params.v0.l1()
     ball = 2.0 * (math.hypot(params.s0, params.i0) + 0.5)
     cohort_mass_bound = (params.v0.l1()
@@ -612,17 +599,17 @@ def run_epidemic(params: EpidemicParams,
             f"time.macro_step {macro} exceeds the certified segment "
             f"{seg_cap:.3g}; reduce it or the ball radius")
     coef, inflow = _epidemic_ibvp(params, i_bound=ball)
-    v0 = params.v0
-    radius_v, moduli_radius, bounds, envelope = _fit_envelope(
-        lambda t, r, h: ibvp_domain_bounds(t, r, h, coef, inflow),
-        _envelope_norms(inflow, 0.0, v0), macro)
 
-    ode_proc = make_ode_process(ode_field, macro, steps_per_unit=32.0)
-    v_proc = make_ibvp_process(coef, inflow, moduli_radius, macro,
-                               n_sub_per_unit=32.0, outflow_edge=True)
-    times, states, gaps, record = _run_coupled(
-        ode_proc, v_proc, (np.array([params.s0, params.i0]), v0), macro,
-        n_macro, schedule, coef.v_sup, v0.dx[0])
+    def build(moduli_radius):
+        return (make_ode_process(ode_field, macro, steps_per_unit=32.0),
+                make_ibvp_process(coef, inflow, moduli_radius, macro,
+                                  n_sub_per_unit=32.0, outflow_edge=True))
+
+    radius_v, times, states, cols, meta = _run_coupled(
+        build, (np.array([params.s0, params.i0]), params.v0), 1,
+        lambda t, r, h: ibvp_domain_bounds(t, r, h, coef, inflow),
+        lambda t, v: _envelope_norms(inflow, t, v),
+        macro, horizon, schedule, coef.v_sup, params.v0.dx[0])
 
     # triangular tail: recovered compartment by the trapezoid rule
     integrand = [params.recovery_rate * float(uu[1]) + float(vv.values[-1])
@@ -633,12 +620,10 @@ def run_epidemic(params: EpidemicParams,
         recovered.append(recovered[-1]
                          + 0.5 * dt * (integrand[k] + integrand[k + 1]))
 
-    cohorts = [vv for _, vv in states]
+    gaps = cols.pop("refine_gap")
     diag = {"S": [float(uu[0]) for uu, _ in states],
             "I": [float(uu[1]) for uu, _ in states],
-            **_envelope_columns(
-                cohorts, [_envelope_norms(inflow, t, vv)
-                          for t, vv in zip(times, cohorts)], bounds),
+            **cols,
             "population": [float(uu[0]) + float(uu[1]) + vv.l1() + r
                            for (uu, vv), r in zip(states, recovered)],
             "refine_gap": gaps,
@@ -647,8 +632,7 @@ def run_epidemic(params: EpidemicParams,
                 for t, (uu, _) in zip(times, states) if min(uu) < -1e-9]
     traj = Trajectory(times=times, states=states, diagnostics=diag,
                       meta={"radius_v": radius_v, "ball": ball,
-                            "macro_step": macro, "population0": pop0,
-                            "envelope": envelope, **record})
+                            "population0": pop0, **meta})
     return EpidemicRun(trajectory=traj, warnings=warnings)
 
 

@@ -45,6 +45,8 @@ def test_verify_report_seed3(tmp_path):
 
 RUN_FILES = {
     "epidemic": ["epidemic_trajectory.csv", "epidemic_cohort_final.csv"],
+    # the one bundled run whose crossing-time clamp cuts refine.j_max
+    "epidemic_sir": ["epidemic_trajectory.csv", "epidemic_cohort_final.csv"],
     "predator_prey_1d": ["predator_prey_trajectory.csv",
                          "prey_density_final.csv"],
     "predator_prey_2d": ["predator_prey_trajectory.csv"],

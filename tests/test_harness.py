@@ -381,13 +381,21 @@ class TestCli:
         ("epidemic.json", ("refine", "j0"), 4, "refine.j0"),
         ("predator_prey_1d.json", ("params", "search_radius"), 100,
          "params.search_radius"),
+        ("predator_prey_1d.json", ("params", "predator_start"), [0.1, 0.2],
+         "params.predator_start must list one number per axis"),
+        ("predator_prey_1d.json", ("params", "prey_center"), "x",
+         "params.prey_center must list one number per axis"),
+        ("predator_prey_1d.json", ("params", "prey_center"), [0.0, 1.0],
+         "params.prey_center must list one number per axis"),
         # caught inside run_epidemic, after validation
         ("epidemic.json", ("time",), {"horizon": 0.5, "macro_step": 0.5},
          "exceeds the certified segment"),
     ], ids=["s0-above-radius", "r0-list", "repeated-rate-time", "j_max-string",
             "j_max-negative", "j0-negative", "j_max-fraction",
             "j0-above-j_max",
-            "kernel-out-of-box", "uncertified-macro-step"])
+            "kernel-out-of-box", "predator-start-too-long",
+            "prey-center-string", "prey-center-too-long",
+            "uncertified-macro-step"])
     def test_config_mistake_exit_3(self, tmp_path, capsys, name, path,
                                    value, field):
         cfg = json.loads((CONFIG_DIR / name).read_text())

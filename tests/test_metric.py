@@ -198,8 +198,7 @@ class TestCouplingBounds:
 
     def test_tangency_closed_form(self):
         c = ProcessConstants(c_u=2.0, c_t=3.0, c_w=0.0, horizon=1.0)
-        b = CouplingBounds(constants=c, stability=1.0, omega_coeff=6.0,
-                           flow_lip=1.0)
+        b = CouplingBounds(constants=c, stability=1.0, omega_coeff=6.0)
         # rate form: (2L/ln2) * c_t * c_u * tau
         assert b.tangency_rhs(0.1) == pytest.approx(
             (2.0 / math.log(2)) * 6.0 * 0.1)
@@ -212,11 +211,6 @@ class TestCouplingBounds:
         b = ProcessConstants(c_u=2.0, c_t=1.0, c_w=3.0, horizon=0.5)
         m = merge_constants(a, b)
         assert (m.c_u, m.c_t, m.c_w, m.horizon) == (2.0, 5.0, 3.0, 1.0)
-
-    def test_flow_lip_formula(self):
-        c = ProcessConstants(c_u=1.0, c_t=2.0, c_w=0.5, horizon=1.0)
-        b = coupling_bounds(c, c)
-        assert b.flow_lip == pytest.approx(math.e + 0.5 + 4.0)
 
 
 class TestStabilityAndDomains:

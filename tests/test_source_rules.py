@@ -1,5 +1,6 @@
 """Rules on the library source that no behavioural test can see."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -31,3 +32,27 @@ def test_broad_except_pattern():
                  "except KernelException:",
                  "except ValueError:  # not Exception"):
         assert not BROAD_EXCEPT.match(line), line
+
+
+def called_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name):
+            return func.id
+        if isinstance(func, ast.Attribute):
+            return func.attr
+    return None
+
+
+def test_one_macro_step_driver():
+    # both coupled models run through scenarios._run_coupled, so a change
+    # inside the macro-step loop is made in one place
+    tree = ast.parse((SRC / "scenarios.py").read_text())
+    driver = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_run_coupled")
+    for name in ("refine_to_process", "couple"):
+        sites = [node.lineno for node in ast.walk(tree)
+                 if called_name(node) == name]
+        assert len(sites) == 1, (name, sites)
+        assert driver.lineno <= sites[0] <= driver.end_lineno, (name, sites)
