@@ -67,8 +67,11 @@ class OdeField:
 
 
 def _rk4(f: Callable[[float, np.ndarray], np.ndarray], t: float,
-         u: np.ndarray, h: float) -> np.ndarray:
-    k1 = f(t, u)
+         u: np.ndarray, h: float, t_first: float | None = None
+         ) -> np.ndarray:
+    """One classical RK4 step from ``t``; the first stage reads ``f`` at
+    ``t_first`` when given (``ode_solve`` passes the right limit of ``t``)."""
+    k1 = f(t if t_first is None else t_first, u)
     k2 = f(t + 0.5 * h, u + 0.5 * h * k1)
     k3 = f(t + 0.5 * h, u + 0.5 * h * k2)
     k4 = f(t + h, u + h * k3)
@@ -89,8 +92,13 @@ def ode_solve(field: OdeField, t0: float, t: float, u0, w,
               n_sub: int = 16, horizon: float | None = None) -> np.ndarray:
     """Classical fixed-step RK4 with the parameter held frozen.
 
-    The ball constraint is checked at substep boundaries only; a state
-    whose norm is not finite (a NaN or infinite entry) has left the ball.
+    Each substep ``[t_k, t_k + h]`` reads the field from inside itself: the
+    first stage at the right limit ``nextafter(t_k, inf)``, the last at
+    ``t_k + h``, which a left-continuous forcing reads as the left limit.  A
+    forcing that jumps at ``t_k`` therefore enters the substep with its
+    value after the jump, as the exact (Caratheodory) solution does.  The
+    ball constraint is checked at substep boundaries only; a state whose
+    norm is not finite (a NaN or infinite entry) has left the ball.
     """
     if t < t0:
         raise ValueError("t must be >= t0")
@@ -107,7 +115,8 @@ def ode_solve(field: OdeField, t0: float, t: float, u0, w,
     h = (t - t0) / n_sub
     rhs = lambda s, v: np.asarray(field.f(s, v, w), dtype=float)
     for k in range(n_sub):
-        u = _rk4(rhs, t0 + k * h, u, h)
+        t_k = t0 + k * h
+        u = _rk4(rhs, t_k, u, h, math.nextafter(t_k, math.inf))
         if _leaves_ball(u, reach):
             raise DomainExit(f"state left ball at substep {k + 1}",
                              step=k + 1, time=t0 + (k + 1) * h)

@@ -1,0 +1,328 @@
+"""The pursuit model: a prey density fleeing a predator that climbs it.
+
+The transported prey density (continuity equation with a predator-driven
+velocity and a feeding sink) is coupled with the predator's ODE through
+``scenarios._run_coupled``.  Every kernel is a compactly supported
+polynomial bump.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from .errors import KernelOutOfBox
+from .ode import OdeField, make_ode_process, ode_domain_radius
+from .renewal import (RenewalCoefficients, ivp_domain_bounds,
+                      make_renewal_process)
+from .scenarios import RefineSchedule, _memo_last, _run_coupled
+from .spaces import GridFunction
+from .trajectory import Trajectory
+
+
+# --------------------------------------------------------------------------
+# Compactly supported polynomial bumps
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Bump:
+    """Profile ``s -> amp * (1 - (s / radius)^2)^4`` on ``|s| < radius``."""
+
+    radius: float
+    amp: float = 1.0
+
+    def __call__(self, s):
+        y = np.asarray(s, dtype=float) / self.radius
+        return self.amp * np.maximum(1.0 - y * y, 0.0) ** 4
+
+    def slope(self, s):
+        y = np.asarray(s, dtype=float) / self.radius
+        return (self.amp * 4.0 * np.maximum(1.0 - y * y, 0.0) ** 3
+                * (-2.0 * y / self.radius))
+
+
+def spatial_bump_norm(radius: float, dim: int) -> float:
+    """Integral of ``(1 - (|x| / radius)^2)^4`` over R^dim."""
+    if dim == 1:
+        return radius * 256.0 / 315.0
+    if dim == 2:
+        return math.pi * radius ** 2 / 5.0
+    raise ValueError("dim must be 1 or 2")
+
+
+# --------------------------------------------------------------------------
+# Pursuit model (prey density + predator position)
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PredatorPreyParams:
+    """Configuration of the pursuit model.
+
+    The prey flees with speed ``-(p - x) / (alpha + |p - x|^2)`` weighted by
+    a unit-integral bump of the squared distance (spatial support radius
+    ``escape_radius``); the predator climbs the density averaged by a
+    unit-integral spatial bump of radius ``search_radius``; feeding removes
+    prey at rate ``feeding_rate`` within ``feeding_radius`` of the predator.
+    """
+
+    dim: int
+    alpha: float
+    escape_radius: float
+    search_radius: float
+    feeding_radius: float
+    feeding_rate: float
+    box: tuple[tuple[float, float], ...]
+    cells: tuple[int, ...]
+    horizon: float
+    macro_step: float
+    prey_center: tuple[float, ...]
+    prey_radius: float
+    prey_amp: float
+    predator_start: tuple[float, ...]
+
+    def __post_init__(self):
+        if self.dim not in (1, 2):
+            raise ValueError("dim must be 1 or 2")
+        if self.alpha <= 0:
+            raise ValueError("alpha must be positive")
+        for name in ("prey_center", "predator_start", "box", "cells"):
+            if np.shape(getattr(self, name))[:1] != (self.dim,):
+                raise ValueError(f"{name} must hold one entry per axis")
+
+    def grid(self) -> GridFunction:
+        return GridFunction.uniform(list(self.box), list(self.cells))
+
+    def initial_density(self) -> GridFunction:
+        g = self.grid()
+        c = np.asarray(self.prey_center, dtype=float)
+        bump = Bump(self.prey_radius, self.prey_amp)
+        if self.dim == 1:
+            return GridFunction.from_callable(
+                lambda x: bump(np.abs(x - c[0])), g.origin, g.dx,
+                g.values.shape)
+        return GridFunction.from_callable(
+            lambda x, y: bump(np.hypot(x - c[0], y - c[1])),
+            g.origin, g.dx, g.values.shape)
+
+
+@dataclass(frozen=True)
+class PredatorPreyFields:
+    prey: RenewalCoefficients
+    predator: OdeField
+    escape: Bump
+    search: Bump
+    feeding: Bump
+
+
+
+def _sampled_sup(f: Callable[[np.ndarray], np.ndarray], lo: float,
+                 hi: float, n: int = 4001) -> float:
+    xs = np.linspace(lo, hi, n)
+    return float(np.max(np.abs(f(xs))))
+
+
+def predator_prey_fields(params: PredatorPreyParams) -> PredatorPreyFields:
+    """Build the two coefficient sets with sampled certificates."""
+    dim = params.dim
+    for a in range(dim):
+        span = params.box[a][1] - params.box[a][0]
+        widest = 2.0 * max(params.escape_radius, params.search_radius,
+                           params.feeding_radius)
+        if widest > span:
+            raise KernelOutOfBox(
+                f"kernel diameter {widest:.3g} exceeds box span {span:.3g} "
+                f"on axis {a}")
+
+    # weight of the squared distance; evaluating the spatial profile at the
+    # plain distance realizes exactly the same function
+    escape = Bump(params.escape_radius,
+                  1.0 / spatial_bump_norm(params.escape_radius, dim))
+    search = Bump(params.search_radius,
+                  1.0 / spatial_bump_norm(params.search_radius, dim))
+    feeding = Bump(params.feeding_radius, params.feeding_rate)
+    alpha = params.alpha
+
+    @_memo_last
+    def offset(x, p):
+        """``z = p - x`` and ``|z|^2`` (two products, no axis reduction),
+        once for the growth and divergence at one midpoint."""
+        d = np.asarray(p, dtype=float) - np.asarray(x, dtype=float)
+        if dim == 1:
+            return d, d * d
+        return d, d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+
+    def prey_velocity(t, x, p):
+        d, dist_sq = offset(x, p)
+        w = _profile_sq(escape, dist_sq) / (alpha + dist_sq)
+        return -d * (w if dim == 1 else w[..., None])
+
+    # v = -z g(s) with s = |z|^2 and g(s) = amp q^4 / (alpha + s),
+    # q = (1 - s / R^2)_+, so div v = dim g + 2 s g'(s) with
+    # g'(s) = -4 amp q^3 / (R^2 (alpha + s)) - g / (alpha + s)
+    inv_r2 = 1.0 / (escape.radius * escape.radius)
+    four_amp = 4.0 * escape.amp * inv_r2
+
+    def prey_divergence(t, x, p):
+        _, dist_sq = offset(x, p)
+        inv = 1.0 / (alpha + dist_sq)
+        q = np.maximum(1.0 - dist_sq * inv_r2, 0.0)
+        q3 = q * q * q
+        g = escape.amp * q3 * q * inv
+        return dim * g - 2.0 * dist_sq * inv * (four_amp * q3 + g)
+
+    def prey_sink(t, x, p):
+        return -_profile_sq(feeding, offset(x, p)[1])
+
+    def zero_source(t, x, p):
+        return np.zeros(np.shape(x)[0] if np.ndim(x) else 1)
+
+    # speed certificates from the 1D radial profile g(s) = s/(a+s^2) w(s)
+    radial = lambda s: s / (alpha + s * s) * escape(s)
+    reach = params.escape_radius
+    v_sup = _sampled_sup(radial, 0.0, reach) * 1.0000001
+    h = reach / 4000.0
+    radial_slope = lambda s: (radial(s + h) - radial(s - h)) / (2 * h)
+    v_lip = _sampled_sup(radial_slope, h, reach - h) * (2.0 if dim == 2 else 1.0)
+    v_lip = max(v_lip, v_sup / math.sqrt(alpha)) * 1.05
+    # div-gradient L1 bound, sampled on the kernel support
+    xs = np.linspace(-reach, reach, 2001)
+    if dim == 1:
+        # the 1D speed is odd around the predator, so its divergence is the
+        # even extension of the radial slope
+        div = radial_slope(np.abs(xs))
+        grad_div = np.gradient(div, xs)
+        v_div_lip = float(np.trapezoid(np.abs(grad_div), xs)) * 1.1
+    else:
+        n2 = 201
+        g1 = np.linspace(-reach, reach, n2)
+        X, Y = np.meshgrid(g1, g1, indexing="ij")
+        pts = np.column_stack([X.ravel(), Y.ravel()])
+        dd = g1[1] - g1[0]
+        divv = prey_divergence(0.0, pts, np.zeros(2)).reshape(n2, n2)
+        gx, gy = np.gradient(divv, dd, dd)
+        v_div_lip = float(np.sum(np.hypot(gx, gy)) * dd * dd) * 1.1
+
+    m_sup = params.feeding_rate
+    if dim == 1:
+        m_tv = 2.0 * params.feeding_rate
+        m_param_lip = m_tv  # same gradient integral controls the p-shift
+    else:
+        rr = np.linspace(0, params.feeding_radius, 2001)
+        # the gradient integral bounds the p-shift; GridFunction.tv sums the
+        # axis-wise jumps, which for a radial profile is 4/pi times that
+        m_param_lip = float(np.trapezoid(
+            np.abs(feeding.slope(rr)) * 2 * np.pi * rr, rr)) * 1.05
+        m_tv = m_param_lip * 4.0 / np.pi
+
+    prey = RenewalCoefficients(
+        velocity=prey_velocity, growth=prey_sink, source=zero_source,
+        divergence=prey_divergence,
+        # every prey kernel vanishes outside the wider of the two discs
+        support=lambda p: (p, max(params.escape_radius,
+                                  params.feeding_radius)),
+        v_sup=v_sup, v_lip=v_lip, v_div_lip=v_div_lip,
+        m_sup_tv=m_sup + m_tv, m_param_lip=m_param_lip,
+        q_sup_tv=0.0, q_l1=0.0, q_param_lip=0.0)
+
+    # predator field: gradient-of-average drift
+    grad_sup = _sampled_sup(search.slope, 0.0, params.search_radius) * 1.05
+    hess_sup = grad_sup / params.search_radius * 8.0  # coarse curvature bound
+    rho0 = params.initial_density()
+    mass_bound = rho0.l1() * 1.5 + 1e-9
+
+    # grad_p of search(|p - x|) is the polynomial
+    # -8 amp / r^2 (1 - |z|^2 / r^2)_+^3 z in z = p - x, so the drift sums
+    # it over the window of cells within search_radius of p on each axis
+    r = params.search_radius
+    r2 = r * r
+    drift_scale = -8.0 * search.amp / r2
+
+    def predator_velocity(t, p, rho: GridFunction):
+        p = np.asarray(p, dtype=float)
+        z, window = [], []
+        for a in range(dim):
+            xc = rho.axis_centers(a)
+            lo, hi = np.searchsorted(xc, (p[a] - r, p[a] + r),
+                                     side="right")
+            z.append(p[a] - xc[lo:hi])
+            window.append(slice(lo, hi))
+        weight = rho.values[tuple(window)]
+        if dim == 1:
+            q = np.maximum(1.0 - z[0] * z[0] / r2, 0.0)
+            val = np.array([np.dot(z[0], q ** 3 * weight)])
+        else:
+            q = np.maximum(1.0 - (z[0][:, None] ** 2 + z[1][None, :] ** 2)
+                           / r2, 0.0)
+            w = q ** 3 * weight
+            val = np.array([np.dot(z[0], w.sum(axis=1)),
+                            np.dot(z[1], w.sum(axis=0))])
+        return val * (drift_scale * rho.cell_volume)
+
+    predator = OdeField(
+        f=predator_velocity,
+        lip=max(hess_sup * mass_bound, grad_sup) * 1.1,
+        sup=grad_sup * mass_bound,
+        radius=1.0,  # placeholder; sized in run_predator_prey
+    )
+    return PredatorPreyFields(prey=prey, predator=predator, escape=escape,
+                              search=search, feeding=feeding)
+
+
+def _profile_sq(bump: Bump, dist_sq):
+    """``bump`` at the distance whose square is ``dist_sq``."""
+    q = np.maximum(1.0 - dist_sq / (bump.radius * bump.radius), 0.0)
+    q2 = q * q
+    return bump.amp * (q2 * q2)
+
+
+
+def run_predator_prey(params: PredatorPreyParams,
+                      schedule: RefineSchedule = RefineSchedule(),
+                      initial: tuple[GridFunction, np.ndarray] | None = None,
+                      ) -> Trajectory:
+    """Run the coupled pursuit model over macro steps.
+
+    The model is the transported prey density, the predator's ODE ball and
+    their two processes; ``_run_coupled`` fits the density's envelope and
+    refines each macro step.  Diagnostics add the density's mass and the
+    predator's ball margin to the driver's norm, margin and gap columns.
+    ``initial`` overrides the configured initial pair (used for restarts).
+    """
+    fields = predator_prey_fields(params)
+    if initial is None:
+        rho0 = params.initial_density()
+        p0 = np.asarray(params.predator_start, dtype=float)
+    else:
+        rho0 = initial[0]
+        p0 = np.asarray(initial[1], dtype=float)
+
+    macro = params.macro_step
+    sup_p = fields.predator.sup
+    radius_p = max(2.0 * (np.linalg.norm(p0) + 1.0),
+                   2.2 * sup_p * macro)
+    predator = OdeField(f=fields.predator.f, lip=fields.predator.lip,
+                        sup=sup_p, radius=radius_p)
+
+    def build(moduli_radius):
+        return (make_renewal_process(fields.prey, moduli_radius, macro,
+                                     n_sub_per_unit=16.0),
+                make_ode_process(predator, macro, steps_per_unit=64.0))
+
+    radius_rho, times, states, cols, meta = _run_coupled(
+        build, (rho0, p0), 0,
+        lambda t, r, h: ivp_domain_bounds(t, r, h, fields.prey),
+        lambda t, rho: (rho.l1(), rho.linf(), rho.tv()),
+        macro, params.horizon, schedule, fields.prey.v_sup, min(rho0.dx))
+
+    ball = ode_domain_radius(macro, macro, radius_p, sup_p)
+    gaps = cols.pop("refine_gap")
+    diag = {"mass": [rho.mass() for rho, _ in states], **cols,
+            "p_ball_margin": [ball - float(np.linalg.norm(p))
+                              for _, p in states],
+            "refine_gap": gaps}
+    return Trajectory(times=times, states=states, diagnostics=diag,
+                      meta={"radius_rho": radius_rho, "radius_p": radius_p,
+                            **meta})

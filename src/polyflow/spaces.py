@@ -1,21 +1,22 @@
-"""Concrete metric spaces: grid functions, atomic measures, BV time series.
+"""Concrete metric spaces: grid functions and BV time series.
 
 Grid functions are piecewise-constant cell-average representations of
-L1-and-BV data on a truncated uniform grid (1D or 2D).  Atomic measures are
-finite positive combinations of point masses on the half line, metrized by
-the bounded-Lipschitz (flat) distance.  BV time series are left-continuous
-step functions of time, used for boundary data.
+L1-and-BV data on a truncated uniform grid (1D or 2D).  BV time series are
+left-continuous step functions of time, used for boundary data.  Atomic
+measures and the flat distance live in ``polyflow.measures``, and the
+discrete BV inequality checks in ``polyflow.suites``; their names are still
+served from here.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._lazy import forwarder
 from .errors import GridMismatch
 
 
@@ -210,30 +211,6 @@ class GridFunction:
                 fh.writelines(f"{x},{y},{v!r}\r\n"
                               for y, v in zip(ys, row))
 
-    @staticmethod
-    def read_csv(path) -> "GridFunction":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        header, data = rows[0], rows[1:]
-        if header == ["x", "value"]:
-            xs = np.array([float(r[0]) for r in data])
-            vs = np.array([float(r[1]) for r in data])
-            dx = float(xs[1] - xs[0]) if xs.size > 1 else 1.0
-            return GridFunction(vs, (float(xs[0] - dx / 2),), (dx,))
-        if header == ["x", "y", "value"]:
-            xs = np.array(sorted({float(r[0]) for r in data}))
-            ys = np.array(sorted({float(r[1]) for r in data}))
-            dx = float(xs[1] - xs[0]) if xs.size > 1 else 1.0
-            dy = float(ys[1] - ys[0]) if ys.size > 1 else 1.0
-            vals = np.zeros((xs.size, ys.size))
-            xi = {x: i for i, x in enumerate(xs)}
-            yi = {y: j for j, y in enumerate(ys)}
-            for r in data:
-                vals[xi[float(r[0])], yi[float(r[1])]] = float(r[2])
-            origin2 = (float(xs[0] - dx / 2), float(ys[0] - dy / 2))
-            return GridFunction(vals, origin2, (dx, dy))
-        raise ValueError(f"unrecognized grid CSV header: {header}")
-
 
 def _require_same_grid(u: GridFunction, v: GridFunction) -> None:
     if not u.same_grid(v):
@@ -260,165 +237,6 @@ def total_variation(u: GridFunction) -> float:
     tv_x = np.sum(np.abs(np.diff(vals, axis=0))) * u.dx[1]
     tv_y = np.sum(np.abs(np.diff(vals, axis=1))) * u.dx[0]
     return float(tv_x + tv_y)
-
-
-def shifted_l1_difference(u: GridFunction, delta: GridFunction) -> float:
-    """Exact integral of |u(x + delta(x)) - u(x)| over the grid (1D).
-
-    ``delta`` is a nonnegative per-cell shift field on the same grid.  The
-    integrand is piecewise constant, so each cell's contribution is the exact
-    overlap of the shifted cell against the grid (constant extension beyond
-    the edges).
-    """
-    _require_same_grid(u, delta)
-    if u.dim != 1:
-        raise ValueError("shift difference implemented for 1D grids")
-    if np.any(delta.values < 0):
-        raise ValueError("shift field must be nonnegative")
-    vals = u.values
-    n = vals.shape[0]
-    if n == 0:
-        return 0.0
-    dx = u.dx[0]
-    org = u.origin[0]
-    # overlap of each shifted cell [a, b) against the grid cells j0..j1,
-    # with constant extension; cell i adds its terms in the order j0, j0+1..
-    a = org + np.arange(n) * dx + delta.values
-    b = a + dx
-    j0 = np.floor((a - org) / dx).astype(np.int64)
-    j1 = np.floor((b - org) / dx - 1e-15).astype(np.int64)
-    acc = np.zeros(n)
-    for k in range(int(np.max(j1 - j0)) + 1):
-        j = j0 + k
-        lo = np.maximum(a, org + j * dx)
-        hi = np.minimum(b, org + (j + 1) * dx)
-        jj = np.minimum(np.maximum(j, 0), n - 1)
-        term = (hi - lo) * np.abs(vals[jj] - vals)
-        acc += np.where((j <= j1) & (hi > lo), term, 0.0)
-    # cumsum adds the cells left to right; np.sum is pairwise (other bits)
-    return float(np.cumsum(acc)[-1])
-
-
-# --------------------------------------------------------------------------
-# Atomic measures and the flat distance
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AtomicMeasure:
-    """Finite positive atomic measure on the half line.
-
-    Positions are kept sorted ascending; masses are nonnegative.
-    """
-
-    positions: np.ndarray
-    masses: np.ndarray
-
-    def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float).reshape(-1)
-        mas = np.asarray(self.masses, dtype=float).reshape(-1)
-        if pos.shape != mas.shape:
-            raise ValueError("positions and masses must have equal length")
-        if np.any(mas < 0):
-            raise ValueError("masses must be nonnegative")
-        if np.any(pos < 0):
-            raise ValueError("positions must be nonnegative")
-        order = np.argsort(pos, kind="stable")
-        object.__setattr__(self, "positions", pos[order])
-        object.__setattr__(self, "masses", mas[order])
-
-    @staticmethod
-    def empty() -> "AtomicMeasure":
-        return AtomicMeasure(np.zeros(0), np.zeros(0))
-
-    @property
-    def n_atoms(self) -> int:
-        return int(self.positions.size)
-
-    def total_mass(self) -> float:
-        return float(np.sum(self.masses))
-
-    def support_diameter(self) -> float:
-        if self.n_atoms < 2:
-            return 0.0
-        return float(self.positions[-1] - self.positions[0])
-
-    def merged(self, eps: float) -> "AtomicMeasure":
-        """Merge clusters of atoms closer than ``eps``.
-
-        Consecutive atoms with gaps < eps collapse to a single atom at the
-        mass-weighted mean position; total mass is conserved exactly.
-        """
-        if self.n_atoms == 0 or eps <= 0:
-            return self
-        pos, mas = self.positions, self.masses
-        new_pos, new_mas = [], []
-        start = 0
-        for i in range(1, self.n_atoms + 1):
-            if i == self.n_atoms or pos[i] - pos[i - 1] >= eps:
-                block_m = mas[start:i]
-                block_p = pos[start:i]
-                m = float(np.sum(block_m))
-                if m > 0:
-                    p = float(np.dot(block_p, block_m) / m)
-                else:
-                    p = float(np.mean(block_p))
-                new_pos.append(p)
-                new_mas.append(m)
-                start = i
-        return AtomicMeasure(np.array(new_pos), np.array(new_mas))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["position", "mass"])
-            for p, m in zip(self.positions, self.masses):
-                w.writerow([repr(float(p)), repr(float(m))])
-
-    @staticmethod
-    def read_csv(path) -> "AtomicMeasure":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if rows[0] != ["position", "mass"]:
-            raise ValueError(f"unrecognized measure CSV header: {rows[0]}")
-        pos = np.array([float(r[0]) for r in rows[1:]])
-        mas = np.array([float(r[1]) for r in rows[1:]])
-        return AtomicMeasure(pos, mas)
-
-
-def flat_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
-    """Bounded-Lipschitz (flat) distance between two atomic measures.
-
-    Maximizes ``sum phi(x_i) * (mu - nu)({x_i})`` over test functions with
-    ``|phi| <= 1`` and ``|slope| <= 1``.  Only the values ``phi_i`` at the
-    sorted distinct atom sites matter, under ``|phi_i| <= 1`` and
-    ``|phi_{i+1} - phi_i| <= gap_i``, so an exact dynamic program along the
-    chain solves it: the best partial sum as a function ``V`` of the current
-    value ``phi`` is concave and piecewise linear on ``[-1, 1]``.  Each gap
-    ``g`` widens ``V`` at a maximiser ``a`` into a flat top on
-    ``[a - g, a + g]`` (breakpoints left of ``a`` move by ``-g``, right of
-    it by ``+g``); the result is cut back to ``[-1, 1]`` and the next site's
-    net mass times ``phi`` is added.  The distance is ``max V``.
-    """
-    if mu.n_atoms == 0 and nu.n_atoms == 0:
-        return 0.0
-    # net signed mass per distinct position
-    pos = np.concatenate([mu.positions, nu.positions])
-    sgn = np.concatenate([mu.masses, -nu.masses])
-    support, inv = np.unique(pos, return_inverse=True)
-    weights = np.zeros(support.size)
-    np.add.at(weights, inv, sgn)
-
-    phi = np.array([-1.0, 1.0])     # breakpoints of V
-    val = weights[0] * phi          # V at the breakpoints
-    for g, w in zip(np.diff(support), weights[1:]):
-        a = int(np.argmax(val))
-        xs = np.concatenate((phi[:a + 1] - g, phi[a:] + g))
-        ys = np.concatenate((val[:a + 1], val[a:]))
-        inside = np.abs(xs) < 1.0
-        ends = np.interp((-1.0, 1.0), xs, ys)
-        phi = np.concatenate(((-1.0,), xs[inside], (1.0,)))
-        val = np.concatenate((ends[:1], ys[inside], ends[1:])) + w * phi
-    return float(np.max(val))
 
 
 # --------------------------------------------------------------------------
@@ -483,71 +301,8 @@ class BvTimeSeries:
         return float(np.max(np.abs(self.vals)))
 
 
-# --------------------------------------------------------------------------
-# Discrete BV inequality checks
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InequalityMargin:
-    name: str
-    lhs: float
-    rhs: float
-
-    @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
-
-
-@dataclass(frozen=True)
-class BvEstimateReport:
-    checks: tuple[InequalityMargin, ...]
-
-    def min_margin(self) -> float:
-        return min(c.margin for c in self.checks)
-
-    def all_hold(self, tol: float = 1e-12) -> bool:
-        return all(c.margin >= -tol for c in self.checks)
-
-
-def bv_estimate_checks(u: GridFunction, w: GridFunction,
-                       delta: GridFunction,
-                       lip_map: Callable[[np.ndarray], np.ndarray] = np.abs,
-                       lip_const: float = 1.0) -> BvEstimateReport:
-    """Evaluate the elementary BV inequalities on discrete representatives.
-
-    Checks, with both sides computed on the grid data:
-      * product rule      TV(u w)   <= TV(u) ||w||_inf + ||u||_inf TV(w)
-      * composition       TV(g(u))  <= Lip(g) TV(u)
-      * time integral     TV(u + w) <= TV(u) + TV(w)
-      * shift bound       int |u(x + d(x)) - u(x)| dx <= TV(u) ||d||_inf
-
-    All four hold exactly on piecewise-constant data, so every margin must
-    be >= -1e-12.
-    """
-    _require_same_grid(u, w)
-    _require_same_grid(u, delta)
-    if np.any(delta.values < 0):
-        raise ValueError("shift field must be nonnegative")
-    checks = []
-
-    prod = u.with_values(u.values * w.values)
-    checks.append(InequalityMargin(
-        "tv-product-rule", total_variation(prod),
-        total_variation(u) * w.linf() + u.linf() * total_variation(w)))
-
-    comp = u.with_values(np.asarray(lip_map(u.values), dtype=float))
-    checks.append(InequalityMargin(
-        "tv-composition", total_variation(comp),
-        lip_const * total_variation(u)))
-
-    summ = u.with_values(u.values + w.values)
-    checks.append(InequalityMargin(
-        "tv-time-integral", total_variation(summ),
-        total_variation(u) + total_variation(w)))
-
-    if u.dim == 1:
-        lhs = shifted_l1_difference(u, delta)
-        checks.append(InequalityMargin(
-            "l1-shift-bound", lhs, total_variation(u) * delta.linf()))
-
-    return BvEstimateReport(tuple(checks))
+__getattr__ = forwarder(__name__, {
+    **dict.fromkeys(("AtomicMeasure", "flat_distance"), "measures"),
+    **dict.fromkeys(("InequalityMargin", "BvEstimateReport",
+                     "bv_estimate_checks", "shifted_l1_difference"),
+                    "suites")})

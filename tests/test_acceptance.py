@@ -11,22 +11,24 @@ import numpy as np
 import pytest
 
 from polyflow.claw import ParamFlux, claw_solve
+from polyflow.epidemic import (EpidemicParams, epidemic_cohort_reference,
+                               run_epidemic)
 from polyflow.errors import InadmissibleHorizon
 from polyflow.harness import (rotation_exact, rotation_flow,
-                              rotation_processes, suite_bv)
+                              rotation_processes)
 from polyflow.ibvp import InflowBoundary, ibvp_domain_bounds, ibvp_solve
-from polyflow.measures import (MeasureCoefficients, evolve,
-                               measure_domain_bound, weak_residual)
+from polyflow.measures import (AtomicMeasure, MeasureCoefficients, evolve,
+                               flat_distance, measure_domain_bound,
+                               weak_residual)
 from polyflow.metric import (coupling_bounds, euler_polygonal,
                              refine_to_process)
 from polyflow.ode import OdeField, ode_solve
+from polyflow.pursuit import PredatorPreyParams, run_predator_prey
 from polyflow.renewal import RenewalCoefficients, ivp_domain_bounds, \
     renewal_solve
-from polyflow.scenarios import (EpidemicParams, PredatorPreyParams,
-                                RefineSchedule, epidemic_cohort_reference,
-                                run_epidemic, run_predator_prey)
-from polyflow.spaces import (AtomicMeasure, BvTimeSeries, GridFunction,
-                             flat_distance, l1_distance)
+from polyflow.scenarios import RefineSchedule
+from polyflow.spaces import BvTimeSeries, GridFunction, l1_distance
+from polyflow.suites import suite_bv
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:

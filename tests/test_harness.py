@@ -15,12 +15,12 @@ from polyflow.claw import (ParamFlux, claw_constants, claw_solve,
                            entropy_residuals)
 from polyflow.cli import main
 from polyflow.errors import ConfigError
-from polyflow.harness import (_random_step_data, check, load_config,
-                              polygonal_convergence, rotation_exact,
-                              rotation_flow, scenario_convergence,
-                              suite_claw, translation_flow, validate_config,
-                              verify)
+from polyflow.harness import (load_config, polygonal_convergence,
+                              rotation_exact, rotation_flow,
+                              scenario_convergence, translation_flow,
+                              validate_config, verify)
 from polyflow.spaces import GridFunction, l1_distance
+from polyflow.suites import _random_step_data, check, suite_claw
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -334,13 +334,13 @@ class TestCli:
                      "--levels", "3", "--quiet"]) == 0
 
     def test_domain_exit_maps_to_exit_2(self, tmp_path, monkeypatch):
-        from polyflow import harness
+        from polyflow import epidemic
         from polyflow.errors import DomainExit
 
         def boom(params, schedule):
             raise DomainExit("left the ball", step=3, time=0.25)
 
-        monkeypatch.setattr(harness, "run_epidemic", boom)
+        monkeypatch.setattr(epidemic, "run_epidemic", boom)
         cfg = json.loads((CONFIG_DIR / "epidemic_sir.json").read_text())
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -478,3 +478,116 @@ def test_import_leaves_scipy_optimize_unloaded(tmp_path):
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "0 []"
+
+
+SRC = Path(polyflow.__file__).resolve().parent
+# what only ``verify`` runs: the suites and the two solvers no scenario uses
+VERIFY_ONLY = {"claw", "measures", "suites"}
+
+
+def loaded_after(tmp_path, argv: list[str] | None) -> set[str]:
+    """polyflow modules a fresh process loads for ``polyflow argv``.
+
+    ``None`` only imports the CLI.
+    """
+    code = "import sys, polyflow.cli; "
+    if argv is not None:
+        code += f"assert polyflow.cli.main({argv!r}) == 0; "
+    code += "print(*sorted(m for m in sys.modules if m.startswith('polyflow.')))"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    return {m.removeprefix("polyflow.") for m in out.stdout.split()}
+
+
+def cli_argv(command: str, config: str) -> list[str]:
+    return [command, str(CONFIG_DIR / config), "--out", "out", "--quiet"]
+
+
+@pytest.mark.parametrize("argv, model, absent", [
+    (None, None, VERIFY_ONLY | {"epidemic", "pursuit", "ibvp"}),
+    (cli_argv("run", "epidemic.json"), "epidemic", VERIFY_ONLY | {"pursuit"}),
+    (cli_argv("run", "predator_prey_1d.json"), "pursuit",
+     VERIFY_ONLY | {"epidemic", "ibvp"}),
+], ids=["import", "run-epidemic", "run-pursuit"])
+def test_a_command_loads_only_what_it_runs(tmp_path, argv, model, absent):
+    loaded = loaded_after(tmp_path, argv)
+    assert not loaded & absent, loaded & absent
+    assert model is None or model in loaded
+
+
+def test_verify_loads_every_module_but_the_scenario_models(tmp_path):
+    # no suite runs a coupled scenario or writes its trajectory
+    loaded = loaded_after(tmp_path, cli_argv("verify", "verify_all.json"))
+    every = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    assert loaded == every - {"epidemic", "pursuit", "trajectory"}
+
+
+def test_suite_names_name_the_suites():
+    from polyflow.suites import SUITES
+    assert tuple(SUITES) == harness.SUITE_NAMES
+    assert harness.SUITES is SUITES
+
+
+# the names ``polyflow`` exported when it imported every module eagerly
+EXPORTS = (
+    "AtomicMeasure", "BvTimeSeries", "ClearanceViolated", "ConfigError",
+    "CouplingBounds", "DomainExit", "EpidemicParams", "EpidemicRun",
+    "EuclideanSpace", "GridFunction", "GridFunctionSpace", "GridMismatch",
+    "HorizonExceeded", "InadmissibleHorizon", "InflowBoundary",
+    "KernelOutOfBox", "LocalFlow", "MassBlowup", "MeasureCoefficients",
+    "MetricSpace", "NegativeRadius", "NoCrossing", "OdeField", "ParamFlux",
+    "PolyflowError", "PredatorPreyParams", "Process", "ProcessConstants",
+    "ProductSpace", "RefineSchedule", "RefinementResult",
+    "RenewalCoefficients", "StepTooLarge", "SupportClearanceViolated",
+    "Trajectory", "UndefinedBoundaryDatum", "boundary_crossing_time",
+    "bv_estimate_checks", "characteristic", "claw_constants", "claw_solve",
+    "claw_solve_many", "couple", "coupling_bounds", "entropy_residuals",
+    "epidemic_cohort_reference", "euler_polygonal", "flat_distance",
+    "godunov_flux", "ibvp_domain_bounds", "ibvp_lipschitz_constants",
+    "ibvp_solve", "ivp_domain_bounds", "ivp_lipschitz_constants",
+    "l1_distance", "make_ibvp_process", "make_ode_process",
+    "make_renewal_process", "measure_domain_bound", "measure_step",
+    "merge_constants", "ode_constants", "ode_domain_radius", "ode_solve",
+    "predator_prey_fields", "refine_to_process", "renewal_solve",
+    "run_epidemic", "run_predator_prey", "total_variation", "weak_residual",
+)
+
+
+def test_every_export_resolves_to_its_defining_module(tmp_path):
+    code = f"""
+import importlib, sys, polyflow
+print(*sorted(m for m in sys.modules if m.startswith('polyflow.')))
+listed = set(dir(polyflow))
+for name in {EXPORTS!r}:
+    obj = getattr(polyflow, name)
+    home = importlib.import_module(obj.__module__)
+    assert obj.__module__ == 'polyflow.' + polyflow._HOMES[name], name
+    assert getattr(home, name) is obj and name in listed, name
+print(sorted(polyflow.__all__) == sorted({EXPORTS!r}))
+"""
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    first, last = out.stdout.splitlines()
+    # the package itself imports only its forwarding helper
+    assert first == "polyflow._lazy" and last == "True"
+
+
+@pytest.mark.parametrize("module, name, home", [
+    ("harness", "SUITES", "suites"),
+    ("harness", "VerificationReport", "suites"),
+    ("scenarios", "Bump", "pursuit"),
+    ("scenarios", "predator_prey_fields", "pursuit"),
+    ("scenarios", "epidemic_cohort_reference", "epidemic"),
+    ("spaces", "flat_distance", "measures"),
+    ("spaces", "AtomicMeasure", "measures"),
+    ("spaces", "bv_estimate_checks", "suites"),
+])
+def test_moved_names_are_served_from_their_old_module(module, name, home):
+    import importlib
+    old = importlib.import_module(f"polyflow.{module}")
+    new = importlib.import_module(f"polyflow.{home}")
+    assert getattr(old, name) is getattr(new, name)
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        getattr(old, "nope")

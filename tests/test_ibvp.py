@@ -11,7 +11,7 @@ from polyflow.ibvp import (InflowBoundary, boundary_crossing_time,
                            ibvp_solve)
 from polyflow.renewal import (RenewalCoefficients, backward_transport,
                               characteristic, renewal_solve)
-from polyflow.scenarios import EpidemicParams, _epidemic_ibvp
+from polyflow.epidemic import EpidemicParams, _epidemic_ibvp
 from polyflow.spaces import BvTimeSeries, GridFunction, l1_distance
 
 

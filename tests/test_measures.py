@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from polyflow.errors import MassBlowup
-from polyflow.measures import (MeasureCoefficients, audit_coefficients,
-                               evolve, measure_domain_bound, measure_step,
+from polyflow.measures import (AtomicMeasure, MeasureCoefficients,
+                               audit_coefficients, evolve, flat_distance,
+                               measure_domain_bound, measure_step,
                                weak_residual)
-from polyflow.spaces import AtomicMeasure, flat_distance
 
 
 def constant_fields(drift=0.0, decay=0.0, child=None):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from polyflow.errors import DomainExit, HorizonExceeded, NegativeRadius
-from polyflow.ode import (OdeField, _leaves_ball, ode_constants,
+from polyflow.ode import (OdeField, _leaves_ball, _rk4, ode_constants,
                          ode_domain_radius, ode_solve)
+from polyflow.spaces import BvTimeSeries
 
 
 def linear_field(radius=8.0):
@@ -107,6 +108,44 @@ class TestOdeSolve:
         v1 = ode_solve(field, 0.0, 0.5, np.zeros(1), None, n_sub=64)
         v2 = ode_solve(field, 0.0, 0.9, np.zeros(1), None, n_sub=64)
         assert abs(v2[0] - v1[0]) <= field.sup * 0.4 * (1 + 1e-6)
+
+
+class TestOneSidedForcing:
+    """``u' = b(t)`` with a left-continuous step ``b`` that jumps at 0.5.
+
+    Every substep reads ``b`` from inside itself, so a jump on a substep's
+    edge costs no accuracy: RK4 integrates each constant piece exactly.
+    """
+
+    b = BvTimeSeries(np.array([0.0, 0.5]), np.array([1.0, 3.0]))
+    field = OdeField(f=lambda t, u, w: np.array([TestOneSidedForcing.b(t)]),
+                     lip=0.0, sup=3.0, radius=8.0)
+
+    @pytest.mark.parametrize("t0, t, n_sub, exact", [
+        (0.5, 1.0, 4, 1.5),    # the jump on the step start
+        (0.0, 0.5, 4, 0.5),    # on the step end
+        (0.0, 1.0, 4, 2.0),    # on a substep boundary
+        (0.0, 1.0, 1, None),   # inside the one substep: RK4's own error
+    ], ids=["step-start", "step-end", "substep-boundary", "inside"])
+    def test_exact_integral(self, t0, t, n_sub, exact):
+        out = ode_solve(self.field, t0, t, np.zeros(1), None, n_sub=n_sub)
+        if exact is None:
+            # stages at 0, 0.5, 0.5, 1 read 1, 1, 1, 3: the jump sits on
+            # the midpoint, which a left-continuous series reads as before
+            assert out[0] == pytest.approx((1 + 2 + 2 + 3) / 6.0, abs=1e-15)
+        else:
+            assert out[0] == pytest.approx(exact, abs=1e-14)
+
+    def test_first_stage_time(self):
+        seen = []
+
+        def f(s, u):
+            seen.append(s)
+            return u
+
+        _rk4(f, 1.0, np.ones(1), 0.5)
+        _rk4(f, 1.0, np.ones(1), 0.5, t_first=1.25)
+        assert seen == [1.0, 1.25, 1.25, 1.5, 1.25, 1.25, 1.25, 1.5]
 
 
 class TestAudit:

@@ -13,8 +13,8 @@ verify suites' smooth speeds.
 import numpy as np
 import pytest
 
-from polyflow.harness import _smooth_renewal, _varying_ibvp
-from polyflow.scenarios import Bump, PredatorPreyParams, predator_prey_fields
+from polyflow.pursuit import Bump, PredatorPreyParams, predator_prey_fields
+from polyflow.suites import _smooth_renewal, _varying_ibvp
 
 REL_TOL = 1e-12
 

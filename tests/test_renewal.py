@@ -10,7 +10,7 @@ from polyflow.renewal import (RenewalCoefficients, audit_coefficients,
                               backward_transport, characteristic,
                               ivp_domain_bounds, ivp_lipschitz_constants,
                               renewal_solve)
-from polyflow.scenarios import PredatorPreyParams, predator_prey_fields
+from polyflow.pursuit import PredatorPreyParams, predator_prey_fields
 from polyflow.spaces import GridFunction, l1_distance
 
 

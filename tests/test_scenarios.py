@@ -1,21 +1,23 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from polyflow.epidemic import (EpidemicParams, _epidemic_ibvp,
+                               _epidemic_ode_field, epidemic_cohort_reference,
+                               run_epidemic)
 from polyflow.errors import ConfigError, KernelOutOfBox
-from polyflow.harness import (epidemic_params_from_config, load_config,
-                              predator_prey_params_from_config)
+from polyflow.harness import (_population_drift, epidemic_params_from_config,
+                              load_config, predator_prey_params_from_config,
+                              schedule_from_config)
 from polyflow.ibvp import ibvp_domain_bounds
 from polyflow.ode import OdeField, ode_solve
+from polyflow.pursuit import (PredatorPreyParams, predator_prey_fields,
+                              run_predator_prey)
 from polyflow.renewal import audit_coefficients, ivp_domain_bounds
-from polyflow.scenarios import (EpidemicParams, PredatorPreyParams,
-                                RefineSchedule, _epidemic_ibvp,
-                                _epidemic_ode_field,
-                                epidemic_cohort_reference,
-                                predator_prey_fields, run_epidemic,
-                                run_predator_prey)
+from polyflow.scenarios import RefineSchedule
 from polyflow.spaces import BvTimeSeries, GridFunction, l1_distance
 
 
@@ -174,6 +176,22 @@ class TestPursuitRuns:
         one_step = 2 * min(rho_d.dx)
         assert gap <= 5 * one_step
 
+    @pytest.mark.parametrize("config, name, value", [
+        ("predator_prey_1d.json", "predator_start", (0.1, 0.2)),
+        ("predator_prey_1d.json", "prey_center", (0.0, 1.0)),
+        ("predator_prey_1d.json", "box", ((-1.0, 1.0), (-1.0, 1.0))),
+        ("predator_prey_1d.json", "cells", (100, 100)),
+        ("predator_prey_1d.json", "prey_center", 0.0),
+        ("predator_prey_2d.json", "predator_start", (0.1,)),
+        ("predator_prey_2d.json", "cells", (50,)),
+    ])
+    def test_params_hold_one_entry_per_axis(self, config, name, value):
+        params = predator_prey_params_from_config(
+            load_config(CONFIG_DIR / config))
+        with pytest.raises(ValueError,
+                           match=f"{name} must hold one entry per axis"):
+            replace(params, **{name: value})
+
     def test_horizon_not_a_multiple_of_macro_step(self):
         with pytest.raises(ConfigError, match="time.macro_step"):
             run_predator_prey(pursuit_params(horizon=0.3, macro=0.2),
@@ -313,6 +331,22 @@ class TestEpidemicRuns:
         run = run_epidemic(params, RefineSchedule(0, 2, 1e-6))
         assert run.warnings
         assert run.trajectory.column("S")[-1] < 0
+
+    def test_rate_jump_on_a_step_start_read_from_inside(self):
+        # the vaccination rate of epidemic.json jumps at t = 0.25, where a
+        # macro step starts; a jump one ulp later has the same exact
+        # solution, but the step from 0.25 then reads the pre-jump rate in
+        # its first RK4 stage, as a solver reading the left limit there would
+        cfg = load_config(CONFIG_DIR / "epidemic.json")
+        params = epidemic_params_from_config(cfg)
+        rate = params.vaccination_rate
+        assert rate.times[1] == 0.25
+        later = replace(params, vaccination_rate=BvTimeSeries(
+            np.array([0.0, math.nextafter(0.25, math.inf)]), rate.vals))
+        drift = [_population_drift(run_epidemic(
+            p, schedule_from_config(cfg)).trajectory, p)
+            for p in (params, later)]
+        assert 4.0 * drift[0] <= drift[1]
 
     def test_epidemic_age_speed_is_the_constant_one(self):
         coef, inflow = _epidemic_ibvp(epidemic_params(), i_bound=1.0)

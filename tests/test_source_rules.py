@@ -47,6 +47,10 @@ def called_name(node: ast.AST) -> str | None:
 def test_one_macro_step_driver():
     # both coupled models run through scenarios._run_coupled, so a change
     # inside the macro-step loop is made in one place
+    for model in ("epidemic.py", "pursuit.py"):
+        tree = ast.parse((SRC / model).read_text())
+        assert not [node.lineno for node in ast.walk(tree)
+                    if called_name(node) in ("refine_to_process", "couple")]
     tree = ast.parse((SRC / "scenarios.py").read_text())
     driver = next(node for node in tree.body
                   if isinstance(node, ast.FunctionDef)
@@ -56,3 +60,49 @@ def test_one_macro_step_driver():
                  if called_name(node) == name]
         assert len(sites) == 1, (name, sites)
         assert driver.lineno <= sites[0] <= driver.end_lineno, (name, sites)
+
+
+def module_level_imports(path: Path) -> set[str]:
+    """The polyflow modules ``path`` imports outside its functions."""
+    found = set()
+    stack = list(ast.parse(path.read_text()).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= ({node.module} if node.module
+                      else {a.name for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found |= {node.module} | {f"{node.module}.{a.name}"
+                                      for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name for a in node.names}
+        stack.extend(ast.iter_child_nodes(node))
+    return {m.removeprefix("polyflow.") for m in found}
+
+
+def test_entry_modules_import_no_command_module():
+    # the package, the CLI, the harness and the shared driver load for every
+    # command, so each model or suite module they import eagerly would be
+    # compiled by commands that never run it
+    command_modules = {"claw", "measures", "suites", "pursuit", "epidemic",
+                       "ibvp"}
+    for name in ("__init__.py", "cli.py", "harness.py", "scenarios.py"):
+        eager = module_level_imports(SRC / name) & command_modules
+        assert not eager, (name, eager)
+
+
+def test_module_level_imports_pattern(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("from . import claw as _claw\n"
+                    "from .suites import SUITES\n"
+                    "import polyflow.pursuit\n"
+                    "from polyflow import epidemic\n"
+                    "if True:\n    from .ibvp import ibvp_solve\n"
+                    "def f():\n    from .measures import measure_step\n"
+                    "class C:\n    from .renewal import characteristic\n")
+    assert {"claw", "suites", "pursuit", "epidemic", "ibvp"} \
+        <= module_level_imports(path)
+    assert not {"measures", "renewal"} & module_level_imports(path)
