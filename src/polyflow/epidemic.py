@@ -105,18 +105,18 @@ def _epidemic_ibvp(params: EpidemicParams, i_bound: float
                    ) -> tuple[RenewalCoefficients, InflowBoundary]:
     """The cohort's transport in its age at unit speed, and its inflow."""
     rho_v = params.vaccinated_infectivity
+    # a constant-speed solve hands in the same cached midpoints for every
+    # step of one length
+    rho_v_at = _memo_last(lambda x: rho_v.lookup(x, outside="clamp"))
 
     def growth(t, x, w):
-        return -rho_v.lookup(np.asarray(x, dtype=float), outside="clamp") \
+        return -rho_v_at(np.asarray(x, dtype=float)) \
             * float(np.asarray(w, dtype=float).reshape(-1)[1])
-
-    def source(t, x, w):
-        return np.zeros(np.shape(np.asarray(x))[0])
 
     p = params.vaccination_rate
     horizon = params.horizon
     coef = RenewalCoefficients(
-        velocity=1.0, growth=growth, source=source,
+        velocity=1.0, growth=growth,
         v_sup=1.0, v_lip=0.0,
         m_sup_tv=(rho_v.linf() + rho_v.tv()) * i_bound,
         m_param_lip=rho_v.l1(),

@@ -16,8 +16,10 @@ reaches the boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +27,9 @@ from .errors import (InadmissibleHorizon, NoCrossing,
                      SupportClearanceViolated, UndefinedBoundaryDatum)
 from .metric import GridFunctionSpace, Process, ProcessConstants
 from .ode import _rk4
-from .renewal import RenewalCoefficients, backward_transport, characteristic
+from .renewal import (RenewalCoefficients, _integrate_stacked,
+                      _substep_midpoints, _substep_times, backward_transport,
+                      characteristic)
 from .spaces import BvTimeSeries, GridFunction
 
 
@@ -83,14 +87,19 @@ def ibvp_solve(coef: RenewalCoefficients, inflow: InflowBoundary,
                outflow_edge: bool = False) -> GridFunction:
     """Advance the datum with the parameter frozen, filling from the boundary.
 
-    One backward pass over all cells, each with its own end time: ``t0``
-    for cells right of the origin characteristic, the boundary crossing
-    time for cells left of it.  Cells are classified by their centers; the
+    Every cell is integrated back to its own end time: ``t0`` for cells
+    right of the origin characteristic, the boundary crossing time for
+    cells left of it.  Cells are classified by their centers; the
     straddling cell takes its center's branch (the exact solution may
     genuinely jump there).  A boundary cell is seeded by the inflow series
-    at its crossing time instead of the datum at its foot.  The pass is the
-    renewal transport kernel, so with zero inflow and source it reproduces
-    the free problem bit for bit.
+    at its crossing time instead of the datum at its foot.  A callable
+    speed makes one pass of the renewal transport kernel over all cells.
+    A constant speed takes the split, the substep midpoints and the
+    interior feet from a cache keyed by the step length (see
+    ``_constant_speed_geometry``), and per solve computes only the crossing
+    times, the substep times, one growth call (plus one source call) and
+    the seeds.  Either way the interior cells reproduce the free problem
+    bit for bit.
 
     With ``outflow_edge`` the grid's right edge is a true model boundary
     with free outflow (mass crossing it is meant to leave), so no clearance
@@ -125,16 +134,83 @@ def ibvp_solve(coef: RenewalCoefficients, inflow: InflowBoundary,
     sigma = float(characteristic(coef.velocity, t0, np.array([0.0]), t, w,
                                  n_sub=n_sub)[0])
     centers = u0.centers()
-    # the centres ascend, so the cells left of sigma are a prefix
-    n_bdy = int(np.count_nonzero(centers < sigma))
-    t_lo = np.full(centers.shape[0], float(t0))
+    n = centers.shape[0]
+    if callable(coef.velocity):
+        # the centres ascend, so the cells left of sigma are a prefix
+        n_bdy = int(np.count_nonzero(centers < sigma))
+    else:
+        geometry = _constant_speed_geometry(coef.velocity, t - t0, n_sub,
+                                            sigma, n, u0.origin[0],
+                                            u0.dx[0])
+        n_bdy = geometry.n_bdy
+    t_lo = np.full(n, float(t0))
     t_lo[:n_bdy] = boundary_crossing_time(coef.velocity, t, centers[:n_bdy],
                                           t0, n_sub=n_sub)
-    foot, factor, src = backward_transport(coef, w, t, t_lo, centers, n_sub,
-                                           u0.dx)
-    seed = u0.lookup(foot, outside="zero")
+    if callable(coef.velocity):
+        foot, factor, src = backward_transport(coef, w, t, t_lo, centers,
+                                               n_sub, u0.dx)
+        seed = u0.lookup(foot, outside="zero")
+    else:
+        ds = (t - t_lo) / n_sub
+        factor, src = _integrate_stacked(coef, w, _substep_times(t, ds, n_sub),
+                                         geometry.mids, ds)
+        padded = np.zeros(n + 2)
+        padded[1:-1] = u0.values
+        seed = padded[geometry.feet]
     seed[:n_bdy] = inflow.series(t_lo[:n_bdy])
     return u0.with_values(seed * factor + src)
+
+
+class _Geometry(NamedTuple):
+    """The state- and ``t``-free part of a constant-speed solve."""
+
+    n_bdy: int           # cells left of the origin characteristic
+    mids: np.ndarray     # flat (n_sub * n,) substep midpoints
+    feet: np.ndarray     # padded lookup index of each foot (0 when inflow)
+
+
+# numbers ``n * (n_sub + 1)`` above which a geometry is built afresh instead
+# of cached, so the 16 entries hold at most 16 * 8 * 2**14 bytes (2 MiB)
+_GEOMETRY_CACHE_CELLS = 2 ** 14
+
+
+def _constant_speed_geometry(speed: float, span: float, n_sub: int,
+                             sigma: float, n: int, origin: float, dx: float
+                             ) -> _Geometry:
+    """What a constant-speed solve over ``span = t - t0`` reads that depends
+    neither on the state nor on ``t``, cached for small grids."""
+    if n * (n_sub + 1) > _GEOMETRY_CACHE_CELLS:
+        return _build_geometry(speed, span, n_sub, sigma, n, origin, dx)
+    return _cached_geometry(speed, span, n_sub, sigma, n, origin, dx)
+
+
+def _build_geometry(speed: float, span: float, n_sub: int, sigma: float,
+                    n: int, origin: float, dx: float) -> _Geometry:
+    """The split at ``sigma``, the substep midpoints and the interior feet.
+
+    Interior cells step back over ``span`` with ``backward_transport``'s
+    arithmetic, so their midpoints and feet are bit-identical to it.  An
+    inflow cell at ``x`` reaches the origin at its crossing time, and its
+    midpoints are the closed form ``x - x (j + 1/2) / n_sub`` rather than
+    steps of the per-solve ``(t - t_lo) / n_sub``: equal up to rounding.
+    """
+    centers = origin + (np.arange(n) + 0.5) * dx
+    n_bdy = int(np.count_nonzero(centers < sigma))
+    mids = np.empty((n_sub, n))
+    x_in = centers[:n_bdy]
+    mids[:, :n_bdy] = x_in - ((np.arange(n_sub) + 0.5) / n_sub)[:, None] * x_in
+    mids[:, n_bdy:], foot = _substep_midpoints(centers[n_bdy:], span / n_sub,
+                                               speed, n_sub)
+    # the index arithmetic of GridFunction.lookup(outside="zero")
+    idx = np.floor((foot - origin) / dx).astype(np.int64)
+    feet = np.zeros(n, dtype=np.int64)
+    feet[n_bdy:] = np.minimum(np.maximum(idx, -1), n) + 1
+    mids.flags.writeable = False
+    feet.flags.writeable = False
+    return _Geometry(n_bdy, mids.reshape(-1), feet)
+
+
+_cached_geometry = functools.lru_cache(maxsize=16)(_build_geometry)
 
 
 def _right_clearance(u: GridFunction) -> float:

@@ -176,9 +176,6 @@ def predator_prey_fields(params: PredatorPreyParams) -> PredatorPreyFields:
     def prey_sink(t, x, p):
         return -_profile_sq(feeding, offset(x, p)[1])
 
-    def zero_source(t, x, p):
-        return np.zeros(np.shape(x)[0] if np.ndim(x) else 1)
-
     # speed certificates from the 1D radial profile g(s) = s/(a+s^2) w(s)
     radial = lambda s: s / (alpha + s * s) * escape(s)
     reach = params.escape_radius
@@ -218,7 +215,7 @@ def predator_prey_fields(params: PredatorPreyParams) -> PredatorPreyFields:
         m_tv = m_param_lip * 4.0 / np.pi
 
     prey = RenewalCoefficients(
-        velocity=prey_velocity, growth=prey_sink, source=zero_source,
+        velocity=prey_velocity, growth=prey_sink,
         divergence=prey_divergence,
         # every prey kernel vanishes outside the wider of the two discs
         support=lambda p: (p, max(params.escape_radius,

@@ -30,7 +30,10 @@ class RenewalCoefficients:
     The callables must be elementwise-vectorized: ``velocity(t, x, w)``
     returns an array shaped like ``x`` (1D positions ``(n,)`` or 2D points
     ``(n, 2)``); ``growth``, ``source`` and ``divergence`` return ``(n,)``.
-    ``t`` may be a scalar or an ``(n,)`` array.  A callable velocity comes
+    ``t`` may be a scalar or an ``(n,)`` array.  ``source`` is optional:
+    ``None`` means no source term, and the solvers then skip its
+    convolution (whose zero integral they still add, so the bytes are those
+    of an explicit zero source).  A callable velocity comes
     with its ``divergence(t, x, w)``, the ``div v`` of the ``m - div v``
     exponent.  In 1D ``velocity`` may instead be a number ``c``: a constant
     speed, whose characteristics are the closed-form translations
@@ -53,7 +56,7 @@ class RenewalCoefficients:
 
     velocity: Callable[[Any, np.ndarray, Any], np.ndarray] | float
     growth: Callable[[Any, np.ndarray, Any], np.ndarray]
-    source: Callable[[Any, np.ndarray, Any], np.ndarray]
+    source: Callable[[Any, np.ndarray, Any], np.ndarray] | None = None
     divergence: Callable[[Any, np.ndarray, Any], np.ndarray] | None = None
     v_sup: float = 0.0
     v_lip: float = 0.0
@@ -100,8 +103,10 @@ def audit_coefficients(coef: RenewalCoefficients, grid: GridFunction, w,
     sup+variation bounds of the source, with the variation taken on the
     supplied grid.  With a ``support``, the largest ``|v|``, ``|m|``,
     ``|div v|`` and ``|q|`` on the grid centres outside its ball count as
-    violations too.  Evidence, not proof.
+    violations too.  A ``None`` source is audited as the zero field.
+    Evidence, not proof.
     """
+    source = coef.source or (lambda t, x, w: np.zeros(np.shape(x)[0]))
     sampled = callable(coef.velocity)
     worst = -math.inf if sampled else abs(coef.velocity) - coef.v_sup
     pts = grid.centers()
@@ -115,13 +120,13 @@ def audit_coefficients(coef: RenewalCoefficients, grid: GridFunction, w,
             worst = max(worst, float(np.max(speeds)) - coef.v_sup)
         if len(outside):
             for field in (coef.velocity, coef.growth, coef.divergence,
-                          coef.source):
+                          source):
                 worst = max(worst, float(np.max(np.abs(
                     np.asarray(field(t, outside, w), dtype=float)))))
         m = grid.with_values(np.asarray(coef.growth(t, pts, w), dtype=float)
                              .reshape(grid.values.shape))
         worst = max(worst, m.linf() + m.tv() - coef.m_sup_tv)
-        q = grid.with_values(np.asarray(coef.source(t, pts, w), dtype=float)
+        q = grid.with_values(np.asarray(source(t, pts, w), dtype=float)
                              .reshape(grid.values.shape))
         worst = max(worst, q.l1() - coef.q_l1)
         worst = max(worst, q.linf() + q.tv() - coef.q_sup_tv)
@@ -151,6 +156,60 @@ def characteristic(velocity, t_bar: float, x_bar, t: float, w,
     return x
 
 
+def _substep_midpoints(pts: np.ndarray, ds, speed: float, n_sub: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints ``(n_sub, n)`` and feet of ``n_sub`` backward translations.
+
+    Each step moves the points by ``-ds * speed`` (``ds`` a scalar or one
+    per point), in the arithmetic of ``backward_transport``'s stepping.
+    """
+    h = -ds
+    mids = np.empty((n_sub,) + pts.shape)
+    for j in range(n_sub):
+        nxt = pts + h * speed
+        mids[j] = 0.5 * (pts + nxt)
+        pts = nxt
+    return mids, pts
+
+
+def _substep_times(t: float, ds, n_sub: int) -> np.ndarray:
+    """Midpoint times of the ``n_sub`` backward steps of length ``ds`` from
+    ``t``: shape ``(n_sub, 1)`` for a scalar ``ds``, else ``(n_sub, n)``."""
+    j = np.arange(n_sub, dtype=float).reshape(-1, 1)
+    return (t - j * ds) + 0.5 * (-ds)
+
+
+def _integrate_stacked(coef: RenewalCoefficients, w, times: np.ndarray,
+                       mids: np.ndarray, ds) -> tuple[np.ndarray, np.ndarray]:
+    """Growth factors and source integrals along constant-speed feet.
+
+    ``mids`` is the flat ``(n_sub * n,)`` stack of the substep midpoints
+    of ``n`` points, substep by substep, and ``times`` their midpoint
+    times, shaped ``(n_sub, n)``, or ``(n_sub, 1)`` when all points share
+    them.  The growth, and the source when there is one, are called once
+    on the whole stack; the exponent is then summed by the midpoint rule in
+    substep order, as ``backward_transport`` sums it step by step.  Returns
+    ``(growth_factor, source_integral)``.
+    """
+    n_sub = times.shape[0]
+    n = mids.shape[0] // n_sub
+    s = (times.ravel() if times.shape[1] == n
+         else np.repeat(times.ravel(), n))
+    contrib = np.asarray(coef.growth(s, mids, w),
+                         dtype=float).reshape(n_sub, n) * ds
+    q = (None if coef.source is None
+         else np.asarray(coef.source(s, mids, w), dtype=float)
+         .reshape(n_sub, n))
+    exponent = np.zeros(n)
+    source_acc = np.zeros(n)
+    for j in range(n_sub):
+        if q is not None:
+            factor_mid = np.exp(exponent + 0.5 * contrib[j])
+            source_acc = source_acc + q[j] * factor_mid * ds
+        exponent = exponent + contrib[j]
+    return np.exp(exponent), source_acc
+
+
 def backward_transport(coef: RenewalCoefficients, w, t: float, t_lo,
                        x: np.ndarray, n_sub: int, dx: tuple[float, ...]
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,7 +220,8 @@ def backward_transport(coef: RenewalCoefficients, w, t: float, t_lo,
     exponent ``int (m - div v) ds`` and the source convolution
     ``int q * exp(int_s^t (m - div v)) ds``.  Each foot step is RK4 for a
     callable velocity and the exact translation for a constant one, whose
-    divergence is zero.  ``dx``, the grid spacing, is not read.
+    divergence is zero; a constant speed calls the growth (and source) once
+    on all substep midpoints.  ``dx``, the grid spacing, is not read.
 
     Returns ``(foot, growth, source_integral)``.
     """
@@ -173,31 +233,31 @@ def backward_transport(coef: RenewalCoefficients, w, t: float, t_lo,
         raise ValueError("a constant velocity is only supported in 1D")
     lo = float(t_lo) if scalar_lo else np.asarray(t_lo, dtype=float)
     ds = (t - lo) / n_sub
+    if not callable(coef.velocity):
+        # the divergence is zero, and x - 0.0 is x bit for bit
+        mids, pts = _substep_midpoints(pts, ds, coef.velocity, n_sub)
+        factor, source_acc = _integrate_stacked(
+            coef, w, _substep_times(t, ds, n_sub), mids.reshape(-1), ds)
+        return pts, factor, source_acc
     n_pts = pts.shape[0]
     exponent = np.zeros(n_pts)
     source_acc = np.zeros(n_pts)
-    if callable(coef.velocity):
-        rhs = lambda s, y: np.asarray(coef.velocity(s, y, w), dtype=float)
-        step = lambda s, y, h: _rk4(rhs, s, y, h)
-        rate = lambda s, y: (
-            np.asarray(coef.growth(s, y, w), dtype=float)
-            - np.asarray(coef.divergence(s, y, w), dtype=float))
-    else:
-        step = lambda s, y, h: y + h * coef.velocity
-        # the divergence is zero, and x - 0.0 is x bit for bit
-        rate = lambda s, y: np.asarray(coef.growth(s, y, w), dtype=float)
+    rhs = lambda s, y: np.asarray(coef.velocity(s, y, w), dtype=float)
     h = -ds
     half_h = 0.5 * h
     for j in range(n_sub):
         s_hi = t - j * ds
-        nxt = step(s_hi, pts, h)
+        nxt = _rk4(rhs, s_hi, pts, h)
         s_mid = s_hi + half_h
         p_mid = 0.5 * (pts + nxt)
-        contrib = rate(s_mid, p_mid) * ds
-        factor_mid = np.exp(exponent + 0.5 * contrib)
-        source_acc = source_acc + (np.asarray(coef.source(s_mid, p_mid, w),
-                                              dtype=float)
-                                   * factor_mid * ds)
+        contrib = (np.asarray(coef.growth(s_mid, p_mid, w), dtype=float)
+                   - np.asarray(coef.divergence(s_mid, p_mid, w),
+                                dtype=float)) * ds
+        if coef.source is not None:
+            factor_mid = np.exp(exponent + 0.5 * contrib)
+            source_acc = source_acc + (
+                np.asarray(coef.source(s_mid, p_mid, w), dtype=float)
+                * factor_mid * ds)
         exponent = exponent + contrib
         pts = nxt
     return pts, np.exp(exponent), source_acc

@@ -33,9 +33,11 @@ def _memo_last(fn: Callable) -> Callable:
     previous call.
 
     For values computed from frozen inputs that a solver hands in again and
-    again: the parameter of one solve, or the midpoint at which
-    ``backward_transport`` evaluates both growth and divergence.  The memo
-    holds the previous arguments, so their ids cannot be reused.
+    again: the parameter of one solve, the midpoint at which
+    ``backward_transport`` evaluates both growth and divergence, or the
+    cached midpoints of every constant-speed ``ibvp_solve`` of one step
+    length.  The memo holds the previous arguments, so their ids cannot be
+    reused.
     """
     last_args, last = (), None
 

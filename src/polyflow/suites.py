@@ -290,7 +290,6 @@ def _smooth_renewal() -> RenewalCoefficients:
     return RenewalCoefficients(
         velocity=lambda t, x, w: 0.5 + 0.2 * np.sin(x),
         growth=lambda t, x, w: 0.3 * np.cos(x) - 0.1,
-        source=lambda t, x, w: np.zeros(np.shape(x)[0]),
         divergence=lambda t, x, w: 0.2 * np.cos(x),
         v_sup=0.7, v_lip=0.2, v_div_lip=0.7,
         m_sup_tv=1.5, m_param_lip=0.0, q_sup_tv=0.0, q_l1=0.0,
@@ -309,7 +308,7 @@ def suite_renewal(seed: int, cells: int = 400) -> list[CheckResult]:
     zeros = lambda t, x, w: np.zeros(np.shape(x)[0])
     move = RenewalCoefficients(
         velocity=lambda t, x, w: np.ones(np.shape(x)[0]),
-        growth=zeros, source=zeros, divergence=zeros, v_sup=1.0)
+        growth=zeros, divergence=zeros, v_sup=1.0)
     got = renewal_solve(move, ind, None, 0.0, 0.5, n_sub=10)
     ref = GridFunction.from_callable(
         lambda x: ((x >= 0.5) & (x < 1.5)).astype(float),
@@ -319,7 +318,7 @@ def suite_renewal(seed: int, cells: int = 400) -> list[CheckResult]:
 
     fade = RenewalCoefficients(
         velocity=zeros, growth=lambda t, x, w: -np.ones(np.shape(x)[0]),
-        source=zeros, divergence=zeros, m_sup_tv=1.0)
+        divergence=zeros, m_sup_tv=1.0)
     got = renewal_solve(fade, ind, None, 0.0, 1.0, n_sub=10)
     ref = ind.with_values(ind.values * math.exp(-1.0))
     out.append(check("renewal/decay", "exact-exponential",
@@ -376,7 +375,6 @@ def _varying_ibvp() -> RenewalCoefficients:
     return RenewalCoefficients(
         velocity=lambda t, x, w: 0.8 + 0.1 * np.cos(x),
         growth=lambda t, x, w: 0.2 * np.sin(x),
-        source=lambda t, x, w: np.zeros(np.shape(x)[0]),
         divergence=lambda t, x, w: -0.1 * np.sin(x),
         v_sup=0.9, v_lip=0.1, m_sup_tv=0.7)
 
@@ -392,8 +390,8 @@ def suite_ibvp(seed: int, cells: int = 400) -> list[CheckResult]:
     zeros = lambda t, x, w: np.zeros(np.shape(x)[0])
     ones = lambda t, x, w: np.ones(np.shape(x)[0])
 
-    fill = RenewalCoefficients(velocity=ones, growth=zeros, source=zeros,
-                               divergence=zeros, v_sup=1.0)
+    fill = RenewalCoefficients(velocity=ones, growth=zeros, divergence=zeros,
+                               v_sup=1.0)
     got = ibvp_solve(fill, unit, zero, None, 0.0, 1.0, n_sub=10)
     ref = GridFunction.from_callable(lambda x: (x < 1.0).astype(float),
                                      grid.origin, grid.dx, grid.values.shape)
@@ -402,7 +400,7 @@ def suite_ibvp(seed: int, cells: int = 400) -> list[CheckResult]:
 
     decay = RenewalCoefficients(
         velocity=ones, growth=lambda t, x, w: -np.ones(np.shape(x)[0]),
-        source=zeros, divergence=zeros, v_sup=1.0, m_sup_tv=1.0)
+        divergence=zeros, v_sup=1.0, m_sup_tv=1.0)
     got = ibvp_solve(decay, unit, zero, None, 0.0, 1.0, n_sub=10)
     ref = GridFunction.from_callable(
         lambda x: np.where(x < 1.0, np.exp(-x), 0.0),

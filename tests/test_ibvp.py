@@ -1,8 +1,11 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from polyflow import ibvp
 from polyflow.errors import (InadmissibleHorizon, NoCrossing,
                              SupportClearanceViolated,
                              UndefinedBoundaryDatum)
@@ -12,7 +15,10 @@ from polyflow.ibvp import (InflowBoundary, boundary_crossing_time,
 from polyflow.renewal import (RenewalCoefficients, backward_transport,
                               characteristic, renewal_solve)
 from polyflow.epidemic import EpidemicParams, _epidemic_ibvp
+from polyflow.harness import load_config, run
 from polyflow.spaces import BvTimeSeries, GridFunction, l1_distance
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def ones_speed(t, x, w):
@@ -29,6 +35,11 @@ def cos_speed(t, x, w):
 
 def cos_speed_divergence(t, x, w):
     return -0.1 * np.sin(np.asarray(x))
+
+
+def same_bits(a, b):
+    return (np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
 def make_coef(velocity=ones_speed, growth=zero_field, source=zero_field,
@@ -424,3 +435,223 @@ class TestLipschitzConstants:
         assert c.c_u == m
         assert c.c_t == pytest.approx(ct)
         assert c.c_w == pytest.approx(cw)
+
+
+# --------------------------------------------------------------------------
+# The constant-speed solve from a geometry cached per step length
+# --------------------------------------------------------------------------
+
+def frozen_constant_transport(coef, w, t, t_lo, x, n_sub):
+    """``backward_transport``'s constant-speed branch as it was before the
+    stacked rate call: one growth and one source call per substep."""
+    pts = np.asarray(x, dtype=float).copy()
+    lo = float(t_lo) if np.ndim(t_lo) == 0 else np.asarray(t_lo, dtype=float)
+    ds = (t - lo) / n_sub
+    source = coef.source or zero_field
+    exponent = np.zeros(pts.shape[0])
+    source_acc = np.zeros(pts.shape[0])
+    h = -ds
+    half_h = 0.5 * h
+    for j in range(n_sub):
+        s_hi = t - j * ds
+        nxt = pts + h * coef.velocity
+        s_mid = s_hi + half_h
+        p_mid = 0.5 * (pts + nxt)
+        contrib = np.asarray(coef.growth(s_mid, p_mid, w), dtype=float) * ds
+        factor_mid = np.exp(exponent + 0.5 * contrib)
+        source_acc = source_acc + (np.asarray(source(s_mid, p_mid, w),
+                                              dtype=float)
+                                   * factor_mid * ds)
+        exponent = exponent + contrib
+        pts = nxt
+    return pts, np.exp(exponent), source_acc
+
+
+def frozen_one_pass(coef, inflow, u0, w, t0, t, n_sub):
+    """The constant-speed ``ibvp_solve`` before the cache: one transport
+    pass over all cells with per-cell end times.  Returns the values and
+    the number of inflow cells."""
+    sigma = float(characteristic(coef.velocity, t0, np.array([0.0]), t, w,
+                                 n_sub=n_sub)[0])
+    centers = u0.centers()
+    n_bdy = int(np.count_nonzero(centers < sigma))
+    t_lo = np.full(centers.shape[0], float(t0))
+    t_lo[:n_bdy] = boundary_crossing_time(coef.velocity, t, centers[:n_bdy],
+                                          t0, n_sub=n_sub)
+    foot, factor, src = frozen_constant_transport(coef, w, t, t_lo, centers,
+                                                  n_sub)
+    seed = u0.lookup(foot, outside="zero")
+    seed[:n_bdy] = inflow.series(t_lo[:n_bdy])
+    return seed * factor + src, n_bdy
+
+
+def epidemic_cohort(cells=1600):
+    """The epidemic's cohort coefficients, inflow and datum on ``cells``
+    age cells (the benchmark's size)."""
+    grid = GridFunction.uniform((0.0, 1.0), cells)
+    xs = grid.axis_centers(0)
+    params = EpidemicParams(
+        infection_rate=1.5, recovery_rate=0.3, mortality_rate=0.1,
+        vaccination_rate=BvTimeSeries(np.array([0.0, 0.25]),
+                                      np.array([0.3, 0.15])),
+        immunization_lag=1.0,
+        vaccinated_infectivity=grid.with_values(
+            0.8 * (1 - xs) + 0.1 * np.sin(40 * xs)),
+        s0=0.7, i0=0.2, r0=0.0, v0=grid.with_values(0.2 * np.exp(-3 * xs)),
+        admissible_radius=1.0, horizon=0.5, macro_step=0.02)
+    coef, inflow = _epidemic_ibvp(params, i_bound=2.0)
+    return coef, inflow, params.v0
+
+
+# start times at which ``(t0 + dt) - t0`` rounds differently
+SWEEP_T0 = (0.0, 0.02, 0.1, 0.23, 0.2375, 0.47)
+
+
+class TestCachedGeometry:
+    """A constant speed reads its split, substep midpoints and interior
+    feet from a cache keyed by the step length, and calls the growth (and
+    the source) once per solve."""
+
+    @pytest.mark.parametrize("level", range(6))
+    @pytest.mark.parametrize("n_sub", [2, 5])
+    def test_epidemic_sweep_bitexact(self, level, n_sub):
+        coef, inflow, u0 = epidemic_cohort()
+        w = np.array([0.65, 0.21])
+        dt = 0.02 / 2 ** level
+        spans = set()
+        for t0 in SWEEP_T0:
+            t = t0 + dt
+            spans.add(t - t0)
+            got = ibvp_solve(coef, inflow, u0, w, t0, t, n_sub=n_sub,
+                             outflow_edge=True)
+            ref, n_bdy = frozen_one_pass(coef, inflow, u0, w, t0, t, n_sub)
+            assert n_bdy > 0
+            assert same_bits(got.values, ref)
+        assert len(spans) > 1
+
+    def test_smooth_growth_and_source(self):
+        grid = GridFunction.uniform((0.0, 2.0), 800)
+        xs = grid.axis_centers(0)
+        coef = make_coef(
+            velocity=0.8,
+            growth=lambda t, x, w: 0.3 * np.cos(np.asarray(x)) - 0.2 * t,
+            source=lambda t, x, w: 0.1 * np.exp(-np.asarray(x)) * (1 + t),
+            v_sup=0.9, m_sup_tv=1.0, q_l1=0.2, q_sup_tv=0.4)
+        inflow = make_inflow(
+            BvTimeSeries(np.array([0.0, 0.3]), np.array([1.0, 0.4])),
+            speed_min=0.7, b_l1=1.0, b_sup_tv=1.6)
+        u0 = grid.with_values(np.clip(1 - np.abs(xs - 1.2) / 0.3, 0, None))
+        for t0, t, n_sub in ((0.0, 0.5, 8), (0.23, 0.23 + 0.005, 2),
+                             (0.1, 0.6, 16)):
+            got = ibvp_solve(coef, inflow, u0, None, t0, t, n_sub=n_sub)
+            ref, n_bdy = frozen_one_pass(coef, inflow, u0, None, t0, t,
+                                         n_sub)
+            assert n_bdy > 0
+            assert same_bits(got.values[n_bdy:], ref[n_bdy:])
+            # the inflow cells' midpoints come from the cached closed form
+            assert np.all(np.abs(got.values[:n_bdy] - ref[:n_bdy])
+                          <= 1e-14 * np.abs(ref[:n_bdy]))
+
+    @pytest.mark.parametrize("t_lo", [0.1, np.linspace(0.1, 0.6, 61)])
+    def test_transport_matches_per_substep_calls(self, t_lo):
+        coef = make_coef(
+            velocity=-0.6,
+            growth=lambda t, x, w: 0.3 * np.cos(x) - 0.1 * t,
+            source=lambda t, x, w: 0.2 * np.exp(-x * x) * (1 + t))
+        x = np.linspace(-1.0, 2.0, 61)
+        got = backward_transport(coef, None, 1.0, t_lo, x, 12, (0.05,))
+        ref = frozen_constant_transport(coef, None, 1.0, t_lo, x, 12)
+        for a, b in zip(got, ref):
+            assert same_bits(a, b)
+
+    def test_one_rate_call_per_solve(self, grid):
+        calls = {"growth": 0, "source": 0}
+
+        def counted(name, fn):
+            def field(t, x, w):
+                calls[name] += 1
+                return fn(t, x, w)
+            return field
+
+        coef = make_coef(
+            velocity=1.0,
+            growth=counted("growth", lambda t, x, w: -0.5 * np.cos(t + x)),
+            source=counted("source", lambda t, x, w: 0.1 * np.exp(-x)))
+        inflow = make_inflow(BvTimeSeries.constant(0.5))
+        ibvp_solve(coef, inflow, grid, None, 0.0, 0.3, n_sub=12)
+        assert calls == {"growth": 1, "source": 1}
+        backward_transport(coef, None, 0.3, 0.0, grid.centers(), 12, grid.dx)
+        assert calls == {"growth": 2, "source": 2}
+        ibvp_solve(dataclasses.replace(coef, source=None), inflow, grid,
+                   None, 0.0, 0.3, n_sub=12)
+        assert calls == {"growth": 3, "source": 2}
+
+    def test_epidemic_looks_up_once_per_step_length(self, tmp_path,
+                                                    monkeypatch):
+        lookups = []
+        spans = []
+        lookup = GridFunction.lookup
+        solve = ibvp.ibvp_solve
+
+        def counted_lookup(grid, points, outside="zero"):
+            if outside == "clamp":
+                lookups.append(len(spans))
+            return lookup(grid, points, outside)
+
+        def recorded_solve(coef, inflow, u0, w, t0, t, **kw):
+            spans.append(t - t0)
+            return solve(coef, inflow, u0, w, t0, t, **kw)
+
+        monkeypatch.setattr(GridFunction, "lookup", counted_lookup)
+        monkeypatch.setattr(ibvp, "ibvp_solve", recorded_solve)
+        cfg = load_config(ROOT / "configs" / "epidemic.json")
+        assert run(cfg, tmp_path, quiet=True) == 0
+        changes = 1 + sum(a != b for a, b in zip(spans, spans[1:]))
+        # every lookup is the growth's, made inside a solve
+        assert 0 < len(lookups) <= changes < len(spans)
+        # no two lookups within one run of equal step lengths
+        assert len(set(lookups)) == len(lookups)
+        assert all(spans[i - 2] != spans[i - 1]
+                   for i in lookups[1:])
+
+    def test_cache_bounded_and_read_only(self, grid):
+        assert ibvp._cached_geometry.cache_info().maxsize == 16
+        assert ibvp._GEOMETRY_CACHE_CELLS * 8 * 16 <= 2 ** 21
+        coef = make_coef(velocity=1.0)
+        ibvp_solve(coef, make_inflow(), grid, None, 0.1, 0.4, n_sub=2)
+        n = grid.values.shape[0]
+        sigma = float(characteristic(1.0, 0.1, np.array([0.0]), 0.4, None)[0])
+        before = ibvp._cached_geometry.cache_info()
+        geometry = ibvp._constant_speed_geometry(
+            1.0, 0.4 - 0.1, 2, sigma, n, grid.origin[0], grid.dx[0])
+        assert ibvp._cached_geometry.cache_info().hits == before.hits + 1
+        for arr in (geometry.mids, geometry.feet):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        # a large grid is built afresh, not held
+        big = 1 + ibvp._GEOMETRY_CACHE_CELLS // 3
+        ibvp._constant_speed_geometry(1.0, 0.3, 2, 0.3, big, 0.0, 1.0 / big)
+        assert ibvp._cached_geometry.cache_info().currsize \
+            == before.currsize
+
+
+class TestNoSource:
+    """``source=None`` gives the bytes of an explicit zero source."""
+
+    @pytest.mark.parametrize("speed", [1.0, ones_speed])
+    def test_ibvp_matches_zero_source(self, grid, speed):
+        xs = grid.axis_centers(0)
+        vals = np.clip(1 - np.abs(xs - 1.2) / 0.3, 0, None)
+        u0 = grid.with_values(np.where(vals == 0.0, -0.0, vals))
+        coef = make_coef(velocity=speed,
+                         growth=lambda t, x, w: -0.5 * np.cos(t + x),
+                         m_sup_tv=1.0)
+        inflow = make_inflow(BvTimeSeries(np.array([0.0, 0.2]),
+                                          np.array([0.0, 0.6])))
+        got = ibvp_solve(dataclasses.replace(coef, source=None), inflow, u0,
+                         None, 0.0, 0.4, n_sub=6)
+        ref = ibvp_solve(coef, inflow, u0, None, 0.0, 0.4, n_sub=6)
+        assert np.any(np.signbit(u0.values))
+        assert same_bits(got.values, ref.values)
+        assert not np.any(np.signbit(got.values))

@@ -462,3 +462,42 @@ class TestSupport:
         assert audit(coef) == 0.0
         half = dataclasses.replace(coef, support=lambda w: (w, 0.4))
         assert audit(half) > 0.0
+
+
+class TestNoSource:
+    """``source=None`` gives the bytes of an explicit zero source, whose
+    zero integral still turns a ``-0.0`` into ``0.0``."""
+
+    @pytest.mark.parametrize("velocity", [0.7, still(0.7)])
+    def test_one_dimensional(self, grid, indicator, velocity):
+        u0 = indicator.with_values(np.where(indicator.values == 0.0, -0.0,
+                                            indicator.values))
+        growth = lambda t, x, w: 0.3 * np.cos(x) - 0.1 * t
+        explicit = coefficients(velocity=velocity, growth=growth,
+                                divergence=zeros if callable(velocity)
+                                else None)
+        assert explicit.source is zeros
+        none = dataclasses.replace(explicit, source=None)
+        got = renewal_solve(none, u0, None, 0.0, 0.4, n_sub=6).values
+        ref = renewal_solve(explicit, u0, None, 0.0, 0.4, n_sub=6).values
+        assert np.any(np.signbit(u0.values))
+        assert same_bits(got, ref) and not np.any(np.signbit(got))
+
+    def test_two_dimensional_with_support(self):
+        coef, u0 = pursuit_prey(2)
+        assert coef.source is None
+        u0 = u0.with_values(np.where(u0.values == 0.0, -0.0, u0.values))
+        p = np.array([0.15, 0.0])
+        got = renewal_solve(coef, u0, p, 0.0, 0.3, n_sub=5).values
+        ref = renewal_solve(dataclasses.replace(coef, source=zeros), u0, p,
+                            0.0, 0.3, n_sub=5).values
+        assert same_bits(got, ref) and not np.any(np.signbit(got))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_audit(self, dim):
+        coef, u0 = pursuit_prey(dim)
+        p = np.array([0.15] + [0.0] * (dim - 1))
+        audit = lambda c: audit_coefficients(c, u0, p,
+                                             np.random.default_rng(0))
+        assert coef.source is None
+        assert audit(coef) == audit(dataclasses.replace(coef, source=zeros))
