@@ -63,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
                     print("warning: no convergence observed")
             return 0
         if args.command == "verify":
-            report = verify(cfg, seed=args.seed)
+            report = verify(cfg)
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
             with open(out / "report.json", "w") as fh:

@@ -48,20 +48,38 @@ class EpidemicParams:
     macro_step: float
 
     def __post_init__(self):
+        for name in ("infection_rate", "recovery_rate", "mortality_rate",
+                     "admissible_radius"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative")
+        cells = len(self.v0.values)
+        if not (cells and self.v0.same_grid(
+                _age_grid(self.immunization_lag, cells))):
+            raise ValueError("v0 must lie on the age cells of "
+                             "[0, immunization_lag]")
+        if not self.vaccinated_infectivity.same_grid(self.v0):
+            raise ValueError("vaccinated_infectivity must share v0's grid")
         r = self.admissible_radius
         for name in ("s0", "i0", "r0"):
             v = getattr(self, name)
             if not 0 <= v <= r:
                 raise ValueError(f"{name} must lie in [0, {r}]")
         if self.v0.tv() + self.v0.linf() > r * (1 + 1e-12):
-            raise ValueError("initial cohort violates the data bound: "
-                             "TV(V0) + sup|V0| must not exceed the radius")
+            raise ValueError("v0 violates the data bound: TV(V0) + sup|V0| "
+                             "must not exceed admissible_radius")
         if np.any(self.v0.values < 0):
-            raise ValueError("initial cohort must be nonnegative")
+            raise ValueError("v0 must be nonnegative")
         if np.any(self.vaccination_rate.vals < 0):
-            raise ValueError("vaccination rate must be nonnegative")
-        if not self.v0.same_grid(self.vaccinated_infectivity):
-            raise ValueError("v0 and vaccinated_infectivity must share a grid")
+            raise ValueError("vaccination_rate must be nonnegative")
+
+
+def _age_grid(lag: float, cells: int) -> GridFunction:
+    """Zero cohort on ``cells`` equal age cells of ``[0, lag]``."""
+    if not lag > 0:
+        raise ValueError("immunization_lag must be positive")
+    if cells <= 0:
+        raise ValueError("cells must be positive")
+    return GridFunction.uniform((0.0, lag), cells)
 
 
 @dataclass

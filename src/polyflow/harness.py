@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from ._lazy import forwarder
-from .errors import ConfigError, DomainExit
+from .errors import (ConfigError, DomainExit, KernelOutOfBox,
+                     SupportClearanceViolated)
 from .metric import (EuclideanSpace, LocalFlow, Process, ProcessConstants,
                      couple, euler_polygonal)
 from .ode import OdeField, make_ode_process
@@ -49,16 +51,31 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _need(cfg: dict, key: str, kind, where: str = ""):
+def _need(cfg: dict, key: str, kind, where: str = "", default=None):
+    """``cfg[key]`` as ``kind``, or ``default`` if given and the key absent.
+
+    ``kind`` is ``float`` (a finite number), ``int`` (an integer, not a
+    boolean), another JSON type, or ``[kind]`` for a list of ``kind``.
+    """
     label = f"{where}.{key}" if where else key
     if key not in cfg:
-        raise ConfigError(f"missing field: {label}")
-    val = cfg[key]
+        if default is None:
+            raise ConfigError(f"missing field: {label}")
+        return default
+    return _typed(cfg[key], kind, label)
+
+
+def _typed(val, kind, label: str):
+    if isinstance(kind, list):
+        if not isinstance(val, list):
+            raise ConfigError(f"field {label} must be a list")
+        return [_typed(v, kind[0], f"{label}[{i}]") for i, v in enumerate(val)]
     if kind is float:
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ConfigError(f"field {label} must be a number")
+        if not (isinstance(val, (int, float)) and not isinstance(val, bool)
+                and abs(val) <= sys.float_info.max):  # NaN compares false
+            raise ConfigError(f"field {label} must be a finite number")
         return float(val)
-    if not isinstance(val, kind):
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
         raise ConfigError(f"field {label} must be {kind.__name__}")
     return val
 
@@ -71,162 +88,108 @@ def _positive(cfg: dict, key: str, where: str = "") -> float:
     return v
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def validate_config(cfg: dict) -> None:
+    """Check ``cfg``: types here, a coupled model's ranges and shapes in
+    its params class, whose errors come back naming the field."""
     if _need(cfg, "schema", int) != SCHEMA_VERSION:
         raise ConfigError(f"schema must be {SCHEMA_VERSION}")
     scenario = _need(cfg, "scenario", str)
     known = ("rotation", "translation", "epidemic", "predator_prey")
     if scenario not in known:
         raise ConfigError(f"scenario must be one of {known}")
-    if "seed" in cfg and (not isinstance(cfg["seed"], int)
-                          or isinstance(cfg["seed"], bool)):
-        raise ConfigError("field seed must be an integer")
+    _need(cfg, "seed", int, default=0)
     _verify_suites(cfg)
     tcfg = _need(cfg, "time", dict)
     horizon = _positive(tcfg, "horizon", "time")
     if scenario in ("epidemic", "predator_prey"):
         _macro_count(horizon, _positive(tcfg, "macro_step", "time"))
-    rcfg = _need(cfg, "refine", dict) if "refine" in cfg else {}
-    if "tol" in rcfg and (not _is_number(rcfg["tol"]) or rcfg["tol"] <= 0):
-        raise ConfigError("field refine.tol must be positive")
-    for key in ("j0", "j_max"):
-        v = rcfg.get(key, 0)
-        if not (_is_number(v) and float(v).is_integer() and v >= 0):
-            raise ConfigError(f"field refine.{key} must be a nonnegative "
-                              "integer")
     schedule = schedule_from_config(cfg)
+    if not schedule.tol > 0:
+        raise ConfigError("field refine.tol must be positive")
+    if schedule.j0 < 0:
+        raise ConfigError("field refine.j0 must be nonnegative")
     if schedule.j0 > schedule.j_max:
         raise ConfigError(f"field refine.j0 {schedule.j0} must not exceed "
                           f"refine.j_max {schedule.j_max}")
-    params = cfg.get("params", {})
-    if scenario == "epidemic":
-        given = {"r0": 0.0, **params}
-        for key in ("infection_rate", "recovery_rate", "mortality_rate",
-                    "immunization_lag", "admissible_radius", "s0", "i0",
-                    "r0"):
-            v = _need(given, key, float, "params")
-            if v < 0:
-                raise ConfigError(f"field params.{key} must be nonnegative")
-        cells = _need(params, "cells", int, "params")
-        if cells <= 0:
-            raise ConfigError("field params.cells must be positive")
+    build = {"epidemic": epidemic_params_from_config,
+             "predator_prey": predator_prey_params_from_config}.get(scenario)
+    if build is not None:
         try:
-            epidemic_params_from_config(cfg)
-        except ValueError as exc:  # the data bounds of EpidemicParams
-            raise ConfigError(f"params: {exc}") from None
-    if scenario == "predator_prey":
-        for key in ("alpha", "escape_radius", "search_radius",
-                    "feeding_radius", "prey_radius", "prey_amp"):
-            _positive(params, key, "params")
-        if _need(params, "feeding_rate", float, "params") < 0:
-            raise ConfigError("field params.feeding_rate must be nonnegative")
-        dim = _need(params, "dim", int, "params")
-        if dim not in (1, 2):
-            raise ConfigError("field params.dim must be 1 or 2")
-        cells = _need(params, "cells", list, "params")
-        box = _need(params, "box", list, "params")
-        if len(cells) != dim or len(box) != dim:
-            raise ConfigError("fields params.cells and params.box must have "
-                              "one entry per axis")
-        for n in cells:
-            if not isinstance(n, int) or n <= 0:
-                raise ConfigError("field params.cells entries must be "
-                                  "positive integers")
-        for b in box:
-            if (not isinstance(b, list) or len(b) != 2
-                    or not all(_is_number(e) for e in b) or not b[1] > b[0]):
-                raise ConfigError("field params.box entries must be "
-                                  "[lo, hi] with hi > lo")
-        for key in ("prey_center", "predator_start"):
-            point = params.get(key, [0.0] * dim)
-            if (not isinstance(point, list) or len(point) != dim
-                    or not all(_is_number(c) for c in point)):
-                raise ConfigError(f"field params.{key} must list one "
-                                  "number per axis")
-        # every kernel must fit the box (scenarios.predator_prey_fields)
-        span = min(b[1] - b[0] for b in box)
-        for key in ("escape_radius", "search_radius", "feeding_radius"):
-            if 2.0 * params[key] > span:
-                raise ConfigError(f"field params.{key} must be at most "
-                                  f"half the box span {span:.3g}")
+            build(cfg)
+        except (ValueError, KernelOutOfBox) as exc:
+            raise ConfigError(f"field params.{exc}") from None
 
 
 def schedule_from_config(cfg: dict) -> RefineSchedule:
-    rcfg = cfg.get("refine", {})
-    return RefineSchedule(j0=int(rcfg.get("j0", 0)),
-                          j_max=int(rcfg.get("j_max", 8)),
-                          tol=float(rcfg.get("tol", 1e-5)))
+    rcfg = _need(cfg, "refine", dict, default={})
+    return RefineSchedule(j0=_need(rcfg, "j0", int, "refine", 0),
+                          j_max=_need(rcfg, "j_max", int, "refine", 8),
+                          tol=_need(rcfg, "tol", float, "refine", 1e-5))
 
 
 def epidemic_params_from_config(cfg: dict) -> EpidemicParams:
-    from .epidemic import EpidemicParams
-    p = cfg["params"]
-    lag = float(p["immunization_lag"])
-    cells = int(p["cells"])
-    grid = GridFunction.uniform((0.0, lag), cells)
+    from .epidemic import EpidemicParams, _age_grid
+    p = _need(cfg, "params", dict)
+    tcfg = _need(cfg, "time", dict)
 
-    def grid_field(entry, name) -> GridFunction:
+    def num(key: str, default=None) -> float:
+        return _need(p, key, float, "params", default)
+
+    rates = {key: num(key) for key in
+             ("infection_rate", "recovery_rate", "mortality_rate")}
+    lag = num("immunization_lag")
+    cells = _need(p, "cells", int, "params")
+    grid = _age_grid(lag, cells)
+
+    def grid_field(name: str) -> GridFunction:
+        entry = p.get(name, {"constant": 0.0})
         if isinstance(entry, dict) and "constant" in entry:
-            return grid.with_values(np.full(cells, float(entry["constant"])))
+            c = _need(entry, "constant", float, f"params.{name}")
+            return grid.with_values(np.full(cells, c))
         if isinstance(entry, list):
-            if len(entry) != cells:
-                raise ConfigError(f"field params.{name} must list {cells} "
-                                  "cell values")
-            return grid.with_values(np.asarray(entry, dtype=float))
+            return grid.with_values(np.array(
+                _typed(entry, [float], f"params.{name}")))
         raise ConfigError(f"field params.{name} must be a list of cell "
-                          "values or {{\"constant\": c}}")
+                          "values or {\"constant\": c}")
 
-    rate_entry = p.get("vaccination_rate", {"times": [0.0], "values": [0.0]})
-    if not (isinstance(rate_entry, dict) and "times" in rate_entry
-            and "values" in rate_entry):
-        raise ConfigError("field params.vaccination_rate must carry times "
-                          "and values")
+    rate_entry = _need(p, "vaccination_rate", dict, "params",
+                       {"times": [0.0], "values": [0.0]})
     try:
-        rate = BvTimeSeries(np.asarray(rate_entry["times"], dtype=float),
-                            np.asarray(rate_entry["values"], dtype=float))
+        rate = BvTimeSeries(*(np.array(_need(rate_entry, key, [float],
+                                             "params.vaccination_rate"))
+                              for key in ("times", "values")))
     except ValueError as exc:
         raise ConfigError(f"field params.vaccination_rate: {exc}") from None
     return EpidemicParams(
-        infection_rate=float(p["infection_rate"]),
-        recovery_rate=float(p["recovery_rate"]),
-        mortality_rate=float(p["mortality_rate"]),
+        **rates,
         vaccination_rate=rate,
         immunization_lag=lag,
-        vaccinated_infectivity=grid_field(
-            p.get("vaccinated_infectivity", {"constant": 0.0}),
-            "vaccinated_infectivity"),
-        s0=float(p["s0"]), i0=float(p["i0"]), r0=float(p.get("r0", 0.0)),
-        v0=grid_field(p.get("v0", {"constant": 0.0}), "v0"),
-        admissible_radius=float(p["admissible_radius"]),
-        horizon=float(cfg["time"]["horizon"]),
-        macro_step=float(cfg["time"]["macro_step"]),
+        vaccinated_infectivity=grid_field("vaccinated_infectivity"),
+        s0=num("s0"), i0=num("i0"), r0=num("r0", 0.0),
+        v0=grid_field("v0"),
+        admissible_radius=num("admissible_radius"),
+        horizon=_need(tcfg, "horizon", float, "time"),
+        macro_step=_need(tcfg, "macro_step", float, "time"),
     )
 
 
 def predator_prey_params_from_config(cfg: dict) -> PredatorPreyParams:
     from .pursuit import PredatorPreyParams
-    p = cfg["params"]
+    p = _need(cfg, "params", dict)
+    tcfg = _need(cfg, "time", dict)
+    dim = _need(p, "dim", int, "params")
+    origin = [0.0] * min(dim, 2)  # the params reject any other dim first
     return PredatorPreyParams(
-        dim=int(p["dim"]),
-        alpha=float(p["alpha"]),
-        escape_radius=float(p["escape_radius"]),
-        search_radius=float(p["search_radius"]),
-        feeding_radius=float(p["feeding_radius"]),
-        feeding_rate=float(p["feeding_rate"]),
-        box=tuple((float(b[0]), float(b[1])) for b in p["box"]),
-        cells=tuple(int(n) for n in p["cells"]),
-        horizon=float(cfg["time"]["horizon"]),
-        macro_step=float(cfg["time"]["macro_step"]),
-        prey_center=tuple(float(c) for c in p.get(
-            "prey_center", [0.0] * int(p["dim"]))),
-        prey_radius=float(p["prey_radius"]),
-        prey_amp=float(p["prey_amp"]),
-        predator_start=tuple(float(c) for c in p.get(
-            "predator_start", [0.0] * int(p["dim"]))),
+        dim=dim,
+        **{key: _need(p, key, float, "params") for key in (
+            "alpha", "escape_radius", "search_radius", "feeding_radius",
+            "feeding_rate", "prey_radius", "prey_amp")},
+        box=tuple(map(tuple, _need(p, "box", [[float]], "params"))),
+        cells=tuple(_need(p, "cells", [int], "params")),
+        horizon=_need(tcfg, "horizon", float, "time"),
+        macro_step=_need(tcfg, "macro_step", float, "time"),
+        **{key: tuple(_need(p, key, [float], "params", origin))
+           for key in ("prey_center", "predator_start")},
     )
 
 
@@ -392,10 +355,10 @@ def _verify_suites(cfg: dict) -> list[str]:
     return suites
 
 
-def verify(cfg: dict, seed: int | None = None) -> VerificationReport:
+def verify(cfg: dict) -> VerificationReport:
     from .suites import SUITES, VerificationReport
     suites = _verify_suites(cfg)
-    seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
+    seed = _need(cfg, "seed", int, default=0)
     report = VerificationReport(suites=list(suites), seed=seed)
     for s in suites:
         report.checks.extend(SUITES[s](seed))
@@ -409,9 +372,9 @@ def verify(cfg: dict, seed: int | None = None) -> VerificationReport:
 def run(cfg: dict, out_dir, quiet: bool = False) -> int:
     """Execute a configured scenario; write trajectory CSV + summary JSON.
 
-    Returns the exit code (0 ok, 2 domain exit, 3 config error handled by
-    the CLI wrapper).  The output directory is made only once the scenario
-    has computed, so a failed run leaves nothing behind.
+    Returns the exit code (0 ok, 2 domain or box exit, 3 config error
+    handled by the CLI wrapper).  The output directory is made only once
+    the scenario has computed, so a failed run leaves nothing behind.
     """
     scenario = cfg["scenario"]
     schedule = schedule_from_config(cfg)
@@ -440,10 +403,8 @@ def run(cfg: dict, out_dir, quiet: bool = False) -> int:
             from .pursuit import run_predator_prey
             params = predator_prey_params_from_config(cfg)
             traj = run_predator_prey(params, schedule)
-            columns = _predator_state_columns(traj)
             outputs = {
-                "predator_prey_trajectory.csv":
-                    lambda path: traj.write_csv(path, state_columns=columns),
+                "predator_prey_trajectory.csv": traj.write_csv,
                 "prey_density_final.csv": traj.states[-1][0].to_csv,
             }
             masses = traj.column("mass")
@@ -460,7 +421,9 @@ def run(cfg: dict, out_dir, quiet: bool = False) -> int:
                            "value": bool(table.converged)})
         else:  # pragma: no cover - validated earlier
             raise ConfigError(f"unknown scenario {scenario}")
-    except DomainExit as exc:
+    except (DomainExit, SupportClearanceViolated) as exc:
+        # the state left its admissible domain, or the truncated box on
+        # which the transport solver is valid
         if not quiet:
             print(f"domain exit: {exc}")
         return 2
@@ -512,13 +475,6 @@ def _population_drift(traj, params: EpidemicParams) -> float:
         absorbed += 0.5 * dt * (i_vals[k] + i_vals[k + 1])
     expected = pop[0] - params.mortality_rate * absorbed
     return abs(pop[-1] - expected) / max(horizon, 1e-12)
-
-
-def _predator_state_columns(traj) -> dict[str, list[float]]:
-    dim = len(np.atleast_1d(traj.states[0][1]))
-    names = ["p"] if dim == 1 else ["px", "py"]
-    return {name: [float(np.atleast_1d(st[1])[a]) for st in traj.states]
-            for a, name in enumerate(names)}
 
 
 def _write_convergence_csv(path, table: ConvergenceTable) -> None:

@@ -86,11 +86,26 @@ class PredatorPreyParams:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
         for name in ("prey_center", "predator_start", "box", "cells"):
-            if np.shape(getattr(self, name))[:1] != (self.dim,):
+            value = getattr(self, name)
+            if not (hasattr(value, "__len__") and len(value) == self.dim):
                 raise ValueError(f"{name} must hold one entry per axis")
+        for name in ("alpha", "escape_radius", "search_radius",
+                     "feeding_radius", "prey_radius", "prey_amp"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not self.feeding_rate >= 0:
+            raise ValueError("feeding_rate must be nonnegative")
+        if not all(len(b) == 2 and b[1] > b[0] for b in self.box):
+            raise ValueError("box entries must be [lo, hi] with hi > lo")
+        if not all(n > 0 for n in self.cells):
+            raise ValueError("cells entries must be positive")
+        # each kernel's support, a ball of its radius, must fit the box
+        span = min(hi - lo for lo, hi in self.box)
+        for name in ("escape_radius", "search_radius", "feeding_radius"):
+            if 2.0 * getattr(self, name) > span:
+                raise KernelOutOfBox(f"{name} must be at most half the "
+                                     f"box span {span:.3g}")
 
     def grid(self) -> GridFunction:
         return GridFunction.uniform(list(self.box), list(self.cells))
@@ -127,15 +142,6 @@ def _sampled_sup(f: Callable[[np.ndarray], np.ndarray], lo: float,
 def predator_prey_fields(params: PredatorPreyParams) -> PredatorPreyFields:
     """Build the two coefficient sets with sampled certificates."""
     dim = params.dim
-    for a in range(dim):
-        span = params.box[a][1] - params.box[a][0]
-        widest = 2.0 * max(params.escape_radius, params.search_radius,
-                           params.feeding_radius)
-        if widest > span:
-            raise KernelOutOfBox(
-                f"kernel diameter {widest:.3g} exceeds box span {span:.3g} "
-                f"on axis {a}")
-
     # weight of the squared distance; evaluating the spatial profile at the
     # plain distance realizes exactly the same function
     escape = Bump(params.escape_radius,
@@ -284,8 +290,9 @@ def run_predator_prey(params: PredatorPreyParams,
 
     The model is the transported prey density, the predator's ODE ball and
     their two processes; ``_run_coupled`` fits the density's envelope and
-    refines each macro step.  Diagnostics add the density's mass and the
-    predator's ball margin to the driver's norm, margin and gap columns.
+    refines each macro step.  Diagnostics add the predator's position
+    (``p``, or ``px`` and ``py``), the density's mass and the predator's
+    ball margin to the driver's norm, margin and gap columns.
     ``initial`` overrides the configured initial pair (used for restarts).
     """
     fields = predator_prey_fields(params)
@@ -316,7 +323,10 @@ def run_predator_prey(params: PredatorPreyParams,
 
     ball = ode_domain_radius(macro, macro, radius_p, sup_p)
     gaps = cols.pop("refine_gap")
-    diag = {"mass": [rho.mass() for rho, _ in states], **cols,
+    axes = ["p"] if params.dim == 1 else ["px", "py"]
+    diag = {**{axis: [float(p[a]) for _, p in states]
+               for a, axis in enumerate(axes)},
+            "mass": [rho.mass() for rho, _ in states], **cols,
             "p_ball_margin": [ball - float(np.linalg.norm(p))
                               for _, p in states],
             "refine_gap": gaps}

@@ -260,6 +260,8 @@ class BvTimeSeries:
         v = np.asarray(self.vals, dtype=float).reshape(-1)
         if t.shape != v.shape or t.size == 0:
             raise ValueError("need equally many times and values, at least one")
+        if not (np.isfinite(t).all() and np.isfinite(v).all()):
+            raise ValueError("samples must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("sample times must be strictly increasing")
         object.__setattr__(self, "times", t)

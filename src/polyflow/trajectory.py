@@ -31,17 +31,9 @@ class Trajectory:
     def column(self, name: str) -> list[float]:
         return self.diagnostics[name]
 
-    def write_csv(self, path, state_columns: dict[str, list[float]] | None = None
-                  ) -> None:
-        """Write ``t, <state columns>, <diagnostic columns>`` rows.
-
-        ``state_columns`` supplies named scalar columns extracted from the
-        states (the states themselves may be arbitrary objects).
-        """
-        cols: dict[str, list[float]] = {}
-        if state_columns:
-            cols.update(state_columns)
-        cols.update(self.diagnostics)
+    def write_csv(self, path) -> None:
+        """Write ``t, <diagnostic columns>`` rows."""
+        cols = self.diagnostics
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t", *cols.keys()])

@@ -50,6 +50,7 @@ RUN_FILES = {
     "predator_prey_1d": ["predator_prey_trajectory.csv",
                          "prey_density_final.csv"],
     "predator_prey_2d": ["predator_prey_trajectory.csv"],
+    "rotation": ["rotation_convergence.csv"],
 }
 RUN_DIGESTS = {"predator_prey_2d": ["prey_density_final.csv"]}
 
@@ -68,3 +69,12 @@ def test_run_outputs(tmp_path, scenario):
         assert expected == [digest, name]
     assert (summary_without_timing(tmp_path / "summary.json")
             == (GOLDEN / scenario / "summary.json").read_text())
+
+
+@pytest.mark.parametrize("scenario", ["epidemic", "rotation"])
+def test_converge_table(tmp_path, scenario):
+    code = main(["converge", str(ROOT / "configs" / f"{scenario}.json"),
+                 "--out", str(tmp_path), "--quiet"])
+    assert code == 0
+    expected = GOLDEN / f"converge_{scenario}" / "convergence.csv"
+    assert (tmp_path / "convergence.csv").read_bytes() == expected.read_bytes()

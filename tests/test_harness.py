@@ -23,6 +23,7 @@ from polyflow.spaces import GridFunction, l1_distance
 from polyflow.suites import _random_step_data, check, suite_claw
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+NAN, INF = math.nan, math.inf
 
 
 def base_config(**over):
@@ -348,6 +349,22 @@ class TestCli:
                      "--quiet"]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [("prey_center", [0.95]),
+                                            ("prey_radius", 5.0)])
+    def test_prey_at_the_box_edge_exit_2(self, tmp_path, capsys, key,
+                                         value):
+        # the prey's support reaches the truncated box, where the transport
+        # solver is no longer valid
+        cfg = json.loads((CONFIG_DIR / "predator_prey_1d.json").read_text())
+        cfg["params"][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("domain exit: support clearance")
+        assert out.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_config_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(base_config(time={"horizon": -2.0})))
@@ -382,20 +399,59 @@ class TestCli:
         ("predator_prey_1d.json", ("params", "search_radius"), 100,
          "params.search_radius"),
         ("predator_prey_1d.json", ("params", "predator_start"), [0.1, 0.2],
-         "params.predator_start must list one number per axis"),
+         "params.predator_start must hold one entry per axis"),
         ("predator_prey_1d.json", ("params", "prey_center"), "x",
-         "params.prey_center must list one number per axis"),
+         "params.prey_center must be a list"),
         ("predator_prey_1d.json", ("params", "prey_center"), [0.0, 1.0],
-         "params.prey_center must list one number per axis"),
+         "params.prey_center must hold one entry per axis"),
         # caught inside run_epidemic, after validation
         ("epidemic.json", ("time",), {"horizon": 0.5, "macro_step": 0.5},
          "exceeds the certified segment"),
+        # non-finite numbers, which json accepts
+        ("epidemic.json", ("time", "horizon"), NAN, "time.horizon"),
+        ("rotation.json", ("time", "horizon"), NAN, "time.horizon"),
+        ("epidemic.json", ("params", "infection_rate"), NAN,
+         "params.infection_rate"),
+        ("epidemic.json", ("params", "vaccination_rate", "values"),
+         [NAN, 0.15], "params.vaccination_rate.values"),
+        ("predator_prey_1d.json", ("params", "alpha"), NAN, "params.alpha"),
+        ("predator_prey_1d.json", ("params", "prey_amp"), INF,
+         "params.prey_amp"),
+        ("predator_prey_1d.json", ("params", "prey_center"), [NAN],
+         "params.prey_center"),
+        ("epidemic.json", ("refine", "tol"), NAN, "refine.tol"),
+        ("epidemic.json", ("params", "vaccination_rate", "times"),
+         [0.0, NAN], "params.vaccination_rate.times"),
+        ("epidemic.json", ("refine", "tol"), INF, "refine.tol"),
+        ("epidemic.json", ("params", "immunization_lag"), 0,
+         "params.immunization_lag must be positive"),
+        ("epidemic.json", ("params", "cells"), True, "params.cells"),
+        ("epidemic.json", ("params", "s0"), 10 ** 400, "params.s0"),
+        *[(name, path, value, ".".join(path))
+          for name, path in [
+              ("epidemic.json", ("params", "recovery_rate")),
+              ("epidemic_sir.json", ("params", "s0")),
+              ("predator_prey_1d.json", ("params", "feeding_rate")),
+              ("predator_prey_2d.json", ("params", "escape_radius")),
+              ("rotation.json", ("refine", "tol"))]
+          for value in (NAN, INF, -INF)],
     ], ids=["s0-above-radius", "r0-list", "repeated-rate-time", "j_max-string",
             "j_max-negative", "j0-negative", "j_max-fraction",
             "j0-above-j_max",
             "kernel-out-of-box", "predator-start-too-long",
             "prey-center-string", "prey-center-too-long",
-            "uncertified-macro-step"])
+            "uncertified-macro-step",
+            "horizon-nan", "rotation-horizon-nan", "infection-rate-nan",
+            "rate-value-nan", "alpha-nan", "prey-amp-inf", "prey-center-nan",
+            "tol-nan", "rate-time-nan", "tol-inf", "lag-zero", "cells-bool",
+            "s0-beyond-float",
+            *[f"{name}-{field}-{value}"
+              for name, field in [("epidemic", "recovery_rate"),
+                                  ("epidemic_sir", "s0"),
+                                  ("predator_prey_1d", "feeding_rate"),
+                                  ("predator_prey_2d", "escape_radius"),
+                                  ("rotation", "tol")]
+              for value in ("nan", "inf", "-inf")]])
     def test_config_mistake_exit_3(self, tmp_path, capsys, name, path,
                                    value, field):
         cfg = json.loads((CONFIG_DIR / name).read_text())

@@ -72,10 +72,8 @@ class TestPursuitFields:
 
     def test_kernel_out_of_box(self):
         params = pursuit_params()
-        bad = PredatorPreyParams(**{**params.__dict__,
-                                    "search_radius": 1.5})
-        with pytest.raises(KernelOutOfBox):
-            predator_prey_fields(bad)
+        with pytest.raises(KernelOutOfBox, match="search_radius"):
+            PredatorPreyParams(**{**params.__dict__, "search_radius": 1.5})
 
     @pytest.mark.parametrize("cells", [50, 100, 200])
     def test_bundled_2d_prey_passes_the_audit(self, cells):
@@ -192,6 +190,21 @@ class TestPursuitRuns:
                            match=f"{name} must hold one entry per axis"):
             replace(params, **{name: value})
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("alpha", 0.0, "alpha must be positive"),
+        ("escape_radius", -0.8, "escape_radius must be positive"),
+        ("prey_radius", math.nan, "prey_radius must be positive"),
+        ("prey_amp", 0.0, "prey_amp must be positive"),
+        ("feeding_rate", -0.5, "feeding_rate must be nonnegative"),
+        ("dim", 3, "dim must be 1 or 2"),
+        ("box", ((1.0, -1.0), (-1.0, 1.0)), "box entries must be"),
+        ("box", ((-1.0,), (-1.0, 1.0)), "box entries must be"),
+        ("cells", (50, 0), "cells entries must be positive"),
+    ])
+    def test_params_reject_out_of_range_fields(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            replace(pursuit_params(), **{name: value})
+
     def test_horizon_not_a_multiple_of_macro_step(self):
         with pytest.raises(ConfigError, match="time.macro_step"):
             run_predator_prey(pursuit_params(horizon=0.3, macro=0.2),
@@ -251,8 +264,30 @@ class TestEpidemicValidation:
     def test_negative_rate_rejected(self):
         base = epidemic_params()
         bad = BvTimeSeries(np.array([0.0]), np.array([-0.1]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="vaccination_rate must be nonnegative"):
             EpidemicParams(**{**base.__dict__, "vaccination_rate": bad})
+
+    @pytest.mark.parametrize("name", ["infection_rate", "recovery_rate",
+                                      "mortality_rate", "admissible_radius"])
+    def test_negative_constant_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+            replace(epidemic_params(), **{name: -0.1})
+
+    @pytest.mark.parametrize("lag", [0.0, -1.0, math.nan])
+    def test_immunization_lag_positive(self, lag):
+        with pytest.raises(ValueError,
+                           match="immunization_lag must be positive"):
+            replace(epidemic_params(), immunization_lag=lag)
+
+    def test_cohort_on_the_lag_grid(self):
+        # the cohort's age cells must cover [0, immunization_lag]
+        with pytest.raises(ValueError, match="v0 must lie on the age cells"):
+            replace(epidemic_params(), immunization_lag=2.0)
+        base = epidemic_params()
+        coarse = epidemic_grid(cells=100)
+        with pytest.raises(ValueError, match="vaccinated_infectivity"):
+            replace(base, vaccinated_infectivity=coarse)
 
 
 class TestEpidemicRuns:

@@ -422,6 +422,13 @@ class TestBvTimeSeries:
         b = BvTimeSeries(np.array([0.0, 1.0]), np.array([2.0, -1.0]))
         assert b.l1(0.0, 2.0) == pytest.approx(2.0 + 1.0)
 
+    @pytest.mark.parametrize("times, vals", [
+        ([0.0, math.nan], [1.0, 2.0]), ([0.0, math.inf], [1.0, 2.0]),
+        ([0.0, 1.0], [1.0, math.nan]), ([0.0], [-math.inf])])
+    def test_non_finite_samples_rejected(self, times, vals):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            BvTimeSeries(np.array(times), np.array(vals))
+
     @pytest.mark.parametrize("b", [
         BvTimeSeries(np.array([-1.0, 0.0, 0.5, 2.0]),
                      np.array([3.0, -0.0, 7.5, 1.0])),
