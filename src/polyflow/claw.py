@@ -24,6 +24,11 @@ from .spaces import GridFunction
 class ParamFlux:
     """Flux ``f(u, w)`` with a Lipschitz certificate and critical points.
 
+    ``f`` must act elementwise on the state array: each entry of
+    ``f(u, w)`` depends on the same entry of ``u`` alone.  A Godunov step
+    evaluates it once on a whole buffer and reads the values of both
+    faces of each interface from that one result.
+
     ``critical_points`` is a caller certificate: it must list every interior
     extremum of ``u -> f(u, w)`` (empty for monotone fluxes), because the
     Godunov flux searches only those points and the interval endpoints.
@@ -62,23 +67,34 @@ def godunov_flux(flux: ParamFlux, u_left, u_right, w) -> np.ndarray:
     """
     ul = np.atleast_1d(np.asarray(u_left, dtype=float))
     ur = np.atleast_1d(np.asarray(u_right, dtype=float))
-    fl = flux(ul, w)
-    fr = flux(ur, w)
-    vmin = np.minimum(fl, fr)
-    vmax = np.maximum(fl, fr)
-    if flux.critical_points:
-        lo = np.minimum(ul, ur)
-        hi = np.maximum(ul, ur)
-        for c in flux.critical_points:
-            inside = (lo < c) & (c < hi)
-            if inside.any():
-                fc = float(flux(np.array([c]), w)[0])
-                np.minimum(vmin, fc, out=vmin, where=inside)
-                np.maximum(vmax, fc, out=vmax, where=inside)
-    out = np.where(ul <= ur, vmin, vmax)
+    out = _godunov_select(ul, ur, flux(ul, w), flux(ur, w),
+                          _critical_values(flux, w))
     if np.ndim(u_left) or np.ndim(u_right):
         return out
     return float(out[0])
+
+
+def _critical_values(flux: ParamFlux, w) -> tuple[tuple[float, float], ...]:
+    """``((c, f(c, w)), ...)`` over the flux's critical points."""
+    return tuple((c, float(flux(np.array([c]), w)[0]))
+                 for c in flux.critical_points)
+
+
+def _godunov_select(ul: np.ndarray, ur: np.ndarray, fl: np.ndarray,
+                    fr: np.ndarray, crit) -> np.ndarray:
+    """Godunov flux from the interface states, their flux values ``fl, fr``
+    and the critical values ``crit = ((c, f(c)), ...)``."""
+    vmin = np.minimum(fl, fr)
+    vmax = np.maximum(fl, fr)
+    if crit:
+        lo = np.minimum(ul, ur)
+        hi = np.maximum(ul, ur)
+        for c, fc in crit:
+            inside = (lo < c) & (c < hi)
+            if inside.any():
+                np.minimum(vmin, fc, out=vmin, where=inside)
+                np.maximum(vmax, fc, out=vmax, where=inside)
+    return np.where(ul <= ur, vmin, vmax)
 
 
 # claw_solve_many lays its spans out anew every this many steps, with this
@@ -158,7 +174,10 @@ def claw_solve_many(flux: ParamFlux, data: list[GridFunction], w, t0: float,
     grid can change before the next layout; a ghost clipped at a grid edge
     copies the edge cell after every step, as the full grid's pad does.  So
     each result equals the full-grid update of its datum alone exactly, and
-    a constant datum is returned as is.
+    a constant datum is returned as is.  The flux values at the critical
+    points are computed once per solve, and each step evaluates the flux
+    once on the buffer, whose shifted views give both faces of every
+    interface.
     """
     if not 0 < cfl <= 1:
         raise ValueError("cfl must lie in (0, 1]")
@@ -192,6 +211,7 @@ def claw_solve_many(flux: ParamFlux, data: list[GridFunction], w, t0: float,
     n = full.shape[1]
     dx = first.dx[0]
     dt_max = cfl * dx / flux.lip if flux.lip > 0 else (t - t0)
+    crit = _critical_values(flux, w)
     now = t0
     steps = 0
     while now < t - 1e-15 * max(1.0, abs(t)):
@@ -207,7 +227,8 @@ def claw_solve_many(flux: ParamFlux, data: list[GridFunction], w, t0: float,
             cells = src[inner]
             held = buf[ghosts]
         dt = min(dt_max, t - now)
-        f_iface = godunov_flux(flux, buf[:-1], buf[1:], w)
+        fb = flux(buf, w)
+        f_iface = _godunov_select(buf[:-1], buf[1:], fb[:-1], fb[1:], crit)
         buf[1:-1] -= (dt / dx) * (f_iface[1:] - f_iface[:-1])
         buf[ghosts] = held
         buf[edge_ghosts] = buf[edge_cells]

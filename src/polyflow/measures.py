@@ -73,21 +73,27 @@ class AtomicMeasure:
         if self.n_atoms == 0 or eps <= 0:
             return self
         pos, mas = self.positions, self.masses
-        new_pos, new_mas = [], []
-        start = 0
-        for i in range(1, self.n_atoms + 1):
-            if i == self.n_atoms or pos[i] - pos[i - 1] >= eps:
-                block_m = mas[start:i]
-                block_p = pos[start:i]
-                m = float(np.sum(block_m))
-                if m > 0:
-                    p = float(np.dot(block_p, block_m) / m)
-                else:
-                    p = float(np.mean(block_p))
-                new_pos.append(p)
-                new_mas.append(m)
-                start = i
-        return AtomicMeasure(np.array(new_pos), np.array(new_mas))
+        cut = np.flatnonzero(np.diff(pos) >= eps) + 1
+        starts = np.concatenate(([0], cut))
+        ends = np.append(cut, self.n_atoms)
+        # one-atom blocks as the per-block np.sum, np.dot and np.mean below
+        # give them: the sum adds 0.0 (a -0.0 turns into 0.0), and
+        # (p * m) / m need not be p
+        new_mas = mas[starts] + 0.0
+        new_pos = pos[starts] + 0.0
+        np.divide(pos[starts] * new_mas, new_mas, out=new_pos,
+                  where=new_mas > 0)
+        for k in np.flatnonzero(ends - starts > 1):
+            block_m = mas[starts[k]:ends[k]]
+            block_p = pos[starts[k]:ends[k]]
+            m = float(np.sum(block_m))
+            if m > 0:
+                p = float(np.dot(block_p, block_m) / m)
+            else:
+                p = float(np.mean(block_p))
+            new_pos[k] = p
+            new_mas[k] = m
+        return AtomicMeasure(new_pos, new_mas)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -215,14 +221,13 @@ def measure_step(coef: MeasureCoefficients, mu: AtomicMeasure, w,
     rate = np.asarray(coef.decay(t, mu, w, moved), dtype=float)
     masses = mu.masses * np.exp(-dt * rate)
 
-    all_pos = [moved]
-    all_mas = [masses]
-    for y, m in zip(moved, masses):
-        child = coef.offspring(t, mu, w, float(y))
-        if child.n_atoms:
-            all_pos.append(child.positions)
-            all_mas.append(dt * m * child.masses)
-    out = AtomicMeasure(np.concatenate(all_pos), np.concatenate(all_mas))
+    children = [coef.offspring(t, mu, w, float(y)) for y in moved]
+    counts = [child.n_atoms for child in children]
+    born = np.repeat(dt * masses, counts) * np.concatenate(
+        [child.masses for child in children])
+    out = AtomicMeasure(
+        np.concatenate([moved] + [child.positions for child in children]),
+        np.concatenate((masses, born)))
     return out.merged(merge_eps)
 
 
@@ -270,6 +275,8 @@ def weak_residual(coef: MeasureCoefficients, mu0: AtomicMeasure, w,
 
     and the splitting scheme drives the defect to zero at first order in
     ``dt``.  Time integrals use the left-endpoint rule on the step grid.
+    ``phi`` must act elementwise on the position array: each step
+    evaluates it once, on the atoms and their offspring's sites together.
     """
     times, states = evolve(coef, mu0, w, t0, t1, dt, merge_eps=merge_eps)
     acc = 0.0
@@ -281,19 +288,21 @@ def weak_residual(coef: MeasureCoefficients, mu0: AtomicMeasure, w,
             continue
         x = mu.positions
         m = mu.masses
+        children = [coef.offspring(t, mu, w, float(y)) for y in x]
+        phis = np.asarray(phi(t, np.concatenate(
+            [x] + [child.positions for child in children])), dtype=float)
         body = (np.asarray(phi_t(t, x), dtype=float)
                 + np.asarray(coef.drift(t, mu, w, x), dtype=float)
                 * np.asarray(phi_x(t, x), dtype=float)
                 - np.asarray(coef.decay(t, mu, w, x), dtype=float)
-                * np.asarray(phi(t, x), dtype=float))
+                * phis[:x.size])
         acc += float(np.dot(body, m)) * step
         birth = 0.0
-        for y, my in zip(x, m):
-            child = coef.offspring(t, mu, w, float(y))
+        end = x.size
+        for child, my in zip(children, m):
             if child.n_atoms:
-                birth += float(np.dot(
-                    np.asarray(phi(t, child.positions), dtype=float),
-                    child.masses)) * my
+                start, end = end, end + child.n_atoms
+                birth += float(np.dot(phis[start:end], child.masses)) * my
         acc += birth * step
     mu_end = states[-1]
     end_term = (float(np.dot(np.asarray(phi(t1, mu_end.positions), dtype=float),

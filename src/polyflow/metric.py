@@ -174,7 +174,8 @@ def refine_to_process(flow: LocalFlow, tau: float, t0: float, x,
     and stops when the distance between successive results drops below
     ``tol`` (or at ``j_max``, returning the best iterate with
     ``converged=False``).  An infinite ``tol`` degenerates to the coarsest
-    polygonal.  The schedule is deterministic; ``j0`` must not exceed
+    polygonal, with gap ``inf`` and ``converged=False``: no two levels were
+    compared.  The schedule is deterministic; ``j0`` must not exceed
     ``j_max``.
     """
     if tol <= 0:
@@ -185,7 +186,7 @@ def refine_to_process(flow: LocalFlow, tau: float, t0: float, x,
         return RefinementResult(x, 0.0, True, j0)
     if math.isinf(tol):
         pt = euler_polygonal(flow, tau, t0, x, tau / 2.0 ** j0)
-        return RefinementResult(pt, math.inf, True, j0)
+        return RefinementResult(pt, math.inf, False, j0)
     prev = euler_polygonal(flow, tau, t0, x, tau / 2.0 ** j0)
     gap = math.inf
     for j in range(j0 + 1, j_max + 1):

@@ -519,13 +519,14 @@ def suite_claw(seed: int, cells_per_unit: int = 400) -> list[CheckResult]:
 
 def _random_step_data(rng: np.random.Generator, grid: GridFunction,
                       n_steps: int = 6) -> GridFunction:
-    xs = grid.axis_centers(0)
-    vals = np.zeros(xs.shape[0])
+    # the steps [edges[2i], edges[2i+1]) are disjoint: a cell centre with
+    # k edges at or below it lies in step (k - 1) / 2 when k is odd, and in
+    # none when k is even
     edges = np.sort(rng.uniform(-0.8, 1.8, 2 * n_steps))
-    for i in range(n_steps):
-        lo, hi = edges[2 * i], edges[2 * i + 1]
-        vals += rng.uniform(-1, 1) * ((xs >= lo) & (xs < hi))
-    return grid.with_values(vals)
+    level = np.zeros(2 * n_steps + 1)
+    level[1::2] = rng.uniform(-1, 1, n_steps)
+    return grid.with_values(
+        level[np.searchsorted(edges, grid.axis_centers(0), side="right")])
 
 
 def suite_measures(seed: int) -> list[CheckResult]:

@@ -268,14 +268,15 @@ class TestWindowedSolve:
 
 
 def record_interfaces(monkeypatch):
-    """Interfaces handed to each ``godunov_flux`` call of the solver."""
+    """Interfaces handed to each Godunov flux selection of the solver."""
     calls = []
+    select = claw._godunov_select
 
-    def counted(flux, u_left, u_right, w):
-        calls.append(np.size(u_left))
-        return godunov_flux(flux, u_left, u_right, w)
+    def counted(ul, ur, fl, fr, crit):
+        calls.append(np.size(ul))
+        return select(ul, ur, fl, fr, crit)
 
-    monkeypatch.setattr(claw, "godunov_flux", counted)
+    monkeypatch.setattr(claw, "_godunov_select", counted)
     return calls
 
 
@@ -486,6 +487,150 @@ class TestSolveMany:
         flat = GridFunction(np.zeros((4, 4)), (0.0, 0.0), (1.0, 1.0))
         with pytest.raises(ValueError, match="one-dimensional"):
             claw_solve_many(burgers, [flat], None, 0.0, 0.25)
+
+
+def frozen_godunov_flux(flux, u_left, u_right, w):
+    """``godunov_flux`` before the shared selection: it evaluates the flux on
+    both states, and at each critical point some interval holds."""
+    ul = np.atleast_1d(np.asarray(u_left, dtype=float))
+    ur = np.atleast_1d(np.asarray(u_right, dtype=float))
+    fl = flux(ul, w)
+    fr = flux(ur, w)
+    vmin = np.minimum(fl, fr)
+    vmax = np.maximum(fl, fr)
+    if flux.critical_points:
+        lo = np.minimum(ul, ur)
+        hi = np.maximum(ul, ur)
+        for c in flux.critical_points:
+            inside = (lo < c) & (c < hi)
+            if inside.any():
+                fc = float(flux(np.array([c]), w)[0])
+                np.minimum(vmin, fc, out=vmin, where=inside)
+                np.maximum(vmax, fc, out=vmax, where=inside)
+    out = np.where(ul <= ur, vmin, vmax)
+    if np.ndim(u_left) or np.ndim(u_right):
+        return out
+    return float(out[0])
+
+
+def frozen_solve_many(flux, data, w, t0, t, cfl=0.9):
+    """``claw_solve_many`` before the shared selection, without its checks:
+    each step calls ``frozen_godunov_flux`` on two views of the buffer."""
+    full = np.stack([u.values for u in data])
+    flat = full.reshape(-1)
+    bits = full.view(np.uint64)
+    rows, cols = np.nonzero(bits[:, 1:] != bits[:, :-1])
+    if not rows.size:
+        return full
+    n = full.shape[1]
+    dx = data[0].dx[0]
+    dt_max = cfl * dx / flux.lip if flux.lip > 0 else (t - t0)
+    now = t0
+    steps = 0
+    while now < t - 1e-15 * max(1.0, abs(t)):
+        if steps % _WINDOW_BLOCK == 0:
+            if steps:
+                flat[cells] = buf[inner]
+                rows, cols = np.nonzero(bits[:, 1:] != bits[:, :-1])
+                if not rows.size:
+                    break
+            src, inner, ghosts, edge_ghosts, edge_cells = claw._span_layout(
+                rows, cols, n, _WINDOW_BLOCK)
+            buf = flat[src]
+            cells = src[inner]
+            held = buf[ghosts]
+        dt = min(dt_max, t - now)
+        f_iface = frozen_godunov_flux(flux, buf[:-1], buf[1:], w)
+        buf[1:-1] -= (dt / dx) * (f_iface[1:] - f_iface[:-1])
+        buf[ghosts] = held
+        buf[edge_ghosts] = buf[edge_cells]
+        now += dt
+        steps += 1
+    if steps:
+        flat[cells] = buf[inner]
+    return full
+
+
+def counted_flux(flux):
+    """``flux`` with a list that grows by one at each call of its ``f``."""
+    calls = []
+
+    def f(u, w):
+        calls.append(np.size(u))
+        return flux.f(u, w)
+
+    return ParamFlux(f=f, lip=flux.lip,
+                     critical_points=flux.critical_points), calls
+
+
+def signed_zero_data(grid, seed):
+    rng = np.random.default_rng(seed)
+    n = grid.values.size
+    data = []
+    for bump in (True, False):
+        vals = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+        vals[:40] = vals[-40:] = 0.0
+        if bump:
+            vals[100:110] = 1.0
+            vals[200:230] = -1.0
+        data.append(grid.with_values(vals))
+    return data
+
+
+FLUXES = {
+    "linear": ParamFlux(f=lambda u, w: 0.7 * u, lip=0.7),
+    "burgers": ParamFlux(f=lambda u, w: 0.5 * u * u, lip=1.0,
+                         critical_points=(0.0,)),
+    "cubic": cubic(),
+}
+
+
+class TestAgainstFrozenCopy:
+    """One flux evaluation per step, read through two shifted views, gives
+    the bits of the two evaluations per step the solver made before."""
+
+    @pytest.mark.parametrize("name", sorted(FLUXES))
+    def test_godunov_flux(self, name):
+        flux = FLUXES[name]
+        rng = np.random.default_rng(21)
+        states = np.concatenate((rng.uniform(-2.0, 2.0, 400),
+                                 [0.0, -0.0, -1.0, 1.0, 0.5]))
+        ul, ur = states, rng.permutation(states)
+        got = godunov_flux(flux, ul, ur, None)
+        assert got.tobytes() == frozen_godunov_flux(flux, ul, ur,
+                                                    None).tobytes()
+        for a, b in ((0.0, -0.0), (-1.0, 1.0), (1.5, -0.25)):
+            assert (godunov_flux(flux, a, b, None).hex()
+                    == frozen_godunov_flux(flux, a, b, None).hex())
+
+    @pytest.mark.parametrize("name", sorted(FLUXES))
+    @pytest.mark.parametrize("signed_zeros", [False, True])
+    def test_solve_many(self, name, signed_zeros):
+        flux = FLUXES[name]
+        grid = GridFunction.uniform((-2.0, 3.0), 800)
+        rng = np.random.default_rng(22)
+        if signed_zeros:
+            data, t = signed_zero_data(grid, 23), 0.05
+        else:
+            data = [grid.with_values(1.5 * random_steps(rng, grid).values)
+                    for _ in range(4)]
+            t = 0.15
+        got = claw_solve_many(flux, data, None, 0.0, t)
+        want = frozen_solve_many(flux, data, None, 0.0, t)
+        for v, row in zip(got, want):
+            assert v.values.tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(FLUXES))
+    def test_one_flux_call_per_step(self, name, monkeypatch):
+        flux, f_calls = counted_flux(FLUXES[name])
+        grid = GridFunction.uniform((-2.0, 3.0), 800)
+        data = [random_steps(np.random.default_rng(24), grid)
+                for _ in range(3)]
+        steps = record_interfaces(monkeypatch)
+        # 0.2 / (0.9 dx / lip) steps, the last one shortened
+        claw_solve_many(flux, data, None, 0.0, 0.2)
+        assert len(steps) == math.ceil(0.2 / (0.9 * grid.dx[0] / flux.lip))
+        assert len(f_calls) == len(steps) + len(flux.critical_points)
 
 
 class TestAudit:

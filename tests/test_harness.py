@@ -195,6 +195,57 @@ def reference_suite_claw(seed, cells_per_unit):
     return out
 
 
+def frozen_random_step_data(rng, grid, n_steps=6):
+    """``_random_step_data`` before the ``searchsorted`` build: one scalar
+    draw and one masked add per step."""
+    xs = grid.axis_centers(0)
+    vals = np.zeros(xs.shape[0])
+    edges = np.sort(rng.uniform(-0.8, 1.8, 2 * n_steps))
+    for i in range(n_steps):
+        lo, hi = edges[2 * i], edges[2 * i + 1]
+        vals += rng.uniform(-1, 1) * ((xs >= lo) & (xs < hi))
+    return grid.with_values(vals)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 601])
+def test_random_step_data_matches_frozen_copy(seed):
+    # the claw suite's grid, the bv suite's grid, and a coarse one on which
+    # most steps hold no cell centre
+    grids = [GridFunction.uniform((-2.0, 3.0), 2000),
+             GridFunction.uniform((0.0, 4.0), 160),
+             GridFunction.uniform((-1.0, 2.0), 3)]
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20):
+        for grid in grids:
+            for n_steps in (6, 1):
+                got = _random_step_data(rng, grid, n_steps)
+                want = frozen_random_step_data(ref, grid, n_steps)
+                assert got.values.tobytes() == want.values.tobytes()
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_random_step_data_on_shared_edges():
+    # a step whose two edges coincide is empty, and a step that starts
+    # where the previous one ends holds its left edge
+    class Edges:
+        def __init__(self, draws):
+            self.draws = list(draws)
+
+        def uniform(self, lo, hi, size=None):
+            if size is None:
+                return self.draws.pop(0)
+            out = np.array(self.draws[:size])
+            del self.draws[:size]
+            return out
+
+    grid = GridFunction.uniform((-0.5, 1.5), 4)   # centres -0.25 ... 1.25
+    draws = [-0.25, -0.25, 0.25, 0.75, 0.75, 1.25, 0.5, -0.5, 0.25]
+    got = _random_step_data(Edges(draws), grid, 3)
+    want = frozen_random_step_data(Edges(draws), grid, 3)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert list(got.values) == [0.0, -0.5, 0.25, 0.0]
+
+
 class TestVerifyReports:
     def test_deterministic_bytes(self):
         cfg = base_config(verify=["ode", "claw", "bv"])

@@ -203,3 +203,193 @@ class TestFlatStability:
         _, second = evolve(coef, first[-1], None, 0.5, 1.0, dt)
         gap = flat_distance(direct[-1], second[-1])
         assert gap <= 5 * dt
+
+
+def frozen_merged(mu, eps):
+    """``AtomicMeasure.merged`` before the whole-array singletons: one
+    ``np.sum`` and one ``np.dot`` or ``np.mean`` per block."""
+    if mu.n_atoms == 0 or eps <= 0:
+        return mu
+    pos, mas = mu.positions, mu.masses
+    new_pos, new_mas = [], []
+    start = 0
+    for i in range(1, mu.n_atoms + 1):
+        if i == mu.n_atoms or pos[i] - pos[i - 1] >= eps:
+            block_m = mas[start:i]
+            block_p = pos[start:i]
+            m = float(np.sum(block_m))
+            if m > 0:
+                p = float(np.dot(block_p, block_m) / m)
+            else:
+                p = float(np.mean(block_p))
+            new_pos.append(p)
+            new_mas.append(m)
+            start = i
+    return AtomicMeasure(np.array(new_pos), np.array(new_mas))
+
+
+def frozen_measure_step(coef, mu, w, t, dt):
+    """``measure_step`` before the whole-array offspring scaling, without
+    its checks."""
+    pos = mu.positions
+    vel = np.asarray(coef.drift(t, mu, w, pos), dtype=float)
+    moved = np.maximum(pos + dt * vel, 0.0)
+    rate = np.asarray(coef.decay(t, mu, w, moved), dtype=float)
+    masses = mu.masses * np.exp(-dt * rate)
+    all_pos = [moved]
+    all_mas = [masses]
+    for y, m in zip(moved, masses):
+        child = coef.offspring(t, mu, w, float(y))
+        if child.n_atoms:
+            all_pos.append(child.positions)
+            all_mas.append(dt * m * child.masses)
+    out = AtomicMeasure(np.concatenate(all_pos), np.concatenate(all_mas))
+    return frozen_merged(out, 1e-9 * max(mu.support_diameter(), 1.0))
+
+
+def frozen_weak_residual(coef, mu0, w, t0, t1, dt, phi, phi_t, phi_x):
+    """``weak_residual`` before the one ``phi`` call per step, on the
+    trajectory of ``frozen_measure_step``."""
+    times, states = [t0], [mu0]
+    now, mu = t0, mu0
+    while now < t1 - 1e-15 * max(1.0, abs(t1)):
+        step = min(dt, t1 - now)
+        mu = frozen_measure_step(coef, mu, w, now, step)
+        now += step
+        times.append(now)
+        states.append(mu)
+    acc = 0.0
+    for k in range(len(times) - 1):
+        t = times[k]
+        mu = states[k]
+        step = times[k + 1] - times[k]
+        x = mu.positions
+        m = mu.masses
+        body = (np.asarray(phi_t(t, x), dtype=float)
+                + np.asarray(coef.drift(t, mu, w, x), dtype=float)
+                * np.asarray(phi_x(t, x), dtype=float)
+                - np.asarray(coef.decay(t, mu, w, x), dtype=float)
+                * np.asarray(phi(t, x), dtype=float))
+        acc += float(np.dot(body, m)) * step
+        birth = 0.0
+        for y, my in zip(x, m):
+            child = coef.offspring(t, mu, w, float(y))
+            if child.n_atoms:
+                birth += float(np.dot(
+                    np.asarray(phi(t, child.positions), dtype=float),
+                    child.masses)) * my
+        acc += birth * step
+    end_term = float(np.dot(np.asarray(phi(t1, states[-1].positions),
+                                       dtype=float), states[-1].masses))
+    start_term = float(np.dot(np.asarray(phi(t0, mu0.positions),
+                                         dtype=float), mu0.masses))
+    return acc - (end_term - start_term)
+
+
+def brood_fields():
+    """Interacting fields whose atoms have zero, one or two offspring, at
+    fixed sites so that the atom count stays bounded."""
+    def offspring(t, mu, w, y):
+        k = int(7 * y) % 3
+        return AtomicMeasure(np.array([0.3, 0.6][:k]),
+                             0.1 * np.arange(1, k + 1))
+    return MeasureCoefficients(drift=interacting_fields().drift,
+                               decay=interacting_fields().decay,
+                               offspring=offspring, drift_bound=0.6,
+                               decay_bound=0.4, birth_bound=0.3)
+
+
+def same_measure(a, b):
+    return (a.positions.tobytes() == b.positions.tobytes()
+            and a.masses.tobytes() == b.masses.tobytes())
+
+
+def residual_args():
+    return dict(phi=lambda t, x: (1 + 0.5 * t) * cutoff(x),
+                phi_t=lambda t, x: 0.5 * cutoff(x),
+                phi_x=lambda t, x: (1 + 0.5 * t) * cutoff_slope(x))
+
+
+class TestAgainstFrozenCopy:
+    """The whole-array merge, offspring scaling and test-function
+    evaluation give the bits of the per-atom loops they replace."""
+
+    @pytest.mark.parametrize("positions, masses, eps", [
+        # singletons only, with zero masses and signed zeros
+        ([-0.0, 0.1, 0.7, 1.3, 2.9, 3.0], [0.3, 0.0, -0.0, 1e-300, 0.7,
+                                           5e-324], 0.05),
+        ([-0.0, 1.0], [-0.0, 0.0], 0.5),
+        # multi-atom blocks beside singletons
+        ([0.0, 1e-10, 0.5, 0.5 + 3e-10, 0.5 + 6e-10, 2.0],
+         [0.25, 0.5, 0.125, 0.0, 0.3, 0.2], 1e-9),
+        # zero-mass blocks
+        ([0.2, 0.2 + 1e-12, 0.9, 1.0], [0.0, -0.0, 0.0, 0.4], 1e-9),
+    ])
+    def test_merged(self, positions, masses, eps):
+        mu = AtomicMeasure(np.array(positions), np.array(masses))
+        assert same_measure(mu.merged(eps), frozen_merged(mu, eps))
+
+    def test_merged_random(self):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            pos = np.round(rng.uniform(0.0, 3.0, 40), 1)
+            mas = np.where(rng.random(40) < 0.2, 0.0,
+                           rng.uniform(0.0, 1.0, 40))
+            mu = AtomicMeasure(pos, mas)
+            for eps in (1e-9, 0.15, 0.0):
+                assert same_measure(mu.merged(eps), frozen_merged(mu, eps))
+
+    @pytest.mark.parametrize("fields", [interacting_fields, brood_fields])
+    def test_measure_step(self, fields):
+        coef = fields()
+        mu = AtomicMeasure(np.array([0.2, 0.8, 1.5]),
+                           np.array([0.4, 0.3, 0.3]))
+        for k in range(16):
+            got = measure_step(coef, mu, None, k / 16, 1.0 / 16)
+            assert same_measure(got, frozen_measure_step(coef, mu, None,
+                                                         k / 16, 1.0 / 16))
+            mu = got
+
+    @pytest.mark.parametrize("fields", [interacting_fields, brood_fields])
+    def test_weak_residual(self, fields):
+        coef = fields()
+        mu0 = AtomicMeasure(np.array([0.2, 0.8, 1.5]),
+                            np.array([0.4, 0.3, 0.3]))
+        for steps in (8, 16, 32, 64):
+            got = weak_residual(coef, mu0, None, 0.0, 1.0, 1.0 / steps,
+                                **residual_args())
+            want = frozen_weak_residual(coef, mu0, None, 0.0, 1.0,
+                                        1.0 / steps, **residual_args())
+            assert got.hex() == want.hex()
+
+    def test_call_counts(self):
+        base = brood_fields()
+        births = []
+
+        def offspring(t, mu, w, y):
+            births.append(y)
+            return base.offspring(t, mu, w, y)
+
+        coef = MeasureCoefficients(
+            drift=base.drift, decay=base.decay, offspring=offspring,
+            drift_bound=base.drift_bound, decay_bound=base.decay_bound,
+            birth_bound=base.birth_bound)
+        mu0 = AtomicMeasure(np.array([0.2, 0.8, 1.5]),
+                            np.array([0.4, 0.3, 0.3]))
+        measure_step(coef, mu0, None, 0.0, 0.125)
+        moved = mu0.positions + 0.125 * base.drift(0.0, mu0, None,
+                                                   mu0.positions)
+        assert births == list(moved)
+
+        births.clear()
+        phi_calls = []
+        args = residual_args()
+        phi = args.pop("phi")
+        weak_residual(coef, mu0, None, 0.0, 1.0, 0.125,
+                      phi=lambda t, x: phi_calls.append(t) or phi(t, x),
+                      **args)
+        _, states = evolve(base, mu0, None, 0.0, 1.0, 0.125)
+        atoms = sum(st.n_atoms for st in states[:-1])
+        # the trajectory's steps, then the residual's own pass
+        assert len(births) == 2 * atoms
+        assert phi_calls == [k * 0.125 for k in range(8)] + [1.0, 0.0]

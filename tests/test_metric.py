@@ -149,6 +149,7 @@ class TestRefineToProcess:
         coarsest = euler_polygonal(flow, 0.5, 0.0, x0, 0.5 / 4)
         assert res.level == 2
         assert math.isinf(res.gap)
+        assert not res.converged
         assert flow.space.distance(res.point, coarsest) == 0.0
 
     def test_rotation_gap_order(self):

@@ -355,6 +355,15 @@ class TestEpidemicRuns:
         run = run_epidemic(params, RefineSchedule(0, 0, math.inf))
         assert run.trajectory.times == [k * 0.02 for k in range(16)]
 
+    def test_infinite_tol_converges_no_step(self):
+        # an infinite tolerance compares no two levels
+        params = epidemic_params(cells=100, horizon=0.1, macro=0.02)
+        run = run_epidemic(params, RefineSchedule(j0=1, j_max=1,
+                                                  tol=math.inf))
+        meta = run.trajectory.meta
+        assert (meta["j_max"], meta["macro_steps"]) == (1, 5)
+        assert meta["converged_steps"] == 0
+
     def test_negative_state_warning_not_clamped(self):
         # aggressive vaccination drives S below zero; must warn, not clamp
         p = BvTimeSeries.constant(3.0)
