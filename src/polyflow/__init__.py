@@ -38,7 +38,7 @@ _EXPORTS = {
                 "ivp_lipschitz_constants", "make_renewal_process",
                 "renewal_solve"),
     "scenarios": ("RefineSchedule",),
-    "epidemic": ("EpidemicParams", "EpidemicRun", "epidemic_cohort_reference",
+    "epidemic": ("EpidemicParams", "epidemic_cohort_reference",
                  "run_epidemic"),
     "pursuit": ("PredatorPreyParams", "predator_prey_fields",
                 "run_predator_prey"),

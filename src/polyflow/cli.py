@@ -7,7 +7,8 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, DomainExit
-from .harness import (load_config, run, scenario_convergence, verify)
+from .harness import (_write_convergence_csv, load_config, run,
+                      scenario_convergence, verify)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -40,9 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
+        cfg = load_config(args.config, args.seed)
         if args.command == "run":
             return run(cfg, args.out, quiet=args.quiet)
         if args.command == "converge":
@@ -51,7 +50,6 @@ def main(argv: list[str] | None = None) -> int:
             table = scenario_convergence(cfg, args.levels)
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
-            from .harness import _write_convergence_csv
             _write_convergence_csv(out / "convergence.csv", table)
             if not args.quiet:
                 print(f"{'eps':>12} {'error':>14} {'order':>8}")

@@ -6,7 +6,8 @@ trajectory CSVs and ``summary.json``; ``verify`` runs the estimate checks of
 imports only what it runs: each scenario model (``polyflow.epidemic``,
 ``polyflow.pursuit``) when that scenario runs, and the suites, with the
 conservation-law and measure solvers they alone use, when ``verify`` runs.
-The suites' names are still served from here.
+``SUITES`` is also served from here, because ``perfbench/spans.py`` traces
+each suite through ``harness.SUITES``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ SUITE_NAMES = ("metric", "ode", "renewal", "ibvp", "claw", "measures", "bv")
 # Config ingestion
 # --------------------------------------------------------------------------
 
-def load_config(path) -> dict:
+def load_config(path, seed: int | None = None) -> dict:
+    """The validated config at ``path``; ``seed``, if given, replaces its
+    seed before validation."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -47,6 +50,10 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    if seed is not None:
+        cfg["seed"] = seed
     validate_config(cfg)
     return cfg
 
@@ -97,7 +104,7 @@ def validate_config(cfg: dict) -> None:
     known = ("rotation", "translation", "epidemic", "predator_prey")
     if scenario not in known:
         raise ConfigError(f"scenario must be one of {known}")
-    _need(cfg, "seed", int, default=0)
+    _seed(cfg)
     _verify_suites(cfg)
     tcfg = _need(cfg, "time", dict)
     horizon = _positive(tcfg, "horizon", "time")
@@ -118,6 +125,15 @@ def validate_config(cfg: dict) -> None:
             build(cfg)
         except (ValueError, KernelOutOfBox) as exc:
             raise ConfigError(f"field params.{exc}") from None
+
+
+def _seed(cfg: dict) -> int:
+    """The config's random seed, 0 by default; NumPy's generators reject a
+    negative one."""
+    seed = _need(cfg, "seed", int, default=0)
+    if seed < 0:
+        raise ConfigError(f"field seed must be nonnegative, got {seed}")
+    return seed
 
 
 def schedule_from_config(cfg: dict) -> RefineSchedule:
@@ -325,9 +341,9 @@ def scenario_convergence(cfg: dict, levels: int) -> ConvergenceTable:
         for j in js:
             run = run_epidemic(params,
                                RefineSchedule(j0=j, j_max=j, tol=math.inf))
-            if run.trajectory.meta["j_max"] < j:
+            if run.meta["j_max"] < j:
                 break
-            ends.append(run.trajectory.states[-1])
+            ends.append(run.states[-1])
         js = js[:len(ends)]
         if len(js) < 3:
             raise ConfigError(
@@ -358,7 +374,7 @@ def _verify_suites(cfg: dict) -> list[str]:
 def verify(cfg: dict) -> VerificationReport:
     from .suites import SUITES, VerificationReport
     suites = _verify_suites(cfg)
-    seed = _need(cfg, "seed", int, default=0)
+    seed = _seed(cfg)
     report = VerificationReport(suites=list(suites), seed=seed)
     for s in suites:
         report.checks.extend(SUITES[s](seed))
@@ -386,15 +402,18 @@ def run(cfg: dict, out_dir, quiet: bool = False) -> int:
         if scenario == "epidemic":
             from .epidemic import run_epidemic
             params = epidemic_params_from_config(cfg)
-            result = run_epidemic(params, schedule)
-            traj = result.trajectory
+            traj = run_epidemic(params, schedule)
             outputs = {
                 "epidemic_trajectory.csv": traj.write_csv,
-                "epidemic_cohort_final.csv": result.final_cohort().to_csv,
+                "epidemic_cohort_final.csv": traj.states[-1][1].to_csv,
             }
-            for wmsg in result.warnings:
-                checks.append({"name": "negative-state-warning",
-                               "detail": wmsg})
+            checks.extend(
+                {"name": "negative-state-warning",
+                 "detail": f"negative state at t={t:.6g}: "
+                           f"S={s:.3g} I={i:.3g}"}
+                for t, s, i in zip(traj.times, traj.column("S"),
+                                   traj.column("I"))
+                if min(s, i) < -1e-9)
             drift = _population_drift(traj, params)
             checks.append({"name": "population-balance",
                            "value": repr(drift)})
@@ -487,6 +506,4 @@ def _write_convergence_csv(path, table: ConvergenceTable) -> None:
                         "" if row.order is None else repr(row.order)])
 
 
-__getattr__ = forwarder(__name__, dict.fromkeys(
-    ("CheckResult", "check", "VerificationReport", "SUITES",
-     *(f"suite_{name}" for name in SUITE_NAMES)), "suites"))
+__getattr__ = forwarder(__name__, {"SUITES": "suites"})

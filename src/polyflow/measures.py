@@ -11,7 +11,6 @@ step.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -94,13 +93,6 @@ class AtomicMeasure:
             new_pos[k] = p
             new_mas[k] = m
         return AtomicMeasure(new_pos, new_mas)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["position", "mass"])
-            for p, m in zip(self.positions, self.masses):
-                w.writerow([repr(float(p)), repr(float(m))])
 
 
 def flat_distance(mu: AtomicMeasure, nu: AtomicMeasure) -> float:

@@ -4,8 +4,8 @@ Grid functions are piecewise-constant cell-average representations of
 L1-and-BV data on a truncated uniform grid (1D or 2D).  BV time series are
 left-continuous step functions of time, used for boundary data.  Atomic
 measures and the flat distance live in ``polyflow.measures``, and the
-discrete BV inequality checks in ``polyflow.suites``; their names are still
-served from here.
+discrete BV inequality checks in ``polyflow.suites``.  ``flat_distance`` is
+also served from here, because ``perfbench/spans.py`` traces it here.
 """
 
 from __future__ import annotations
@@ -303,8 +303,4 @@ class BvTimeSeries:
         return float(np.max(np.abs(self.vals)))
 
 
-__getattr__ = forwarder(__name__, {
-    **dict.fromkeys(("AtomicMeasure", "flat_distance"), "measures"),
-    **dict.fromkeys(("InequalityMargin", "BvEstimateReport",
-                     "bv_estimate_checks", "shifted_l1_difference"),
-                    "suites")})
+__getattr__ = forwarder(__name__, {"flat_distance": "measures"})

@@ -353,7 +353,7 @@ def test_criterion_7_epidemic():
         vaccinated_infectivity=grid100.with_values(np.full(100, 0.5)),
         v0=grid100)
     run_a = run_epidemic(sir, RefineSchedule(0, 6, 1e-9))
-    pop = run_a.trajectory.column("population")
+    pop = run_a.column("population")
     drift = abs(pop[-1] - pop[0]) / 1.0
 
     # (b) no susceptible infections: plain exponential decay of I
@@ -363,15 +363,14 @@ def test_criterion_7_epidemic():
         vaccinated_infectivity=grid400.with_values(np.zeros(400)),
         v0=grid400.with_values(0.2 * np.exp(-3 * grid400.axis_centers(0))))
     run_b = run_epidemic(decay, RefineSchedule(0, 6, 1e-9))
-    i_end = run_b.trajectory.column("I")[-1]
+    i_end = run_b.column("I")[-1]
     decay_err = abs(i_end - 0.2 * math.exp(-0.4))
 
     # (c) full coupling: cohort profile against the characteristic formula
     full = _epidemic_params(cells=400, horizon=0.5, macro=0.02)
-    run_c = run_epidemic(full, RefineSchedule(0, 3, 1e-8))
-    traj = run_c.trajectory
+    traj = run_epidemic(full, RefineSchedule(0, 3, 1e-8))
     ref = epidemic_cohort_reference(full, traj.times, traj.column("I"), 0.5)
-    trace_err = l1_distance(run_c.final_cohort(), ref)
+    trace_err = l1_distance(traj.states[-1][1], ref)
 
     runtime = time.perf_counter() - started
     ok = (drift <= 1e-6 and decay_err <= 1e-6 and trace_err <= 1e-3

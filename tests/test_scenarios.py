@@ -296,30 +296,28 @@ class TestEpidemicRuns:
             p_series=BvTimeSeries.constant(0.0), v0_scale=0.0, mu=0.0,
             horizon=1.0, macro=0.01, cells=100)
         run = run_epidemic(params, RefineSchedule(0, 6, 1e-9))
-        pop = run.trajectory.column("population")
+        pop = run.column("population")
         assert abs(pop[-1] - pop[0]) / 1.0 <= 1e-6
-        assert run.final_cohort().l1() == 0.0
+        assert run.states[-1][1].l1() == 0.0
 
     def test_pure_decay_of_infectives(self):
         params = epidemic_params(rho_s=0.0, rho_v_scale=0.0, horizon=1.0,
                                  macro=0.02, cells=400)
         run = run_epidemic(params, RefineSchedule(0, 6, 1e-9))
-        i_end = run.trajectory.column("I")[-1]
+        i_end = run.column("I")[-1]
         expect = 0.2 * math.exp(-(0.3 + 0.1) * 1.0)
         assert abs(i_end - expect) <= 1e-6
 
     def test_cohort_trace_matches_closed_form(self):
         params = epidemic_params(cells=400, horizon=0.5)
-        run = run_epidemic(params, RefineSchedule(0, 3, 1e-8))
-        traj = run.trajectory
+        traj = run_epidemic(params, RefineSchedule(0, 3, 1e-8))
         ref = epidemic_cohort_reference(params, traj.times,
                                         traj.column("I"), 0.5)
-        assert l1_distance(run.final_cohort(), ref) <= 1e-3
+        assert l1_distance(traj.states[-1][1], ref) <= 1e-3
 
     def test_population_balance_with_mortality(self):
         params = epidemic_params(cells=400, horizon=0.5, mu=0.1)
-        run = run_epidemic(params, RefineSchedule(0, 3, 1e-8))
-        traj = run.trajectory
+        traj = run_epidemic(params, RefineSchedule(0, 3, 1e-8))
         pop = traj.column("population")
         absorbed = float(np.trapezoid(traj.column("I"), traj.times))
         drift = abs(pop[-1] - (pop[0] - 0.1 * absorbed)) / 0.5
@@ -334,38 +332,36 @@ class TestEpidemicRuns:
         one = run_epidemic(params, RefineSchedule(0, 3, 1e-8))
         half = EpidemicParams(**{**params.__dict__, "horizon": 0.2})
         first = run_epidemic(half, RefineSchedule(0, 3, 1e-8))
-        s_m, i_m = first.trajectory.column("S")[-1], \
-            first.trajectory.column("I")[-1]
+        s_m, i_m = first.column("S")[-1], first.column("I")[-1]
         second_params = EpidemicParams(
             **{**params.__dict__, "horizon": 0.2, "s0": s_m, "i0": i_m,
-               "v0": first.final_cohort()})
+               "v0": first.states[-1][1]})
         second = run_epidemic(second_params, RefineSchedule(0, 3, 1e-8))
-        du = abs(second.trajectory.column("S")[-1]
-                 - one.trajectory.column("S")[-1]) \
-            + abs(second.trajectory.column("I")[-1]
-                  - one.trajectory.column("I")[-1])
-        dv = l1_distance(second.final_cohort(), one.final_cohort())
+        du = abs(second.column("S")[-1] - one.column("S")[-1]) \
+            + abs(second.column("I")[-1] - one.column("I")[-1])
+        dv = l1_distance(second.states[-1][1], one.states[-1][1])
         # single-level tolerance: the splitting gap recorded along the run
-        tol = max(max(one.trajectory.column("refine_gap")), 1e-6)
-        assert du + dv <= 5 * tol * len(one.trajectory.times)
+        tol = max(max(one.column("refine_gap")), 1e-6)
+        assert du + dv <= 5 * tol * len(one.times)
 
     def test_sample_times_are_whole_macro_steps(self):
         # an accumulated t += 0.02 reads 0.23999999999999996 at step 12
         params = epidemic_params(cells=100, horizon=0.3, macro=0.02)
         run = run_epidemic(params, RefineSchedule(0, 0, math.inf))
-        assert run.trajectory.times == [k * 0.02 for k in range(16)]
+        assert run.times == [k * 0.02 for k in range(16)]
 
     def test_infinite_tol_converges_no_step(self):
         # an infinite tolerance compares no two levels
         params = epidemic_params(cells=100, horizon=0.1, macro=0.02)
         run = run_epidemic(params, RefineSchedule(j0=1, j_max=1,
                                                   tol=math.inf))
-        meta = run.trajectory.meta
+        meta = run.meta
         assert (meta["j_max"], meta["macro_steps"]) == (1, 5)
         assert meta["converged_steps"] == 0
 
     def test_negative_state_warning_not_clamped(self):
-        # aggressive vaccination drives S below zero; must warn, not clamp
+        # aggressive vaccination drives S below zero; the run keeps the
+        # negative states for the harness to warn about, never clamps them
         p = BvTimeSeries.constant(3.0)
         params = epidemic_params(cells=100, horizon=0.4, macro=0.04,
                                  p_series=p, v0_scale=0.0,
@@ -373,8 +369,7 @@ class TestEpidemicRuns:
         params = EpidemicParams(**{**params.__dict__, "s0": 0.2,
                                    "admissible_radius": 4.0})
         run = run_epidemic(params, RefineSchedule(0, 2, 1e-6))
-        assert run.warnings
-        assert run.trajectory.column("S")[-1] < 0
+        assert run.column("S")[-1] < 0
 
     def test_rate_jump_on_a_step_start_read_from_inside(self):
         # the vaccination rate of epidemic.json jumps at t = 0.25, where a
@@ -388,7 +383,7 @@ class TestEpidemicRuns:
         later = replace(params, vaccination_rate=BvTimeSeries(
             np.array([0.0, math.nextafter(0.25, math.inf)]), rate.vals))
         drift = [_population_drift(run_epidemic(
-            p, schedule_from_config(cfg)).trajectory, p)
+            p, schedule_from_config(cfg)), p)
             for p in (params, later)]
         assert 4.0 * drift[0] <= drift[1]
 
@@ -469,7 +464,7 @@ class TestEnvelopeMargins:
 
     def test_epidemic_variation_margin_has_boundary_mismatch(self):
         params = epidemic_params(cells=100, horizon=0.2, macro=0.04)
-        traj = run_epidemic(params, RefineSchedule(0, 2, 1e-6)).trajectory
+        traj = run_epidemic(params, RefineSchedule(0, 2, 1e-6))
         macro = params.macro_step
         coef, inflow = _epidemic_ibvp(params, i_bound=traj.meta["ball"])
         bounds = ibvp_domain_bounds(macro, traj.meta["radius_v"], macro,
