@@ -139,8 +139,15 @@ def _sampled_sup(f: Callable[[np.ndarray], np.ndarray], lo: float,
     return float(np.max(np.abs(f(xs))))
 
 
-def predator_prey_fields(params: PredatorPreyParams) -> PredatorPreyFields:
-    """Build the two coefficient sets with sampled certificates."""
+def predator_prey_fields(params: PredatorPreyParams,
+                         density: GridFunction | None = None
+                         ) -> PredatorPreyFields:
+    """Build the two coefficient sets with sampled certificates.
+
+    The predator field's ``sup`` and ``lip`` scale with the mass of
+    ``density``, the prey density the run starts from (by default
+    ``params.initial_density()``, built after the prey's certificates).
+    """
     dim = params.dim
     # weight of the squared distance; evaluating the spatial profile at the
     # plain distance realizes exactly the same function
@@ -151,19 +158,44 @@ def predator_prey_fields(params: PredatorPreyParams) -> PredatorPreyFields:
     feeding = Bump(params.feeding_radius, params.feeding_rate)
     alpha = params.alpha
 
-    @_memo_last
     def offset(x, p):
-        """``z = p - x`` and ``|z|^2`` (two products, no axis reduction),
-        once for the growth and divergence at one midpoint."""
-        d = np.asarray(p, dtype=float) - np.asarray(x, dtype=float)
-        if dim == 1:
-            return d, d * d
-        return d, d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+        """``z = p - x`` and ``|z|^2`` (two products, no axis reduction).
 
+        In 2D each axis is a separate call, since NumPy loops slowly over
+        a broadcast axis of length two."""
+        p = np.asarray(p, dtype=float)
+        x = np.asarray(x, dtype=float)
+        if dim == 1:
+            d = p - x
+            return d, d * d
+        d = np.empty(np.broadcast(p, x).shape)
+        for a in range(2):
+            np.subtract(p[a], x[..., a], out=d[..., a])
+        dist_sq = d[..., 0] * d[..., 0]
+        dist_sq += d[..., 1] * d[..., 1]
+        return d, dist_sq
+
+    # the growth and divergence at one midpoint read only |z|^2, and share
+    # it; the velocity, read at RK4 stage points that no other kernel sees,
+    # takes its own offset, so the memo keeps no stage's arrays alive
+    shared_dist_sq = _memo_last(lambda x, p: offset(x, p)[1])
+
+    # the kernels below reuse their own temporaries through ``out=``, in
+    # the operation order of the plain expressions in their comments
     def prey_velocity(t, x, p):
+        # -d * (escape(|d|) / (alpha + |d|^2)), in the offset's buffers
         d, dist_sq = offset(x, p)
-        w = _profile_sq(escape, dist_sq) / (alpha + dist_sq)
-        return -d * (w if dim == 1 else w[..., None])
+        w = _profile_sq(escape, dist_sq)
+        w /= np.add(alpha, dist_sq, out=dist_sq)
+        np.negative(d, out=d)
+        if dim == 1:
+            d *= w
+        else:
+            # w first: of two NaN operands the product keeps the first, and
+            # the broadcast product -d * w[..., None] kept w's
+            for a in range(2):
+                np.multiply(w, d[..., a], out=d[..., a])
+        return d
 
     # v = -z g(s) with s = |z|^2 and g(s) = amp q^4 / (alpha + s),
     # q = (1 - s / R^2)_+, so div v = dim g + 2 s g'(s) with
@@ -172,15 +204,30 @@ def predator_prey_fields(params: PredatorPreyParams) -> PredatorPreyFields:
     four_amp = 4.0 * escape.amp * inv_r2
 
     def prey_divergence(t, x, p):
-        _, dist_sq = offset(x, p)
-        inv = 1.0 / (alpha + dist_sq)
-        q = np.maximum(1.0 - dist_sq * inv_r2, 0.0)
-        q3 = q * q * q
-        g = escape.amp * q3 * q * inv
-        return dim * g - 2.0 * dist_sq * inv * (four_amp * q3 + g)
+        # inv = 1 / (alpha + s); q = max(1 - s * inv_r2, 0); q3 = q * q * q
+        # g = amp * q3 * q * inv
+        # dim * g - 2 * s * inv * (four_amp * q3 + g)
+        dist_sq = shared_dist_sq(x, p)
+        inv = np.add(alpha, dist_sq)
+        np.divide(1.0, inv, out=inv)
+        q = np.multiply(dist_sq, inv_r2)
+        np.maximum(np.subtract(1.0, q, out=q), 0.0, out=q)
+        q3 = np.multiply(q, q)
+        q3 *= q
+        g = np.multiply(escape.amp, q3)
+        g *= q
+        g *= inv
+        rate = np.multiply(2.0, dist_sq)
+        rate *= inv
+        np.multiply(four_amp, q3, out=q3)
+        q3 += g
+        rate *= q3
+        np.multiply(dim, g, out=g)
+        return np.subtract(g, rate, out=g)
 
     def prey_sink(t, x, p):
-        return -_profile_sq(feeding, offset(x, p)[1])
+        q = _profile_sq(feeding, shared_dist_sq(x, p))
+        return np.negative(q, out=q)
 
     # speed certificates from the 1D radial profile g(s) = s/(a+s^2) w(s)
     radial = lambda s: s / (alpha + s * s) * escape(s)
@@ -233,8 +280,9 @@ def predator_prey_fields(params: PredatorPreyParams) -> PredatorPreyFields:
     # predator field: gradient-of-average drift
     grad_sup = _sampled_sup(search.slope, 0.0, params.search_radius) * 1.05
     hess_sup = grad_sup / params.search_radius * 8.0  # coarse curvature bound
-    rho0 = params.initial_density()
-    mass_bound = rho0.l1() * 1.5 + 1e-9
+    if density is None:
+        density = params.initial_density()
+    mass_bound = density.l1() * 1.5 + 1e-9
 
     # grad_p of search(|p - x|) is the polynomial
     # -8 amp / r^2 (1 - |z|^2 / r^2)_+^3 z in z = p - x, so the drift sums
@@ -257,9 +305,13 @@ def predator_prey_fields(params: PredatorPreyParams) -> PredatorPreyFields:
             q = np.maximum(1.0 - z[0] * z[0] / r2, 0.0)
             val = np.array([np.dot(z[0], q ** 3 * weight)])
         else:
-            q = np.maximum(1.0 - (z[0][:, None] ** 2 + z[1][None, :] ** 2)
-                           / r2, 0.0)
-            w = q ** 3 * weight
+            # w = max(1 - (z0^2 + z1^2) / r2, 0) ** 3 * weight, in place
+            w = np.add.outer(z[0] ** 2, z[1] ** 2)
+            w /= r2
+            np.maximum(np.subtract(1.0, w, out=w), 0.0, out=w)
+            # the cells outside the disc keep their 0.0, which is 0.0 ** 3
+            np.power(w, 3, out=w, where=w > 0.0)
+            w *= weight
             val = np.array([np.dot(z[0], w.sum(axis=1)),
                             np.dot(z[1], w.sum(axis=0))])
         return val * (drift_scale * rho.cell_volume)
@@ -274,11 +326,15 @@ def predator_prey_fields(params: PredatorPreyParams) -> PredatorPreyFields:
                               search=search, feeding=feeding)
 
 
-def _profile_sq(bump: Bump, dist_sq):
-    """``bump`` at the distance whose square is ``dist_sq``."""
-    q = np.maximum(1.0 - dist_sq / (bump.radius * bump.radius), 0.0)
-    q2 = q * q
-    return bump.amp * (q2 * q2)
+def _profile_sq(bump: Bump, dist_sq: np.ndarray) -> np.ndarray:
+    """``bump`` at the distance whose square is ``dist_sq``, as a new array:
+    ``amp * (q2 * q2)`` with ``q2 = q * q`` and
+    ``q = max(1 - dist_sq / radius^2, 0)``."""
+    q = np.divide(dist_sq, bump.radius * bump.radius)
+    np.maximum(np.subtract(1.0, q, out=q), 0.0, out=q)
+    np.multiply(q, q, out=q)
+    np.multiply(q, q, out=q)
+    return np.multiply(bump.amp, q, out=q)
 
 
 
@@ -293,9 +349,11 @@ def run_predator_prey(params: PredatorPreyParams,
     refines each macro step.  Diagnostics add the predator's position
     (``p``, or ``px`` and ``py``), the density's mass and the predator's
     ball margin to the driver's norm, margin and gap columns.
-    ``initial`` overrides the configured initial pair (used for restarts).
+    ``initial`` overrides the configured initial pair (used for restarts),
+    and the predator field's certificate is then sized from its density.
     """
-    fields = predator_prey_fields(params)
+    fields = predator_prey_fields(params,
+                                  None if initial is None else initial[0])
     if initial is None:
         rho0 = params.initial_density()
         p0 = np.asarray(params.predator_start, dtype=float)

@@ -82,13 +82,19 @@ class RenewalCoefficients:
 _SUPPORT_MARGIN = 1e-6
 
 
-def _beyond_support(coef: RenewalCoefficients, w, pts: np.ndarray,
+def _beyond_support(coef: RenewalCoefficients, w, grid: GridFunction,
                     margin: float = 0.0) -> np.ndarray:
-    """Mask of the points at distance ``>= (1 + margin) radius`` from the
-    centre of ``coef.support(w)``."""
+    """Mask of the cell centres of ``grid``, in ``centers()`` order, at
+    distance ``>= (1 + margin) radius`` from the centre of
+    ``coef.support(w)``.
+
+    The squared distances are summed from the per-axis offsets of the
+    centres, so a 2D grid forms no ``(n, 2)`` offset array."""
     centre, radius = coef.support(w)
-    d = pts - np.asarray(centre, dtype=float)
-    dist_sq = d * d if d.ndim == 1 else np.sum(d * d, axis=1)
+    c = np.asarray(centre, dtype=float).reshape(-1)
+    d = [grid.axis_centers(a) - c[a] for a in range(grid.dim)]
+    dist_sq = (d[0] * d[0] if grid.dim == 1
+               else np.add.outer(d[0] * d[0], d[1] * d[1]).ravel())
     reach = radius * (1.0 + margin)
     return dist_sq >= reach * reach
 
@@ -111,7 +117,7 @@ def audit_coefficients(coef: RenewalCoefficients, grid: GridFunction, w,
     worst = -math.inf if sampled else abs(coef.velocity) - coef.v_sup
     pts = grid.centers()
     outside = (pts[:0] if coef.support is None
-               else pts[_beyond_support(coef, w, pts)])
+               else pts[_beyond_support(coef, w, grid)])
     for _ in range(n):
         t = float(rng.uniform(*t_range))
         if sampled:
@@ -222,10 +228,12 @@ def backward_transport(coef: RenewalCoefficients, w, t: float, t_lo,
     callable velocity and the exact translation for a constant one, whose
     divergence is zero; a constant speed calls the growth (and source) once
     on all substep midpoints.  ``dx``, the grid spacing, is not read.
+    ``x`` is read, never written, and not copied.
 
     Returns ``(foot, growth, source_integral)``.
     """
-    pts = np.asarray(x, dtype=float).copy()
+    pts = np.asarray(x, dtype=float)
+    del x  # a temporary of the caller is freed once the first step is done
     scalar_lo = np.ndim(t_lo) == 0
     if pts.ndim == 2 and not scalar_lo:
         raise ValueError("per-point end times only supported in 1D")
@@ -249,16 +257,18 @@ def backward_transport(coef: RenewalCoefficients, w, t: float, t_lo,
         s_hi = t - j * ds
         nxt = _rk4(rhs, s_hi, pts, h)
         s_mid = s_hi + half_h
-        p_mid = 0.5 * (pts + nxt)
-        contrib = (np.asarray(coef.growth(s_mid, p_mid, w), dtype=float)
-                   - np.asarray(coef.divergence(s_mid, p_mid, w),
-                                dtype=float)) * ds
+        # 0.5 * (pts + nxt) and (growth - divergence) * ds, in place
+        p_mid = np.add(pts, nxt)
+        p_mid *= 0.5
+        contrib = np.subtract(
+            np.asarray(coef.growth(s_mid, p_mid, w), dtype=float),
+            np.asarray(coef.divergence(s_mid, p_mid, w), dtype=float))
+        contrib *= ds
         if coef.source is not None:
             factor_mid = np.exp(exponent + 0.5 * contrib)
-            source_acc = source_acc + (
-                np.asarray(coef.source(s_mid, p_mid, w), dtype=float)
-                * factor_mid * ds)
-        exponent = exponent + contrib
+            source_acc += (np.asarray(coef.source(s_mid, p_mid, w),
+                                      dtype=float) * factor_mid * ds)
+        exponent += contrib
         pts = nxt
     return pts, np.exp(exponent), source_acc
 
@@ -284,17 +294,29 @@ def renewal_solve(coef: RenewalCoefficients, u0: GridFunction, w,
         return u0
     centers = u0.centers()
     if coef.support is None:
-        foot, factor, src = backward_transport(coef, w, t, t0, centers,
-                                               n_sub, u0.dx)
-        vals = u0.lookup(foot, outside="zero") * factor + src
+        vals = _carried(u0, *backward_transport(coef, w, t, t0, centers,
+                                                n_sub, u0.dx))
         return u0.with_values(vals.reshape(u0.values.shape))
-    vals = u0.values.ravel() * 1.0 + 0.0
-    inside = ~_beyond_support(coef, w, centers, _SUPPORT_MARGIN)
-    if inside.any():
-        foot, factor, src = backward_transport(coef, w, t, t0,
-                                               centers[inside], n_sub, u0.dx)
-        vals[inside] = u0.lookup(foot, outside="zero") * factor + src
+    inside = ~_beyond_support(coef, w, u0, _SUPPORT_MARGIN)
+    # the kept cells are copied after the transport, not alive through it
+    moved = (_carried(u0, *backward_transport(coef, w, t, t0, centers[inside],
+                                              n_sub, u0.dx))
+             if inside.any() else None)
+    vals = u0.values.ravel() * 1.0
+    vals += 0.0
+    if moved is not None:
+        vals[inside] = moved
     return u0.with_values(vals.reshape(u0.values.shape))
+
+
+def _carried(u0: GridFunction, foot: np.ndarray, factor: np.ndarray,
+             src: np.ndarray) -> np.ndarray:
+    """``u0`` at the feet times the growth factors plus the source
+    integrals, ``lookup * factor + src``, in the lookup's buffer."""
+    vals = u0.lookup(foot, outside="zero")
+    vals *= factor
+    vals += src
+    return vals
 
 
 # --------------------------------------------------------------------------

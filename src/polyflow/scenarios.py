@@ -40,7 +40,10 @@ def _memo_last(fn: Callable) -> Callable:
     ``backward_transport`` evaluates both growth and divergence, or the
     cached midpoints of every constant-speed ``ibvp_solve`` of one step
     length.  The memo holds the previous arguments, so their ids cannot be
-    reused.
+    reused, and it keeps them and the result alive until the next miss.
+    So it must never be keyed on a grid function: it would keep the last
+    density, its cached centres and the result alive (about 1 MB for a
+    200x200 density with its centres), and raise the peak memory.
     """
     last_args, last = (), None
 

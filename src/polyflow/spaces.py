@@ -11,6 +11,7 @@ also served from here, because ``perfbench/spans.py`` traces it here.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -131,18 +132,22 @@ class GridFunction:
             padded[1:-1] = self.values
             return padded[np.minimum(np.maximum(idx, -1), n) + 1]
         pts = pts.reshape(-1, 2)
-        ij = np.empty((pts.shape[0], 2), dtype=np.int64)
-        for a in range(2):
-            ij[:, a] = np.floor((pts[:, a] - self.origin[a]) / self.dx[a])
+        nx, ny = self.values.shape
+        i, j = (np.floor((pts[:, a] - self.origin[a]) / self.dx[a])
+                .astype(np.int64) for a in range(2))
         if outside == "clamp":
-            i = np.minimum(np.maximum(ij[:, 0], 0), self.values.shape[0] - 1)
-            j = np.minimum(np.maximum(ij[:, 1], 0), self.values.shape[1] - 1)
-            return self.values[i, j]
-        inside = ((ij[:, 0] >= 0) & (ij[:, 0] < self.values.shape[0])
-                  & (ij[:, 1] >= 0) & (ij[:, 1] < self.values.shape[1]))
-        out = np.zeros(pts.shape[0])
-        out[inside] = self.values[ij[inside, 0], ij[inside, 1]]
-        return out
+            return self.values[np.minimum(np.maximum(i, 0), nx - 1),
+                               np.minimum(np.maximum(j, 0), ny - 1)]
+        # one zero cell on each side takes every index off the grid; the
+        # gather reads the flat index of (i + 1, j + 1) in the padded copy
+        padded = np.zeros((nx + 2, ny + 2))
+        padded[1:-1, 1:-1] = self.values
+        np.minimum(np.maximum(i, -1, out=i), nx, out=i)
+        np.minimum(np.maximum(j, -1, out=j), ny, out=j)
+        i *= ny + 2
+        i += j
+        i += ny + 3
+        return padded.ravel()[i]
 
     def support_clearance(self) -> float:
         """Distance from the nonzero cells to the nearest box edge.
@@ -196,20 +201,24 @@ class GridFunction:
         """Write ``x[,y],value`` rows with cell-center coordinates.
 
         The bytes are those of ``csv.writer`` rows of ``repr`` floats; the
-        fields are written directly since a float repr needs no quoting.
+        fields are written directly since a float repr needs no quoting,
+        each row of the 2D grid as one string joined in C.
         """
-        xs = [repr(x) for x in self.axis_centers(0).tolist()]
+        xs = [repr(x) + "," for x in self.axis_centers(0).tolist()]
         with open(path, "w", newline="") as fh:
             if self.dim == 1:
                 fh.write("x,value\r\n")
-                fh.writelines(f"{x},{v!r}\r\n"
-                              for x, v in zip(xs, self.values.tolist()))
+                if xs:
+                    fh.write("\r\n".join(map(operator.add, xs, map(
+                        repr, self.values.tolist()))) + "\r\n")
                 return
             fh.write("x,y,value\r\n")
-            ys = [repr(y) for y in self.axis_centers(1).tolist()]
-            for x, row in zip(xs, self.values.tolist()):
-                fh.writelines(f"{x},{y},{v!r}\r\n"
-                              for y, v in zip(ys, row))
+            ys = [repr(y) + "," for y in self.axis_centers(1).tolist()]
+            if not ys:
+                return
+            for head, row in zip(xs, self.values.tolist()):
+                fh.write(head + ("\r\n" + head).join(
+                    map(operator.add, ys, map(repr, row))) + "\r\n")
 
 
 def _require_same_grid(u: GridFunction, v: GridFunction) -> None:

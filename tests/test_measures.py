@@ -393,3 +393,53 @@ class TestAgainstFrozenCopy:
         # the trajectory's steps, then the residual's own pass
         assert len(births) == 2 * atoms
         assert phi_calls == [k * 0.125 for k in range(8)] + [1.0, 0.0]
+
+    def test_offspring_evaluation_points(self):
+        """``measure_step`` takes offspring at the transported positions,
+        ``weak_residual`` at the pre-step atoms.  With an offspring that
+        depends on its site the two differ, and so would a residual that
+        reused the trajectory's children."""
+        base = interacting_fields()
+        sites = []
+
+        def offspring(t, mu, w, y):
+            sites.append(y)
+            return AtomicMeasure(np.array([0.3 + 0.5 * y]),
+                                 np.array([0.1 + 0.05 * np.cos(3.0 * y)]))
+
+        coef = MeasureCoefficients(
+            drift=base.drift, decay=base.decay, offspring=offspring,
+            drift_bound=base.drift_bound, decay_bound=base.decay_bound,
+            birth_bound=0.15)
+        mu0 = AtomicMeasure(np.array([0.2, 0.8, 1.5]),
+                            np.array([0.4, 0.3, 0.3]))
+        dt = 0.125
+        times, states = evolve(coef, mu0, None, 0.0, 0.5, dt)
+        pre = [float(y) for st in states[:-1] for y in st.positions]
+        moved = [float(y) for t, st in zip(times, states[:-1])
+                 for y in np.maximum(st.positions + dt * base.drift(
+                     t, st, None, st.positions), 0.0)]
+        assert sites == moved
+
+        sites.clear()
+        args = residual_args()
+        weak_residual(coef, mu0, None, 0.0, 0.5, dt, **args)
+        # the trajectory's steps, then the residual's own pass
+        assert sites == moved + pre
+        assert all(a != b for a, b in zip(moved, pre))
+
+        def birth_term(at):
+            """The residual's offspring integral with children taken at
+            the sites ``at(t, mu)`` of each step's state."""
+            total = 0.0
+            for t, mu in zip(times[:-1], states[:-1]):
+                for y, m in zip(at(t, mu), mu.masses):
+                    child = offspring(t, mu, None, float(y))
+                    total += float(np.dot(args["phi"](t, child.positions),
+                                          child.masses)) * m * dt
+            return total
+
+        reused = birth_term(lambda t, mu: np.maximum(
+            mu.positions + dt * base.drift(t, mu, None, mu.positions), 0.0))
+        own = birth_term(lambda t, mu: mu.positions)
+        assert abs(reused - own) > 1e-4

@@ -195,3 +195,152 @@ def test_prey_divergence_matches_central_differences(case):
             assert outside.any()
             assert np.all(got[outside] == 0.0)
             assert got[dist == 0.0][0] > 0.0  # source at z = 0
+
+
+# --------------------------------------------------------------------------
+# Frozen copies of the kernels before they reused their temporaries
+# --------------------------------------------------------------------------
+
+def frozen_prey_kernels(fields, params):
+    """The prey's speed, divergence and sink as plain expressions, with the
+    offset recomputed on every call."""
+    dim, alpha = params.dim, params.alpha
+    escape, feeding = fields.escape, fields.feeding
+
+    def offset(x, p):
+        d = np.asarray(p, dtype=float) - np.asarray(x, dtype=float)
+        if dim == 1:
+            return d, d * d
+        return d, d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+
+    def profile_sq(bump, dist_sq):
+        q = np.maximum(1.0 - dist_sq / (bump.radius * bump.radius), 0.0)
+        q2 = q * q
+        return bump.amp * (q2 * q2)
+
+    def velocity(t, x, p):
+        d, dist_sq = offset(x, p)
+        w = profile_sq(escape, dist_sq) / (alpha + dist_sq)
+        return -d * (w if dim == 1 else w[..., None])
+
+    inv_r2 = 1.0 / (escape.radius * escape.radius)
+    four_amp = 4.0 * escape.amp * inv_r2
+
+    def divergence(t, x, p):
+        _, dist_sq = offset(x, p)
+        inv = 1.0 / (alpha + dist_sq)
+        q = np.maximum(1.0 - dist_sq * inv_r2, 0.0)
+        q3 = q * q * q
+        g = escape.amp * q3 * q * inv
+        return dim * g - 2.0 * dist_sq * inv * (four_amp * q3 + g)
+
+    def sink(t, x, p):
+        return -profile_sq(feeding, offset(x, p)[1])
+
+    return {"velocity": velocity, "divergence": divergence, "growth": sink}
+
+
+def frozen_predator_velocity(search, dim, p, rho):
+    """The predator drift over its index window, as plain expressions."""
+    r = search.radius
+    r2 = r * r
+    drift_scale = -8.0 * search.amp / r2
+    p = np.asarray(p, dtype=float)
+    z, window = [], []
+    for a in range(dim):
+        xc = rho.axis_centers(a)
+        lo, hi = np.searchsorted(xc, (p[a] - r, p[a] + r), side="right")
+        z.append(p[a] - xc[lo:hi])
+        window.append(slice(lo, hi))
+    weight = rho.values[tuple(window)]
+    if dim == 1:
+        q = np.maximum(1.0 - z[0] * z[0] / r2, 0.0)
+        val = np.array([np.dot(z[0], q ** 3 * weight)])
+    else:
+        q = np.maximum(1.0 - (z[0][:, None] ** 2 + z[1][None, :] ** 2)
+                       / r2, 0.0)
+        w = q ** 3 * weight
+        val = np.array([np.dot(z[0], w.sum(axis=1)),
+                        np.dot(z[1], w.sum(axis=0))])
+    return val * (drift_scale * rho.cell_volume)
+
+
+def same_bytes(a, b):
+    """Equal shapes, dtypes and bits: signed zeros and NaN included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+
+
+def kernel_points(params, p, rng):
+    """Points at the predator, on and around the kernels' support circles,
+    on and off the grid, random, and NaN."""
+    dim = params.dim
+    radii = np.concatenate([[0.0], [params.escape_radius,
+                                    params.feeding_radius] * 2,
+                            rng.uniform(0.0, 2.0, 24)])
+    radii[3:5] = np.nextafter(radii[1:3], 0.0)
+    if dim == 1:
+        x = np.concatenate([p[0] - radii, p[0] + radii,
+                            [1.5, -3.0, np.nan, -0.0]])
+        return x
+    angle = rng.uniform(0.0, 2.0 * np.pi, radii.size)
+    ring = p - radii[:, None] * np.column_stack([np.cos(angle),
+                                                 np.sin(angle)])
+    axes = p - radii[:, None] * np.array([[1.0, 0.0]])
+    extra = np.array([[1.5, 0.0], [-3.0, 2.5], [np.nan, 0.1],
+                      [0.2, np.nan], [-0.0, -0.0]])
+    return np.concatenate([ring, axes, rng.uniform(-1.0, 1.0, (64, 2)),
+                           extra])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+class TestAgainstFrozenCopy:
+    """The in-place kernels give the bits of the plain expressions."""
+
+    def predators(self, dim):
+        return [np.array(p[:dim]) for p in
+                ([0.15, 0.0], [-0.0, 0.0], [0.95, -0.9], [1.7, 0.3],
+                 [0.04 * 7 - 0.98, 0.02])]
+
+    @pytest.mark.parametrize("kernel", ["velocity", "divergence", "growth"])
+    def test_prey_kernels(self, dim, kernel):
+        params = pursuit_params(dim)
+        fields = predator_prey_fields(params)
+        frozen = frozen_prey_kernels(fields, params)[kernel]
+        rng = np.random.default_rng(11)
+        with np.errstate(invalid="ignore"):
+            for p in self.predators(dim):
+                x = kernel_points(params, p, rng)
+                got = getattr(fields.prey, kernel)(0.0, x, p)
+                assert same_bytes(got, frozen(0.0, x, p)), p
+                # no array that the kernel handed out is written afterwards
+                again = getattr(fields.prey, kernel)(0.0, x, p)
+                assert same_bytes(got, again)
+
+    def test_divergence_certificate_sampling(self, dim):
+        """The 201x201 ``v_div_lip`` sampling grid around the predator."""
+        params = pursuit_params(dim)
+        fields = predator_prey_fields(params)
+        frozen = frozen_prey_kernels(fields, params)["divergence"]
+        g1 = np.linspace(-params.escape_radius, params.escape_radius, 201)
+        if dim == 1:
+            pts = g1
+        else:
+            X, Y = np.meshgrid(g1, g1, indexing="ij")
+            pts = np.column_stack([X.ravel(), Y.ravel()])
+        p = np.zeros(dim)
+        assert same_bytes(fields.prey.divergence(0.0, pts, p),
+                          frozen(0.0, pts, p))
+
+    def test_predator_velocity(self, dim):
+        params = pursuit_params(dim)
+        fields = predator_prey_fields(params)
+        for seed in (0, 5):
+            rho = random_density(params, seed)
+            rho = rho.with_values(np.where(rho.values < 0.1, -0.0,
+                                           rho.values))
+            for p in self.predators(dim) + [np.array([np.nan, 0.1][:dim])]:
+                got = fields.predator.f(0.0, p, rho)
+                want = frozen_predator_velocity(fields.search, dim, p, rho)
+                assert same_bytes(got, want), p

@@ -6,6 +6,7 @@ import pytest
 
 from polyflow import renewal
 from polyflow.errors import InadmissibleHorizon, SupportClearanceViolated
+from polyflow.ode import _rk4
 from polyflow.renewal import (RenewalCoefficients, audit_coefficients,
                               backward_transport, characteristic,
                               ivp_domain_bounds, ivp_lipschitz_constants,
@@ -404,8 +405,36 @@ def same_bits(a, b):
             and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
+def frozen_beyond_support(coef, w, pts, margin=0.0):
+    """``_beyond_support`` before the per-axis sum: the mask from the
+    ``(n, 2)`` offsets of the centres."""
+    centre, radius = coef.support(w)
+    d = pts - np.asarray(centre, dtype=float)
+    dist_sq = d * d if d.ndim == 1 else np.sum(d * d, axis=1)
+    reach = radius * (1.0 + margin)
+    return dist_sq >= reach * reach
+
+
 class TestSupport:
     """Transport inside the certified ball only, against the full grid."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("margin", [0.0, renewal._SUPPORT_MARGIN])
+    def test_mask_matches_the_frozen_copy(self, dim, margin):
+        coef, u0 = pursuit_prey(dim)
+        centre = u0.axis_centers(0)[17]
+        # the radius is a whole number of cells, so from a cell centre some
+        # centres sit on the circle up to rounding
+        on_circle = dataclasses.replace(coef, support=lambda w: (w, 0.4))
+        predators = ([0.15, 0.0], [centre, centre], [-0.0, 0.0],
+                     [1.7, -2.5], [np.nan, 0.1], [0.3, np.inf])
+        for c in (coef, on_circle):
+            for p in predators:
+                p = np.array(p[:dim])
+                with np.errstate(invalid="ignore"):
+                    got = renewal._beyond_support(c, p, u0, margin)
+                    want = frozen_beyond_support(c, p, u0.centers(), margin)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("case", ["centre", "corner", "wide-feeding",
@@ -462,6 +491,100 @@ class TestSupport:
         assert audit(coef) == 0.0
         half = dataclasses.replace(coef, support=lambda w: (w, 0.4))
         assert audit(half) > 0.0
+
+
+def frozen_callable_transport(coef, w, t, t_lo, x, n_sub):
+    """``backward_transport``'s callable-velocity branch before its sums
+    went in place: a copy of the points, and fresh arrays every step."""
+    pts = np.asarray(x, dtype=float).copy()
+    lo = float(t_lo) if np.ndim(t_lo) == 0 else np.asarray(t_lo, dtype=float)
+    ds = (t - lo) / n_sub
+    exponent = np.zeros(pts.shape[0])
+    source_acc = np.zeros(pts.shape[0])
+    rhs = lambda s, y: np.asarray(coef.velocity(s, y, w), dtype=float)
+    h = -ds
+    half_h = 0.5 * h
+    for j in range(n_sub):
+        s_hi = t - j * ds
+        nxt = _rk4(rhs, s_hi, pts, h)
+        s_mid = s_hi + half_h
+        p_mid = 0.5 * (pts + nxt)
+        contrib = (np.asarray(coef.growth(s_mid, p_mid, w), dtype=float)
+                   - np.asarray(coef.divergence(s_mid, p_mid, w),
+                                dtype=float)) * ds
+        if coef.source is not None:
+            factor_mid = np.exp(exponent + 0.5 * contrib)
+            source_acc = source_acc + (
+                np.asarray(coef.source(s_mid, p_mid, w), dtype=float)
+                * factor_mid * ds)
+        exponent = exponent + contrib
+        pts = nxt
+    return pts, np.exp(exponent), source_acc
+
+
+def frozen_renewal_solve(coef, u0, w, t0, t, n_sub):
+    """``renewal_solve`` before its carried values went in place."""
+    centers = u0.centers()
+    if coef.support is None:
+        foot, factor, src = frozen_callable_transport(coef, w, t, t0,
+                                                      centers, n_sub)
+        vals = u0.lookup(foot, outside="zero") * factor + src
+        return vals.reshape(u0.values.shape)
+    vals = u0.values.ravel() * 1.0 + 0.0
+    inside = ~frozen_beyond_support(coef, w, centers,
+                                    renewal._SUPPORT_MARGIN)
+    if inside.any():
+        foot, factor, src = frozen_callable_transport(coef, w, t, t0,
+                                                      centers[inside], n_sub)
+        vals[inside] = u0.lookup(foot, outside="zero") * factor + src
+    return vals.reshape(u0.values.shape)
+
+
+def with_source(coef):
+    return dataclasses.replace(
+        coef, source=lambda t, x, w: 0.2 + 0.1 * np.sin(np.sum(
+            np.reshape(x, (np.shape(x)[0], -1)), axis=1) + t))
+
+
+class TestInPlaceTransportAgainstFrozenCopy:
+    """The in-place midpoints and sums give the bits of fresh arrays."""
+
+    def same(self, got, want):
+        return all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                   for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("case", ["smooth", "smooth-source",
+                                      "per-point-ends", "prey-1d",
+                                      "prey-2d-source"])
+    def test_backward_transport(self, case):
+        x = np.linspace(-1.5, 2.5, 41)
+        t_lo, w = 0.2, None
+        if case.startswith("smooth"):
+            coef = smooth_coefficients()
+            coef = with_source(coef) if case == "smooth-source" else coef
+        elif case == "per-point-ends":
+            coef = with_source(smooth_coefficients())
+            t_lo = np.linspace(0.0, 0.9, x.size)
+        else:
+            dim = 2 if case == "prey-2d-source" else 1
+            coef, u0 = pursuit_prey(dim)
+            coef = with_source(coef) if dim == 2 else coef
+            x = u0.centers()[::7]
+            w = np.array([0.15, -0.1][:dim])
+        got = backward_transport(coef, w, 1.0, t_lo, x, 9, (0.1,))
+        want = frozen_callable_transport(coef, w, 1.0, t_lo, x, 9)
+        assert self.same(got, want)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("support", [True, False])
+    def test_renewal_solve(self, dim, support):
+        coef, u0 = pursuit_prey(dim)
+        coef = coef if support else dataclasses.replace(coef, support=None)
+        u0 = u0.with_values(np.where(u0.values == 0.0, -0.0, u0.values))
+        p = np.array([0.15, 0.05][:dim])
+        got = renewal_solve(coef, u0, p, 0.0, 0.3, n_sub=5).values
+        want = frozen_renewal_solve(coef, u0, p, 0.0, 0.3, 5)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestNoSource:

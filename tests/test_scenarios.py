@@ -174,6 +174,30 @@ class TestPursuitRuns:
         one_step = 2 * min(rho_d.dx)
         assert gap <= 5 * one_step
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_restart_sizes_the_predator_from_its_density(self, dim):
+        # a restart from three times the configured mass gets a predator
+        # field whose sup and ball are sized from that mass
+        params = pursuit_params(dim=dim, feeding_rate=0.3, horizon=0.1,
+                                macro=0.1)
+        rho0 = params.initial_density()
+        heavy = rho0.with_values(3.0 * rho0.values)
+        base = predator_prey_fields(params).predator
+        scaled = predator_prey_fields(params, heavy).predator
+        assert scaled.sup == pytest.approx(3.0 * base.sup, rel=1e-8)
+        assert scaled.lip >= base.lip
+        same = predator_prey_fields(params, rho0).predator
+        assert (same.sup, same.lip) == (base.sup, base.lip)
+        p0 = np.asarray(params.predator_start, dtype=float)
+        ball = lambda sup: max(2.0 * (np.linalg.norm(p0) + 1.0),
+                               2.2 * sup * params.macro_step)
+        assert ball(scaled.sup) > ball(base.sup)
+        schedule = RefineSchedule(0, 0, math.inf)
+        restart = run_predator_prey(params, schedule, initial=(heavy, p0))
+        assert restart.meta["radius_p"] == ball(scaled.sup)
+        assert (run_predator_prey(params, schedule).meta["radius_p"]
+                == ball(base.sup))
+
     @pytest.mark.parametrize("config, name, value", [
         ("predator_prey_1d.json", "predator_start", (0.1, 0.2)),
         ("predator_prey_1d.json", "prey_center", (0.0, 1.0)),

@@ -126,7 +126,11 @@ class TestGridFunction:
                                -3.0e-7]), (-1.0,), (0.1,)),
         GridFunction(np.array([[0.0, -1e-310, 2.5], [-7.25, 1e-12, 3.0]]),
                      (-0.3, 1.0), (0.1, 1.0 / 3.0)),
-    ], ids=["1d", "2d"])
+        GridFunction(np.array([-0.0]), (0.5,), (0.25,)),
+        GridFunction(np.array([[1.5, -0.0, 2.0]]), (-0.3, 1.0), (0.1, 0.2)),
+        GridFunction(np.array([[1.5], [-0.0], [2.0]]), (-0.3, 1.0),
+                     (0.1, 0.2)),
+    ], ids=["1d", "2d", "1d-one-cell", "2d-one-row", "2d-one-column"])
     def test_csv_bytes_match_csv_writer(self, tmp_path, g):
         ref = tmp_path / "ref.csv"
         with open(ref, "w", newline="") as fh:
@@ -153,6 +157,24 @@ def masked_zero_lookup(u, points):
     inside = (idx >= 0) & (idx < u.values.shape[0])
     out = np.zeros(pts.shape[0])
     out[inside] = u.values[idx[inside]]
+    return out
+
+
+def frozen_lookup_2d(u, points, outside):
+    """The 2D lookup before the padded gather: indices in one ``(m, 2)``
+    array, and a mask of the points on the grid for the zero extension."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    ij = np.empty((pts.shape[0], 2), dtype=np.int64)
+    for a in range(2):
+        ij[:, a] = np.floor((pts[:, a] - u.origin[a]) / u.dx[a])
+    if outside == "clamp":
+        i = np.minimum(np.maximum(ij[:, 0], 0), u.values.shape[0] - 1)
+        j = np.minimum(np.maximum(ij[:, 1], 0), u.values.shape[1] - 1)
+        return u.values[i, j]
+    inside = ((ij[:, 0] >= 0) & (ij[:, 0] < u.values.shape[0])
+              & (ij[:, 1] >= 0) & (ij[:, 1] < u.values.shape[1]))
+    out = np.zeros(pts.shape[0])
+    out[inside] = u.values[ij[inside, 0], ij[inside, 1]]
     return out
 
 
@@ -190,6 +212,31 @@ class TestGridFastPaths:
             want = masked_zero_lookup(u, pts)
         assert same_bits(got, want)
         assert same_bits(got[-64 - 5:-64], [0.0, 0.0, 0.0, -2.0, -2.0])
+
+    @pytest.mark.parametrize("outside", ["zero", "clamp"])
+    @pytest.mark.parametrize("shape", [(4, 3), (1, 1), (1, 5), (6, 1)])
+    def test_2d_lookup_matches_the_frozen_copy(self, outside, shape):
+        rng = np.random.default_rng(7)
+        vals = rng.uniform(-2.0, 2.0, shape)
+        vals[0, 0], vals[-1, -1] = -0.0, 0.0
+        u = GridFunction(vals, (-0.5, 0.25), (0.25, 0.5))
+        edges = [u.origin[a] + u.dx[a] * np.arange(shape[a] + 1)
+                 for a in range(2)]
+        e0, e1 = np.meshgrid(np.concatenate([edges[0], edges[0] - 1e-15]),
+                             np.concatenate([edges[1], edges[1] + 1e-15]),
+                             indexing="ij")
+        special = [-np.inf, np.inf, np.nan, -0.0, 1e300, -1e300, -5.0, 9.0]
+        s0, s1 = np.meshgrid(special, special + [0.3], indexing="ij")
+        pts = np.concatenate([
+            np.column_stack([e0.ravel(), e1.ravel()]),  # on the cell edges
+            np.column_stack([s0.ravel(), s1.ravel()]),  # off grid and NaN
+            rng.uniform(-1.0, 3.5, (64, 2))])
+        with np.errstate(invalid="ignore"):
+            got = u.lookup(pts, outside=outside)
+            want = frozen_lookup_2d(u, pts, outside)
+        assert same_bits(got, want)
+        assert same_bits(u.lookup(pts[:0], outside=outside),
+                         frozen_lookup_2d(u, pts[:0], outside))
 
     def test_zero_lookup_of_a_single_cell(self):
         u = GridFunction(np.array([3.0]), (0.0,), (1.0,))
