@@ -93,10 +93,10 @@ def _epidemic_ode_field(params: EpidemicParams, ball_radius: float,
     # the frozen cohort of one solve is handed to every RK4 stage
     @_memo_last
     def exposure(cohort: GridFunction) -> float:
-        return float(np.sum(rho_v.values * cohort.values) * cell)
+        return float((rho_v.values * cohort.values).sum() * cell)
 
     def f(t, u, cohort: GridFunction):
-        s, i = float(u[0]), float(u[1])
+        s, i = u.tolist()
         ds = -rho_s * s * i - float(rate_fn(t))
         di = (rho_s * s + exposure(cohort) - theta - mu) * i
         return np.array([ds, di])
@@ -116,10 +116,10 @@ def _epidemic_ibvp(params: EpidemicParams, i_bound: float
     rho_v = params.vaccinated_infectivity
     # a constant-speed solve hands in the same cached midpoints for every
     # step of one length
-    rho_v_at = _memo_last(lambda x: rho_v.lookup(x, outside="clamp"))
+    minus_rho_v_at = _memo_last(lambda x: -rho_v.lookup(x, outside="clamp"))
 
     def growth(t, x, w):
-        return -rho_v_at(np.asarray(x, dtype=float)) \
+        return minus_rho_v_at(np.asarray(x, dtype=float)) \
             * float(np.asarray(w, dtype=float).reshape(-1)[1])
 
     p = params.vaccination_rate

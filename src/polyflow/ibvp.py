@@ -28,8 +28,8 @@ from .errors import (InadmissibleHorizon, NoCrossing,
 from .metric import GridFunctionSpace, Process, ProcessConstants
 from .ode import _rk4
 from .renewal import (RenewalCoefficients, _integrate_stacked,
-                      _substep_midpoints, _substep_times, backward_transport,
-                      characteristic)
+                      _stacked_rates, _substep_midpoints, _substep_times,
+                      backward_transport, characteristic)
 from .spaces import BvTimeSeries, GridFunction
 
 
@@ -62,7 +62,9 @@ def boundary_crossing_time(velocity, t: float, x, t0: float,
     happens before ``t0`` beyond a small consistency tolerance, which means
     the caller should have used the interior branch.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim == 0:
+        xs = xs.reshape(1)
     if callable(velocity):
         tau = np.full(xs.shape, float(t))
         h = -xs / n_sub
@@ -76,7 +78,7 @@ def boundary_crossing_time(velocity, t: float, x, t0: float,
     else:
         tau = t - xs / velocity
     tol = 1e-9 * max(1.0, t - t0)
-    if np.any(tau < t0 - tol):
+    if (tau < t0 - tol).any():
         raise NoCrossing("backward characteristic exits through the initial "
                          "time; use the interior branch")
     return np.minimum(np.maximum(tau, t0), t)
@@ -96,10 +98,12 @@ def ibvp_solve(coef: RenewalCoefficients, inflow: InflowBoundary,
     speed makes one pass of the renewal transport kernel over all cells.
     A constant speed takes the split, the substep midpoints and the
     interior feet from a cache keyed by the step length (see
-    ``_constant_speed_geometry``), and per solve computes only the crossing
-    times, the substep times, one growth call (plus one source call) and
-    the seeds.  Either way the interior cells reproduce the free problem
-    bit for bit.
+    ``_constant_speed_geometry``).  Per solve it computes the crossing
+    times, substep lengths and substep times of the inflow cells only, one
+    substep time per substep for all interior cells, one growth call (plus
+    one source call) on the cached midpoints, the growth factors and the
+    seeds.  Either way the interior cells reproduce the free problem bit
+    for bit.
 
     With ``outflow_edge`` the grid's right edge is a true model boundary
     with free outflow (mass crossing it is meant to leave), so no clearance
@@ -133,32 +137,62 @@ def ibvp_solve(coef: RenewalCoefficients, inflow: InflowBoundary,
 
     sigma = float(characteristic(coef.velocity, t0, np.array([0.0]), t, w,
                                  n_sub=n_sub)[0])
+    if not callable(coef.velocity):
+        return _constant_speed_solve(coef, inflow, u0, w, t0, t, n_sub, sigma)
     centers = u0.centers()
-    n = centers.shape[0]
-    if callable(coef.velocity):
-        # the centres ascend, so the cells left of sigma are a prefix
-        n_bdy = int(np.count_nonzero(centers < sigma))
-    else:
-        geometry = _constant_speed_geometry(coef.velocity, t - t0, n_sub,
-                                            sigma, n, u0.origin[0],
-                                            u0.dx[0])
-        n_bdy = geometry.n_bdy
-    t_lo = np.full(n, float(t0))
+    # the centres ascend, so the cells left of sigma are a prefix
+    n_bdy = int(np.count_nonzero(centers < sigma))
+    t_lo = np.full(centers.shape[0], float(t0))
     t_lo[:n_bdy] = boundary_crossing_time(coef.velocity, t, centers[:n_bdy],
                                           t0, n_sub=n_sub)
-    if callable(coef.velocity):
-        foot, factor, src = backward_transport(coef, w, t, t_lo, centers,
-                                               n_sub, u0.dx)
-        seed = u0.lookup(foot, outside="zero")
-    else:
-        ds = (t - t_lo) / n_sub
-        factor, src = _integrate_stacked(coef, w, _substep_times(t, ds, n_sub),
-                                         geometry.mids, ds)
-        padded = np.zeros(n + 2)
-        padded[1:-1] = u0.values
-        seed = padded[geometry.feet]
+    foot, factor, src = backward_transport(coef, w, t, t_lo, centers, n_sub,
+                                           u0.dx)
+    seed = u0.lookup(foot, outside="zero")
     seed[:n_bdy] = inflow.series(t_lo[:n_bdy])
     return u0.with_values(seed * factor + src)
+
+
+def _constant_speed_solve(coef: RenewalCoefficients, inflow: InflowBoundary,
+                          u0: GridFunction, w, t0: float, t: float,
+                          n_sub: int, sigma: float) -> GridFunction:
+    """``ibvp_solve`` for a constant speed, with the bytes of one transport
+    pass with per-cell end times.
+
+    Only the ``n_bdy`` inflow cells have their own crossing times, substep
+    lengths and substep times; every interior cell steps back to ``t0`` by
+    the one step ``(t - t0) / n_sub``, so its substep times are one number
+    per substep.
+    """
+    n = u0.values.shape[0]
+    geometry = _constant_speed_geometry(coef.velocity, t - t0, n_sub, sigma,
+                                        n, u0.origin[0], u0.dx[0])
+    n_bdy = geometry.n_bdy
+    tau = boundary_crossing_time(coef.velocity, t, u0.centers()[:n_bdy], t0,
+                                 n_sub=n_sub)
+    ds_bdy = (t - tau) / n_sub
+    ds = (t - t0) / n_sub
+    times = np.empty((n_sub, n))
+    times[:, :n_bdy] = _substep_times(t, ds_bdy, n_sub)
+    for j in range(n_sub):
+        # _substep_times in Python floats
+        times[j, n_bdy:] = (t - j * ds) + ds * -0.5
+    growth, q = _stacked_rates(coef, w, times, geometry.mids)
+    contrib = growth * ds
+    # the inflow cells take their own substep lengths
+    np.multiply(growth[:, :n_bdy], ds_bdy, out=contrib[:, :n_bdy])
+    if q is not None:
+        # the source integral reads each cell's substep length
+        ds = np.full(n, ds)
+        ds[:n_bdy] = ds_bdy
+    factor, src = _integrate_stacked(contrib, q, ds)
+    vals = u0.values[geometry.feet]
+    if geometry.off_grid.size:
+        vals[geometry.off_grid] = 0.0
+    vals[:n_bdy] = inflow.series(tau)
+    # seed * factor + src, where no source adds an explicit 0.0
+    vals *= factor
+    vals += 0.0 if src is None else src
+    return u0.with_values(vals)
 
 
 class _Geometry(NamedTuple):
@@ -166,11 +200,14 @@ class _Geometry(NamedTuple):
 
     n_bdy: int           # cells left of the origin characteristic
     mids: np.ndarray     # flat (n_sub * n,) substep midpoints
-    feet: np.ndarray     # padded lookup index of each foot (0 when inflow)
+    feet: np.ndarray     # cell of each foot (0 when inflow or off the grid)
+    off_grid: np.ndarray  # the interior cells whose foot is off the grid
 
 
 # numbers ``n * (n_sub + 1)`` above which a geometry is built afresh instead
 # of cached, so the 16 entries hold at most 16 * 8 * 2**14 bytes (2 MiB)
+# besides ``off_grid``: only a cell centred on the origin characteristic can
+# have its foot round off the grid
 _GEOMETRY_CACHE_CELLS = 2 ** 14
 
 
@@ -201,13 +238,16 @@ def _build_geometry(speed: float, span: float, n_sub: int, sigma: float,
     mids[:, :n_bdy] = x_in - ((np.arange(n_sub) + 0.5) / n_sub)[:, None] * x_in
     mids[:, n_bdy:], foot = _substep_midpoints(centers[n_bdy:], span / n_sub,
                                                speed, n_sub)
-    # the index arithmetic of GridFunction.lookup(outside="zero")
+    # the index arithmetic of GridFunction.lookup(outside="zero"), whose
+    # feet off the grid read zero
     idx = np.floor((foot - origin) / dx).astype(np.int64)
+    off = (idx < 0) | (idx >= n)
     feet = np.zeros(n, dtype=np.int64)
-    feet[n_bdy:] = np.minimum(np.maximum(idx, -1), n) + 1
-    mids.flags.writeable = False
-    feet.flags.writeable = False
-    return _Geometry(n_bdy, mids.reshape(-1), feet)
+    feet[n_bdy:] = np.where(off, 0, idx)
+    off_grid = n_bdy + np.flatnonzero(off)
+    for arr in (mids, feet, off_grid):
+        arr.flags.writeable = False
+    return _Geometry(n_bdy, mids.reshape(-1), feet, off_grid)
 
 
 _cached_geometry = functools.lru_cache(maxsize=16)(_build_geometry)

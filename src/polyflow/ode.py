@@ -84,7 +84,7 @@ def _leaves_ball(u: np.ndarray, reach: float) -> bool:
     ``sqrt(v.dot(v))`` of the flattened state is what ``np.linalg.norm``
     computes, bit for bit.
     """
-    flat = u.ravel()
+    flat = u if u.ndim == 1 else u.ravel()
     return not math.sqrt(flat.dot(flat)) <= reach
 
 
@@ -113,7 +113,8 @@ def ode_solve(field: OdeField, t0: float, t: float, u0, w,
     if t == t0:
         return u
     h = (t - t0) / n_sub
-    rhs = lambda s, v: np.asarray(field.f(s, v, w), dtype=float)
+    f = field.f
+    rhs = lambda s, v: np.asarray(f(s, v, w), dtype=float)
     for k in range(n_sub):
         t_k = t0 + k * h
         u = _rk4(rhs, t_k, u, h, math.nextafter(t_k, math.inf))

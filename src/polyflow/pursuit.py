@@ -349,17 +349,17 @@ def run_predator_prey(params: PredatorPreyParams,
     refines each macro step.  Diagnostics add the predator's position
     (``p``, or ``px`` and ``py``), the density's mass and the predator's
     ball margin to the driver's norm, margin and gap columns.
-    ``initial`` overrides the configured initial pair (used for restarts),
-    and the predator field's certificate is then sized from its density.
+    ``initial`` overrides the configured initial pair (used for restarts).
+    The predator field's certificate is sized from the density the run
+    starts from, built once.
     """
-    fields = predator_prey_fields(params,
-                                  None if initial is None else initial[0])
     if initial is None:
         rho0 = params.initial_density()
         p0 = np.asarray(params.predator_start, dtype=float)
     else:
         rho0 = initial[0]
         p0 = np.asarray(initial[1], dtype=float)
+    fields = predator_prey_fields(params, rho0)
 
     macro = params.macro_step
     sup_p = fields.predator.sup

@@ -11,6 +11,7 @@ piecewise-constant lookup.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -148,11 +149,11 @@ def characteristic(velocity, t_bar: float, x_bar, t: float, w,
     Backward integration (``t < t_bar``) is supported; velocity stays
     bounded, so no domain bookkeeping is needed.
     """
+    if t != t_bar and not callable(velocity):
+        return np.asarray(x_bar, dtype=float) + (t - t_bar) * velocity
     x = np.asarray(x_bar, dtype=float).copy()
     if t == t_bar:
         return x
-    if not callable(velocity):
-        return x + (t - t_bar) * velocity
     h = (t - t_bar) / n_sub
     rhs = lambda s, y: np.asarray(velocity(s, y, w), dtype=float)
     s = t_bar
@@ -178,41 +179,60 @@ def _substep_midpoints(pts: np.ndarray, ds, speed: float, n_sub: int
     return mids, pts
 
 
+@functools.lru_cache(maxsize=64)
+def _step_indices(n_sub: int) -> np.ndarray:
+    """The substep indices ``0 .. n_sub - 1`` as a read-only float column."""
+    j = np.arange(n_sub, dtype=float).reshape(-1, 1)
+    j.flags.writeable = False
+    return j
+
+
 def _substep_times(t: float, ds, n_sub: int) -> np.ndarray:
     """Midpoint times of the ``n_sub`` backward steps of length ``ds`` from
     ``t``: shape ``(n_sub, 1)`` for a scalar ``ds``, else ``(n_sub, n)``."""
-    j = np.arange(n_sub, dtype=float).reshape(-1, 1)
-    return (t - j * ds) + 0.5 * (-ds)
+    # ds * -0.5 is 0.5 * (-ds) bit for bit
+    return (t - _step_indices(n_sub) * ds) + ds * -0.5
 
 
-def _integrate_stacked(coef: RenewalCoefficients, w, times: np.ndarray,
-                       mids: np.ndarray, ds) -> tuple[np.ndarray, np.ndarray]:
-    """Growth factors and source integrals along constant-speed feet.
+def _stacked_rates(coef: RenewalCoefficients, w, times: np.ndarray,
+                   mids: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The growth, and the source when there is one, each called once on a
+    stack of substep midpoints.
 
-    ``mids`` is the flat ``(n_sub * n,)`` stack of the substep midpoints
-    of ``n`` points, substep by substep, and ``times`` their midpoint
-    times, shaped ``(n_sub, n)``, or ``(n_sub, 1)`` when all points share
-    them.  The growth, and the source when there is one, are called once
-    on the whole stack; the exponent is then summed by the midpoint rule in
-    substep order, as ``backward_transport`` sums it step by step.  Returns
-    ``(growth_factor, source_integral)``.
+    ``mids`` is the flat ``(n_sub * n,)`` stack of the midpoints of ``n``
+    points, substep by substep, and ``times`` their ``(n_sub, n)`` times.
+    Returns both rates shaped ``(n_sub, n)``, the source ``None`` without
+    one.
     """
-    n_sub = times.shape[0]
-    n = mids.shape[0] // n_sub
-    s = (times.ravel() if times.shape[1] == n
-         else np.repeat(times.ravel(), n))
-    contrib = np.asarray(coef.growth(s, mids, w),
-                         dtype=float).reshape(n_sub, n) * ds
+    s = times.reshape(-1)
+    growth = np.asarray(coef.growth(s, mids, w),
+                        dtype=float).reshape(times.shape)
     q = (None if coef.source is None
          else np.asarray(coef.source(s, mids, w), dtype=float)
-         .reshape(n_sub, n))
+         .reshape(times.shape))
+    return growth, q
+
+
+def _integrate_stacked(contrib: np.ndarray, q: np.ndarray | None, ds
+                       ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Growth factors and source integrals along constant-speed feet.
+
+    ``contrib`` is the growth times the substep length and ``q`` the
+    source (or ``None``), both ``(n_sub, n)`` from ``_stacked_rates``;
+    ``ds``, the substep length (a scalar or one per point), is read only
+    with a source.  The exponent is summed by the midpoint rule in substep
+    order, as ``backward_transport`` sums it step by step.  Returns
+    ``(growth_factor, source_integral)``, the integral ``None`` without a
+    source.
+    """
+    n = contrib.shape[1]
     exponent = np.zeros(n)
-    source_acc = np.zeros(n)
-    for j in range(n_sub):
+    source_acc = None if q is None else np.zeros(n)
+    for j, row in enumerate(contrib):
         if q is not None:
-            factor_mid = np.exp(exponent + 0.5 * contrib[j])
+            factor_mid = np.exp(exponent + 0.5 * row)
             source_acc = source_acc + q[j] * factor_mid * ds
-        exponent = exponent + contrib[j]
+        exponent += row
     return np.exp(exponent), source_acc
 
 
@@ -244,9 +264,13 @@ def backward_transport(coef: RenewalCoefficients, w, t: float, t_lo,
     if not callable(coef.velocity):
         # the divergence is zero, and x - 0.0 is x bit for bit
         mids, pts = _substep_midpoints(pts, ds, coef.velocity, n_sub)
-        factor, source_acc = _integrate_stacked(
-            coef, w, _substep_times(t, ds, n_sub), mids.reshape(-1), ds)
-        return pts, factor, source_acc
+        times = _substep_times(t, ds, n_sub)
+        if scalar_lo:
+            times = np.repeat(times, pts.shape[0], axis=1)
+        growth, q = _stacked_rates(coef, w, times, mids.reshape(-1))
+        factor, source_acc = _integrate_stacked(growth * ds, q, ds)
+        return (pts, factor,
+                np.zeros(pts.shape[0]) if source_acc is None else source_acc)
     n_pts = pts.shape[0]
     exponent = np.zeros(n_pts)
     source_acc = np.zeros(n_pts)

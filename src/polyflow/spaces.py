@@ -10,6 +10,7 @@ also served from here, because ``perfbench/spans.py`` traces it here.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass, field
@@ -42,10 +43,8 @@ class GridFunction:
                                         repr=False, compare=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = _grid_values(self.values)
         object.__setattr__(self, "values", vals)
-        if vals.ndim not in (1, 2):
-            raise ValueError(f"grid dimension must be 1 or 2, got {vals.ndim}")
         origin, dx = self.origin, self.dx
         if not (type(origin) is tuple and type(dx) is tuple
                 and all(type(v) is float for v in origin + dx)):
@@ -57,8 +56,6 @@ class GridFunction:
             raise ValueError("origin/dx length must match dimension")
         if any(d <= 0 for d in dx):
             raise ValueError("dx must be positive")
-        if not np.isfinite(vals).all():
-            raise ValueError("grid values must be finite")
 
     # -- geometry -----------------------------------------------------------
 
@@ -93,9 +90,18 @@ class GridFunction:
                 and self.dx == other.dx)
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
-        out = GridFunction(values, self.origin, self.dx)
-        if out.values.shape == self.values.shape:
-            object.__setattr__(out, "_centers", self._centers)
+        """The grid function of ``values`` on this grid.
+
+        Values of this grid's shape inherit its validated origin, spacing
+        and centres; any other shape is validated as a new grid.
+        """
+        vals = np.asarray(values, dtype=float)
+        if vals.shape != self.values.shape:
+            return GridFunction(vals, self.origin, self.dx)
+        out = object.__new__(GridFunction)
+        # a frozen dataclass refuses setattr, not its instance dict
+        out.__dict__.update(values=_grid_values(vals), origin=self.origin,
+                            dx=self.dx, _centers=self._centers)
         return out
 
     # -- functionals ---------------------------------------------------------
@@ -221,6 +227,16 @@ class GridFunction:
                     map(operator.add, ys, map(repr, row))) + "\r\n")
 
 
+def _grid_values(values) -> np.ndarray:
+    """``values`` as a float array, checked to be 1D or 2D and finite."""
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim not in (1, 2):
+        raise ValueError(f"grid dimension must be 1 or 2, got {vals.ndim}")
+    if not np.isfinite(vals).all():
+        raise ValueError("grid values must be finite")
+    return vals
+
+
 def _require_same_grid(u: GridFunction, v: GridFunction) -> None:
     if not u.same_grid(v):
         raise GridMismatch(
@@ -263,6 +279,12 @@ class BvTimeSeries:
 
     times: np.ndarray
     vals: np.ndarray
+    # the samples as lists, for the scalar lookup: the times as Python
+    # floats, the values as the np.float64 items the array path returns
+    _time_list: list = field(default=None, init=False, repr=False,
+                             compare=False)
+    _val_list: list = field(default=None, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float).reshape(-1)
@@ -275,19 +297,28 @@ class BvTimeSeries:
             raise ValueError("sample times must be strictly increasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "vals", v)
+        object.__setattr__(self, "_time_list", t.tolist())
+        object.__setattr__(self, "_val_list", list(v))
 
     @staticmethod
     def constant(value: float, t0: float = 0.0) -> "BvTimeSeries":
         return BvTimeSeries(np.array([t0]), np.array([float(value)]))
 
     def __call__(self, t) -> np.ndarray:
+        """The value at ``t``: an ``np.float64`` for a float ``t``, else an
+        array shaped like ``t``.
+
+        A float is looked up by ``bisect`` in the cached sample lists, an
+        array by ``searchsorted``; both put NaN after every sample, so it
+        reads the last value.
+        """
         if isinstance(t, float):
-            # the array path's index for one time; like it, searchsorted
-            # places NaN after every sample
-            return self.vals[max(int(self.times.searchsorted(t)) - 1, 0)]
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.times, t, side="left") - 1
-        return self.vals[np.minimum(np.maximum(idx, 0), self.vals.size - 1)]
+            i = (bisect.bisect_left(self._time_list, t) if t == t
+                 else len(self._time_list))
+            return self._val_list[max(i - 1, 0)]
+        idx = self.times.searchsorted(np.asarray(t, dtype=float))
+        # idx - 1 lies in [-1, size - 1]
+        return self.vals[np.maximum(idx - 1, 0)]
 
     def tv(self, a: float = -math.inf, b: float = math.inf) -> float:
         """Total variation over [a, b]; a jump at sample time s counts iff

@@ -655,3 +655,206 @@ class TestNoSource:
         assert np.any(np.signbit(u0.values))
         assert same_bits(got.values, ref.values)
         assert not np.any(np.signbit(got.values))
+
+
+# --------------------------------------------------------------------------
+# The lean constant-speed path: per-cell work only on the inflow prefix
+# --------------------------------------------------------------------------
+
+def frozen_geometry_solve(coef, inflow, u0, w, t0, t, n_sub):
+    """The constant-speed ``ibvp_solve`` as it was with full-length end
+    times: every cell's crossing time, substep length and substep times,
+    and a zero-padded lookup, from a geometry built afresh.  Self-contained,
+    so it cannot follow a change of the library's helpers.  Returns the
+    values and the number of inflow cells."""
+    speed = coef.velocity
+    n = u0.values.shape[0]
+    origin, dx = u0.origin[0], u0.dx[0]
+    sigma = float((np.array([0.0]) + (t - t0) * speed)[0])
+    centers = origin + (np.arange(n) + 0.5) * dx
+    n_bdy = int(np.count_nonzero(centers < sigma))
+    mids = np.empty((n_sub, n))
+    x_in = centers[:n_bdy]
+    mids[:, :n_bdy] = (x_in - ((np.arange(n_sub) + 0.5) / n_sub)[:, None]
+                       * x_in)
+    pts, h = centers[n_bdy:], -((t - t0) / n_sub)
+    for j in range(n_sub):
+        nxt = pts + h * speed
+        mids[j, n_bdy:] = 0.5 * (pts + nxt)
+        pts = nxt
+    idx = np.floor((pts - origin) / dx).astype(np.int64)
+    feet = np.zeros(n, dtype=np.int64)
+    feet[n_bdy:] = np.minimum(np.maximum(idx, -1), n) + 1
+    t_lo = np.full(n, float(t0))
+    t_lo[:n_bdy] = np.minimum(np.maximum(t - centers[:n_bdy] / speed, t0), t)
+    ds = (t - t_lo) / n_sub
+    s = ((t - np.arange(n_sub, dtype=float).reshape(-1, 1) * ds)
+         + 0.5 * (-ds)).ravel()
+    mids = mids.reshape(-1)
+    contrib = np.asarray(coef.growth(s, mids, w),
+                         dtype=float).reshape(n_sub, n) * ds
+    q = (None if coef.source is None
+         else np.asarray(coef.source(s, mids, w), dtype=float)
+         .reshape(n_sub, n))
+    exponent = np.zeros(n)
+    source_acc = np.zeros(n)
+    for j in range(n_sub):
+        if q is not None:
+            factor_mid = np.exp(exponent + 0.5 * contrib[j])
+            source_acc = source_acc + q[j] * factor_mid * ds
+        exponent = exponent + contrib[j]
+    padded = np.zeros(n + 2)
+    padded[1:-1] = u0.values
+    seed = padded[feet]
+    seed[:n_bdy] = inflow.series(t_lo[:n_bdy])
+    return seed * np.exp(exponent) + source_acc, n_bdy
+
+
+def smooth_source_problem():
+    """A constant speed with a time-dependent growth and a source, on a
+    datum with signed zeros, fed by a jumping inflow."""
+    grid = GridFunction.uniform((0.0, 2.0), 800)
+    xs = grid.axis_centers(0)
+    coef = make_coef(
+        velocity=0.8,
+        growth=lambda t, x, w: 0.3 * np.cos(np.asarray(x)) - 0.2 * t,
+        source=lambda t, x, w: 0.1 * np.exp(-np.asarray(x)) * (1 + t),
+        v_sup=0.9, m_sup_tv=1.0, q_l1=0.2, q_sup_tv=0.4)
+    inflow = make_inflow(
+        BvTimeSeries(np.array([0.0, 0.3]), np.array([1.0, 0.4])),
+        speed_min=0.7, b_l1=1.0, b_sup_tv=1.6)
+    vals = np.clip(1 - np.abs(xs - 1.2) / 0.3, 0, None)
+    return coef, inflow, grid.with_values(np.where(vals == 0, -0.0, vals))
+
+
+def inflow_cells(coef, u0, t0, t, n_sub):
+    sigma = float(characteristic(coef.velocity, t0, np.array([0.0]), t,
+                                 None)[0])
+    return ibvp._constant_speed_geometry(coef.velocity, t - t0, n_sub, sigma,
+                                         u0.values.shape[0], u0.origin[0],
+                                         u0.dx[0]).n_bdy
+
+
+class TestLeanInflowPath:
+    """Crossing times, substep lengths and substep times are computed on
+    the inflow prefix only; every output byte is the full-length code's."""
+
+    @pytest.mark.parametrize("level", range(6))
+    @pytest.mark.parametrize("n_sub", [2, 3])
+    def test_epidemic_levels_bitexact(self, level, n_sub):
+        coef, inflow, u0 = epidemic_cohort()
+        w = np.array([0.65, 0.21])
+        for t0 in SWEEP_T0:
+            t = t0 + 0.02 / 2 ** level
+            got = ibvp_solve(coef, inflow, u0, w, t0, t, n_sub=n_sub,
+                             outflow_edge=True)
+            ref, n_bdy = frozen_geometry_solve(coef, inflow, u0, w, t0, t,
+                                               n_sub)
+            assert n_bdy == inflow_cells(coef, u0, t0, t, n_sub) > 0
+            assert same_bits(got.values, ref)
+
+    # steps of 0.25, 1, 32 and 1601 cells at unit speed on 1,600 cells
+    @pytest.mark.parametrize("cells, n_bdy", [(0.25, 0), (1, 1), (32, 32),
+                                              (1601, 1600)])
+    @pytest.mark.parametrize("with_source", [False, True])
+    def test_inflow_prefix_sizes(self, cells, n_bdy, with_source):
+        coef, inflow, u0 = epidemic_cohort()
+        if with_source:
+            coef = dataclasses.replace(
+                coef, source=lambda t, x, w: 0.05 * np.cos(x) * (1 + t))
+        w = np.array([0.65, 0.21])
+        t0 = 0.23
+        t = t0 + cells * u0.dx[0]
+        for n_sub in (2, 5):
+            assert inflow_cells(coef, u0, t0, t, n_sub) == n_bdy
+            got = ibvp_solve(coef, inflow, u0, w, t0, t, n_sub=n_sub,
+                             outflow_edge=True)
+            ref, _ = frozen_geometry_solve(coef, inflow, u0, w, t0, t, n_sub)
+            assert same_bits(got.values, ref)
+
+    @pytest.mark.parametrize("with_source", [False, True])
+    def test_time_dependent_rates_bitexact(self, with_source):
+        coef, inflow, u0 = smooth_source_problem()
+        if not with_source:
+            coef = dataclasses.replace(coef, source=None)
+        assert np.any(np.signbit(u0.values))
+        for t0, t, n_sub in ((0.0, 0.5, 8), (0.23, 0.23 + 0.005, 2),
+                             (0.1, 0.6, 16), (0.2, 0.2 + 1e-4, 3)):
+            got = ibvp_solve(coef, inflow, u0, None, t0, t, n_sub=n_sub)
+            ref, n_bdy = frozen_geometry_solve(coef, inflow, u0, None, t0, t,
+                                               n_sub)
+            assert same_bits(got.values, ref), (t0, t, n_bdy)
+
+    @pytest.mark.parametrize("t0", [0.0, 0.37])
+    def test_interior_foot_off_the_grid_reads_zero(self, t0):
+        # a cell centre on the origin characteristic is interior, and its
+        # foot may round to just left of the origin
+        grid = GridFunction.uniform((0.0, 1.0), 8)
+        u0 = grid.with_values(1.0 + grid.axis_centers(0))
+        coef = make_coef(velocity=1.0, source=None,
+                         growth=lambda t, x, w: -0.5 * np.cos(t + x))
+        inflow = make_inflow(BvTimeSeries.constant(0.25))
+        t = t0 + 2.5 * grid.dx[0]
+        sigma = float(characteristic(1.0, t0, np.array([0.0]), t, None)[0])
+        geometry = ibvp._constant_speed_geometry(1.0, t - t0, 3, sigma, 8,
+                                                 0.0, grid.dx[0])
+        assert geometry.off_grid.tolist() == [2]
+        got = ibvp_solve(coef, inflow, u0, None, t0, t, n_sub=3,
+                         outflow_edge=True)
+        ref, _ = frozen_geometry_solve(coef, inflow, u0, None, t0, t, 3)
+        assert same_bits(got.values, ref)
+        assert got.values[2] == 0.0
+
+    def test_no_step_returns_the_datum(self):
+        coef, inflow, u0 = epidemic_cohort()
+        assert ibvp_solve(coef, inflow, u0, np.array([0.6, 0.2]), 0.3, 0.3,
+                          n_sub=2, outflow_edge=True) is u0
+
+    def test_no_crossing_still_raised(self, monkeypatch):
+        # a geometry that claims cells right of the origin characteristic
+        # for the inflow: their crossings predate t0
+        coef, inflow, u0 = epidemic_cohort()
+        build = ibvp._constant_speed_geometry
+
+        def too_wide(*args):
+            return build(*args)._replace(n_bdy=u0.values.shape[0])
+
+        monkeypatch.setattr(ibvp, "_constant_speed_geometry", too_wide)
+        with pytest.raises(NoCrossing):
+            ibvp_solve(coef, inflow, u0, np.array([0.6, 0.2]), 0.1, 0.12,
+                       n_sub=2, outflow_edge=True)
+
+    def test_traced_calls_fire_once_per_solve(self, monkeypatch):
+        calls = []
+        for name in ("characteristic", "boundary_crossing_time"):
+            def counted(*args, _fn=getattr(ibvp, name), _name=name, **kw):
+                calls.append(_name)
+                return _fn(*args, **kw)
+            monkeypatch.setattr(ibvp, name, counted)
+        coef, inflow, u0 = epidemic_cohort()
+        for t in (0.1 + 1e-5, 0.101, 0.12):
+            ibvp_solve(coef, inflow, u0, np.array([0.6, 0.2]), 0.1, t,
+                       n_sub=2, outflow_edge=True)
+        assert sorted(calls) == ["boundary_crossing_time"] * 3 \
+            + ["characteristic"] * 3
+
+    def test_one_growth_call_on_the_cached_midpoints(self):
+        seen = []
+        coef, inflow, u0 = epidemic_cohort()
+        growth = coef.growth
+
+        def recorded(t, x, w):
+            seen.append(x)
+            return growth(t, x, w)
+
+        coef = dataclasses.replace(coef, growth=recorded)
+        w = np.array([0.65, 0.21])
+        for t0 in (0.0, 0.25, 0.0, 0.5):
+            t = t0 + 0.0125
+            ibvp_solve(coef, inflow, u0, w, t0, t, n_sub=2,
+                       outflow_edge=True)
+            geometry = ibvp._constant_speed_geometry(
+                1.0, t - t0, 2, t - t0, 1600, 0.0, u0.dx[0])
+            assert seen[-1] is geometry.mids
+        assert len(seen) == 4
+        assert seen[0] is seen[2]

@@ -175,6 +175,28 @@ class TestPursuitRuns:
         assert gap <= 5 * one_step
 
     @pytest.mark.parametrize("dim", [1, 2])
+    def test_configured_run_builds_its_density_once(self, dim,
+                                                    monkeypatch):
+        built = []
+        build = PredatorPreyParams.initial_density
+
+        def counted(params):
+            built.append(build(params))
+            return built[-1]
+
+        monkeypatch.setattr(PredatorPreyParams, "initial_density", counted)
+        params = pursuit_params(dim=dim, feeding_rate=0.3, horizon=0.1,
+                                macro=0.1)
+        traj = run_predator_prey(params, RefineSchedule(0, 0, math.inf))
+        assert len(built) == 1
+        assert traj.states[0][0] is built[0]
+        # the predator's certificate is the one sized from that density
+        fields = predator_prey_fields(params, built[0]).predator
+        assert traj.meta["radius_p"] == max(
+            2.0 * (np.linalg.norm(params.predator_start) + 1.0),
+            2.2 * fields.sup * params.macro_step)
+
+    @pytest.mark.parametrize("dim", [1, 2])
     def test_restart_sizes_the_predator_from_its_density(self, dim):
         # a restart from three times the configured mass gets a predator
         # field whose sup and ball are sized from that mass

@@ -128,3 +128,31 @@ def test_module_level_imports_pattern(tmp_path):
     assert {"claw", "suites", "pursuit", "epidemic", "ibvp"} \
         <= module_level_imports(path)
     assert not {"measures", "renewal"} & module_level_imports(path)
+
+
+# an assignment to ``k4``, the last stage of a classical RK4 step
+RK4_LAST_STAGE = re.compile(r"^[^#]*\bk4\s*=(?!=)")
+
+
+def test_one_rk4_stepper():
+    # ode._rk4 is the only RK4 body; every other integrator (characteristics,
+    # crossing times, the ODE process) calls it
+    sites = [(path.name, n)
+             for path in sorted(SRC.glob("*.py"))
+             for n, line in enumerate(path.read_text().splitlines(), 1)
+             if RK4_LAST_STAGE.match(line)]
+    tree = ast.parse((SRC / "ode.py").read_text())
+    rk4 = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_rk4")
+    assert len(sites) == 1, sites
+    name, line = sites[0]
+    assert name == "ode.py" and rk4.lineno <= line <= rk4.end_lineno
+
+
+def test_rk4_last_stage_pattern():
+    for line in ("    k4 = f(t + h, u + h * k3)", "k4=f(t, u)",
+                 "    a, k4 = 1, 2"):
+        assert RK4_LAST_STAGE.match(line), line
+    for line in ("# k4 = f(t + h, u)", "    if k4 == 0:", "    kk4 = 1",
+                 "    k45 = 2", "    x = k4"):
+        assert not RK4_LAST_STAGE.match(line), line

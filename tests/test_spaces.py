@@ -275,6 +275,41 @@ class TestGridFastPaths:
         with pytest.raises(ValueError, match="dimension"):
             u.with_values(vals)
 
+    @pytest.mark.parametrize("shape", [(5,), (3, 4)])
+    def test_with_values_inherits_the_checked_geometry(self, shape):
+        u = GridFunction(np.ones(shape), [np.float64(0.5), 1][:len(shape)],
+                         np.array([2, 0.25])[:len(shape)])
+        centres = u.centers()
+        out = u.with_values(np.arange(math.prod(shape)).reshape(shape))
+        # the origin and spacing objects are handed on, not renormalised
+        assert out.origin is u.origin and out.dx is u.dx
+        assert out.centers() is centres
+        assert same_bits(out.values, np.arange(math.prod(shape), dtype=float)
+                         .reshape(shape))
+        # without computed centres the derived grid computes its own
+        fresh = GridFunction(np.ones(shape), u.origin, u.dx)
+        derived = fresh.with_values(np.zeros(shape))
+        assert same_bits(derived.centers(), fresh_centers(fresh))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_with_values_of_the_same_2d_shape_rejects_non_finite(self, bad):
+        u = GridFunction(np.ones((3, 2)), (0.0, 1.0), (0.5, 0.5))
+        vals = np.ones((3, 2))
+        vals[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            u.with_values(vals)
+
+    def test_with_values_of_another_shape_is_fully_validated(self):
+        u = GridFunction(np.ones(4), (0.0,), (0.5,))
+        # a 2D array on a 1D geometry: origin and dx have one entry
+        with pytest.raises(ValueError, match="length"):
+            u.with_values(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            u.with_values(np.array([1.0, np.nan, 2.0]))
+        longer = u.with_values(np.ones(6))
+        assert (longer.origin, longer.dx) == ((0.0,), (0.5,))
+        assert same_bits(longer.values, np.ones(6))
+
     def test_geometry_normalised_when_not_plain_floats(self):
         u = GridFunction(np.ones(3), [np.float64(0.5)], np.array([2]))
         assert u.origin == (0.5,) and u.dx == (2.0,)
@@ -479,6 +514,25 @@ class TestBvTimeSeries:
             assert same_bits(got, b(np.array([t]))[0]), t
         assert float(b(math.nan)) == b.vals[-1]
         assert float(b(-math.inf)) == b.vals[0]
+
+    def test_scalar_path_matches_the_array_path_on_many_samples(self):
+        rng = np.random.default_rng(3)
+        times = np.cumsum(rng.uniform(0.01, 1.0, 40)) - 5.0
+        vals = rng.uniform(-2.0, 2.0, 40)
+        vals[::7] = -0.0
+        b = BvTimeSeries(times, vals)
+        queries = np.concatenate([
+            times, np.nextafter(times, -np.inf), np.nextafter(times, np.inf),
+            rng.uniform(times[0] - 1.0, times[-1] + 1.0, 200),
+            [-0.0, 0.0, -np.inf, np.inf, np.nan, -1e308, 1e308]])
+        want = b(queries)
+        for q, expect in zip(queries.tolist(), want):
+            got = b(q)
+            assert type(got) is np.float64
+            assert same_bits(got, expect), q
+        # a 0-d array and an integer take the array path
+        assert same_bits(b(np.array(times[3])), want[3])
+        assert same_bits(b(int(times[-1]) + 1), vals[-1])
 
 
 def loop_shifted_l1_difference(u, delta):
