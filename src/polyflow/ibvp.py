@@ -16,10 +16,8 @@ reaches the boundary.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +25,7 @@ from .errors import (InadmissibleHorizon, NoCrossing,
                      SupportClearanceViolated, UndefinedBoundaryDatum)
 from .metric import GridFunctionSpace, Process, ProcessConstants
 from .ode import _rk4
-from .renewal import (RenewalCoefficients, _integrate_stacked,
-                      _stacked_rates, _substep_midpoints, _substep_times,
+from .renewal import (RenewalCoefficients, _constant_speed_transport,
                       backward_transport, characteristic)
 from .spaces import BvTimeSeries, GridFunction
 
@@ -94,16 +91,11 @@ def ibvp_solve(coef: RenewalCoefficients, inflow: InflowBoundary,
     cells left of it.  Cells are classified by their centers; the
     straddling cell takes its center's branch (the exact solution may
     genuinely jump there).  A boundary cell is seeded by the inflow series
-    at its crossing time instead of the datum at its foot.  A callable
-    speed makes one pass of the renewal transport kernel over all cells.
-    A constant speed takes the split, the substep midpoints and the
-    interior feet from a cache keyed by the step length (see
-    ``_constant_speed_geometry``).  Per solve it computes the crossing
-    times, substep lengths and substep times of the inflow cells only, one
-    substep time per substep for all interior cells, one growth call (plus
-    one source call) on the cached midpoints, the growth factors and the
-    seeds.  Either way the interior cells reproduce the free problem bit
-    for bit.
+    at its crossing time instead of the datum at its foot.  All cells are
+    carried in one pass: by ``backward_transport`` for a callable speed,
+    by the renewal module's ``_constant_speed_transport``, with the inflow
+    cells as its prefix, for a constant one.  Either way the interior
+    cells reproduce the free problem bit for bit.
 
     With ``outflow_edge`` the grid's right edge is a true model boundary
     with free outflow (mass crossing it is meant to leave), so no clearance
@@ -137,120 +129,22 @@ def ibvp_solve(coef: RenewalCoefficients, inflow: InflowBoundary,
 
     sigma = float(characteristic(coef.velocity, t0, np.array([0.0]), t, w,
                                  n_sub=n_sub)[0])
-    if not callable(coef.velocity):
-        return _constant_speed_solve(coef, inflow, u0, w, t0, t, n_sub, sigma)
     centers = u0.centers()
     # the centres ascend, so the cells left of sigma are a prefix
-    n_bdy = int(np.count_nonzero(centers < sigma))
+    n_bdy = int(centers.searchsorted(sigma))
+    tau = boundary_crossing_time(coef.velocity, t, centers[:n_bdy], t0,
+                                 n_sub=n_sub)
+    seeds = inflow.series(tau)
+    if not callable(coef.velocity):
+        return _constant_speed_transport(coef, u0, w, t0, t, n_sub, tau,
+                                         seeds)
     t_lo = np.full(centers.shape[0], float(t0))
-    t_lo[:n_bdy] = boundary_crossing_time(coef.velocity, t, centers[:n_bdy],
-                                          t0, n_sub=n_sub)
+    t_lo[:n_bdy] = tau
     foot, factor, src = backward_transport(coef, w, t, t_lo, centers, n_sub,
                                            u0.dx)
     seed = u0.lookup(foot, outside="zero")
-    seed[:n_bdy] = inflow.series(t_lo[:n_bdy])
+    seed[:n_bdy] = seeds
     return u0.with_values(seed * factor + src)
-
-
-def _constant_speed_solve(coef: RenewalCoefficients, inflow: InflowBoundary,
-                          u0: GridFunction, w, t0: float, t: float,
-                          n_sub: int, sigma: float) -> GridFunction:
-    """``ibvp_solve`` for a constant speed, with the bytes of one transport
-    pass with per-cell end times.
-
-    Only the ``n_bdy`` inflow cells have their own crossing times, substep
-    lengths and substep times; every interior cell steps back to ``t0`` by
-    the one step ``(t - t0) / n_sub``, so its substep times are one number
-    per substep.
-    """
-    n = u0.values.shape[0]
-    geometry = _constant_speed_geometry(coef.velocity, t - t0, n_sub, sigma,
-                                        n, u0.origin[0], u0.dx[0])
-    n_bdy = geometry.n_bdy
-    tau = boundary_crossing_time(coef.velocity, t, u0.centers()[:n_bdy], t0,
-                                 n_sub=n_sub)
-    ds_bdy = (t - tau) / n_sub
-    ds = (t - t0) / n_sub
-    times = np.empty((n_sub, n))
-    times[:, :n_bdy] = _substep_times(t, ds_bdy, n_sub)
-    for j in range(n_sub):
-        # _substep_times in Python floats
-        times[j, n_bdy:] = (t - j * ds) + ds * -0.5
-    growth, q = _stacked_rates(coef, w, times, geometry.mids)
-    contrib = growth * ds
-    # the inflow cells take their own substep lengths
-    np.multiply(growth[:, :n_bdy], ds_bdy, out=contrib[:, :n_bdy])
-    if q is not None:
-        # the source integral reads each cell's substep length
-        ds = np.full(n, ds)
-        ds[:n_bdy] = ds_bdy
-    factor, src = _integrate_stacked(contrib, q, ds)
-    vals = u0.values[geometry.feet]
-    if geometry.off_grid.size:
-        vals[geometry.off_grid] = 0.0
-    vals[:n_bdy] = inflow.series(tau)
-    # seed * factor + src, where no source adds an explicit 0.0
-    vals *= factor
-    vals += 0.0 if src is None else src
-    return u0.with_values(vals)
-
-
-class _Geometry(NamedTuple):
-    """The state- and ``t``-free part of a constant-speed solve."""
-
-    n_bdy: int           # cells left of the origin characteristic
-    mids: np.ndarray     # flat (n_sub * n,) substep midpoints
-    feet: np.ndarray     # cell of each foot (0 when inflow or off the grid)
-    off_grid: np.ndarray  # the interior cells whose foot is off the grid
-
-
-# numbers ``n * (n_sub + 1)`` above which a geometry is built afresh instead
-# of cached, so the 16 entries hold at most 16 * 8 * 2**14 bytes (2 MiB)
-# besides ``off_grid``: only a cell centred on the origin characteristic can
-# have its foot round off the grid
-_GEOMETRY_CACHE_CELLS = 2 ** 14
-
-
-def _constant_speed_geometry(speed: float, span: float, n_sub: int,
-                             sigma: float, n: int, origin: float, dx: float
-                             ) -> _Geometry:
-    """What a constant-speed solve over ``span = t - t0`` reads that depends
-    neither on the state nor on ``t``, cached for small grids."""
-    if n * (n_sub + 1) > _GEOMETRY_CACHE_CELLS:
-        return _build_geometry(speed, span, n_sub, sigma, n, origin, dx)
-    return _cached_geometry(speed, span, n_sub, sigma, n, origin, dx)
-
-
-def _build_geometry(speed: float, span: float, n_sub: int, sigma: float,
-                    n: int, origin: float, dx: float) -> _Geometry:
-    """The split at ``sigma``, the substep midpoints and the interior feet.
-
-    Interior cells step back over ``span`` with ``backward_transport``'s
-    arithmetic, so their midpoints and feet are bit-identical to it.  An
-    inflow cell at ``x`` reaches the origin at its crossing time, and its
-    midpoints are the closed form ``x - x (j + 1/2) / n_sub`` rather than
-    steps of the per-solve ``(t - t_lo) / n_sub``: equal up to rounding.
-    """
-    centers = origin + (np.arange(n) + 0.5) * dx
-    n_bdy = int(np.count_nonzero(centers < sigma))
-    mids = np.empty((n_sub, n))
-    x_in = centers[:n_bdy]
-    mids[:, :n_bdy] = x_in - ((np.arange(n_sub) + 0.5) / n_sub)[:, None] * x_in
-    mids[:, n_bdy:], foot = _substep_midpoints(centers[n_bdy:], span / n_sub,
-                                               speed, n_sub)
-    # the index arithmetic of GridFunction.lookup(outside="zero"), whose
-    # feet off the grid read zero
-    idx = np.floor((foot - origin) / dx).astype(np.int64)
-    off = (idx < 0) | (idx >= n)
-    feet = np.zeros(n, dtype=np.int64)
-    feet[n_bdy:] = np.where(off, 0, idx)
-    off_grid = n_bdy + np.flatnonzero(off)
-    for arr in (mids, feet, off_grid):
-        arr.flags.writeable = False
-    return _Geometry(n_bdy, mids.reshape(-1), feet, off_grid)
-
-
-_cached_geometry = functools.lru_cache(maxsize=16)(_build_geometry)
 
 
 def _right_clearance(u: GridFunction) -> float:

@@ -70,7 +70,8 @@ class ProcessConstants:
 
     ``c_u`` bounds dependence on data (rate ``exp(c_u (t - t0))``), ``c_t``
     dependence on time, ``c_w`` dependence on the frozen parameter; all over
-    the horizon ``[0, horizon]``.
+    the horizon ``[0, horizon]``.  A modulus that is not finite raises
+    ``OverflowError``, a negative one ``ValueError``.
     """
 
     c_u: float
@@ -81,8 +82,12 @@ class ProcessConstants:
     def __post_init__(self):
         for name in ("c_u", "c_t", "c_w"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative")
+            if not math.isfinite(v):
+                # the moduli grow like exp(rate * horizon), so a float
+                # overflow is what makes one infinite or NaN
+                raise OverflowError(f"{name} is not finite: {v}")
+            if not v >= 0:
+                raise ValueError(f"{name} must be nonnegative")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError("horizon must be positive and finite")
 

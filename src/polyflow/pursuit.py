@@ -98,6 +98,8 @@ class PredatorPreyParams:
             raise ValueError("feeding_rate must be nonnegative")
         if not all(len(b) == 2 and b[1] > b[0] for b in self.box):
             raise ValueError("box entries must be [lo, hi] with hi > lo")
+        if not all(math.isfinite(hi - lo) for lo, hi in self.box):
+            raise ValueError("box spans hi - lo must be finite")
         if not all(n > 0 for n in self.cells):
             raise ValueError("cells entries must be positive")
         # each kernel's support, a ball of its radius, must fit the box

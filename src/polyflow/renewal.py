@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -163,114 +163,31 @@ def characteristic(velocity, t_bar: float, x_bar, t: float, w,
     return x
 
 
-def _substep_midpoints(pts: np.ndarray, ds, speed: float, n_sub: int
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoints ``(n_sub, n)`` and feet of ``n_sub`` backward translations.
-
-    Each step moves the points by ``-ds * speed`` (``ds`` a scalar or one
-    per point), in the arithmetic of ``backward_transport``'s stepping.
-    """
-    h = -ds
-    mids = np.empty((n_sub,) + pts.shape)
-    for j in range(n_sub):
-        nxt = pts + h * speed
-        mids[j] = 0.5 * (pts + nxt)
-        pts = nxt
-    return mids, pts
-
-
-@functools.lru_cache(maxsize=64)
-def _step_indices(n_sub: int) -> np.ndarray:
-    """The substep indices ``0 .. n_sub - 1`` as a read-only float column."""
-    j = np.arange(n_sub, dtype=float).reshape(-1, 1)
-    j.flags.writeable = False
-    return j
-
-
-def _substep_times(t: float, ds, n_sub: int) -> np.ndarray:
-    """Midpoint times of the ``n_sub`` backward steps of length ``ds`` from
-    ``t``: shape ``(n_sub, 1)`` for a scalar ``ds``, else ``(n_sub, n)``."""
-    # ds * -0.5 is 0.5 * (-ds) bit for bit
-    return (t - _step_indices(n_sub) * ds) + ds * -0.5
-
-
-def _stacked_rates(coef: RenewalCoefficients, w, times: np.ndarray,
-                   mids: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The growth, and the source when there is one, each called once on a
-    stack of substep midpoints.
-
-    ``mids`` is the flat ``(n_sub * n,)`` stack of the midpoints of ``n``
-    points, substep by substep, and ``times`` their ``(n_sub, n)`` times.
-    Returns both rates shaped ``(n_sub, n)``, the source ``None`` without
-    one.
-    """
-    s = times.reshape(-1)
-    growth = np.asarray(coef.growth(s, mids, w),
-                        dtype=float).reshape(times.shape)
-    q = (None if coef.source is None
-         else np.asarray(coef.source(s, mids, w), dtype=float)
-         .reshape(times.shape))
-    return growth, q
-
-
-def _integrate_stacked(contrib: np.ndarray, q: np.ndarray | None, ds
-                       ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Growth factors and source integrals along constant-speed feet.
-
-    ``contrib`` is the growth times the substep length and ``q`` the
-    source (or ``None``), both ``(n_sub, n)`` from ``_stacked_rates``;
-    ``ds``, the substep length (a scalar or one per point), is read only
-    with a source.  The exponent is summed by the midpoint rule in substep
-    order, as ``backward_transport`` sums it step by step.  Returns
-    ``(growth_factor, source_integral)``, the integral ``None`` without a
-    source.
-    """
-    n = contrib.shape[1]
-    exponent = np.zeros(n)
-    source_acc = None if q is None else np.zeros(n)
-    for j, row in enumerate(contrib):
-        if q is not None:
-            factor_mid = np.exp(exponent + 0.5 * row)
-            source_acc = source_acc + q[j] * factor_mid * ds
-        exponent += row
-    return np.exp(exponent), source_acc
-
-
 def backward_transport(coef: RenewalCoefficients, w, t: float, t_lo,
                        x: np.ndarray, n_sub: int, dx: tuple[float, ...]
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Feet, growth factors and source integrals of backward characteristics.
 
     Integrates from ``(t, x)`` down to ``t_lo`` (scalar, or per-point array
-    in 1D) in ``n_sub`` steps, accumulating by the midpoint rule the
-    exponent ``int (m - div v) ds`` and the source convolution
-    ``int q * exp(int_s^t (m - div v)) ds``.  Each foot step is RK4 for a
-    callable velocity and the exact translation for a constant one, whose
-    divergence is zero; a constant speed calls the growth (and source) once
-    on all substep midpoints.  ``dx``, the grid spacing, is not read.
-    ``x`` is read, never written, and not copied.
+    in 1D) in ``n_sub`` RK4 steps of the callable velocity, accumulating by
+    the midpoint rule the exponent ``int (m - div v) ds`` and the source
+    convolution ``int q * exp(int_s^t (m - div v)) ds``.  A constant
+    velocity is a ``ValueError``: ``renewal_solve`` and ``ibvp_solve``
+    carry it by ``_constant_speed_transport``.  ``dx``, the grid spacing,
+    is not read.  ``x`` is read, never written, and not copied.
 
     Returns ``(foot, growth, source_integral)``.
     """
+    if not callable(coef.velocity):
+        raise ValueError("a constant velocity is carried by renewal_solve "
+                         "or ibvp_solve, not backward_transport")
     pts = np.asarray(x, dtype=float)
     del x  # a temporary of the caller is freed once the first step is done
     scalar_lo = np.ndim(t_lo) == 0
     if pts.ndim == 2 and not scalar_lo:
         raise ValueError("per-point end times only supported in 1D")
-    if pts.ndim == 2 and not callable(coef.velocity):
-        raise ValueError("a constant velocity is only supported in 1D")
     lo = float(t_lo) if scalar_lo else np.asarray(t_lo, dtype=float)
     ds = (t - lo) / n_sub
-    if not callable(coef.velocity):
-        # the divergence is zero, and x - 0.0 is x bit for bit
-        mids, pts = _substep_midpoints(pts, ds, coef.velocity, n_sub)
-        times = _substep_times(t, ds, n_sub)
-        if scalar_lo:
-            times = np.repeat(times, pts.shape[0], axis=1)
-        growth, q = _stacked_rates(coef, w, times, mids.reshape(-1))
-        factor, source_acc = _integrate_stacked(growth * ds, q, ds)
-        return (pts, factor,
-                np.zeros(pts.shape[0]) if source_acc is None else source_acc)
     n_pts = pts.shape[0]
     exponent = np.zeros(n_pts)
     source_acc = np.zeros(n_pts)
@@ -297,6 +214,116 @@ def backward_transport(coef: RenewalCoefficients, w, t: float, t_lo,
     return pts, np.exp(exponent), source_acc
 
 
+class _Geometry(NamedTuple):
+    """The state- and ``t``-free part of a constant-speed transport."""
+
+    mids: np.ndarray      # flat (n_sub * n,) substep midpoints
+    feet: np.ndarray      # cell of each foot (0 in the prefix or off the grid)
+    off_grid: np.ndarray  # the cells past the prefix whose foot is off the grid
+
+
+# numbers ``n * (n_sub + 1)`` above which a geometry is built afresh instead
+# of cached, so the midpoints and feet of the 16 entries take at most
+# 16 * 8 * 2**14 bytes (2 MiB), and ``off_grid`` at most ``n`` more indices
+_GEOMETRY_CACHE_CELLS = 2 ** 14
+
+
+def _build_geometry(speed: float, span: float, n_sub: int, n_bdy: int,
+                    n: int, origin: float, dx: float) -> _Geometry:
+    """The substep midpoints and the feet of a constant-speed transport.
+
+    The cells past the first ``n_bdy`` step back over ``span`` by
+    ``n_sub`` translations ``x -> x - (span / n_sub) speed``.  A prefix
+    cell at ``x`` reaches the origin at its own end time, and its
+    midpoints are the closed form ``x - x (j + 1/2) / n_sub`` rather than
+    steps of its own substep length: equal up to rounding.
+    """
+    centers = origin + (np.arange(n) + 0.5) * dx
+    mids = np.empty((n_sub, n))
+    x_in = centers[:n_bdy]
+    mids[:, :n_bdy] = x_in - ((np.arange(n_sub) + 0.5) / n_sub)[:, None] * x_in
+    pts, h = centers[n_bdy:], -(span / n_sub)
+    for j in range(n_sub):
+        nxt = pts + h * speed
+        mids[j, n_bdy:] = 0.5 * (pts + nxt)
+        pts = nxt
+    # the index arithmetic of GridFunction.lookup(outside="zero"), whose
+    # feet off the grid read zero
+    idx = np.floor((pts - origin) / dx).astype(np.int64)
+    off = (idx < 0) | (idx >= n)
+    feet = np.zeros(n, dtype=np.int64)
+    feet[n_bdy:] = np.where(off, 0, idx)
+    off_grid = n_bdy + np.flatnonzero(off)
+    for arr in (mids, feet, off_grid):
+        arr.flags.writeable = False
+    return _Geometry(mids.reshape(-1), feet, off_grid)
+
+
+_cached_geometry = functools.lru_cache(maxsize=16)(_build_geometry)
+
+
+def _constant_speed_transport(coef: RenewalCoefficients, u0: GridFunction,
+                              w, t0: float, t: float, n_sub: int,
+                              t_lo: np.ndarray, seeds: np.ndarray
+                              ) -> GridFunction:
+    """``u0`` carried from ``t0`` to ``t`` at the constant speed
+    ``coef.velocity`` on a 1D grid.
+
+    Every cell steps back to ``t0`` in ``n_sub`` steps of ``(t - t0) /
+    n_sub``, except a prefix of ``len(t_lo)`` cells (empty for the free
+    problem), whose backward characteristics reach the origin at their own
+    end times ``t_lo`` and which start from ``seeds`` instead of the datum
+    at their feet: the inflow cells of ``ibvp_solve``.  The midpoints and
+    feet come from a geometry cached per step length while ``n (n_sub +
+    1)`` stays within ``_GEOMETRY_CACHE_CELLS``.  The growth, and the source when there is
+    one, is called once on all substep midpoints, and the exponent and the
+    source convolution are summed by the midpoint rule in substep order; a
+    foot off the grid reads zero.
+    """
+    n = u0.values.shape[0]
+    n_bdy = t_lo.shape[0]
+    key = (coef.velocity, t - t0, n_sub, n_bdy, n, u0.origin[0], u0.dx[0])
+    geometry = (_build_geometry(*key)
+                if n * (n_sub + 1) > _GEOMETRY_CACHE_CELLS
+                else _cached_geometry(*key))
+    ds = (t - t0) / n_sub
+    ds_bdy = (t - t_lo) / n_sub
+    times = np.empty((n_sub, n))
+    # ds * -0.5 is 0.5 * (-ds) bit for bit
+    times[:, :n_bdy] = ((t - np.arange(n_sub, dtype=float)[:, None] * ds_bdy)
+                        + ds_bdy * -0.5)
+    for j in range(n_sub):
+        # one time per substep past the prefix, in Python floats
+        times[j, n_bdy:] = (t - j * ds) + ds * -0.5
+    s = times.reshape(-1)
+    growth = np.asarray(coef.growth(s, geometry.mids, w),
+                        dtype=float).reshape(n_sub, n)
+    q = (None if coef.source is None
+         else np.asarray(coef.source(s, geometry.mids, w), dtype=float)
+         .reshape(n_sub, n))
+    contrib = growth * ds
+    np.multiply(growth[:, :n_bdy], ds_bdy, out=contrib[:, :n_bdy])
+    if q is not None:
+        # the source integral reads each cell's substep length
+        ds = np.full(n, ds)
+        ds[:n_bdy] = ds_bdy
+    exponent = np.zeros(n)
+    source_acc = None if q is None else np.zeros(n)
+    for j, row in enumerate(contrib):
+        if q is not None:
+            factor_mid = np.exp(exponent + 0.5 * row)
+            source_acc = source_acc + q[j] * factor_mid * ds
+        exponent += row
+    vals = u0.values[geometry.feet]
+    if geometry.off_grid.size:
+        vals[geometry.off_grid] = 0.0
+    vals[:n_bdy] = seeds
+    # seed * factor + src, where no source adds an explicit 0.0
+    vals *= np.exp(exponent)
+    vals += 0.0 if source_acc is None else source_acc
+    return u0.with_values(vals)
+
+
 def renewal_solve(coef: RenewalCoefficients, u0: GridFunction, w,
                   t0: float, t: float, n_sub: int = 10) -> GridFunction:
     """Advance the datum from ``t0`` to ``t`` with the parameter frozen.
@@ -306,6 +333,8 @@ def renewal_solve(coef: RenewalCoefficients, u0: GridFunction, w,
     ``coef.support``, only the cells inside its ball (widened by a relative
     ``_SUPPORT_MARGIN``) are transported; every other cell keeps
     ``u0 * 1.0 + 0.0``, which is what its standing characteristic gives.
+    A constant speed is carried by ``_constant_speed_transport`` and needs
+    a 1D grid.
     """
     if t < t0:
         raise ValueError("t must be >= t0")
@@ -316,6 +345,11 @@ def renewal_solve(coef: RenewalCoefficients, u0: GridFunction, w,
             f"required {needed:.3g}")
     if t == t0:
         return u0
+    if not callable(coef.velocity):
+        if u0.dim != 1:
+            raise ValueError("a constant velocity is only supported in 1D")
+        return _constant_speed_transport(coef, u0, w, t0, t, n_sub,
+                                         np.empty(0), np.empty(0))
     centers = u0.centers()
     if coef.support is None:
         vals = _carried(u0, *backward_transport(coef, w, t, t0, centers,

@@ -37,13 +37,16 @@ def _memo_last(fn: Callable) -> Callable:
 
     For values computed from frozen inputs that a solver hands in again and
     again: the parameter of one solve, the midpoint at which
-    ``backward_transport`` evaluates both growth and divergence, or the
-    cached midpoints of every constant-speed ``ibvp_solve`` of one step
-    length.  The memo holds the previous arguments, so their ids cannot be
-    reused, and it keeps them and the result alive until the next miss.
-    So it must never be keyed on a grid function: it would keep the last
-    density, its cached centres and the result alive (about 1 MB for a
-    200x200 density with its centres), and raise the peak memory.
+    ``backward_transport`` evaluates both growth and divergence, the
+    cached midpoints of every constant-speed transport of one step length
+    (``renewal._constant_speed_transport``, which ``ibvp_solve`` runs), or
+    the cohort that one ODE solve hands to every RK4 stage.  The memo holds
+    the previous arguments, so their ids cannot be reused, and it keeps
+    them and the result alive until the next miss.  So it must not be
+    keyed on a large grid function such as the 200x200 prey density: it
+    would keep the last density, its cached centres and the result alive
+    (about 1 MB with its centres) and raise the peak memory.  The
+    epidemic's 1,600-cell cohort holds about 13 KB.
     """
     last_args, last = (), None
 
@@ -112,7 +115,9 @@ def _run_coupled(build: Callable[[float], tuple[Process, Process]], state,
     than the crossing time ``dx / speed`` of the field's grid make the cell
     lookup quantize the transport away, so ``j_max`` is clamped to the
     deepest level whose step still crosses a cell (no clamp when ``speed``
-    is 0), and ``j0`` to ``j_max``.
+    is 0), and ``j0`` to ``j_max``.  Moduli that overflow a float, and a
+    grid too fine for the cells one macro step crosses to be counted, are a
+    ``ConfigError``.
 
     Returns the fitted radius, the times, the states, the field's columns
     ``l1, linf, tv``, ``alpha*_margin`` (end-of-step bound minus norm) and
@@ -130,12 +135,26 @@ def _run_coupled(build: Callable[[float], tuple[Process, Process]], state,
         radius, end_bounds = math.nan, (math.nan,) * 3
         moduli_radius = 2.0 * max(*datum, 1.0)
         envelope = "inadmissible-at-macro-length"
-    proc_u, proc_w = build(moduli_radius)
+    try:
+        proc_u, proc_w = build(moduli_radius)
+    except OverflowError:
+        # from math.exp of an exponent such as rate * macro_step, or
+        # from ProcessConstants given a modulus that overflowed to inf
+        raise ConfigError(
+            f"the Lipschitz moduli of the coupled processes overflow over "
+            f"time.macro_step {macro:g}: a params rate or amplitude, or "
+            f"the step, is too large") from None
 
     j_max = schedule.j_max
     if speed > 0:
+        crossed = macro * speed / dx  # grid cells one macro step crosses
+        if not math.isfinite(crossed):
+            raise ConfigError(
+                f"time.macro_step {macro:g} crosses too many grid cells of "
+                f"width {dx:.3g} to count at speed {speed:.3g}: the params "
+                f"grid is too fine")
         j_max = min(j_max, max(0, int(math.floor(
-            math.log2(max(macro * speed / dx, 1.0)) + 1e-9))))
+            math.log2(max(crossed, 1.0)) + 1e-9))))
     j0 = min(schedule.j0, j_max)
     states, steps = [state], []
     for k in range(n_macro):

@@ -56,6 +56,8 @@ class GridFunction:
             raise ValueError("origin/dx length must match dimension")
         if any(d <= 0 for d in dx):
             raise ValueError("dx must be positive")
+        if not all(math.isfinite(v) for v in origin + dx):
+            raise ValueError("origin and dx must be finite")
 
     # -- geometry -----------------------------------------------------------
 

@@ -37,6 +37,20 @@ def base_config(**over):
     return cfg
 
 
+def run_edited(tmp_path, name, path, value) -> int:
+    """Exit code of ``run`` on the bundled config ``name`` with the entry
+    at ``path`` set to ``value``; the output goes to ``tmp_path / "out"``."""
+    cfg = json.loads((CONFIG_DIR / name).read_text())
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
+                 "--quiet"])
+
+
 class TestConfigValidation:
     def test_ok(self):
         validate_config(base_config())
@@ -548,17 +562,35 @@ class TestCli:
               for value in ("nan", "inf", "-inf")]])
     def test_config_mistake_exit_3(self, tmp_path, capsys, name, path,
                                    value, field):
-        cfg = json.loads((CONFIG_DIR / name).read_text())
-        node = cfg
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        code = main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
-                     "--quiet"])
-        assert code == 3
+        assert run_edited(tmp_path, name, path, value) == 3
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # finite numbers whose moduli, spans or cell counts overflow a float
+    @pytest.mark.parametrize("name, path, value, cause", [
+        ("predator_prey_1d.json", ("params", "feeding_rate"), 1e300,
+         "Lipschitz moduli of the coupled processes overflow"),
+        ("predator_prey_1d.json", ("params", "alpha"), 1e-300,
+         "Lipschitz moduli of the coupled processes overflow"),
+        ("predator_prey_1d.json", ("params", "prey_amp"), 1e300,
+         "Lipschitz moduli of the coupled processes overflow"),
+        # a modulus that overflows to inf without math.exp
+        ("predator_prey_1d.json", ("params", "feeding_rate"), 1e308,
+         "Lipschitz moduli of the coupled processes overflow"),
+        ("predator_prey_1d.json", ("time",),
+         {"horizon": 1e300, "macro_step": 1e300},
+         "overflow over time.macro_step 1e+300"),
+        ("predator_prey_1d.json", ("params", "box"), [[-1e308, 1e308]],
+         "field params.box spans hi - lo must be finite"),
+        ("epidemic.json", ("params", "immunization_lag"), 1e-320,
+         "crosses too many grid cells"),
+    ], ids=["feeding-rate", "alpha", "prey-amp", "feeding-rate-inf-modulus",
+            "horizon", "box", "lag"])
+    def test_finite_config_beyond_float_exit_3(self, tmp_path, capsys, name,
+                                               path, value, cause):
+        assert run_edited(tmp_path, name, path, value) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and cause in err, err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", ["3", "[1]", "null"])

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyflow import ibvp
+from polyflow import ibvp, renewal
 from polyflow.errors import (InadmissibleHorizon, NoCrossing,
                              SupportClearanceViolated,
                              UndefinedBoundaryDatum)
@@ -242,24 +242,28 @@ class TestIbvpSolve:
 
 
 def two_pass_values(coef, inflow, u0, w, t0, t, n_sub):
-    """The earlier assembly: one transport call per branch."""
+    """The earlier assembly: one transport call per branch, by
+    ``backward_transport`` for a callable speed and by the self-contained
+    ``frozen_constant_transport`` for a number."""
+
+    def transport(t_lo, x):
+        if callable(coef.velocity):
+            return backward_transport(coef, w, t, t_lo, x, n_sub, u0.dx)
+        return frozen_constant_transport(coef, w, t, t_lo, x, n_sub)
+
     sigma = float(characteristic(coef.velocity, t0, np.array([0.0]), t, w,
                                  n_sub=n_sub)[0])
     centers = u0.centers()
     interior = centers >= sigma
     vals = np.zeros(centers.shape[0])
     if np.any(interior):
-        foot, factor, src = backward_transport(coef, w, t, t0,
-                                               centers[interior], n_sub,
-                                               u0.dx)
+        foot, factor, src = transport(t0, centers[interior])
         vals[interior] = u0.lookup(foot, outside="zero") * factor + src
     boundary = ~interior
     if np.any(boundary):
         cross = boundary_crossing_time(coef.velocity, t, centers[boundary],
                                        t0, n_sub=n_sub)
-        _, factor_b, src_b = backward_transport(coef, w, t, cross,
-                                                centers[boundary], n_sub,
-                                                u0.dx)
+        _, factor_b, src_b = transport(cross, centers[boundary])
         vals[boundary] = inflow.series(cross) * factor_b + src_b
     return vals
 
@@ -442,8 +446,10 @@ class TestLipschitzConstants:
 # --------------------------------------------------------------------------
 
 def frozen_constant_transport(coef, w, t, t_lo, x, n_sub):
-    """``backward_transport``'s constant-speed branch as it was before the
-    stacked rate call: one growth and one source call per substep."""
+    """A constant-speed transport of points ``x`` from ``t`` down to
+    ``t_lo`` (a scalar or one per point), with one growth and one source
+    call per substep: the arithmetic of the library's constant-speed
+    kernel, self-contained so it cannot follow a change of it."""
     pts = np.asarray(x, dtype=float).copy()
     lo = float(t_lo) if np.ndim(t_lo) == 0 else np.asarray(t_lo, dtype=float)
     ds = (t - lo) / n_sub
@@ -507,10 +513,46 @@ def epidemic_cohort(cells=1600):
 SWEEP_T0 = (0.0, 0.02, 0.1, 0.23, 0.2375, 0.47)
 
 
+@pytest.fixture
+def prefix_lengths(monkeypatch):
+    """The lengths of the inflow prefixes ``ibvp_solve`` hands the
+    constant-speed kernel, one per solve."""
+    lengths = []
+    kernel = ibvp._constant_speed_transport
+
+    def recorded(coef, u0, w, t0, t, n_sub, t_lo, seeds):
+        lengths.append(len(t_lo))
+        return kernel(coef, u0, w, t0, t, n_sub, t_lo, seeds)
+
+    monkeypatch.setattr(ibvp, "_constant_speed_transport", recorded)
+    return lengths
+
+
+def frozen_free_values(coef, u0, w, t0, t, n_sub):
+    """``renewal_solve`` for a constant speed by the per-substep oracle."""
+    foot, factor, src = frozen_constant_transport(coef, w, t, t0,
+                                                  u0.centers(), n_sub)
+    return u0.lookup(foot, outside="zero") * factor + src
+
+
+def geometry(speed, u0, t0, t, n_sub, n_bdy):
+    """The cached geometry the constant-speed kernel reads for a step."""
+    return renewal._cached_geometry(speed, t - t0, n_sub, n_bdy,
+                                    u0.values.shape[0], u0.origin[0],
+                                    u0.dx[0])
+
+
+def split(coef, u0, t0, t):
+    """The number of cells left of the origin characteristic."""
+    sigma = float(characteristic(coef.velocity, t0, np.array([0.0]), t,
+                                 None)[0])
+    return int(np.count_nonzero(u0.centers() < sigma))
+
+
 class TestCachedGeometry:
-    """A constant speed reads its split, substep midpoints and interior
-    feet from a cache keyed by the step length, and calls the growth (and
-    the source) once per solve."""
+    """A constant speed reads its substep midpoints and feet from a cache
+    keyed by the step length, and calls the growth (and the source) once
+    per solve."""
 
     @pytest.mark.parametrize("level", range(6))
     @pytest.mark.parametrize("n_sub", [2, 5])
@@ -552,17 +594,47 @@ class TestCachedGeometry:
             assert np.all(np.abs(got.values[:n_bdy] - ref[:n_bdy])
                           <= 1e-14 * np.abs(ref[:n_bdy]))
 
-    @pytest.mark.parametrize("t_lo", [0.1, np.linspace(0.1, 0.6, 61)])
-    def test_transport_matches_per_substep_calls(self, t_lo):
+    @pytest.mark.parametrize("speed", [-2.0, -0.6, 1.0, 2.5])
+    @pytest.mark.parametrize("with_source", [False, True])
+    def test_renewal_matches_per_substep_calls(self, speed, with_source):
+        # speeds of either sign, some feet off the grid, signed zeros
+        grid = GridFunction.uniform((-2.0, 3.0), 100)
+        xs = grid.axis_centers(0)
+        vals = np.clip(1 - np.abs(xs - 0.5) / 0.3, 0, None)
+        u0 = grid.with_values(np.where(vals == 0, -0.0, vals))
         coef = make_coef(
-            velocity=-0.6,
+            velocity=speed, v_sup=abs(speed),
+            growth=lambda t, x, w: 0.3 * np.cos(x) - 0.1 * t,
+            source=(lambda t, x, w: 0.2 * np.exp(-x * x) * (1 + t))
+            if with_source else None)
+        for t0, t, n_sub in ((0.1, 0.9, 12), (0.23, 0.23 + 0.005, 2)):
+            got = renewal_solve(coef, u0, None, t0, t, n_sub=n_sub)
+            assert same_bits(got.values,
+                             frozen_free_values(coef, u0, None, t0, t, n_sub))
+        foot = xs - (0.9 - 0.1) * speed
+        assert np.any((foot < -2.0) | (foot >= 3.0))
+
+    def test_inflow_prefix_matches_per_substep_calls(self, prefix_lengths):
+        # the inflow cells end at their own crossing times
+        coef = make_coef(
+            velocity=0.6, v_sup=0.6,
             growth=lambda t, x, w: 0.3 * np.cos(x) - 0.1 * t,
             source=lambda t, x, w: 0.2 * np.exp(-x * x) * (1 + t))
-        x = np.linspace(-1.0, 2.0, 61)
-        got = backward_transport(coef, None, 1.0, t_lo, x, 12, (0.05,))
-        ref = frozen_constant_transport(coef, None, 1.0, t_lo, x, 12)
-        for a, b in zip(got, ref):
-            assert same_bits(a, b)
+        inflow = make_inflow(
+            BvTimeSeries(np.array([0.0, 0.3]), np.array([1.0, 0.4])),
+            speed_min=0.6)
+        grid = GridFunction.uniform((0.0, 2.0), 80)
+        xs = grid.axis_centers(0)
+        u0 = grid.with_values(np.clip(1 - np.abs(xs - 0.9) / 0.3, 0, None))
+        got = ibvp_solve(coef, inflow, u0, None, 0.1, 1.0, n_sub=12)
+        ref, n_bdy = frozen_one_pass(coef, inflow, u0, None, 0.1, 1.0, 12)
+        assert prefix_lengths == [n_bdy] and n_bdy > 1
+        assert same_bits(got.values[n_bdy:], ref[n_bdy:])
+        # the inflow cells' midpoints come from the cached closed form
+        assert np.all(np.abs(got.values[:n_bdy] - ref[:n_bdy])
+                      <= 1e-14 * np.abs(ref[:n_bdy]))
+        ref, _ = frozen_geometry_solve(coef, inflow, u0, None, 0.1, 1.0, 12)
+        assert same_bits(got.values, ref)
 
     def test_one_rate_call_per_solve(self, grid):
         calls = {"growth": 0, "source": 0}
@@ -580,11 +652,14 @@ class TestCachedGeometry:
         inflow = make_inflow(BvTimeSeries.constant(0.5))
         ibvp_solve(coef, inflow, grid, None, 0.0, 0.3, n_sub=12)
         assert calls == {"growth": 1, "source": 1}
-        backward_transport(coef, None, 0.3, 0.0, grid.centers(), 12, grid.dx)
+        renewal_solve(coef, grid, None, 0.0, 0.3, n_sub=12)
         assert calls == {"growth": 2, "source": 2}
         ibvp_solve(dataclasses.replace(coef, source=None), inflow, grid,
                    None, 0.0, 0.3, n_sub=12)
         assert calls == {"growth": 3, "source": 2}
+        renewal_solve(dataclasses.replace(coef, source=None), grid, None,
+                      0.0, 0.3, n_sub=12)
+        assert calls == {"growth": 4, "source": 2}
 
     def test_epidemic_looks_up_once_per_step_length(self, tmp_path,
                                                     monkeypatch):
@@ -615,25 +690,35 @@ class TestCachedGeometry:
                    for i in lookups[1:])
 
     def test_cache_bounded_and_read_only(self, grid):
-        assert ibvp._cached_geometry.cache_info().maxsize == 16
-        assert ibvp._GEOMETRY_CACHE_CELLS * 8 * 16 <= 2 ** 21
+        cache = renewal._cached_geometry
+        assert cache.cache_info().maxsize == 16
+        assert renewal._GEOMETRY_CACHE_CELLS * 8 * 16 <= 2 ** 21
         coef = make_coef(velocity=1.0)
-        ibvp_solve(coef, make_inflow(), grid, None, 0.1, 0.4, n_sub=2)
-        n = grid.values.shape[0]
-        sigma = float(characteristic(1.0, 0.1, np.array([0.0]), 0.4, None)[0])
-        before = ibvp._cached_geometry.cache_info()
-        geometry = ibvp._constant_speed_geometry(
-            1.0, 0.4 - 0.1, 2, sigma, n, grid.origin[0], grid.dx[0])
-        assert ibvp._cached_geometry.cache_info().hits == before.hits + 1
-        for arr in (geometry.mids, geometry.feet):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 0
+        for solve in (lambda: ibvp_solve(coef, make_inflow(), grid, None,
+                                         0.1, 0.4, n_sub=2),
+                      lambda: renewal_solve(coef, grid, None, 0.1, 0.4,
+                                            n_sub=2)):
+            solve()
+            before = cache.cache_info()
+            solve()
+            assert cache.cache_info().hits == before.hits + 1
+        n_bdy = split(coef, grid, 0.1, 0.4)
+        assert n_bdy > 0
+        for prefix in (n_bdy, 0):
+            before = cache.cache_info()
+            cached = geometry(1.0, grid, 0.1, 0.4, 2, prefix)
+            assert cache.cache_info().hits == before.hits + 1
+            for arr in (cached.mids, cached.feet):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0
         # a large grid is built afresh, not held
-        big = 1 + ibvp._GEOMETRY_CACHE_CELLS // 3
-        ibvp._constant_speed_geometry(1.0, 0.3, 2, 0.3, big, 0.0, 1.0 / big)
-        assert ibvp._cached_geometry.cache_info().currsize \
-            == before.currsize
+        big = GridFunction.uniform((0.0, 1.0),
+                                   1 + renewal._GEOMETRY_CACHE_CELLS // 3)
+        before = cache.cache_info()
+        ibvp_solve(coef, make_inflow(), big, None, 0.1, 0.4, n_sub=2)
+        renewal_solve(coef, big, None, 0.1, 0.4, n_sub=2)
+        assert cache.cache_info().currsize == before.currsize
 
 
 class TestNoSource:
@@ -727,21 +812,13 @@ def smooth_source_problem():
     return coef, inflow, grid.with_values(np.where(vals == 0, -0.0, vals))
 
 
-def inflow_cells(coef, u0, t0, t, n_sub):
-    sigma = float(characteristic(coef.velocity, t0, np.array([0.0]), t,
-                                 None)[0])
-    return ibvp._constant_speed_geometry(coef.velocity, t - t0, n_sub, sigma,
-                                         u0.values.shape[0], u0.origin[0],
-                                         u0.dx[0]).n_bdy
-
-
 class TestLeanInflowPath:
     """Crossing times, substep lengths and substep times are computed on
     the inflow prefix only; every output byte is the full-length code's."""
 
     @pytest.mark.parametrize("level", range(6))
     @pytest.mark.parametrize("n_sub", [2, 3])
-    def test_epidemic_levels_bitexact(self, level, n_sub):
+    def test_epidemic_levels_bitexact(self, level, n_sub, prefix_lengths):
         coef, inflow, u0 = epidemic_cohort()
         w = np.array([0.65, 0.21])
         for t0 in SWEEP_T0:
@@ -750,14 +827,15 @@ class TestLeanInflowPath:
                              outflow_edge=True)
             ref, n_bdy = frozen_geometry_solve(coef, inflow, u0, w, t0, t,
                                                n_sub)
-            assert n_bdy == inflow_cells(coef, u0, t0, t, n_sub) > 0
+            assert n_bdy == prefix_lengths[-1] > 0
             assert same_bits(got.values, ref)
 
     # steps of 0.25, 1, 32 and 1601 cells at unit speed on 1,600 cells
     @pytest.mark.parametrize("cells, n_bdy", [(0.25, 0), (1, 1), (32, 32),
                                               (1601, 1600)])
     @pytest.mark.parametrize("with_source", [False, True])
-    def test_inflow_prefix_sizes(self, cells, n_bdy, with_source):
+    def test_inflow_prefix_sizes(self, cells, n_bdy, with_source,
+                                 prefix_lengths):
         coef, inflow, u0 = epidemic_cohort()
         if with_source:
             coef = dataclasses.replace(
@@ -766,9 +844,9 @@ class TestLeanInflowPath:
         t0 = 0.23
         t = t0 + cells * u0.dx[0]
         for n_sub in (2, 5):
-            assert inflow_cells(coef, u0, t0, t, n_sub) == n_bdy
             got = ibvp_solve(coef, inflow, u0, w, t0, t, n_sub=n_sub,
                              outflow_edge=True)
+            assert prefix_lengths[-1] == n_bdy
             ref, _ = frozen_geometry_solve(coef, inflow, u0, w, t0, t, n_sub)
             assert same_bits(got.values, ref)
 
@@ -795,12 +873,11 @@ class TestLeanInflowPath:
                          growth=lambda t, x, w: -0.5 * np.cos(t + x))
         inflow = make_inflow(BvTimeSeries.constant(0.25))
         t = t0 + 2.5 * grid.dx[0]
-        sigma = float(characteristic(1.0, t0, np.array([0.0]), t, None)[0])
-        geometry = ibvp._constant_speed_geometry(1.0, t - t0, 3, sigma, 8,
-                                                 0.0, grid.dx[0])
-        assert geometry.off_grid.tolist() == [2]
         got = ibvp_solve(coef, inflow, u0, None, t0, t, n_sub=3,
                          outflow_edge=True)
+        n_bdy = split(coef, u0, t0, t)
+        assert n_bdy == 2
+        assert geometry(1.0, u0, t0, t, 3, n_bdy).off_grid.tolist() == [2]
         ref, _ = frozen_geometry_solve(coef, inflow, u0, None, t0, t, 3)
         assert same_bits(got.values, ref)
         assert got.values[2] == 0.0
@@ -811,15 +888,14 @@ class TestLeanInflowPath:
                           n_sub=2, outflow_edge=True) is u0
 
     def test_no_crossing_still_raised(self, monkeypatch):
-        # a geometry that claims cells right of the origin characteristic
+        # a split that claims cells right of the origin characteristic
         # for the inflow: their crossings predate t0
         coef, inflow, u0 = epidemic_cohort()
-        build = ibvp._constant_speed_geometry
 
-        def too_wide(*args):
-            return build(*args)._replace(n_bdy=u0.values.shape[0])
+        def too_wide(*args, **kw):
+            return characteristic(*args, **kw) + 2.0
 
-        monkeypatch.setattr(ibvp, "_constant_speed_geometry", too_wide)
+        monkeypatch.setattr(ibvp, "characteristic", too_wide)
         with pytest.raises(NoCrossing):
             ibvp_solve(coef, inflow, u0, np.array([0.6, 0.2]), 0.1, 0.12,
                        n_sub=2, outflow_edge=True)
@@ -853,8 +929,7 @@ class TestLeanInflowPath:
             t = t0 + 0.0125
             ibvp_solve(coef, inflow, u0, w, t0, t, n_sub=2,
                        outflow_edge=True)
-            geometry = ibvp._constant_speed_geometry(
-                1.0, t - t0, 2, t - t0, 1600, 0.0, u0.dx[0])
-            assert seen[-1] is geometry.mids
+            cached = geometry(1.0, u0, t0, t, 2, split(coef, u0, t0, t))
+            assert seen[-1] is cached.mids
         assert len(seen) == 4
         assert seen[0] is seen[2]

@@ -213,6 +213,15 @@ class TestCouplingBounds:
         m = merge_constants(a, b)
         assert (m.c_u, m.c_t, m.c_w, m.horizon) == (2.0, 5.0, 3.0, 1.0)
 
+    @pytest.mark.parametrize("name", ["c_u", "c_t", "c_w"])
+    def test_moduli_overflow_or_negative_rejected(self, name):
+        finite = dict(c_u=1.0, c_t=1.0, c_w=1.0, horizon=1.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(OverflowError, match=f"{name} is not finite"):
+                ProcessConstants(**{**finite, name: bad})
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+            ProcessConstants(**{**finite, name: -1.0})
+
 
 class TestStabilityAndDomains:
     def test_polygonal_stability_linear(self):

@@ -6,13 +6,14 @@ import pytest
 
 from polyflow import renewal
 from polyflow.errors import InadmissibleHorizon, SupportClearanceViolated
+from polyflow.ibvp import InflowBoundary, ibvp_solve
 from polyflow.ode import _rk4
 from polyflow.renewal import (RenewalCoefficients, audit_coefficients,
                               backward_transport, characteristic,
                               ivp_domain_bounds, ivp_lipschitz_constants,
                               renewal_solve)
 from polyflow.pursuit import PredatorPreyParams, predator_prey_fields
-from polyflow.spaces import GridFunction, l1_distance
+from polyflow.spaces import BvTimeSeries, GridFunction, l1_distance
 
 
 def zeros(t, x, w):
@@ -78,21 +79,33 @@ class TestCharacteristic:
 
 
 class TestConstantVelocity:
-    def test_transport_matches_rk4(self):
+    def test_transport_matches_rk4(self, grid):
         growth = lambda t, x, w: 0.3 * np.cos(x) - 0.1 * t
         source = lambda t, x, w: 0.2 * np.exp(-x * x) * (1 + t)
-        x = np.linspace(-1.0, 2.0, 61)
-        t_lo = np.linspace(0.1, 0.6, 61)  # per-point end times as for ibvp
-        for lo in (0.1, t_lo):
-            exact = backward_transport(
-                coefficients(velocity=-0.6, growth=growth, source=source),
-                None, 1.0, lo, x, 12, (0.05,))
-            rk4 = backward_transport(
-                coefficients(velocity=still(-0.6), growth=growth,
-                             source=source, divergence=zeros),
-                None, 1.0, lo, x, 12, (0.05,))
-            for a, b in zip(exact, rk4):
-                assert np.max(np.abs(a - b)) <= 1e-13
+        xs = grid.axis_centers(0)
+        u0 = grid.with_values(np.clip(1 - np.abs(xs - 0.5) / 0.4, 0, None))
+        for speed in (-0.6, 0.6):
+            exact, rk4 = (
+                renewal_solve(coefficients(velocity=v, growth=growth,
+                                           source=source, v_sup=0.6,
+                                           divergence=div),
+                              u0, None, 0.1, 1.0, n_sub=12)
+                for v, div in ((speed, None), (still(speed), zeros)))
+            assert np.max(np.abs(exact.values - rk4.values)) <= 1e-13
+        # per-point end times, as the inflow cells of ibvp_solve take them
+        inflow = InflowBoundary(BvTimeSeries.constant(0.5), speed_min=0.6)
+        half_line = GridFunction.uniform((0.0, 3.0), 1200)
+        xs = half_line.axis_centers(0)
+        u0 = half_line.with_values(np.clip(1 - np.abs(xs - 1.5) / 0.4, 0,
+                                           None))
+        exact, rk4 = (
+            ibvp_solve(coefficients(velocity=v, growth=growth, source=source,
+                                    v_sup=0.6, divergence=div),
+                       inflow, u0, None, 0.1, 1.0, n_sub=12)
+            for v, div in ((0.6, None), (still(0.6), zeros)))
+        # the inflow cells left of 0.6 * 0.9 are filled
+        assert np.all(exact.values[xs < 0.5] > 0.4)
+        assert np.max(np.abs(exact.values - rk4.values)) <= 1e-13
 
     def test_solve_translates(self, grid, indicator):
         coef = coefficients(velocity=1.0, v_sup=1.0)
@@ -103,10 +116,18 @@ class TestConstantVelocity:
         assert np.array_equal(got.values, ref.values)
 
     def test_two_dimensional_points_rejected(self):
-        pts = np.zeros((4, 2))
+        u0 = GridFunction.uniform([(0.0, 1.0), (0.0, 1.0)], (4, 4))
+        with pytest.raises(ValueError, match="constant velocity"):
+            renewal_solve(coefficients(velocity=1.0), u0, None, 0.0, 0.1,
+                          n_sub=4)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_backward_transport_rejects_a_number(self, dim):
+        # renewal_solve and ibvp_solve carry a constant speed themselves
+        pts = np.zeros((4, dim)) if dim == 2 else np.zeros(4)
         with pytest.raises(ValueError, match="constant velocity"):
             backward_transport(coefficients(velocity=1.0), None, 1.0, 0.0,
-                               pts, 4, (0.1, 0.1))
+                               pts, 4, (0.1,) * dim)
 
 
 class TestRenewalSolve:

@@ -246,6 +246,9 @@ class TestPursuitRuns:
         ("box", ((1.0, -1.0), (-1.0, 1.0)), "box entries must be"),
         ("box", ((-1.0,), (-1.0, 1.0)), "box entries must be"),
         ("cells", (50, 0), "cells entries must be positive"),
+        # finite ends whose span is not
+        ("box", ((-1e308, 1e308), (-1.0, 1.0)), "box spans hi - lo must be"),
+        ("box", ((-1.0, 1.0), (0.0, math.inf)), "box spans hi - lo must be"),
     ])
     def test_params_reject_out_of_range_fields(self, name, value, message):
         with pytest.raises(ValueError, match=message):

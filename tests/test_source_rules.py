@@ -156,3 +156,74 @@ def test_rk4_last_stage_pattern():
     for line in ("# k4 = f(t + h, u)", "    if k4 == 0:", "    kk4 = 1",
                  "    k45 = 2", "    x = k4"):
         assert not RK4_LAST_STAGE.match(line), line
+
+
+# the one constant-speed transport and the names only it may read
+KERNEL = "_constant_speed_transport"
+GEOMETRY_NAMES = {"_cached_geometry", "_build_geometry",
+                  "_GEOMETRY_CACHE_CELLS"}
+
+
+def speed_branches(func: ast.FunctionDef) -> list[int]:
+    """Lines of the branches in ``func`` that test a ``velocity`` and do
+    more than raise."""
+    found = []
+    for node in ast.walk(func):
+        if not isinstance(node, (ast.If, ast.IfExp)):
+            continue
+        reads_speed = any(
+            (isinstance(n, ast.Attribute) and n.attr == "velocity")
+            or (isinstance(n, ast.Name) and n.id == "velocity")
+            for n in ast.walk(node.test))
+        raises_only = (isinstance(node, ast.If) and not node.orelse
+                       and all(isinstance(s, ast.Raise) for s in node.body))
+        if reads_speed and not raises_only:
+            found.append(node.lineno)
+    return found
+
+
+def test_one_constant_speed_kernel():
+    # renewal._constant_speed_transport is the only constant-speed
+    # transport: backward_transport rejects a number speed, only the kernel
+    # reads the geometry cache, and ibvp reaches it by that one private name
+    tree = ast.parse((SRC / "renewal.py").read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    assert not speed_branches(functions["backward_transport"])
+    # the kernel, and the one line that makes the cache by wrapping the build
+    allowed = {id(node) for owner in tree.body
+               if owner is functions[KERNEL]
+               or (isinstance(owner, ast.Assign)
+                   and [ast.unparse(t) for t in owner.targets]
+                   == ["_cached_geometry"])
+               for node in ast.walk(owner)}
+    for path in sorted(SRC.glob("*.py")):
+        module = tree if path.name == "renewal.py" else ast.parse(
+            path.read_text())
+        reads = [node.lineno for node in ast.walk(module)
+                 if isinstance(getattr(node, "ctx", None), ast.Load)
+                 and getattr(node, "id", getattr(node, "attr", None))
+                 in GEOMETRY_NAMES and id(node) not in allowed]
+        assert not reads, (path.name, reads)
+    private = {alias.name
+               for node in ast.walk(ast.parse((SRC / "ibvp.py").read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and node.module in ("renewal", "polyflow.renewal")
+               for alias in node.names if alias.name.startswith("_")}
+    assert private == {KERNEL}
+
+
+def test_speed_branches_pattern():
+    def lines(body):
+        source = "def f(coef, velocity):\n" + body
+        return speed_branches(ast.parse(source).body[0])
+
+    assert lines("    if not callable(coef.velocity):\n        raise E\n") \
+        == []
+    assert lines("    if callable(velocity):\n        raise E\n") == []
+    for body in ("    if not callable(coef.velocity):\n        return 1\n",
+                 "    if isinstance(velocity, float):\n        x = 1\n",
+                 "    if callable(coef.velocity):\n        raise E\n"
+                 "    else:\n        x = 1\n",
+                 "    x = 1 if callable(coef.velocity) else 2\n"):
+        assert lines(body) == [2], body

@@ -319,6 +319,18 @@ class TestGridFastPaths:
         with pytest.raises(ValueError, match="positive"):
             GridFunction(np.ones(3), (0.0,), (-1.0,))
 
+    @pytest.mark.parametrize("where, bad, message", [
+        ("origin", np.nan, "finite"), ("origin", np.inf, "finite"),
+        ("origin", -np.inf, "finite"), ("dx", np.nan, "finite"),
+        ("dx", np.inf, "finite"), ("dx", -np.inf, "positive")])
+    def test_geometry_must_be_finite(self, where, bad, message):
+        # its centres would all be NaN or infinite
+        for shape, good in (((3,), (0.5,)), ((3, 2), (0.5, 0.5))):
+            geometry = {"origin": good, "dx": good}
+            geometry[where] = good[:-1] + (bad,)
+            with pytest.raises(ValueError, match=message):
+                GridFunction(np.ones(shape), **geometry)
+
 
 class TestFlatDistance:
     def test_identical(self):
