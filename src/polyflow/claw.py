@@ -240,15 +240,14 @@ def claw_solve_many(flux: ParamFlux, data: list[GridFunction], w, t0: float,
             for i, u in enumerate(data)]
 
 
-def claw_constants(lip: float, radius: float, horizon: float = 1.0
-                   ) -> ProcessConstants:
+def claw_constants(lip: float, radius: float) -> ProcessConstants:
     """Process moduli of the entropy-solution process on the TV ball.
 
     Data dependence is a plain contraction (modulus zero); time and
-    parameter moduli are both ``lip * radius``.
+    parameter moduli are both ``lip * radius``, over the unit horizon.
     """
     return ProcessConstants(c_u=0.0, c_t=lip * radius, c_w=lip * radius,
-                            horizon=horizon)
+                            horizon=1.0)
 
 
 def entropy_residuals(flux: ParamFlux, u_before: np.ndarray,

@@ -154,7 +154,7 @@ def run_epidemic(params: EpidemicParams,
     cohort_mass_bound = (params.v0.l1()
                          + params.vaccination_rate.sup() * horizon + 1.0)
     ode_field = _epidemic_ode_field(params, ball, cohort_mass_bound)
-    # shrink the macro horizon if the certified ball segment is shorter
+    # a macro step longer than the certified ball segment is a ConfigError
     seg_cap = ball / (2.0 * ode_field.sup) if ode_field.sup > 0 else macro
     if macro > seg_cap * (1 + 1e-12):
         raise ConfigError(
@@ -171,7 +171,7 @@ def run_epidemic(params: EpidemicParams,
         build, (np.array([params.s0, params.i0]), params.v0), 1,
         lambda t, r, h: ibvp_domain_bounds(t, r, h, coef, inflow),
         lambda t, v: _envelope_norms(inflow, t, v),
-        macro, horizon, schedule, coef.v_sup, params.v0.dx[0])
+        macro, horizon, schedule, coef.v_sup)
 
     # triangular tail: recovered compartment by the trapezoid rule
     integrand = [params.recovery_rate * float(uu[1]) + float(vv.values[-1])
@@ -196,15 +196,16 @@ def run_epidemic(params: EpidemicParams,
 
 
 def epidemic_cohort_reference(params: EpidemicParams, times: list[float],
-                              i_values: list[float], t_query: float,
-                              n_time: int = 2000) -> GridFunction:
+                              i_values: list[float], t_query: float
+                              ) -> GridFunction:
     """Closed-form cohort profile at ``t_query`` from a sampled I history.
 
     Along the age characteristic through ``(t, tau)`` the damping rate is
     ``vaccinated_infectivity(s - t + tau) * I(s)``; the profile is seeded by
     the initial cohort where the characteristic predates the start, by the
     vaccination-rate series once it enters through ``tau = 0``.  ``I`` is
-    interpolated linearly between the given samples.
+    interpolated linearly between the given samples, and the damping
+    integral is a trapezoid rule on 2000 points.
     """
     rho_v = params.vaccinated_infectivity
     v0 = params.v0
@@ -215,11 +216,11 @@ def epidemic_cohort_reference(params: EpidemicParams, times: list[float],
     out = np.zeros(taus.shape[0])
     for idx, tau in enumerate(taus):
         if t_query <= tau:  # characteristic reaches back to the start
-            s = np.linspace(0.0, t_query, n_time)
+            s = np.linspace(0.0, t_query, 2000)
             base = float(v0.lookup(np.array([tau - t_query]),
                                    outside="clamp")[0])
         else:
-            s = np.linspace(t_query - tau, t_query, n_time)
+            s = np.linspace(t_query - tau, t_query, 2000)
             base = float(p(t_query - tau))
         ages = s - t_query + tau
         rates = rho_v.lookup(ages, outside="clamp") * np.interp(s, t_arr, i_arr)

@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +24,11 @@ import numpy as np
 from ._lazy import forwarder
 from .errors import (ConfigError, DomainExit, KernelOutOfBox,
                      SupportClearanceViolated)
-from .metric import (EuclideanSpace, LocalFlow, Process, ProcessConstants,
-                     couple, euler_polygonal)
+from .metric import (EuclideanSpace, GridFunctionSpace, LocalFlow, Process,
+                     ProcessConstants, ProductSpace, couple, euler_polygonal)
 from .ode import OdeField, make_ode_process
 from .scenarios import RefineSchedule, _macro_count
-from .spaces import BvTimeSeries, GridFunction, l1_distance
+from .spaces import BvTimeSeries, GridFunction
 
 SCHEMA_VERSION = 1
 # the keys of ``polyflow.suites.SUITES``, so that validating a config does not
@@ -110,14 +110,10 @@ def validate_config(cfg: dict) -> None:
     horizon = _positive(tcfg, "horizon", "time")
     if scenario in ("epidemic", "predator_prey"):
         _macro_count(horizon, _positive(tcfg, "macro_step", "time"))
-    schedule = schedule_from_config(cfg)
-    if not schedule.tol > 0:
-        raise ConfigError("field refine.tol must be positive")
-    if schedule.j0 < 0:
-        raise ConfigError("field refine.j0 must be nonnegative")
-    if schedule.j0 > schedule.j_max:
-        raise ConfigError(f"field refine.j0 {schedule.j0} must not exceed "
-                          f"refine.j_max {schedule.j_max}")
+    try:
+        schedule_from_config(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"field refine.{exc}") from None
     build = {"epidemic": epidemic_params_from_config,
              "predator_prey": predator_prey_params_from_config}.get(scenario)
     if build is not None:
@@ -137,10 +133,12 @@ def _seed(cfg: dict) -> int:
 
 
 def schedule_from_config(cfg: dict) -> RefineSchedule:
+    """The config's ``refine`` schedule: each key absent takes its
+    ``RefineSchedule`` default, and one present needs that default's type."""
     rcfg = _need(cfg, "refine", dict, default={})
-    return RefineSchedule(j0=_need(rcfg, "j0", int, "refine", 0),
-                          j_max=_need(rcfg, "j_max", int, "refine", 8),
-                          tol=_need(rcfg, "tol", float, "refine", 1e-5))
+    return RefineSchedule(**{
+        f.name: _need(rcfg, f.name, type(f.default), "refine", f.default)
+        for f in fields(RefineSchedule)})
 
 
 def epidemic_params_from_config(cfg: dict) -> EpidemicParams:
@@ -269,9 +267,6 @@ class ConvergenceTable:
     exact: bool            # all errors at rounding level
     converged: bool
 
-    def observed_orders(self) -> list[float]:
-        return [r.order for r in self.rows if r.order is not None]
-
 
 def polygonal_convergence(flow: LocalFlow, t0: float, x0, tau: float,
                           levels: list[int],
@@ -349,10 +344,8 @@ def scenario_convergence(cfg: dict, levels: int) -> ConvergenceTable:
             raise ConfigError(
                 "grid too coarse for the requested levels: increase "
                 "params.cells or time.macro_step")
-        space_u = EuclideanSpace()
-        errors = [space_u.distance(ends[i][0], ends[-1][0])
-                  + l1_distance(ends[i][1], ends[-1][1])
-                  for i in range(len(js) - 1)]
+        space = ProductSpace(EuclideanSpace(), GridFunctionSpace())
+        errors = [space.distance(end, ends[-1]) for end in ends[:-1]]
         return _order_table([macro / 2.0 ** j for j in js[:-1]], errors)
     raise ConfigError(f"converge does not support scenario '{scenario}'")
 

@@ -214,8 +214,7 @@ def ibvp_lipschitz_constants(coef: RenewalCoefficients,
 
 
 def make_ibvp_process(coef: RenewalCoefficients, inflow: InflowBoundary,
-                      radius: float, horizon: float,
-                      n_sub_per_unit: float = 32.0,
+                      radius: float, horizon: float, n_sub_per_unit: float,
                       outflow_edge: bool = False) -> Process:
     """Wrap the solver as a process handle; ``radius`` sizes its moduli."""
 

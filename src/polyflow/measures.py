@@ -186,8 +186,7 @@ def audit_coefficients(coef: MeasureCoefficients, mu: AtomicMeasure, w,
 
 
 def measure_step(coef: MeasureCoefficients, mu: AtomicMeasure, w,
-                 t: float, dt: float,
-                 merge_eps: float | None = None) -> AtomicMeasure:
+                 t: float, dt: float) -> AtomicMeasure:
     """One splitting step of length ``dt`` with all fields frozen at ``mu``.
 
     Transport uses the drift at the pre-transport positions; decay and
@@ -201,8 +200,6 @@ def measure_step(coef: MeasureCoefficients, mu: AtomicMeasure, w,
     if mu.total_mass() > coef.mass_radius * (1 + 1e-12):
         raise MassBlowup(
             f"mass {mu.total_mass():.3g} exceeds radius {coef.mass_radius:.3g}")
-    if merge_eps is None:
-        merge_eps = default_merge_eps(mu)
     if mu.n_atoms == 0:
         return mu
 
@@ -220,7 +217,7 @@ def measure_step(coef: MeasureCoefficients, mu: AtomicMeasure, w,
     out = AtomicMeasure(
         np.concatenate([moved] + [child.positions for child in children]),
         np.concatenate((masses, born)))
-    return out.merged(merge_eps)
+    return out.merged(default_merge_eps(mu))
 
 
 def measure_domain_bound(t: float, horizon: float, radius: float,
@@ -234,8 +231,7 @@ def measure_domain_bound(t: float, horizon: float, radius: float,
 
 
 def evolve(coef: MeasureCoefficients, mu0: AtomicMeasure, w,
-           t0: float, t1: float, dt: float,
-           merge_eps: float | None = None
+           t0: float, t1: float, dt: float
            ) -> tuple[list[float], list[AtomicMeasure]]:
     """Run fixed steps from ``t0`` to ``t1`` (last step shortened)."""
     times = [t0]
@@ -243,7 +239,7 @@ def evolve(coef: MeasureCoefficients, mu0: AtomicMeasure, w,
     now, mu = t0, mu0
     while now < t1 - 1e-15 * max(1.0, abs(t1)):
         step = min(dt, t1 - now)
-        mu = measure_step(coef, mu, w, now, step, merge_eps=merge_eps)
+        mu = measure_step(coef, mu, w, now, step)
         now += step
         times.append(now)
         states.append(mu)
@@ -254,8 +250,7 @@ def weak_residual(coef: MeasureCoefficients, mu0: AtomicMeasure, w,
                   t0: float, t1: float, dt: float,
                   phi: Callable[[float, np.ndarray], np.ndarray],
                   phi_t: Callable[[float, np.ndarray], np.ndarray],
-                  phi_x: Callable[[float, np.ndarray], np.ndarray],
-                  merge_eps: float | None = None) -> float:
+                  phi_x: Callable[[float, np.ndarray], np.ndarray]) -> float:
     """Defect of the weak formulation along a discrete trajectory.
 
     For a C1, globally Lipschitz test function ``phi(t, x)`` the exact
@@ -270,7 +265,7 @@ def weak_residual(coef: MeasureCoefficients, mu0: AtomicMeasure, w,
     ``phi`` must act elementwise on the position array: each step
     evaluates it once, on the atoms and their offspring's sites together.
     """
-    times, states = evolve(coef, mu0, w, t0, t1, dt, merge_eps=merge_eps)
+    times, states = evolve(coef, mu0, w, t0, t1, dt)
     acc = 0.0
     for k in range(len(times) - 1):
         t = times[k]

@@ -189,10 +189,9 @@ def refine_to_process(flow: LocalFlow, tau: float, t0: float, x,
         raise ValueError(f"j0 {j0} exceeds j_max {j_max}")
     if tau == 0.0:
         return RefinementResult(x, 0.0, True, j0)
-    if math.isinf(tol):
-        pt = euler_polygonal(flow, tau, t0, x, tau / 2.0 ** j0)
-        return RefinementResult(pt, math.inf, False, j0)
     prev = euler_polygonal(flow, tau, t0, x, tau / 2.0 ** j0)
+    if math.isinf(tol):
+        return RefinementResult(prev, math.inf, False, j0)
     gap = math.inf
     for j in range(j0 + 1, j_max + 1):
         cur = euler_polygonal(flow, tau, t0, x, tau / 2.0 ** j)

@@ -149,7 +149,7 @@ def ode_constants(field: OdeField, horizon: float) -> ProcessConstants:
 
 
 def make_ode_process(field: OdeField, horizon: float,
-                     steps_per_unit: float = 64.0) -> Process:
+                     steps_per_unit: float) -> Process:
     """Wrap the RK4 solver as a process handle.
 
     ``ode_solve`` raises ``DomainExit`` when a substep leaves the ball.

@@ -9,7 +9,7 @@ polynomial bump.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -108,21 +108,36 @@ class PredatorPreyParams:
             if 2.0 * getattr(self, name) > span:
                 raise KernelOutOfBox(f"{name} must be at most half the "
                                      f"box span {span:.3g}")
+        # the density samples the prey at the cell centres, and the centre
+        # nearest prey_center (nearest per axis) sees the most of it
+        nearest = []
+        for (lo, hi), n, c in zip(self.box, self.cells, self.prey_center):
+            dx = (float(hi) - float(lo)) / n
+            if not dx > 0:
+                raise ValueError("cells must leave each cell a positive width")
+            i = np.clip(np.floor((c - float(lo)) / dx), 0, n - 1)
+            nearest.append(float(lo) + (i + 0.5) * dx)
+        with np.errstate(over="ignore"):  # a far centre squares to inf
+            seen = self._prey(*nearest) > 0
+        if not seen:
+            raise ValueError("prey_radius is too small for the cells: the "
+                             "prey is zero at every cell centre")
 
     def grid(self) -> GridFunction:
         return GridFunction.uniform(list(self.box), list(self.cells))
 
-    def initial_density(self) -> GridFunction:
-        g = self.grid()
+    def _prey(self, *x):
+        """The prey bump at the points of coordinate arrays ``x``."""
         c = np.asarray(self.prey_center, dtype=float)
         bump = Bump(self.prey_radius, self.prey_amp)
         if self.dim == 1:
-            return GridFunction.from_callable(
-                lambda x: bump(np.abs(x - c[0])), g.origin, g.dx,
-                g.values.shape)
-        return GridFunction.from_callable(
-            lambda x, y: bump(np.hypot(x - c[0], y - c[1])),
-            g.origin, g.dx, g.values.shape)
+            return bump(np.abs(x[0] - c[0]))
+        return bump(np.hypot(x[0] - c[0], x[1] - c[1]))
+
+    def initial_density(self) -> GridFunction:
+        g = self.grid()
+        return GridFunction.from_callable(self._prey, g.origin, g.dx,
+                                          g.values.shape)
 
 
 @dataclass(frozen=True)
@@ -367,8 +382,7 @@ def run_predator_prey(params: PredatorPreyParams,
     sup_p = fields.predator.sup
     radius_p = max(2.0 * (np.linalg.norm(p0) + 1.0),
                    2.2 * sup_p * macro)
-    predator = OdeField(f=fields.predator.f, lip=fields.predator.lip,
-                        sup=sup_p, radius=radius_p)
+    predator = replace(fields.predator, radius=radius_p)
 
     def build(moduli_radius):
         return (make_renewal_process(fields.prey, moduli_radius, macro,
@@ -379,7 +393,7 @@ def run_predator_prey(params: PredatorPreyParams,
         build, (rho0, p0), 0,
         lambda t, r, h: ivp_domain_bounds(t, r, h, fields.prey),
         lambda t, rho: (rho.l1(), rho.linf(), rho.tv()),
-        macro, params.horizon, schedule, fields.prey.v_sup, min(rho0.dx))
+        macro, params.horizon, schedule, fields.prey.v_sup)
 
     ball = ode_domain_radius(macro, macro, radius_p, sup_p)
     gaps = cols.pop("refine_gap")

@@ -421,8 +421,7 @@ def ivp_lipschitz_constants(coef: RenewalCoefficients, horizon: float,
 
 
 def make_renewal_process(coef: RenewalCoefficients, radius: float,
-                         horizon: float, n_sub_per_unit: float = 32.0
-                         ) -> Process:
+                         horizon: float, n_sub_per_unit: float) -> Process:
     """Wrap the solver as a process handle; ``radius`` sizes its moduli."""
 
     def solve(t, t0, u, w):

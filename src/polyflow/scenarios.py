@@ -24,11 +24,21 @@ from .spaces import GridFunction
 
 @dataclass(frozen=True)
 class RefineSchedule:
-    """Dyadic refinement schedule for the coupled polygonals."""
+    """Dyadic refinement schedule for the coupled polygonals; breaking a
+    rule (``tol > 0``, ``0 <= j0 <= j_max``) raises ``ValueError``."""
 
     j0: int = 0
     j_max: int = 8
     tol: float = 1e-5
+
+    def __post_init__(self):
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
+        if self.j0 < 0:
+            raise ValueError("j0 must be nonnegative")
+        if self.j0 > self.j_max:
+            raise ValueError(f"j0 {self.j0} must not exceed refine.j_max "
+                             f"{self.j_max}")
 
 
 def _memo_last(fn: Callable) -> Callable:
@@ -96,7 +106,7 @@ def _run_coupled(build: Callable[[float], tuple[Process, Process]], state,
                  norms: Callable[[float, GridFunction],
                                  tuple[float, float, float]],
                  macro: float, horizon: float, schedule: RefineSchedule,
-                 speed: float, dx: float):
+                 speed: float):
     """Run one coupled model over the refined macro steps of ``horizon``.
 
     ``state[index]`` is the grid field that one of the two processes
@@ -112,12 +122,12 @@ def _run_coupled(build: Callable[[float], tuple[Process, Process]], state,
     Step ``k`` shifts both processes to ``[k macro, (k + 1) macro]`` and
     refines the coupled polygonal dyadically between the schedule's levels;
     its ``RefinementResult`` is the step's record.  Polygonal steps shorter
-    than the crossing time ``dx / speed`` of the field's grid make the cell
-    lookup quantize the transport away, so ``j_max`` is clamped to the
-    deepest level whose step still crosses a cell (no clamp when ``speed``
-    is 0), and ``j0`` to ``j_max``.  Moduli that overflow a float, and a
-    grid too fine for the cells one macro step crosses to be counted, are a
-    ``ConfigError``.
+    than the crossing time ``dx / speed``, with ``dx`` the field's narrowest
+    cell, make the cell lookup quantize the transport away, so ``j_max`` is
+    clamped to the deepest level whose step still crosses a cell (no clamp
+    when ``speed`` is 0), and ``j0`` to that ``j_max``.  Moduli that
+    overflow a float, and a grid too fine for the cells one macro step
+    crosses to be counted, are a ``ConfigError``.
 
     Returns the fitted radius, the times, the states, the field's columns
     ``l1, linf, tv``, ``alpha*_margin`` (end-of-step bound minus norm) and
@@ -147,6 +157,7 @@ def _run_coupled(build: Callable[[float], tuple[Process, Process]], state,
 
     j_max = schedule.j_max
     if speed > 0:
+        dx = min(state[index].dx)
         crossed = macro * speed / dx  # grid cells one macro step crosses
         if not math.isfinite(crossed):
             raise ConfigError(

@@ -303,8 +303,8 @@ class BvTimeSeries:
         object.__setattr__(self, "_val_list", list(v))
 
     @staticmethod
-    def constant(value: float, t0: float = 0.0) -> "BvTimeSeries":
-        return BvTimeSeries(np.array([t0]), np.array([float(value)]))
+    def constant(value: float) -> "BvTimeSeries":
+        return BvTimeSeries(np.array([0.0]), np.array([float(value)]))
 
     def __call__(self, t) -> np.ndarray:
         """The value at ``t``: an ``np.float64`` for a float ``t``, else an

@@ -62,7 +62,6 @@ class VerificationReport:
     suites: list[str]
     seed: int
     checks: list[CheckResult] = field(default_factory=list)
-    schema: int = SCHEMA_VERSION
 
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -70,7 +69,7 @@ class VerificationReport:
     def to_dict(self) -> dict:
         ordered = sorted(self.checks, key=lambda c: c.name)
         return {
-            "schema": self.schema,
+            "schema": SCHEMA_VERSION,
             "suites": list(self.suites),
             "seed": self.seed,
             "checks": [
@@ -191,10 +190,8 @@ def suite_metric(seed: int) -> list[CheckResult]:
         d1 = flow.space.distance(euler_polygonal(flow, tau, 0.0, x1, eps),
                                  euler_polygonal(flow, tau, 0.0, x2, eps))
         worst = max(worst, d1 / d0)
-    cu = bounds.constants.c_u
-    cw = bounds.constants.c_w
     out.append(check("metric/stability", "exp-data-bound", worst,
-                     math.exp((cu + cw) * tau) * (1 + 1e-6)))
+                     bounds.stability_factor(tau) * (1 + 1e-6)))
 
     for k in range(3, 9):
         tq = 2.0 ** (-k)

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -35,6 +36,26 @@ def base_config(**over):
     }
     cfg.update(over)
     return cfg
+
+
+def shipped_configs() -> dict[str, dict]:
+    """The bundled configs, and those the benchmark generates at seeds 0
+    and 7."""
+    bench = CONFIG_DIR.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", bench)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    found = {path.stem: json.loads(path.read_text())
+             for path in sorted(CONFIG_DIR.glob("*.json"))}
+    found.update({f"perfbench-{name}-{seed}": workloads.make_config(name, seed)
+                  for name in workloads.NAMES for seed in (0, 7)})
+    return found
+
+
+@pytest.mark.parametrize("name, cfg", shipped_configs().items())
+def test_shipped_configs_validate(name, cfg):
+    # the pursuit ones keep a cell centre inside the prey
+    validate_config(cfg)
 
 
 def run_edited(tmp_path, name, path, value) -> int:
@@ -130,7 +151,7 @@ class TestConvergence:
         table = polygonal_convergence(flow, 0.0, x0, 1.0,
                                       levels=list(range(8)),
                                       reference=rotation_exact(1.0))
-        orders = table.observed_orders()
+        orders = [r.order for r in table.rows if r.order is not None]
         assert 0.9 <= float(np.median(orders)) <= 1.5
         assert table.converged
 
@@ -140,7 +161,8 @@ class TestConvergence:
         cfg["time"] = {"horizon": 0.4, "macro_step": 0.05}
         table = scenario_convergence(cfg, levels=5)
         assert table.converged
-        assert float(np.median(table.observed_orders())) >= 0.9
+        orders = [r.order for r in table.rows if r.order is not None]
+        assert float(np.median(orders)) >= 0.9
 
     def test_epidemic_levels_end_at_the_depth_clamp(self):
         # 100 cells and macro step 0.04: steps below 2^-2 macro stay
@@ -591,6 +613,33 @@ class TestCli:
         assert run_edited(tmp_path, name, path, value) == 3
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and cause in err, err
+        assert not (tmp_path / "out").exists()
+
+    # 100 cells of width 2 or 2e298: no cell centre lies within the prey
+    # radius 0.7 of the prey, so the run would carry mass 0 throughout;
+    # the far centres square to inf without an overflow warning
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("box", [[[-100, 100]], [[-1e300, 1e300]]],
+                             ids=["wide", "beyond-float-squares"])
+    def test_prey_between_cell_centres_exit_3(self, tmp_path, capsys, box):
+        assert run_edited(tmp_path, "predator_prey_1d.json",
+                          ("params", "box"), box) == 3
+        assert "field params.prey_radius" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_cells_narrower_than_a_float_exit_3(self, tmp_path, capsys):
+        # 4 cells over a span of 1e-323 would each be 2.5e-324 wide, which
+        # rounds to 0, and the grid's own check ended the run with exit 1
+        params = json.loads(
+            (CONFIG_DIR / "predator_prey_1d.json").read_text())["params"]
+        tiny = 5e-324
+        params.update(box=[[0.0, 1e-323]], cells=[4], escape_radius=tiny,
+                      search_radius=tiny, feeding_radius=tiny,
+                      prey_center=[0.0], predator_start=[0.0])
+        assert run_edited(tmp_path, "predator_prey_1d.json", ("params",),
+                          params) == 3
+        assert ("field params.cells must leave each cell a positive width"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", ["3", "[1]", "null"])

@@ -40,7 +40,7 @@ class TestMeasureStep:
         coef = constant_fields(child=child)
         mu = AtomicMeasure(np.array([0.2, 1.4]), np.array([0.5, 0.25]))
         dt = 0.0625
-        out = measure_step(coef, mu, None, 0.0, dt, merge_eps=1e-9)
+        out = measure_step(coef, mu, None, 0.0, dt)
         assert out.n_atoms == 2
         assert out.total_mass() == pytest.approx(
             mu.total_mass() * (1 + dt), rel=1e-12)
@@ -63,10 +63,8 @@ class TestMeasureStep:
     def test_deterministic_merge_order(self):
         mu = AtomicMeasure(np.array([0.0, 1e-12, 1.0]),
                            np.array([0.25, 0.5, 0.125]))
-        a = measure_step(constant_fields(), mu, None, 0.0, 0.1,
-                         merge_eps=1e-9)
-        b = measure_step(constant_fields(), mu, None, 0.0, 0.1,
-                         merge_eps=1e-9)
+        a = measure_step(constant_fields(), mu, None, 0.0, 0.1)
+        b = measure_step(constant_fields(), mu, None, 0.0, 0.1)
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.masses, b.masses)
         assert a.total_mass() == mu.total_mass()

@@ -254,6 +254,34 @@ class TestPursuitRuns:
         with pytest.raises(ValueError, match=message):
             replace(pursuit_params(), **{name: value})
 
+    @pytest.mark.parametrize("dim, box, center, sees", [
+        # cells of width 2: the centre nearest 0 lies at 1, beyond the
+        # prey radius 0.7, but a prey centred on a cell centre is seen
+        (1, ((-100.0, 100.0),), (0.0,), False),
+        (1, ((-100.0, 100.0),), (1.0,), True),
+        # 1.6 lies in the cell centred at 1, not nearer the one at 3
+        (1, ((-100.0, 100.0),), (1.6,), True),
+        (1, ((-1e300, 1e300),), (0.0,), False),
+        # the nearest centre per axis is the nearest one: (1, 1), at
+        # distance sqrt(2) from the origin, and (1, 1) itself
+        (2, ((-100.0, 100.0),) * 2, (0.0, 0.0), False),
+        (2, ((-100.0, 100.0),) * 2, (1.0, 1.0), True),
+        (2, ((-100.0, 100.0), (-1.0, 1.0)), (0.0, 0.0), False),
+        # a centre outside the box looks at the edge cell
+        (1, ((-1.0, 1.0),), (1.5,), True),
+        (1, ((-1.0, 1.0),), (1.8,), False),
+    ])
+    def test_prey_seen_by_a_cell_centre(self, dim, box, center, sees):
+        # 100 cells per axis; without a centre inside the prey the density
+        # would be zero everywhere and the run would carry no mass
+        params = pursuit_params(dim=dim, predator=(0.1, 0.0))
+        if not sees:
+            with pytest.raises(ValueError, match="prey_radius"):
+                replace(params, box=box, prey_center=center)
+            return
+        edited = replace(params, box=box, prey_center=center)
+        assert edited.initial_density().mass() > 0
+
     def test_horizon_not_a_multiple_of_macro_step(self):
         with pytest.raises(ConfigError, match="time.macro_step"):
             run_predator_prey(pursuit_params(horizon=0.3, macro=0.2),
@@ -294,6 +322,50 @@ def epidemic_params(cells=200, rho_v_scale=0.8, p_series=None,
         v0=grid.with_values(v0_scale * np.exp(-3 * xs)),
         admissible_radius=1.0,
         horizon=horizon, macro_step=macro)
+
+
+class TestRefineSchedule:
+    @pytest.mark.parametrize("fields, message", [
+        ({"j0": 5, "j_max": 2}, "j0 5 must not exceed refine.j_max 2"),
+        ({"tol": 0.0}, "tol must be positive"),
+        ({"tol": math.nan}, "tol must be positive"),
+        ({"j0": -1}, "j0 must be nonnegative"),
+    ], ids=["inverted", "tol-zero", "tol-nan", "j0-negative"])
+    def test_rules_raise_when_built(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            RefineSchedule(**fields)
+
+    def test_unrefined_schedule_builds(self):
+        assert RefineSchedule(0, 0, math.inf).tol == math.inf
+
+    def test_config_defaults_are_the_dataclass_defaults(self):
+        assert schedule_from_config({}) == RefineSchedule()
+        assert schedule_from_config({"refine": {}}) == RefineSchedule()
+
+    def test_inverted_schedule_no_longer_runs(self):
+        # the driver used to lower j0 5 to j_max 2 and run level 2
+        params = epidemic_params(cells=100, horizon=0.1, macro=0.02)
+        with pytest.raises(ValueError, match="refine.j_max"):
+            run_epidemic(params, RefineSchedule(j0=5, j_max=2))
+
+    @pytest.mark.parametrize("cells, applied", [(400, 2), (100, 1)])
+    def test_start_level_lowered_only_by_the_crossing_clamp(self, cells,
+                                                            applied):
+        # a macro step of 0.02 crosses 8 age cells of 400, so level 2
+        # runs as asked, and 2 cells of 100, so the clamp stops at level 1
+        params = epidemic_params(cells=cells, horizon=0.04, macro=0.02)
+        run = run_epidemic(params, RefineSchedule(2, 3, math.inf))
+        assert run.meta["j0"] == applied
+
+    def test_crossing_clamp_reads_the_narrowest_cell(self):
+        # cells 0.02 wide in x and 0.1 in y: a macro step of 0.3 at the
+        # prey's speed bound (about 0.33) crosses about 5 cells in x, so
+        # level 2 is the deepest whose step still crosses one
+        params = replace(pursuit_params(dim=2), cells=(100, 20))
+        assert predator_prey_fields(params).prey.v_sup == pytest.approx(
+            0.33, abs=0.01)
+        run = run_predator_prey(params, RefineSchedule(8, 8, math.inf))
+        assert run.meta["j_max"] == 2
 
 
 class TestEpidemicValidation:

@@ -227,3 +227,56 @@ def test_speed_branches_pattern():
                  "    else:\n        x = 1\n",
                  "    x = 1 if callable(coef.velocity) else 2\n"):
         assert lines(body) == [2], body
+
+
+# the fields of ``scenarios.RefineSchedule``, which owns their defaults and
+# rules
+SCHEDULE_FIELDS = {"j0", "j_max", "tol"}
+
+
+def schedule_restatements(module: ast.Module) -> list[tuple[str, int]]:
+    """Where ``schedule_from_config`` writes a number, and where
+    ``validate_config`` compares a schedule field, by name or by key."""
+    functions = {node.name: node for node in module.body
+                 if isinstance(node, ast.FunctionDef)}
+    found = [("schedule_from_config", node.lineno)
+             for node in ast.walk(functions["schedule_from_config"])
+             if isinstance(node, ast.Constant)
+             and type(node.value) in (int, float, complex)]
+    for node in ast.walk(functions["validate_config"]):
+        if isinstance(node, ast.Compare) and any(
+                getattr(n, "attr", getattr(n, "id", getattr(n, "value", None)))
+                in SCHEDULE_FIELDS for n in ast.walk(node)):
+            found.append(("validate_config", node.lineno))
+    return found
+
+
+def test_refine_schedule_written_once():
+    # RefineSchedule holds the schedule's defaults and rules: the config
+    # layer reads the one and reports the other as a ConfigError
+    tree = ast.parse((SRC / "harness.py").read_text())
+    assert schedule_restatements(tree) == []
+
+
+def test_schedule_restatements_pattern():
+    def found(reader="    return RefineSchedule()\n",
+              check="    return None\n"):
+        source = ("def schedule_from_config(cfg):\n" + reader
+                  + "def validate_config(cfg):\n" + check)
+        return [name for name, _ in schedule_restatements(ast.parse(source))]
+
+    assert found() == []
+    assert found("    '''Reads 3 keys.'''\n    return RefineSchedule(**{\n"
+                 "        f.name: cfg.get(f.name, f.default)\n"
+                 "        for f in fields(RefineSchedule)})\n",
+                 "    if cfg['scenario'] == 'x' or len(cfg) > 3:\n"
+                 "        raise E\n"
+                 "    if cfg.get('refine') is None:\n        pass\n") == []
+    for reader in ("    return RefineSchedule(j_max=cfg.get('j_max', 8))\n",
+                   "    return RefineSchedule(tol=1e-5)\n",
+                   "    return RefineSchedule(j0=-1)\n"):
+        assert found(reader=reader) == ["schedule_from_config"], reader
+    for test in ("schedule.tol > 0", "s.j0 > s.j_max", "j_max < 0",
+                 "cfg['refine']['j0'] >= 0", "not 0 <= tol"):
+        assert found(check=f"    if {test}:\n        raise E\n") \
+            == ["validate_config"], test
