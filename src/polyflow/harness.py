@@ -241,13 +241,9 @@ def rotation_exact(t: float, u0: float = 1.0, w0: float = 0.0
 def translation_flow(horizon: float = 4.0) -> LocalFlow:
     """Pair of pure translations; every polygonal is exact."""
     c = ProcessConstants(c_u=0.0, c_t=1.0, c_w=0.0, horizon=horizon)
-    pu = Process(solve=lambda t, t0, x, w: x + (t - t0),
-                 constants=c, space=EuclideanSpace(),
-                 interval=(0.0, horizon))
-    pw = Process(solve=lambda t, t0, x, w: x + (t - t0),
-                 constants=c, space=EuclideanSpace(),
-                 interval=(0.0, horizon))
-    return couple(pu, pw)
+    pu = Process(solve=lambda t0, tau, x, w: x + tau,
+                 constants=c, space=EuclideanSpace())
+    return couple(pu, pu)
 
 
 # --------------------------------------------------------------------------

@@ -82,9 +82,10 @@ def boundary_crossing_time(velocity, t: float, x, t0: float,
 
 
 def ibvp_solve(coef: RenewalCoefficients, inflow: InflowBoundary,
-               u0: GridFunction, w, t0: float, t: float, n_sub: int = 10,
+               u0: GridFunction, w, t0: float, tau: float, n_sub: int = 10,
                outflow_edge: bool = False) -> GridFunction:
-    """Advance the datum with the parameter frozen, filling from the boundary.
+    """Advance the datum from ``t0`` over ``tau`` with the parameter frozen,
+    filling from the boundary.
 
     Every cell is integrated back to its own end time: ``t0`` for cells
     right of the origin characteristic, the boundary crossing time for
@@ -99,12 +100,12 @@ def ibvp_solve(coef: RenewalCoefficients, inflow: InflowBoundary,
 
     With ``outflow_edge`` the grid's right edge is a true model boundary
     with free outflow (mass crossing it is meant to leave), so no clearance
-    is required there; otherwise the datum must keep ``v_sup * (t - t0)``
+    is required there; otherwise the datum must keep ``v_sup * tau``
     clearance from the truncation edge.  Requires ``0 < speed_min <=
     v_sup``, and a constant speed in ``[speed_min, v_sup]``.
     """
-    if t < t0:
-        raise ValueError("t must be >= t0")
+    if tau < 0:
+        raise ValueError("tau must be >= 0")
     if u0.dim != 1:
         raise ValueError("half-line problem is one-dimensional")
     if inflow.speed_min <= 0:
@@ -118,28 +119,29 @@ def ibvp_solve(coef: RenewalCoefficients, inflow: InflowBoundary,
     if inflow.series is None or inflow.series.times.size == 0:
         raise UndefinedBoundaryDatum("boundary series is empty")
     if not outflow_edge:
-        needed = coef.v_sup * (t - t0)
+        needed = coef.v_sup * tau
         clear_right = _right_clearance(u0)
         if clear_right < needed - 1e-12:
             raise SupportClearanceViolated(
                 f"right-edge clearance {clear_right:.3g} below required "
                 f"{needed:.3g}")
-    if t == t0:
+    if tau == 0:
         return u0
 
+    t = t0 + tau
     sigma = float(characteristic(coef.velocity, t0, np.array([0.0]), t, w,
                                  n_sub=n_sub)[0])
     centers = u0.centers()
     # the centres ascend, so the cells left of sigma are a prefix
     n_bdy = int(centers.searchsorted(sigma))
-    tau = boundary_crossing_time(coef.velocity, t, centers[:n_bdy], t0,
-                                 n_sub=n_sub)
-    seeds = inflow.series(tau)
+    t_in = boundary_crossing_time(coef.velocity, t, centers[:n_bdy], t0,
+                                  n_sub=n_sub)
+    seeds = inflow.series(t_in)
     if not callable(coef.velocity):
-        return _constant_speed_transport(coef, u0, w, t0, t, n_sub, tau,
+        return _constant_speed_transport(coef, u0, w, t0, tau, n_sub, t_in,
                                          seeds)
     t_lo = np.full(centers.shape[0], float(t0))
-    t_lo[:n_bdy] = tau
+    t_lo[:n_bdy] = t_in
     foot, factor, src = backward_transport(coef, w, t, t_lo, centers, n_sub,
                                            u0.dx)
     seed = u0.lookup(foot, outside="zero")
@@ -218,12 +220,12 @@ def make_ibvp_process(coef: RenewalCoefficients, inflow: InflowBoundary,
                       outflow_edge: bool = False) -> Process:
     """Wrap the solver as a process handle; ``radius`` sizes its moduli."""
 
-    def solve(t, t0, u, w):
-        n = max(2, int(math.ceil((t - t0) * n_sub_per_unit - 1e-12)))
-        return ibvp_solve(coef, inflow, u, w, t0, t, n_sub=n,
+    def solve(t0, tau, u, w):
+        n = max(2, int(math.ceil(tau * n_sub_per_unit - 1e-12)))
+        return ibvp_solve(coef, inflow, u, w, t0, tau, n_sub=n,
                           outflow_edge=outflow_edge)
 
     return Process(solve=solve,
                    constants=ibvp_lipschitz_constants(coef, inflow, horizon,
                                                       radius),
-                   space=GridFunctionSpace(), interval=(0.0, horizon))
+                   space=GridFunctionSpace())

@@ -68,10 +68,11 @@ class ProductSpace(MetricSpace):
 class ProcessConstants:
     """Lipschitz moduli of a parametrized process and its horizon.
 
-    ``c_u`` bounds dependence on data (rate ``exp(c_u (t - t0))``), ``c_t``
-    dependence on time, ``c_w`` dependence on the frozen parameter; all over
-    the horizon ``[0, horizon]``.  A modulus that is not finite raises
-    ``OverflowError``, a negative one ``ValueError``.
+    ``c_u`` bounds dependence on data (rate ``exp(c_u tau)`` over a step
+    ``tau``), ``c_t`` dependence on time, ``c_w`` dependence on the frozen
+    parameter; all for any step up to ``horizon`` long, from any start
+    time.  A modulus that is not finite raises ``OverflowError``, a
+    negative one ``ValueError``.
     """
 
     c_u: float
@@ -111,19 +112,15 @@ class LocalFlow:
 class Process:
     """Global process handle, parametrized by a frozen external state.
 
-    ``solve(t, t0, x, param)`` returns the state at ``t`` of the evolution
-    started from ``x`` at ``t0`` with the parameter held fixed.
+    ``solve(t0, tau, x, param)`` returns the state at ``t0 + tau`` of the
+    evolution started from ``x`` at ``t0`` with the parameter held fixed;
+    the step length comes exactly as the flow was handed it, and
+    ``constants`` certify every step up to their ``horizon``.
     """
 
     solve: Callable[[float, float, Any, Any], Any]
     constants: ProcessConstants
     space: MetricSpace
-    interval: tuple[float, float] | None = None
-
-    def time_interval(self) -> tuple[float, float]:
-        if self.interval is not None:
-            return self.interval
-        return (0.0, self.constants.horizon)
 
 
 # --------------------------------------------------------------------------
@@ -180,11 +177,12 @@ def refine_to_process(flow: LocalFlow, tau: float, t0: float, x,
     ``tol`` (or at ``j_max``, returning the best iterate with
     ``converged=False``).  An infinite ``tol`` degenerates to the coarsest
     polygonal, with gap ``inf`` and ``converged=False``: no two levels were
-    compared.  The schedule is deterministic; ``j0`` must not exceed
-    ``j_max``.
+    compared.  The schedule is deterministic; ``0 <= j0 <= j_max``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if j0 < 0:
+        raise ValueError("j0 must be nonnegative")
     if j0 > j_max:
         raise ValueError(f"j0 {j0} exceeds j_max {j_max}")
     if tau == 0.0:
@@ -211,23 +209,21 @@ def couple(process_u: Process, process_w: Process) -> LocalFlow:
 
     ``process_u`` evolves the first component with the second frozen as its
     parameter, and vice versa: one step of the returned flow is
-    ``(tau, t0, (u, w)) -> (P_u(t0+tau, t0; w) u, P_w(t0+tau, t0; u) w)``.
+    ``(tau, t0, (u, w)) -> (P_u(t0, tau; w) u, P_w(t0, tau; u) w)``.  Its
+    step bound ``delta`` is the shorter of the two horizons, and it
+    declares no time interval, so one flow serves every step of a run.
     Domain exits are re-raised tagged with the failing component.
     """
-    lo = max(process_u.time_interval()[0], process_w.time_interval()[0])
-    hi = min(process_u.time_interval()[1], process_w.time_interval()[1])
-    if hi <= lo:
-        raise ValueError("processes share no horizon interval")
 
     def evaluate(tau, t0, state):
         u, w = state
         try:
-            u_next = process_u.solve(t0 + tau, t0, u, w)
+            u_next = process_u.solve(t0, tau, u, w)
         except DomainExit as exc:
             raise DomainExit(str(exc), step=exc.step, time=exc.time,
                              component="u") from exc
         try:
-            w_next = process_w.solve(t0 + tau, t0, w, u)
+            w_next = process_w.solve(t0, tau, w, u)
         except DomainExit as exc:
             raise DomainExit(str(exc), step=exc.step, time=exc.time,
                              component="w") from exc
@@ -235,9 +231,8 @@ def couple(process_u: Process, process_w: Process) -> LocalFlow:
 
     return LocalFlow(
         evaluate=evaluate,
-        delta=hi - lo,
+        delta=min(process_u.constants.horizon, process_w.constants.horizon),
         space=ProductSpace(process_u.space, process_w.space),
-        interval=(lo, hi),
     )
 
 

@@ -155,9 +155,9 @@ def make_ode_process(field: OdeField, horizon: float,
     ``ode_solve`` raises ``DomainExit`` when a substep leaves the ball.
     """
 
-    def solve(t, t0, x, w):
-        n = max(1, int(math.ceil((t - t0) * steps_per_unit - 1e-12)))
-        return ode_solve(field, t0, t, x, w, n_sub=n, horizon=horizon)
+    def solve(t0, tau, x, w):
+        n = max(1, int(math.ceil(tau * steps_per_unit - 1e-12)))
+        return ode_solve(field, t0, t0 + tau, x, w, n_sub=n, horizon=horizon)
 
     return Process(solve=solve, constants=ode_constants(field, horizon),
-                   space=EuclideanSpace(), interval=(0.0, horizon))
+                   space=EuclideanSpace())

@@ -90,6 +90,9 @@ class PredatorPreyParams:
             value = getattr(self, name)
             if not (hasattr(value, "__len__") and len(value) == self.dim):
                 raise ValueError(f"{name} must hold one entry per axis")
+        for name in ("prey_center", "predator_start"):
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise ValueError(f"{name} entries must be finite")
         for name in ("alpha", "escape_radius", "search_radius",
                      "feeding_radius", "prey_radius", "prey_amp"):
             if not getattr(self, name) > 0:

@@ -215,7 +215,7 @@ def backward_transport(coef: RenewalCoefficients, w, t: float, t_lo,
 
 
 class _Geometry(NamedTuple):
-    """The state- and ``t``-free part of a constant-speed transport."""
+    """The state- and time-free part of a constant-speed transport."""
 
     mids: np.ndarray      # flat (n_sub * n,) substep midpoints
     feet: np.ndarray      # cell of each foot (0 in the prefix or off the grid)
@@ -228,12 +228,12 @@ class _Geometry(NamedTuple):
 _GEOMETRY_CACHE_CELLS = 2 ** 14
 
 
-def _build_geometry(speed: float, span: float, n_sub: int, n_bdy: int,
+def _build_geometry(speed: float, tau: float, n_sub: int, n_bdy: int,
                     n: int, origin: float, dx: float) -> _Geometry:
     """The substep midpoints and the feet of a constant-speed transport.
 
-    The cells past the first ``n_bdy`` step back over ``span`` by
-    ``n_sub`` translations ``x -> x - (span / n_sub) speed``.  A prefix
+    The cells past the first ``n_bdy`` step back over ``tau`` by
+    ``n_sub`` translations ``x -> x - (tau / n_sub) speed``.  A prefix
     cell at ``x`` reaches the origin at its own end time, and its
     midpoints are the closed form ``x - x (j + 1/2) / n_sub`` rather than
     steps of its own substep length: equal up to rounding.
@@ -242,7 +242,7 @@ def _build_geometry(speed: float, span: float, n_sub: int, n_bdy: int,
     mids = np.empty((n_sub, n))
     x_in = centers[:n_bdy]
     mids[:, :n_bdy] = x_in - ((np.arange(n_sub) + 0.5) / n_sub)[:, None] * x_in
-    pts, h = centers[n_bdy:], -(span / n_sub)
+    pts, h = centers[n_bdy:], -(tau / n_sub)
     for j in range(n_sub):
         nxt = pts + h * speed
         mids[j, n_bdy:] = 0.5 * (pts + nxt)
@@ -263,30 +263,31 @@ _cached_geometry = functools.lru_cache(maxsize=16)(_build_geometry)
 
 
 def _constant_speed_transport(coef: RenewalCoefficients, u0: GridFunction,
-                              w, t0: float, t: float, n_sub: int,
+                              w, t0: float, tau: float, n_sub: int,
                               t_lo: np.ndarray, seeds: np.ndarray
                               ) -> GridFunction:
-    """``u0`` carried from ``t0`` to ``t`` at the constant speed
+    """``u0`` carried from ``t0`` over ``tau`` at the constant speed
     ``coef.velocity`` on a 1D grid.
 
-    Every cell steps back to ``t0`` in ``n_sub`` steps of ``(t - t0) /
-    n_sub``, except a prefix of ``len(t_lo)`` cells (empty for the free
-    problem), whose backward characteristics reach the origin at their own
-    end times ``t_lo`` and which start from ``seeds`` instead of the datum
-    at their feet: the inflow cells of ``ibvp_solve``.  The midpoints and
-    feet come from a geometry cached per step length while ``n (n_sub +
-    1)`` stays within ``_GEOMETRY_CACHE_CELLS``.  The growth, and the source when there is
-    one, is called once on all substep midpoints, and the exponent and the
-    source convolution are summed by the midpoint rule in substep order; a
-    foot off the grid reads zero.
+    Every cell steps back to ``t0`` in ``n_sub`` steps of ``tau / n_sub``,
+    except a prefix of ``len(t_lo)`` cells (empty for the free problem),
+    whose backward characteristics reach the origin at their own end
+    times ``t_lo`` and which start from ``seeds`` instead of the datum at
+    their feet: the inflow cells of ``ibvp_solve``.  The midpoints and
+    feet come from a geometry cached per step length ``tau`` while ``n
+    (n_sub + 1)`` stays within ``_GEOMETRY_CACHE_CELLS``.  The growth, and
+    the source when there is one, is called once on all substep
+    midpoints, and the exponent and the source convolution are summed by
+    the midpoint rule in substep order; a foot off the grid reads zero.
     """
     n = u0.values.shape[0]
     n_bdy = t_lo.shape[0]
-    key = (coef.velocity, t - t0, n_sub, n_bdy, n, u0.origin[0], u0.dx[0])
+    key = (coef.velocity, tau, n_sub, n_bdy, n, u0.origin[0], u0.dx[0])
     geometry = (_build_geometry(*key)
                 if n * (n_sub + 1) > _GEOMETRY_CACHE_CELLS
                 else _cached_geometry(*key))
-    ds = (t - t0) / n_sub
+    t = t0 + tau
+    ds = tau / n_sub
     ds_bdy = (t - t_lo) / n_sub
     times = np.empty((n_sub, n))
     # ds * -0.5 is 0.5 * (-ds) bit for bit
@@ -325,10 +326,10 @@ def _constant_speed_transport(coef: RenewalCoefficients, u0: GridFunction,
 
 
 def renewal_solve(coef: RenewalCoefficients, u0: GridFunction, w,
-                  t0: float, t: float, n_sub: int = 10) -> GridFunction:
-    """Advance the datum from ``t0`` to ``t`` with the parameter frozen.
+                  t0: float, tau: float, n_sub: int = 10) -> GridFunction:
+    """Advance the datum from ``t0`` over ``tau`` with the parameter frozen.
 
-    Requires the datum's support to keep ``v_sup * (t - t0)`` clearance from
+    Requires the datum's support to keep ``v_sup * tau`` clearance from
     the box edge, so no mass reaches the truncation boundary.  With a
     ``coef.support``, only the cells inside its ball (widened by a relative
     ``_SUPPORT_MARGIN``) are transported; every other cell keeps
@@ -336,20 +337,21 @@ def renewal_solve(coef: RenewalCoefficients, u0: GridFunction, w,
     A constant speed is carried by ``_constant_speed_transport`` and needs
     a 1D grid.
     """
-    if t < t0:
-        raise ValueError("t must be >= t0")
-    needed = coef.v_sup * (t - t0)
+    if tau < 0:
+        raise ValueError("tau must be >= 0")
+    needed = coef.v_sup * tau
     if u0.support_clearance() < needed - 1e-12:
         raise SupportClearanceViolated(
             f"support clearance {u0.support_clearance():.3g} below "
             f"required {needed:.3g}")
-    if t == t0:
+    if tau == 0:
         return u0
     if not callable(coef.velocity):
         if u0.dim != 1:
             raise ValueError("a constant velocity is only supported in 1D")
-        return _constant_speed_transport(coef, u0, w, t0, t, n_sub,
+        return _constant_speed_transport(coef, u0, w, t0, tau, n_sub,
                                          np.empty(0), np.empty(0))
+    t = t0 + tau
     centers = u0.centers()
     if coef.support is None:
         vals = _carried(u0, *backward_transport(coef, w, t, t0, centers,
@@ -424,10 +426,10 @@ def make_renewal_process(coef: RenewalCoefficients, radius: float,
                          horizon: float, n_sub_per_unit: float) -> Process:
     """Wrap the solver as a process handle; ``radius`` sizes its moduli."""
 
-    def solve(t, t0, u, w):
-        n = max(2, int(math.ceil((t - t0) * n_sub_per_unit - 1e-12)))
-        return renewal_solve(coef, u, w, t0, t, n_sub=n)
+    def solve(t0, tau, u, w):
+        n = max(2, int(math.ceil(tau * n_sub_per_unit - 1e-12)))
+        return renewal_solve(coef, u, w, t0, tau, n_sub=n)
 
     return Process(solve=solve,
                    constants=ivp_lipschitz_constants(coef, horizon, radius),
-                   space=GridFunctionSpace(), interval=(0.0, horizon))
+                   space=GridFunctionSpace())

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from ._lazy import forwarder
@@ -119,13 +119,14 @@ def _run_coupled(build: Callable[[float], tuple[Process, Process]], state,
     inadmissible at the macro length: the radius and margins are then NaN,
     and the moduli radius is ``2 max(norms, 1)``.
 
-    Step ``k`` shifts both processes to ``[k macro, (k + 1) macro]`` and
-    refines the coupled polygonal dyadically between the schedule's levels;
-    its ``RefinementResult`` is the step's record.  Polygonal steps shorter
-    than the crossing time ``dx / speed``, with ``dx`` the field's narrowest
-    cell, make the cell lookup quantize the transport away, so ``j_max`` is
-    clamped to the deepest level whose step still crosses a cell (no clamp
-    when ``speed`` is 0), and ``j0`` to that ``j_max``.  Moduli that
+    The two processes are coupled once per run; step ``k`` refines the
+    coupled polygonal from ``k macro`` over one macro step, dyadically
+    between the schedule's levels, and its ``RefinementResult`` is the
+    step's record.  Polygonal steps shorter than the crossing time ``dx /
+    speed``, with ``dx`` the field's narrowest cell, make the cell lookup
+    quantize the transport away, so ``j_max`` is clamped to the deepest
+    level whose step still crosses a cell (no clamp when ``speed`` is 0),
+    and ``j0`` to that ``j_max``.  Moduli that
     overflow a float, and a grid too fine for the cells one macro step
     crosses to be counted, are a ``ConfigError``.
 
@@ -167,16 +168,13 @@ def _run_coupled(build: Callable[[float], tuple[Process, Process]], state,
         j_max = min(j_max, max(0, int(math.floor(
             math.log2(max(crossed, 1.0)) + 1e-9))))
     j0 = min(schedule.j0, j_max)
+    flow = couple(proc_u, proc_w)
+    times = [k * macro for k in range(n_macro + 1)]
     states, steps = [state], []
-    for k in range(n_macro):
-        t = k * macro
-        flow = couple(
-            replace(proc_u, interval=(t, t + macro)),
-            replace(proc_w, interval=(t, t + macro)))
+    for t in times[:-1]:
         steps.append(refine_to_process(flow, macro, t, states[-1],
                                        schedule.tol, j0, j_max))
         states.append(steps[-1].point)
-    times = [k * macro for k in range(n_macro + 1)]
 
     fields = [s[index] for s in states]
     cols = {"l1": [f.l1() for f in fields],

@@ -134,7 +134,7 @@ def test_criterion_4_semigroup_restarts():
     fine_r = renewal_solve(coef, bump, None, 0.0, 0.4, n_sub=64)
     tol_r = max(l1_distance(direct_r, fine_r), 2 * grid.dx[0] * bump.tv())
     mid_r = renewal_solve(coef, bump, None, 0.0, 0.2, n_sub=8)
-    rest_r = renewal_solve(coef, mid_r, None, 0.2, 0.4, n_sub=8)
+    rest_r = renewal_solve(coef, mid_r, None, 0.2, 0.2, n_sub=8)
     details.append(("renewal", l1_distance(rest_r, direct_r), 5 * tol_r))
 
     # boundary balance law: decay + inflow
@@ -149,7 +149,7 @@ def test_criterion_4_semigroup_restarts():
                               b_l1=1.0, b_sup_tv=1.0)
     direct_b = ibvp_solve(coef_b, inflow_b, gridb, None, 0.0, 1.0, n_sub=16)
     mid_b = ibvp_solve(coef_b, inflow_b, gridb, None, 0.0, 0.5, n_sub=8)
-    rest_b = ibvp_solve(coef_b, inflow_b, mid_b, None, 0.5, 1.0, n_sub=8)
+    rest_b = ibvp_solve(coef_b, inflow_b, mid_b, None, 0.5, 0.5, n_sub=8)
     details.append(("ibvp", l1_distance(rest_b, direct_b),
                     5 * 2 * gridb.dx[0]))
 

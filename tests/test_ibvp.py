@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from pathlib import Path
 
@@ -207,7 +208,7 @@ class TestIbvpSolve:
         fine = ibvp_solve(coef, inflow, bump, None, 0.0, 0.5, n_sub=64)
         level_err = max(l1_distance(direct, fine), 2 * grid.dx[0])
         mid = ibvp_solve(coef, inflow, bump, None, 0.0, 0.25, n_sub=8)
-        rest = ibvp_solve(coef, inflow, mid, None, 0.25, 0.5, n_sub=8)
+        rest = ibvp_solve(coef, inflow, mid, None, 0.25, 0.25, n_sub=8)
         assert l1_distance(rest, direct) <= 5 * level_err
 
     def test_parameter_lipschitz(self, grid):
@@ -241,15 +242,16 @@ class TestIbvpSolve:
             assert u_t.tv() + gap <= atv + 10 * grid.dx[0]
 
 
-def two_pass_values(coef, inflow, u0, w, t0, t, n_sub):
+def two_pass_values(coef, inflow, u0, w, t0, tau, n_sub):
     """The earlier assembly: one transport call per branch, by
     ``backward_transport`` for a callable speed and by the self-contained
     ``frozen_constant_transport`` for a number."""
+    t = t0 + tau
 
-    def transport(t_lo, x):
+    def transport(t_lo, span, x):
         if callable(coef.velocity):
             return backward_transport(coef, w, t, t_lo, x, n_sub, u0.dx)
-        return frozen_constant_transport(coef, w, t, t_lo, x, n_sub)
+        return frozen_constant_transport(coef, w, t, span, x, n_sub)
 
     sigma = float(characteristic(coef.velocity, t0, np.array([0.0]), t, w,
                                  n_sub=n_sub)[0])
@@ -257,13 +259,13 @@ def two_pass_values(coef, inflow, u0, w, t0, t, n_sub):
     interior = centers >= sigma
     vals = np.zeros(centers.shape[0])
     if np.any(interior):
-        foot, factor, src = transport(t0, centers[interior])
+        foot, factor, src = transport(t0, tau, centers[interior])
         vals[interior] = u0.lookup(foot, outside="zero") * factor + src
     boundary = ~interior
     if np.any(boundary):
         cross = boundary_crossing_time(coef.velocity, t, centers[boundary],
                                        t0, n_sub=n_sub)
-        _, factor_b, src_b = transport(cross, centers[boundary])
+        _, factor_b, src_b = transport(cross, t - cross, centers[boundary])
         vals[boundary] = inflow.series(cross) * factor_b + src_b
     return vals
 
@@ -281,7 +283,7 @@ def epidemic_step():
         s0=0.7, i0=0.2, r0=0.0, v0=grid.with_values(0.2 * np.exp(-3 * xs)),
         admissible_radius=1.0, horizon=0.5, macro_step=0.02)
     coef, inflow = _epidemic_ibvp(params, i_bound=2.0)
-    return coef, inflow, params.v0, np.array([0.65, 0.21]), 0.2, 0.3, 4
+    return coef, inflow, params.v0, np.array([0.65, 0.21]), 0.2, 0.1, 4
 
 
 def varying_step():
@@ -308,7 +310,7 @@ def short_step():
                      growth=lambda t, x, w: -np.exp(-np.asarray(x)))
     inflow = make_inflow(BvTimeSeries.constant(0.7))
     u0 = grid.with_values(np.exp(-grid.axis_centers(0)))
-    return coef, inflow, u0, None, 0.1, 0.1 + 0.4 * grid.dx[0], 3
+    return coef, inflow, u0, None, 0.1, 0.4 * grid.dx[0], 3
 
 
 def all_boundary_step():
@@ -330,15 +332,16 @@ class TestOnePass:
     @pytest.mark.parametrize("case", [epidemic_step, varying_step,
                                       short_step, all_boundary_step])
     def test_matches_two_pass_assembly(self, case):
-        coef, inflow, u0, w, t0, t, n_sub = case()
-        got = ibvp_solve(coef, inflow, u0, w, t0, t, n_sub=n_sub,
+        coef, inflow, u0, w, t0, tau, n_sub = case()
+        got = ibvp_solve(coef, inflow, u0, w, t0, tau, n_sub=n_sub,
                          outflow_edge=True)
         assert np.array_equal(
-            got.values, two_pass_values(coef, inflow, u0, w, t0, t, n_sub))
+            got.values, two_pass_values(coef, inflow, u0, w, t0, tau, n_sub))
 
     def test_cases_cover_both_branches_and_each_alone(self):
         def inflow_seen(case):
-            coef, inflow, u0, w, t0, t, n_sub = case()
+            coef, inflow, u0, w, t0, tau, n_sub = case()
+            t = t0 + tau
             sigma = float(characteristic(coef.velocity, t0, np.array([0.0]),
                                          t, w, n_sub)[0])
             left = u0.centers() < sigma
@@ -445,14 +448,13 @@ class TestLipschitzConstants:
 # The constant-speed solve from a geometry cached per step length
 # --------------------------------------------------------------------------
 
-def frozen_constant_transport(coef, w, t, t_lo, x, n_sub):
-    """A constant-speed transport of points ``x`` from ``t`` down to
-    ``t_lo`` (a scalar or one per point), with one growth and one source
+def frozen_constant_transport(coef, w, t, span, x, n_sub):
+    """A constant-speed transport of points ``x`` from ``t`` back over
+    ``span`` (a scalar or one per point), with one growth and one source
     call per substep: the arithmetic of the library's constant-speed
     kernel, self-contained so it cannot follow a change of it."""
     pts = np.asarray(x, dtype=float).copy()
-    lo = float(t_lo) if np.ndim(t_lo) == 0 else np.asarray(t_lo, dtype=float)
-    ds = (t - lo) / n_sub
+    ds = np.asarray(span, dtype=float) / n_sub
     source = coef.source or zero_field
     exponent = np.zeros(pts.shape[0])
     source_acc = np.zeros(pts.shape[0])
@@ -473,21 +475,24 @@ def frozen_constant_transport(coef, w, t, t_lo, x, n_sub):
     return pts, np.exp(exponent), source_acc
 
 
-def frozen_one_pass(coef, inflow, u0, w, t0, t, n_sub):
+def frozen_one_pass(coef, inflow, u0, w, t0, tau, n_sub):
     """The constant-speed ``ibvp_solve`` before the cache: one transport
-    pass over all cells with per-cell end times.  Returns the values and
-    the number of inflow cells."""
+    pass over all cells, ``tau`` long but for the inflow cells, which end
+    at their crossing times.  Returns the values and the number of inflow
+    cells."""
+    t = t0 + tau
     sigma = float(characteristic(coef.velocity, t0, np.array([0.0]), t, w,
                                  n_sub=n_sub)[0])
     centers = u0.centers()
     n_bdy = int(np.count_nonzero(centers < sigma))
-    t_lo = np.full(centers.shape[0], float(t0))
-    t_lo[:n_bdy] = boundary_crossing_time(coef.velocity, t, centers[:n_bdy],
-                                          t0, n_sub=n_sub)
-    foot, factor, src = frozen_constant_transport(coef, w, t, t_lo, centers,
+    t_in = boundary_crossing_time(coef.velocity, t, centers[:n_bdy], t0,
+                                  n_sub=n_sub)
+    span = np.full(centers.shape[0], tau)
+    span[:n_bdy] = t - t_in
+    foot, factor, src = frozen_constant_transport(coef, w, t, span, centers,
                                                   n_sub)
     seed = u0.lookup(foot, outside="zero")
-    seed[:n_bdy] = inflow.series(t_lo[:n_bdy])
+    seed[:n_bdy] = inflow.series(t_in)
     return seed * factor + src, n_bdy
 
 
@@ -509,7 +514,8 @@ def epidemic_cohort(cells=1600):
     return coef, inflow, params.v0
 
 
-# start times at which ``(t0 + dt) - t0`` rounds differently
+# start times at which ``(t0 + dt) - t0`` rounds differently: a step
+# length recomputed from two absolute times would not be one per level
 SWEEP_T0 = (0.0, 0.02, 0.1, 0.23, 0.2375, 0.47)
 
 
@@ -520,32 +526,32 @@ def prefix_lengths(monkeypatch):
     lengths = []
     kernel = ibvp._constant_speed_transport
 
-    def recorded(coef, u0, w, t0, t, n_sub, t_lo, seeds):
+    def recorded(coef, u0, w, t0, tau, n_sub, t_lo, seeds):
         lengths.append(len(t_lo))
-        return kernel(coef, u0, w, t0, t, n_sub, t_lo, seeds)
+        return kernel(coef, u0, w, t0, tau, n_sub, t_lo, seeds)
 
     monkeypatch.setattr(ibvp, "_constant_speed_transport", recorded)
     return lengths
 
 
-def frozen_free_values(coef, u0, w, t0, t, n_sub):
+def frozen_free_values(coef, u0, w, t0, tau, n_sub):
     """``renewal_solve`` for a constant speed by the per-substep oracle."""
-    foot, factor, src = frozen_constant_transport(coef, w, t, t0,
+    foot, factor, src = frozen_constant_transport(coef, w, t0 + tau, tau,
                                                   u0.centers(), n_sub)
     return u0.lookup(foot, outside="zero") * factor + src
 
 
-def geometry(speed, u0, t0, t, n_sub, n_bdy):
+def geometry(speed, u0, tau, n_sub, n_bdy):
     """The cached geometry the constant-speed kernel reads for a step."""
-    return renewal._cached_geometry(speed, t - t0, n_sub, n_bdy,
+    return renewal._cached_geometry(speed, tau, n_sub, n_bdy,
                                     u0.values.shape[0], u0.origin[0],
                                     u0.dx[0])
 
 
-def split(coef, u0, t0, t):
+def split(coef, u0, t0, tau):
     """The number of cells left of the origin characteristic."""
-    sigma = float(characteristic(coef.velocity, t0, np.array([0.0]), t,
-                                 None)[0])
+    sigma = float(characteristic(coef.velocity, t0, np.array([0.0]),
+                                 t0 + tau, None)[0])
     return int(np.count_nonzero(u0.centers() < sigma))
 
 
@@ -559,17 +565,16 @@ class TestCachedGeometry:
     def test_epidemic_sweep_bitexact(self, level, n_sub):
         coef, inflow, u0 = epidemic_cohort()
         w = np.array([0.65, 0.21])
-        dt = 0.02 / 2 ** level
-        spans = set()
+        tau = 0.02 / 2 ** level
+        before = renewal._cached_geometry.cache_info().misses
         for t0 in SWEEP_T0:
-            t = t0 + dt
-            spans.add(t - t0)
-            got = ibvp_solve(coef, inflow, u0, w, t0, t, n_sub=n_sub,
+            got = ibvp_solve(coef, inflow, u0, w, t0, tau, n_sub=n_sub,
                              outflow_edge=True)
-            ref, n_bdy = frozen_one_pass(coef, inflow, u0, w, t0, t, n_sub)
+            ref, n_bdy = frozen_one_pass(coef, inflow, u0, w, t0, tau, n_sub)
             assert n_bdy > 0
             assert same_bits(got.values, ref)
-        assert len(spans) > 1
+        # one step length, so one geometry, whatever the start time
+        assert renewal._cached_geometry.cache_info().misses <= before + 1
 
     def test_smooth_growth_and_source(self):
         grid = GridFunction.uniform((0.0, 2.0), 800)
@@ -583,10 +588,10 @@ class TestCachedGeometry:
             BvTimeSeries(np.array([0.0, 0.3]), np.array([1.0, 0.4])),
             speed_min=0.7, b_l1=1.0, b_sup_tv=1.6)
         u0 = grid.with_values(np.clip(1 - np.abs(xs - 1.2) / 0.3, 0, None))
-        for t0, t, n_sub in ((0.0, 0.5, 8), (0.23, 0.23 + 0.005, 2),
-                             (0.1, 0.6, 16)):
-            got = ibvp_solve(coef, inflow, u0, None, t0, t, n_sub=n_sub)
-            ref, n_bdy = frozen_one_pass(coef, inflow, u0, None, t0, t,
+        for t0, tau, n_sub in ((0.0, 0.5, 8), (0.23, 0.005, 2),
+                               (0.1, 0.5, 16)):
+            got = ibvp_solve(coef, inflow, u0, None, t0, tau, n_sub=n_sub)
+            ref, n_bdy = frozen_one_pass(coef, inflow, u0, None, t0, tau,
                                          n_sub)
             assert n_bdy > 0
             assert same_bits(got.values[n_bdy:], ref[n_bdy:])
@@ -607,11 +612,12 @@ class TestCachedGeometry:
             growth=lambda t, x, w: 0.3 * np.cos(x) - 0.1 * t,
             source=(lambda t, x, w: 0.2 * np.exp(-x * x) * (1 + t))
             if with_source else None)
-        for t0, t, n_sub in ((0.1, 0.9, 12), (0.23, 0.23 + 0.005, 2)):
-            got = renewal_solve(coef, u0, None, t0, t, n_sub=n_sub)
+        for t0, tau, n_sub in ((0.1, 0.8, 12), (0.23, 0.005, 2)):
+            got = renewal_solve(coef, u0, None, t0, tau, n_sub=n_sub)
             assert same_bits(got.values,
-                             frozen_free_values(coef, u0, None, t0, t, n_sub))
-        foot = xs - (0.9 - 0.1) * speed
+                             frozen_free_values(coef, u0, None, t0, tau,
+                                                n_sub))
+        foot = xs - 0.8 * speed
         assert np.any((foot < -2.0) | (foot >= 3.0))
 
     def test_inflow_prefix_matches_per_substep_calls(self, prefix_lengths):
@@ -626,14 +632,14 @@ class TestCachedGeometry:
         grid = GridFunction.uniform((0.0, 2.0), 80)
         xs = grid.axis_centers(0)
         u0 = grid.with_values(np.clip(1 - np.abs(xs - 0.9) / 0.3, 0, None))
-        got = ibvp_solve(coef, inflow, u0, None, 0.1, 1.0, n_sub=12)
-        ref, n_bdy = frozen_one_pass(coef, inflow, u0, None, 0.1, 1.0, 12)
+        got = ibvp_solve(coef, inflow, u0, None, 0.1, 0.9, n_sub=12)
+        ref, n_bdy = frozen_one_pass(coef, inflow, u0, None, 0.1, 0.9, 12)
         assert prefix_lengths == [n_bdy] and n_bdy > 1
         assert same_bits(got.values[n_bdy:], ref[n_bdy:])
         # the inflow cells' midpoints come from the cached closed form
         assert np.all(np.abs(got.values[:n_bdy] - ref[:n_bdy])
                       <= 1e-14 * np.abs(ref[:n_bdy]))
-        ref, _ = frozen_geometry_solve(coef, inflow, u0, None, 0.1, 1.0, 12)
+        ref, _ = frozen_geometry_solve(coef, inflow, u0, None, 0.1, 0.9, 12)
         assert same_bits(got.values, ref)
 
     def test_one_rate_call_per_solve(self, grid):
@@ -673,14 +679,20 @@ class TestCachedGeometry:
                 lookups.append(len(spans))
             return lookup(grid, points, outside)
 
-        def recorded_solve(coef, inflow, u0, w, t0, t, **kw):
-            spans.append(t - t0)
-            return solve(coef, inflow, u0, w, t0, t, **kw)
+        def recorded_solve(coef, inflow, u0, w, t0, tau, **kw):
+            spans.append(tau)
+            return solve(coef, inflow, u0, w, t0, tau, **kw)
 
         monkeypatch.setattr(GridFunction, "lookup", counted_lookup)
         monkeypatch.setattr(ibvp, "ibvp_solve", recorded_solve)
         cfg = load_config(ROOT / "configs" / "epidemic.json")
+        cache = renewal._cached_geometry
+        cache.cache_clear()
         assert run(cfg, tmp_path, quiet=True) == 0
+        # one geometry per refinement level, each built once
+        meta = json.loads((tmp_path / "summary.json").read_text())["meta"]
+        assert cache.cache_info().misses == meta["j_max"] + 1
+        assert len(set(spans)) == meta["j_max"] + 1
         changes = 1 + sum(a != b for a, b in zip(spans, spans[1:]))
         # every lookup is the growth's, made inside a solve
         assert 0 < len(lookups) <= changes < len(spans)
@@ -695,18 +707,18 @@ class TestCachedGeometry:
         assert renewal._GEOMETRY_CACHE_CELLS * 8 * 16 <= 2 ** 21
         coef = make_coef(velocity=1.0)
         for solve in (lambda: ibvp_solve(coef, make_inflow(), grid, None,
-                                         0.1, 0.4, n_sub=2),
-                      lambda: renewal_solve(coef, grid, None, 0.1, 0.4,
+                                         0.1, 0.3, n_sub=2),
+                      lambda: renewal_solve(coef, grid, None, 0.1, 0.3,
                                             n_sub=2)):
             solve()
             before = cache.cache_info()
             solve()
             assert cache.cache_info().hits == before.hits + 1
-        n_bdy = split(coef, grid, 0.1, 0.4)
+        n_bdy = split(coef, grid, 0.1, 0.3)
         assert n_bdy > 0
         for prefix in (n_bdy, 0):
             before = cache.cache_info()
-            cached = geometry(1.0, grid, 0.1, 0.4, 2, prefix)
+            cached = geometry(1.0, grid, 0.3, 2, prefix)
             assert cache.cache_info().hits == before.hits + 1
             for arr in (cached.mids, cached.feet):
                 assert not arr.flags.writeable
@@ -716,8 +728,8 @@ class TestCachedGeometry:
         big = GridFunction.uniform((0.0, 1.0),
                                    1 + renewal._GEOMETRY_CACHE_CELLS // 3)
         before = cache.cache_info()
-        ibvp_solve(coef, make_inflow(), big, None, 0.1, 0.4, n_sub=2)
-        renewal_solve(coef, big, None, 0.1, 0.4, n_sub=2)
+        ibvp_solve(coef, make_inflow(), big, None, 0.1, 0.3, n_sub=2)
+        renewal_solve(coef, big, None, 0.1, 0.3, n_sub=2)
         assert cache.cache_info().currsize == before.currsize
 
 
@@ -746,7 +758,7 @@ class TestNoSource:
 # The lean constant-speed path: per-cell work only on the inflow prefix
 # --------------------------------------------------------------------------
 
-def frozen_geometry_solve(coef, inflow, u0, w, t0, t, n_sub):
+def frozen_geometry_solve(coef, inflow, u0, w, t0, tau, n_sub):
     """The constant-speed ``ibvp_solve`` as it was with full-length end
     times: every cell's crossing time, substep length and substep times,
     and a zero-padded lookup, from a geometry built afresh.  Self-contained,
@@ -755,6 +767,7 @@ def frozen_geometry_solve(coef, inflow, u0, w, t0, t, n_sub):
     speed = coef.velocity
     n = u0.values.shape[0]
     origin, dx = u0.origin[0], u0.dx[0]
+    t = t0 + tau
     sigma = float((np.array([0.0]) + (t - t0) * speed)[0])
     centers = origin + (np.arange(n) + 0.5) * dx
     n_bdy = int(np.count_nonzero(centers < sigma))
@@ -762,7 +775,7 @@ def frozen_geometry_solve(coef, inflow, u0, w, t0, t, n_sub):
     x_in = centers[:n_bdy]
     mids[:, :n_bdy] = (x_in - ((np.arange(n_sub) + 0.5) / n_sub)[:, None]
                        * x_in)
-    pts, h = centers[n_bdy:], -((t - t0) / n_sub)
+    pts, h = centers[n_bdy:], -(tau / n_sub)
     for j in range(n_sub):
         nxt = pts + h * speed
         mids[j, n_bdy:] = 0.5 * (pts + nxt)
@@ -772,7 +785,9 @@ def frozen_geometry_solve(coef, inflow, u0, w, t0, t, n_sub):
     feet[n_bdy:] = np.minimum(np.maximum(idx, -1), n) + 1
     t_lo = np.full(n, float(t0))
     t_lo[:n_bdy] = np.minimum(np.maximum(t - centers[:n_bdy] / speed, t0), t)
-    ds = (t - t_lo) / n_sub
+    span = np.full(n, tau)
+    span[:n_bdy] = t - t_lo[:n_bdy]
+    ds = span / n_sub
     s = ((t - np.arange(n_sub, dtype=float).reshape(-1, 1) * ds)
          + 0.5 * (-ds)).ravel()
     mids = mids.reshape(-1)
@@ -821,11 +836,11 @@ class TestLeanInflowPath:
     def test_epidemic_levels_bitexact(self, level, n_sub, prefix_lengths):
         coef, inflow, u0 = epidemic_cohort()
         w = np.array([0.65, 0.21])
+        tau = 0.02 / 2 ** level
         for t0 in SWEEP_T0:
-            t = t0 + 0.02 / 2 ** level
-            got = ibvp_solve(coef, inflow, u0, w, t0, t, n_sub=n_sub,
+            got = ibvp_solve(coef, inflow, u0, w, t0, tau, n_sub=n_sub,
                              outflow_edge=True)
-            ref, n_bdy = frozen_geometry_solve(coef, inflow, u0, w, t0, t,
+            ref, n_bdy = frozen_geometry_solve(coef, inflow, u0, w, t0, tau,
                                                n_sub)
             assert n_bdy == prefix_lengths[-1] > 0
             assert same_bits(got.values, ref)
@@ -841,13 +856,13 @@ class TestLeanInflowPath:
             coef = dataclasses.replace(
                 coef, source=lambda t, x, w: 0.05 * np.cos(x) * (1 + t))
         w = np.array([0.65, 0.21])
-        t0 = 0.23
-        t = t0 + cells * u0.dx[0]
+        t0, tau = 0.23, cells * u0.dx[0]
         for n_sub in (2, 5):
-            got = ibvp_solve(coef, inflow, u0, w, t0, t, n_sub=n_sub,
+            got = ibvp_solve(coef, inflow, u0, w, t0, tau, n_sub=n_sub,
                              outflow_edge=True)
             assert prefix_lengths[-1] == n_bdy
-            ref, _ = frozen_geometry_solve(coef, inflow, u0, w, t0, t, n_sub)
+            ref, _ = frozen_geometry_solve(coef, inflow, u0, w, t0, tau,
+                                           n_sub)
             assert same_bits(got.values, ref)
 
     @pytest.mark.parametrize("with_source", [False, True])
@@ -856,12 +871,12 @@ class TestLeanInflowPath:
         if not with_source:
             coef = dataclasses.replace(coef, source=None)
         assert np.any(np.signbit(u0.values))
-        for t0, t, n_sub in ((0.0, 0.5, 8), (0.23, 0.23 + 0.005, 2),
-                             (0.1, 0.6, 16), (0.2, 0.2 + 1e-4, 3)):
-            got = ibvp_solve(coef, inflow, u0, None, t0, t, n_sub=n_sub)
-            ref, n_bdy = frozen_geometry_solve(coef, inflow, u0, None, t0, t,
-                                               n_sub)
-            assert same_bits(got.values, ref), (t0, t, n_bdy)
+        for t0, tau, n_sub in ((0.0, 0.5, 8), (0.23, 0.005, 2),
+                               (0.1, 0.5, 16), (0.2, 1e-4, 3)):
+            got = ibvp_solve(coef, inflow, u0, None, t0, tau, n_sub=n_sub)
+            ref, n_bdy = frozen_geometry_solve(coef, inflow, u0, None, t0,
+                                               tau, n_sub)
+            assert same_bits(got.values, ref), (t0, tau, n_bdy)
 
     @pytest.mark.parametrize("t0", [0.0, 0.37])
     def test_interior_foot_off_the_grid_reads_zero(self, t0):
@@ -872,19 +887,19 @@ class TestLeanInflowPath:
         coef = make_coef(velocity=1.0, source=None,
                          growth=lambda t, x, w: -0.5 * np.cos(t + x))
         inflow = make_inflow(BvTimeSeries.constant(0.25))
-        t = t0 + 2.5 * grid.dx[0]
-        got = ibvp_solve(coef, inflow, u0, None, t0, t, n_sub=3,
+        tau = 2.5 * grid.dx[0]
+        got = ibvp_solve(coef, inflow, u0, None, t0, tau, n_sub=3,
                          outflow_edge=True)
-        n_bdy = split(coef, u0, t0, t)
+        n_bdy = split(coef, u0, t0, tau)
         assert n_bdy == 2
-        assert geometry(1.0, u0, t0, t, 3, n_bdy).off_grid.tolist() == [2]
-        ref, _ = frozen_geometry_solve(coef, inflow, u0, None, t0, t, 3)
+        assert geometry(1.0, u0, tau, 3, n_bdy).off_grid.tolist() == [2]
+        ref, _ = frozen_geometry_solve(coef, inflow, u0, None, t0, tau, 3)
         assert same_bits(got.values, ref)
         assert got.values[2] == 0.0
 
     def test_no_step_returns_the_datum(self):
         coef, inflow, u0 = epidemic_cohort()
-        assert ibvp_solve(coef, inflow, u0, np.array([0.6, 0.2]), 0.3, 0.3,
+        assert ibvp_solve(coef, inflow, u0, np.array([0.6, 0.2]), 0.3, 0.0,
                           n_sub=2, outflow_edge=True) is u0
 
     def test_no_crossing_still_raised(self, monkeypatch):
@@ -897,7 +912,7 @@ class TestLeanInflowPath:
 
         monkeypatch.setattr(ibvp, "characteristic", too_wide)
         with pytest.raises(NoCrossing):
-            ibvp_solve(coef, inflow, u0, np.array([0.6, 0.2]), 0.1, 0.12,
+            ibvp_solve(coef, inflow, u0, np.array([0.6, 0.2]), 0.1, 0.02,
                        n_sub=2, outflow_edge=True)
 
     def test_traced_calls_fire_once_per_solve(self, monkeypatch):
@@ -908,8 +923,8 @@ class TestLeanInflowPath:
                 return _fn(*args, **kw)
             monkeypatch.setattr(ibvp, name, counted)
         coef, inflow, u0 = epidemic_cohort()
-        for t in (0.1 + 1e-5, 0.101, 0.12):
-            ibvp_solve(coef, inflow, u0, np.array([0.6, 0.2]), 0.1, t,
+        for tau in (1e-5, 0.001, 0.02):
+            ibvp_solve(coef, inflow, u0, np.array([0.6, 0.2]), 0.1, tau,
                        n_sub=2, outflow_edge=True)
         assert sorted(calls) == ["boundary_crossing_time"] * 3 \
             + ["characteristic"] * 3
@@ -926,10 +941,10 @@ class TestLeanInflowPath:
         coef = dataclasses.replace(coef, growth=recorded)
         w = np.array([0.65, 0.21])
         for t0 in (0.0, 0.25, 0.0, 0.5):
-            t = t0 + 0.0125
-            ibvp_solve(coef, inflow, u0, w, t0, t, n_sub=2,
+            ibvp_solve(coef, inflow, u0, w, t0, 0.0125, n_sub=2,
                        outflow_edge=True)
-            cached = geometry(1.0, u0, t0, t, 2, split(coef, u0, t0, t))
+            cached = geometry(1.0, u0, 0.0125, 2,
+                              split(coef, u0, t0, 0.0125))
             assert seen[-1] is cached.mids
         assert len(seen) == 4
         assert seen[0] is seen[2]

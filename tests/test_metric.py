@@ -76,7 +76,7 @@ class TestEulerPolygonal:
 class TestCouple:
     def make_constant_process(self):
         c = ProcessConstants(c_u=0.0, c_t=0.0, c_w=0.0, horizon=2.0)
-        return Process(solve=lambda t, t0, x, w: x, constants=c,
+        return Process(solve=lambda t0, tau, x, w: x, constants=c,
                        space=EuclideanSpace())
 
     def test_constant_processes_identity(self):
@@ -88,9 +88,9 @@ class TestCouple:
     def test_frozen_parameter_closed_form(self):
         # du/dt = w (frozen), dw/dt = 0: one step gives (tau, 1)
         c = ProcessConstants(c_u=1.0, c_t=1.0, c_w=1.0, horizon=2.0)
-        pu = Process(solve=lambda t, t0, u, w: u + w * (t - t0),
+        pu = Process(solve=lambda t0, tau, u, w: u + w * tau,
                      constants=c, space=EuclideanSpace())
-        pw = Process(solve=lambda t, t0, w, u: w, constants=c,
+        pw = Process(solve=lambda t0, tau, w, u: w, constants=c,
                      space=EuclideanSpace())
         flow = couple(pu, pw)
         out = flow.evaluate(0.5, 0.0, (np.array([0.0]), np.array([1.0])))
@@ -100,9 +100,9 @@ class TestCouple:
     def test_frozen_parameter_decay(self):
         # dw/dt = -w while u still sees w frozen at its start value
         c = ProcessConstants(c_u=1.0, c_t=1.0, c_w=1.0, horizon=2.0)
-        pu = Process(solve=lambda t, t0, u, w: u + w * (t - t0),
+        pu = Process(solve=lambda t0, tau, u, w: u + w * tau,
                      constants=c, space=EuclideanSpace())
-        pw = Process(solve=lambda t, t0, w, u: w * math.exp(-(t - t0)),
+        pw = Process(solve=lambda t0, tau, w, u: w * math.exp(-tau),
                      constants=c, space=EuclideanSpace())
         flow = couple(pu, pw)
         tau = 0.8
@@ -113,25 +113,16 @@ class TestCouple:
     def test_domain_exit_tagged_with_component(self):
         c = ProcessConstants(c_u=0.0, c_t=0.0, c_w=0.0, horizon=2.0)
 
-        def bad_solve(t, t0, x, w):
-            raise DomainExit("gone", step=4, time=t)
+        def bad_solve(t0, tau, x, w):
+            raise DomainExit("gone", step=4, time=t0 + tau)
 
-        good = Process(solve=lambda t, t0, x, w: x, constants=c,
+        good = Process(solve=lambda t0, tau, x, w: x, constants=c,
                        space=EuclideanSpace())
         bad = Process(solve=bad_solve, constants=c, space=EuclideanSpace())
         flow = couple(good, bad)
         with pytest.raises(DomainExit) as exc:
             flow.evaluate(0.1, 0.0, (np.array([0.0]), np.array([0.0])))
         assert exc.value.component == "w"
-
-    def test_no_common_horizon(self):
-        c1 = ProcessConstants(c_u=0, c_t=0, c_w=0, horizon=1.0)
-        p1 = Process(solve=lambda t, t0, x, w: x, constants=c1,
-                     space=EuclideanSpace(), interval=(0.0, 1.0))
-        p2 = Process(solve=lambda t, t0, x, w: x, constants=c1,
-                     space=EuclideanSpace(), interval=(2.0, 3.0))
-        with pytest.raises(ValueError):
-            couple(p1, p2)
 
 
 class TestRefineToProcess:
@@ -182,6 +173,14 @@ class TestRefineToProcess:
         x0 = (np.array([1.0]), np.array([0.0]))
         with pytest.raises(ValueError, match="j0 5 exceeds j_max 2"):
             refine_to_process(flow, 0.5, 0.0, x0, tol, j0=5, j_max=2)
+
+    def test_negative_start_level_rejected(self):
+        # levels -1 and 0 would both take one step of length tau, so their
+        # gap of 0.0 would report a false convergence
+        flow = rotation_flow(ball=4.0, horizon=1.0)
+        x0 = ((1.0,), (0.0,))
+        with pytest.raises(ValueError, match="j0 must be nonnegative"):
+            refine_to_process(flow, 0.5, 0.0, x0, 1.0, j0=-1, j_max=3)
 
 
 class TestCouplingBounds:
@@ -247,15 +246,15 @@ class TestStabilityAndDomains:
         # problems) instead of the exact frozen solvers yields a tangent
         # flow, so dyadic refinement drives both couplings to the same limit
         c = ProcessConstants(c_u=2.0, c_t=2.0, c_w=2.0, horizon=1.0)
-        exact_u = Process(solve=lambda t, t0, u, w: u * math.exp(
-            float(w[0]) * (t - t0)), constants=c, space=EuclideanSpace())
-        exact_w = Process(solve=lambda t, t0, w, u: w * math.exp(
-            -float(u[0]) * (t - t0)), constants=c, space=EuclideanSpace())
-        euler_u = Process(solve=lambda t, t0, u, w: u * (1 + float(w[0])
-                                                         * (t - t0)),
+        exact_u = Process(solve=lambda t0, tau, u, w: u * math.exp(
+            float(w[0]) * tau), constants=c, space=EuclideanSpace())
+        exact_w = Process(solve=lambda t0, tau, w, u: w * math.exp(
+            -float(u[0]) * tau), constants=c, space=EuclideanSpace())
+        euler_u = Process(solve=lambda t0, tau, u, w: u * (1 + float(w[0])
+                                                           * tau),
                           constants=c, space=EuclideanSpace())
-        euler_w = Process(solve=lambda t, t0, w, u: w * (1 - float(u[0])
-                                                         * (t - t0)),
+        euler_w = Process(solve=lambda t0, tau, w, u: w * (1 - float(u[0])
+                                                           * tau),
                           constants=c, space=EuclideanSpace())
         x0 = (np.array([1.0]), np.array([0.5]))
         lim_exact = refine_to_process(couple(exact_u, exact_w), 0.5, 0.0, x0,

@@ -89,7 +89,7 @@ class TestConstantVelocity:
                 renewal_solve(coefficients(velocity=v, growth=growth,
                                            source=source, v_sup=0.6,
                                            divergence=div),
-                              u0, None, 0.1, 1.0, n_sub=12)
+                              u0, None, 0.1, 0.9, n_sub=12)
                 for v, div in ((speed, None), (still(speed), zeros)))
             assert np.max(np.abs(exact.values - rk4.values)) <= 1e-13
         # per-point end times, as the inflow cells of ibvp_solve take them
@@ -101,7 +101,7 @@ class TestConstantVelocity:
         exact, rk4 = (
             ibvp_solve(coefficients(velocity=v, growth=growth, source=source,
                                     v_sup=0.6, divergence=div),
-                       inflow, u0, None, 0.1, 1.0, n_sub=12)
+                       inflow, u0, None, 0.1, 0.9, n_sub=12)
             for v, div in ((0.6, None), (still(0.6), zeros)))
         # the inflow cells left of 0.6 * 0.9 are filled
         assert np.all(exact.values[xs < 0.5] > 0.4)
@@ -156,7 +156,7 @@ class TestRenewalSolve:
 
     def test_identity_at_start_time(self, indicator):
         coef = coefficients(velocity=still(1.0), v_sup=1.0, divergence=zeros)
-        got = renewal_solve(coef, indicator, None, 0.3, 0.3, n_sub=4)
+        got = renewal_solve(coef, indicator, None, 0.3, 0.0, n_sub=4)
         assert got is indicator
 
     def test_clearance_violation(self, grid):
@@ -258,7 +258,7 @@ class TestProcessLaws:
         fine = renewal_solve(coef, u0, None, 0.0, 0.4, n_sub=64)
         level_err = max(l1_distance(direct, fine), 1e-6)
         mid = renewal_solve(coef, u0, None, 0.0, 0.2, n_sub=8)
-        rest = renewal_solve(coef, mid, None, 0.2, 0.4, n_sub=8)
+        rest = renewal_solve(coef, mid, None, 0.2, 0.2, n_sub=8)
         assert l1_distance(rest, direct) <= 5 * max(level_err,
                                                     2 * grid.dx[0] * u0.tv())
 

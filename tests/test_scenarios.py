@@ -254,6 +254,19 @@ class TestPursuitRuns:
         with pytest.raises(ValueError, match=message):
             replace(pursuit_params(), **{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        # the message names the field: the prey check would blame
+        # prey_radius for a NaN centre, and an infinite start would run
+        ("prey_center", (math.nan,)),
+        ("predator_start", (math.inf,)),
+        ("predator_start", (-math.inf,)),
+    ])
+    def test_params_reject_non_finite_positions(self, name, value):
+        params = pursuit_params(dim=1, predator=(0.1,))
+        with pytest.raises(ValueError,
+                           match=f"{name} entries must be finite"):
+            replace(params, **{name: value})
+
     @pytest.mark.parametrize("dim, box, center, sees", [
         # cells of width 2: the centre nearest 0 lies at 1, beyond the
         # prey radius 0.7, but a prey centred on a cell centre is seen

@@ -60,6 +60,12 @@ def test_one_macro_step_driver():
                  if called_name(node) == name]
         assert len(sites) == 1, (name, sites)
         assert driver.lineno <= sites[0] <= driver.end_lineno, (name, sites)
+    # a process is certified for any step up to its horizon, so the driver
+    # couples its two processes once per run, not once per macro step
+    loops = [node for node in ast.walk(driver) if isinstance(node, ast.For)]
+    assert loops
+    assert not [node.lineno for loop in loops for node in ast.walk(loop)
+                if called_name(node) == "couple"]
 
 
 # the moved names that a module still serves through ``_lazy.forwarder``:
