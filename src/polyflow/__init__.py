@@ -27,23 +27,21 @@ _EXPORTS = {
              "ibvp_lipschitz_constants", "ibvp_solve", "make_ibvp_process"),
     "measures": ("AtomicMeasure", "MeasureCoefficients", "flat_distance",
                  "measure_domain_bound", "measure_step", "weak_residual"),
-    "metric": ("CouplingBounds", "EuclideanSpace", "GridFunctionSpace",
-               "LocalFlow", "MetricSpace", "Process", "ProcessConstants",
-               "ProductSpace", "RefinementResult", "couple",
+    "metric": ("CouplingBounds", "LocalFlow", "Process", "ProcessConstants",
+               "RefineSchedule", "RefinementResult", "couple",
                "coupling_bounds", "euler_polygonal", "merge_constants",
-               "refine_to_process"),
+               "product_distance", "refine_to_process"),
     "ode": ("OdeField", "make_ode_process", "ode_constants",
             "ode_domain_radius", "ode_solve"),
     "renewal": ("RenewalCoefficients", "characteristic", "ivp_domain_bounds",
                 "ivp_lipschitz_constants", "make_renewal_process",
                 "renewal_solve"),
-    "scenarios": ("RefineSchedule",),
     "epidemic": ("EpidemicParams", "epidemic_cohort_reference",
                  "run_epidemic"),
     "pursuit": ("PredatorPreyParams", "predator_prey_fields",
                 "run_predator_prey"),
-    "spaces": ("BvTimeSeries", "GridFunction", "l1_distance",
-               "total_variation"),
+    "spaces": ("BvTimeSeries", "GridFunction", "euclidean_distance",
+               "l1_distance", "total_variation"),
     "suites": ("bv_estimate_checks",),
     "trajectory": ("Trajectory",),
 }

@@ -15,9 +15,10 @@ import numpy as np
 from .errors import ConfigError
 from .ibvp import (InflowBoundary, _envelope_norms, ibvp_domain_bounds,
                    make_ibvp_process)
+from .metric import RefineSchedule
 from .ode import OdeField, make_ode_process
 from .renewal import RenewalCoefficients
-from .scenarios import RefineSchedule, _memo_last, _run_coupled
+from .scenarios import _memo_last, _run_coupled
 from .spaces import BvTimeSeries, GridFunction
 from .trajectory import Trajectory
 

@@ -29,7 +29,7 @@ class StepTooLarge(PolyflowError):
 
 
 class HorizonExceeded(PolyflowError):
-    """Requested time lies outside the handle's horizon interval."""
+    """A solve longer than the handle's horizon."""
 
 
 class NegativeRadius(PolyflowError):

@@ -24,11 +24,12 @@ import numpy as np
 from ._lazy import forwarder
 from .errors import (ConfigError, DomainExit, KernelOutOfBox,
                      SupportClearanceViolated)
-from .metric import (EuclideanSpace, GridFunctionSpace, LocalFlow, Process,
-                     ProcessConstants, ProductSpace, couple, euler_polygonal)
+from .metric import (LocalFlow, Process, ProcessConstants, RefineSchedule,
+                     couple, euler_polygonal, product_distance)
 from .ode import OdeField, make_ode_process
-from .scenarios import RefineSchedule, _macro_count
-from .spaces import BvTimeSeries, GridFunction
+from .scenarios import _macro_count
+from .spaces import (BvTimeSeries, GridFunction, euclidean_distance,
+                     l1_distance)
 
 SCHEMA_VERSION = 1
 # the keys of ``polyflow.suites.SUITES``, so that validating a config does not
@@ -242,7 +243,7 @@ def translation_flow(horizon: float = 4.0) -> LocalFlow:
     """Pair of pure translations; every polygonal is exact."""
     c = ProcessConstants(c_u=0.0, c_t=1.0, c_w=0.0, horizon=horizon)
     pu = Process(solve=lambda t0, tau, x, w: x + tau,
-                 constants=c, space=EuclideanSpace())
+                 constants=c, distance=euclidean_distance)
     return couple(pu, pu)
 
 
@@ -284,7 +285,7 @@ def polygonal_convergence(flow: LocalFlow, t0: float, x0, tau: float,
         err_levels = list(levels)
     js = sorted(err_levels)
     return _order_table([tau / 2.0 ** j for j in js],
-                        [flow.space.distance(results[j], ref) for j in js])
+                        [flow.distance(results[j], ref) for j in js])
 
 
 def _order_table(eps: list[float], errors: list[float]) -> ConvergenceTable:
@@ -325,24 +326,24 @@ def scenario_convergence(cfg: dict, levels: int) -> ConvergenceTable:
     if scenario == "epidemic":
         from .epidemic import run_epidemic
         params = epidemic_params_from_config(cfg)
+        if levels < 3:
+            raise ConfigError("field levels must be at least 3")
         # the runner clamps sub-cell polygonal steps, which would stall the
-        # age transport (cell lookup); the first clamped level ends the study
-        macro = params.macro_step
-        ends = []
-        for j in js:
-            run = run_epidemic(params,
-                               RefineSchedule(j0=j, j_max=j, tol=math.inf))
-            if run.meta["j_max"] < j:
-                break
-            ends.append(run.states[-1])
-        js = js[:len(ends)]
+        # age transport (cell lookup), and reports the deepest level it
+        # runs; at an infinite tol level 0's states are a (0, 0, inf) run's
+        first = run_epidemic(params, RefineSchedule(0, levels - 1, math.inf))
+        js = js[:first.meta["j_max"] + 1]
         if len(js) < 3:
             raise ConfigError(
                 "grid too coarse for the requested levels: increase "
                 "params.cells or time.macro_step")
-        space = ProductSpace(EuclideanSpace(), GridFunctionSpace())
-        errors = [space.distance(end, ends[-1]) for end in ends[:-1]]
-        return _order_table([macro / 2.0 ** j for j in js[:-1]], errors)
+        ends = [first.states[-1]] + [
+            run_epidemic(params, RefineSchedule(j, j, math.inf)).states[-1]
+            for j in js[1:]]
+        distance = product_distance(euclidean_distance, l1_distance)
+        errors = [distance(end, ends[-1]) for end in ends[:-1]]
+        return _order_table([params.macro_step / 2.0 ** j
+                             for j in js[:-1]], errors)
     raise ConfigError(f"converge does not support scenario '{scenario}'")
 
 

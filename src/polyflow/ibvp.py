@@ -23,11 +23,11 @@ import numpy as np
 
 from .errors import (InadmissibleHorizon, NoCrossing,
                      SupportClearanceViolated, UndefinedBoundaryDatum)
-from .metric import GridFunctionSpace, Process, ProcessConstants
+from .metric import Process, ProcessConstants
 from .ode import _rk4
 from .renewal import (RenewalCoefficients, _constant_speed_transport,
                       backward_transport, characteristic)
-from .spaces import BvTimeSeries, GridFunction
+from .spaces import BvTimeSeries, GridFunction, l1_distance
 
 
 @dataclass(frozen=True)
@@ -228,4 +228,4 @@ def make_ibvp_process(coef: RenewalCoefficients, inflow: InflowBoundary,
     return Process(solve=solve,
                    constants=ibvp_lipschitz_constants(coef, inflow, horizon,
                                                       radius),
-                   space=GridFunctionSpace())
+                   distance=l1_distance)

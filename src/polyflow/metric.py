@@ -7,7 +7,9 @@ Two parametrized processes are coupled into one local flow on the product
 space by freezing each component's parameter at the step's start time; Euler
 polygonals of that flow converge (as the step goes to zero) to the process
 solving the coupled problem, with explicit stability and tangency bounds
-driven by the three Lipschitz moduli of the component processes.
+driven by the three Lipschitz moduli of the component processes.  A space
+enters only through its distance function; the product's is the sum
+``product_distance``.
 """
 
 from __future__ import annotations
@@ -16,48 +18,22 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
-import numpy as np
-
-from .errors import DomainExit, HorizonExceeded, StepTooLarge
-from .spaces import GridFunction, l1_distance
+from .errors import DomainExit, StepTooLarge
 
 
 # --------------------------------------------------------------------------
-# Metric spaces
+# Distances
 # --------------------------------------------------------------------------
 
-class MetricSpace:
-    """Minimal metric-space interface: a distance between two states."""
+def product_distance(first: Callable[[Any, Any], float],
+                     second: Callable[[Any, Any], float]
+                     ) -> Callable[[Any, Any], float]:
+    """The sum distance ``d = d_U + d_W`` on pairs, from the two factors'."""
 
-    def distance(self, a, b) -> float:
-        raise NotImplementedError
+    def distance(a, b) -> float:
+        return first(a[0], b[0]) + second(a[1], b[1])
 
-
-class EuclideanSpace(MetricSpace):
-    """R^n with the Euclidean norm; states are floats or arrays."""
-
-    def distance(self, a, b) -> float:
-        return float(np.linalg.norm(np.asarray(a, dtype=float)
-                                    - np.asarray(b, dtype=float)))
-
-
-class GridFunctionSpace(MetricSpace):
-    """L1 distance between grid functions on a shared grid."""
-
-    def distance(self, a: GridFunction, b: GridFunction) -> float:
-        return l1_distance(a, b)
-
-
-class ProductSpace(MetricSpace):
-    """Product of two spaces with the sum distance d = d_U + d_W."""
-
-    def __init__(self, first: MetricSpace, second: MetricSpace):
-        self.first = first
-        self.second = second
-
-    def distance(self, a, b) -> float:
-        return (self.first.distance(a[0], b[0])
-                + self.second.distance(a[1], b[1]))
+    return distance
 
 
 # --------------------------------------------------------------------------
@@ -97,15 +73,15 @@ class ProcessConstants:
 class LocalFlow:
     """Short-time flow handle.
 
-    ``evaluate(tau, t0, x)`` advances ``x`` from ``t0`` by ``tau``, with
-    ``tau <= delta``; ``evaluate(0, t0, x)`` must return ``x`` unchanged.
-    ``interval`` is the time horizon on which the flow is defined.
+    ``evaluate(tau, t0, x)`` advances ``x`` from any start time ``t0`` by
+    ``tau``, with ``tau <= delta``, the one bound on a step;
+    ``evaluate(0, t0, x)`` must return ``x`` unchanged.  ``distance(a, b)``
+    is the metric of the state space.
     """
 
     evaluate: Callable[[float, float, Any], Any]
     delta: float
-    space: MetricSpace
-    interval: tuple[float, float] = (0.0, math.inf)
+    distance: Callable[[Any, Any], float]
 
 
 @dataclass(frozen=True)
@@ -116,11 +92,12 @@ class Process:
     evolution started from ``x`` at ``t0`` with the parameter held fixed;
     the step length comes exactly as the flow was handed it, and
     ``constants`` certify every step up to their ``horizon``.
+    ``distance(a, b)`` is the metric of the state space.
     """
 
     solve: Callable[[float, float, Any, Any], Any]
     constants: ProcessConstants
-    space: MetricSpace
+    distance: Callable[[Any, Any], float]
 
 
 # --------------------------------------------------------------------------
@@ -142,10 +119,6 @@ def euler_polygonal(flow: LocalFlow, tau: float, t0: float, x,
         raise ValueError("tau must be nonnegative")
     if eps > flow.delta * (1 + 1e-12):
         raise StepTooLarge(f"eps={eps} exceeds flow step bound {flow.delta}")
-    lo, hi = flow.interval
-    if t0 < lo - 1e-12 or t0 + tau > hi + 1e-12:
-        raise HorizonExceeded(
-            f"[{t0}, {t0 + tau}] outside flow horizon [{lo}, {hi}]")
     if tau == 0.0:
         return x
     k = int(math.floor(tau / eps))
@@ -155,6 +128,25 @@ def euler_polygonal(flow: LocalFlow, tau: float, t0: float, x,
     if rem > 0.0:
         x = flow.evaluate(rem, t0 + k * eps, x)
     return x
+
+
+@dataclass(frozen=True)
+class RefineSchedule:
+    """Dyadic refinement schedule for the coupled polygonals; breaking a
+    rule (``tol > 0``, ``0 <= j0 <= j_max``) raises ``ValueError``."""
+
+    j0: int = 0
+    j_max: int = 8
+    tol: float = 1e-5
+
+    def __post_init__(self):
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
+        if self.j0 < 0:
+            raise ValueError("j0 must be nonnegative")
+        if self.j0 > self.j_max:
+            raise ValueError(f"j0 {self.j0} must not exceed refine.j_max "
+                             f"{self.j_max}")
 
 
 @dataclass(frozen=True)
@@ -168,23 +160,18 @@ class RefinementResult:
 
 
 def refine_to_process(flow: LocalFlow, tau: float, t0: float, x,
-                      tol: float, j0: int = 0, j_max: int = 20
-                      ) -> RefinementResult:
+                      schedule: RefineSchedule) -> RefinementResult:
     """Approximate the limit process by dyadic halving of the polygonal step.
 
     Evaluates polygonals at ``eps_j = tau / 2**j`` for ``j = j0, j0+1, ...``
-    and stops when the distance between successive results drops below
-    ``tol`` (or at ``j_max``, returning the best iterate with
-    ``converged=False``).  An infinite ``tol`` degenerates to the coarsest
-    polygonal, with gap ``inf`` and ``converged=False``: no two levels were
-    compared.  The schedule is deterministic; ``0 <= j0 <= j_max``.
+    of ``schedule`` and stops when the distance between successive results
+    drops below its ``tol`` (or at its ``j_max``, returning the best iterate
+    with ``converged=False``).  An infinite ``tol`` degenerates to the
+    coarsest polygonal, with gap ``inf`` and ``converged=False``: no two
+    levels were compared.  The schedule is deterministic, and its rules
+    were checked when it was built.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if j0 < 0:
-        raise ValueError("j0 must be nonnegative")
-    if j0 > j_max:
-        raise ValueError(f"j0 {j0} exceeds j_max {j_max}")
+    j0, j_max, tol = schedule.j0, schedule.j_max, schedule.tol
     if tau == 0.0:
         return RefinementResult(x, 0.0, True, j0)
     prev = euler_polygonal(flow, tau, t0, x, tau / 2.0 ** j0)
@@ -193,7 +180,7 @@ def refine_to_process(flow: LocalFlow, tau: float, t0: float, x,
     gap = math.inf
     for j in range(j0 + 1, j_max + 1):
         cur = euler_polygonal(flow, tau, t0, x, tau / 2.0 ** j)
-        gap = flow.space.distance(prev, cur)
+        gap = flow.distance(prev, cur)
         if gap < tol:
             return RefinementResult(cur, gap, True, j)
         prev = cur
@@ -210,9 +197,10 @@ def couple(process_u: Process, process_w: Process) -> LocalFlow:
     ``process_u`` evolves the first component with the second frozen as its
     parameter, and vice versa: one step of the returned flow is
     ``(tau, t0, (u, w)) -> (P_u(t0, tau; w) u, P_w(t0, tau; u) w)``.  Its
-    step bound ``delta`` is the shorter of the two horizons, and it
-    declares no time interval, so one flow serves every step of a run.
-    Domain exits are re-raised tagged with the failing component.
+    step bound ``delta`` is the shorter of the two horizons, the one bound
+    on its steps, so one flow serves every step of a run; its distance is
+    ``product_distance`` of the two processes' distances.  Domain exits
+    are re-raised tagged with the failing component.
     """
 
     def evaluate(tau, t0, state):
@@ -232,7 +220,7 @@ def couple(process_u: Process, process_w: Process) -> LocalFlow:
     return LocalFlow(
         evaluate=evaluate,
         delta=min(process_u.constants.horizon, process_w.constants.horizon),
-        space=ProductSpace(process_u.space, process_w.space),
+        distance=product_distance(process_u.distance, process_w.distance),
     )
 
 

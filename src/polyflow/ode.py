@@ -17,7 +17,8 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import DomainExit, HorizonExceeded, NegativeRadius
-from .metric import EuclideanSpace, Process, ProcessConstants
+from .metric import Process, ProcessConstants
+from .spaces import euclidean_distance
 
 
 @dataclass(frozen=True)
@@ -160,4 +161,4 @@ def make_ode_process(field: OdeField, horizon: float,
         return ode_solve(field, t0, t0 + tau, x, w, n_sub=n, horizon=horizon)
 
     return Process(solve=solve, constants=ode_constants(field, horizon),
-                   space=EuclideanSpace())
+                   distance=euclidean_distance)

@@ -15,10 +15,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import KernelOutOfBox
+from .metric import RefineSchedule
 from .ode import OdeField, make_ode_process, ode_domain_radius
 from .renewal import (RenewalCoefficients, ivp_domain_bounds,
                       make_renewal_process)
-from .scenarios import RefineSchedule, _memo_last, _run_coupled
+from .scenarios import _memo_last, _run_coupled
 from .spaces import GridFunction
 from .trajectory import Trajectory
 

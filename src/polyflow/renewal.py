@@ -19,9 +19,9 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .errors import InadmissibleHorizon, SupportClearanceViolated
-from .metric import GridFunctionSpace, Process, ProcessConstants
+from .metric import Process, ProcessConstants
 from .ode import _rk4
-from .spaces import GridFunction
+from .spaces import GridFunction, l1_distance
 
 
 @dataclass(frozen=True)
@@ -432,4 +432,4 @@ def make_renewal_process(coef: RenewalCoefficients, radius: float,
 
     return Process(solve=solve,
                    constants=ivp_lipschitz_constants(coef, horizon, radius),
-                   space=GridFunctionSpace())
+                   distance=l1_distance)

@@ -13,32 +13,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Callable
 
 from ._lazy import forwarder
 from .errors import ConfigError, InadmissibleHorizon
-from .metric import Process, couple, refine_to_process
+from .metric import Process, RefineSchedule, couple, refine_to_process
 from .spaces import GridFunction
-
-
-@dataclass(frozen=True)
-class RefineSchedule:
-    """Dyadic refinement schedule for the coupled polygonals; breaking a
-    rule (``tol > 0``, ``0 <= j0 <= j_max``) raises ``ValueError``."""
-
-    j0: int = 0
-    j_max: int = 8
-    tol: float = 1e-5
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.j0 < 0:
-            raise ValueError("j0 must be nonnegative")
-        if self.j0 > self.j_max:
-            raise ValueError(f"j0 {self.j0} must not exceed refine.j_max "
-                             f"{self.j_max}")
 
 
 def _memo_last(fn: Callable) -> Callable:
@@ -167,13 +148,14 @@ def _run_coupled(build: Callable[[float], tuple[Process, Process]], state,
                 f"grid is too fine")
         j_max = min(j_max, max(0, int(math.floor(
             math.log2(max(crossed, 1.0)) + 1e-9))))
-    j0 = min(schedule.j0, j_max)
+    schedule = replace(schedule, j0=min(schedule.j0, j_max), j_max=j_max)
     flow = couple(proc_u, proc_w)
     times = [k * macro for k in range(n_macro + 1)]
     states, steps = [state], []
     for t in times[:-1]:
-        steps.append(refine_to_process(flow, macro, t, states[-1],
-                                       schedule.tol, j0, j_max))
+        # the schedule goes positionally: perfbench's refine counter binds
+        # the fifth positional argument
+        steps.append(refine_to_process(flow, macro, t, states[-1], schedule))
         states.append(steps[-1].point)
 
     fields = [s[index] for s in states]
@@ -185,8 +167,8 @@ def _run_coupled(build: Callable[[float], tuple[Process, Process]], state,
             end_bounds, zip(*map(norms, times, fields))):
         cols[name] = [bound - n for n in col]
     cols["refine_gap"] = [0.0] + [res.gap for res in steps]
-    meta = {"macro_step": macro, "envelope": envelope, "j0": j0,
-            "j_max": j_max, "macro_steps": n_macro,
+    meta = {"macro_step": macro, "envelope": envelope, "j0": schedule.j0,
+            "j_max": schedule.j_max, "macro_steps": n_macro,
             "converged_steps": sum(res.converged for res in steps),
             "refine_gap": cols["refine_gap"][-1]}
     return radius, times, states, cols, meta

@@ -1,4 +1,4 @@
-"""Concrete metric spaces: grid functions and BV time series.
+"""Concrete metric spaces: R^n, grid functions and BV time series.
 
 Grid functions are piecewise-constant cell-average representations of
 L1-and-BV data on a truncated uniform grid (1D or 2D).  BV time series are
@@ -244,6 +244,12 @@ def _require_same_grid(u: GridFunction, v: GridFunction) -> None:
         raise GridMismatch(
             f"grids differ: shape {u.values.shape} origin {u.origin} dx {u.dx}"
             f" vs shape {v.values.shape} origin {v.origin} dx {v.dx}")
+
+
+def euclidean_distance(a, b) -> float:
+    """Euclidean distance between two states of R^n, floats or arrays."""
+    return float(np.linalg.norm(np.asarray(a, dtype=float)
+                                - np.asarray(b, dtype=float)))
 
 
 def l1_distance(u: GridFunction, v: GridFunction) -> float:

@@ -23,7 +23,8 @@ from .harness import SCHEMA_VERSION, rotation_flow, rotation_processes
 from .ibvp import (InflowBoundary, _envelope_norms, ibvp_domain_bounds,
                    ibvp_solve)
 from .measures import AtomicMeasure, flat_distance
-from .metric import coupling_bounds, euler_polygonal, refine_to_process
+from .metric import (RefineSchedule, coupling_bounds, euler_polygonal,
+                     refine_to_process)
 from .ode import OdeField, ode_solve
 from .renewal import (RenewalCoefficients, characteristic,
                       ivp_domain_bounds, renewal_solve)
@@ -171,24 +172,24 @@ def suite_metric(seed: int) -> list[CheckResult]:
     x0 = (np.array([1.0]), np.array([0.0]))
     same = euler_polygonal(flow, 0.0, 0.0, x0, 0.25)
     out.append(check("metric/identity", "flow-identity",
-                     flow.space.distance(same, x0), 0.0))
+                     flow.distance(same, x0), 0.0))
 
     a = euler_polygonal(flow, 0.5, 0.0, x0, 0.125)
     b = euler_polygonal(flow, 0.25, 0.5, a, 0.125)
     c = euler_polygonal(flow, 0.75, 0.0, x0, 0.125)
     out.append(check("metric/semigroup-bitexact", "composition-order",
-                     flow.space.distance(b, c), 0.0))
+                     flow.distance(b, c), 0.0))
 
     worst = 0.0
     tau, eps = 0.5, 0.5 / 16
     for _ in range(20):
         x1 = (rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1))
         x2 = (rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1))
-        d0 = flow.space.distance(x1, x2)
+        d0 = flow.distance(x1, x2)
         if d0 < 1e-12:
             continue
-        d1 = flow.space.distance(euler_polygonal(flow, tau, 0.0, x1, eps),
-                                 euler_polygonal(flow, tau, 0.0, x2, eps))
+        d1 = flow.distance(euler_polygonal(flow, tau, 0.0, x1, eps),
+                           euler_polygonal(flow, tau, 0.0, x2, eps))
         worst = max(worst, d1 / d0)
     out.append(check("metric/stability", "exp-data-bound", worst,
                      bounds.stability_factor(tau) * (1 + 1e-6)))
@@ -196,10 +197,10 @@ def suite_metric(seed: int) -> list[CheckResult]:
     for k in range(3, 9):
         tq = 2.0 ** (-k)
         # resolve the limit to ~1% of the expected first-order gap
-        limit = refine_to_process(flow, tq, 0.0, x0, tol=1e-2 * tq * tq,
-                                  j0=0, j_max=14)
+        limit = refine_to_process(flow, tq, 0.0, x0,
+                                  RefineSchedule(0, 14, 1e-2 * tq * tq))
         one = euler_polygonal(flow, tq, 0.0, x0, tq)
-        lhs = flow.space.distance(limit.point, one) / tq
+        lhs = flow.distance(limit.point, one) / tq
         out.append(check(f"metric/tangency-tau-2^-{k}", "first-order-gap",
                          lhs, 2.0 * bounds.tangency_rhs(tq)))
     return out

@@ -54,7 +54,7 @@ def test_criterion_1_polygonal_convergence(linear_system):
         e = 2.0 ** -j
         got = euler_polygonal(flow, 1.0, 0.0, x0, e)
         eps.append(e)
-        errs.append(flow.space.distance(got, ref))
+        errs.append(flow.distance(got, ref))
     slope = float(np.polyfit(np.log(eps), np.log(errs), 1)[0])
     runtime = time.perf_counter() - started
     ok = slope >= 0.9 and errs[-1] <= 1e-2 and runtime < 5.0
@@ -70,10 +70,10 @@ def test_criterion_2_tangency_bound(linear_system):
     worst_ratio = 0.0
     for k in range(3, 9):
         tau = 2.0 ** -k
-        limit = refine_to_process(flow, tau, 0.0, x0, tol=1e-2 * tau * tau,
-                                  j0=0, j_max=14)
+        limit = refine_to_process(flow, tau, 0.0, x0,
+                                  RefineSchedule(0, 14, 1e-2 * tau * tau))
         one = euler_polygonal(flow, tau, 0.0, x0, tau)
-        lhs = flow.space.distance(limit.point, one) / tau
+        lhs = flow.distance(limit.point, one) / tau
         rhs = bounds.tangency_rhs(tau)
         worst_ratio = max(worst_ratio, lhs / rhs)
     runtime = time.perf_counter() - started
@@ -92,12 +92,12 @@ def test_criterion_3_lipschitz_stability(linear_system):
     for i in range(20):
         x1 = (rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1))
         x2 = (rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1))
-        d0 = flow.space.distance(x1, x2)
+        d0 = flow.distance(x1, x2)
         if d0 < 1e-12:
             continue
         eps = tau / 2.0 ** (1 + i % 5)
-        d1 = flow.space.distance(euler_polygonal(flow, tau, 0.0, x1, eps),
-                                 euler_polygonal(flow, tau, 0.0, x2, eps))
+        d1 = flow.distance(euler_polygonal(flow, tau, 0.0, x1, eps),
+                           euler_polygonal(flow, tau, 0.0, x2, eps))
         worst = max(worst, d1 / (d0 * math.exp((cu + cw) * tau)))
     runtime = time.perf_counter() - started
     ok = worst <= 1 + 1e-6 and runtime < 5.0

@@ -176,6 +176,31 @@ class TestConvergence:
         with pytest.raises(ConfigError, match="grid too coarse"):
             scenario_convergence(cfg, levels=6)
 
+    def test_epidemic_runs_each_level_once(self, monkeypatch):
+        # configs/epidemic.json clamps at level 3: level 0's run reports
+        # that depth, so levels 1 to 3 run once each and level 4 never
+        import polyflow.epidemic as epidemic
+        schedules = []
+        run_epidemic = epidemic.run_epidemic
+
+        def counted(params, schedule):
+            schedules.append(schedule)
+            return run_epidemic(params, schedule)
+
+        monkeypatch.setattr(epidemic, "run_epidemic", counted)
+        cfg = json.loads((CONFIG_DIR / "epidemic.json").read_text())
+        table = scenario_convergence(cfg, levels=6)
+        assert len(schedules) == 4
+        assert [(s.j0, s.j_max) for s in schedules] \
+            == [(0, 5), (1, 1), (2, 2), (3, 3)]
+        assert len(table.rows) == 3
+
+    @pytest.mark.parametrize("levels", [-1, 0, 1, 2])
+    def test_epidemic_needs_three_levels(self, levels):
+        cfg = json.loads((CONFIG_DIR / "epidemic.json").read_text())
+        with pytest.raises(ConfigError):
+            scenario_convergence(cfg, levels)
+
     def test_needs_three_levels(self):
         flow = translation_flow()
         with pytest.raises(ValueError):
@@ -787,28 +812,28 @@ def test_suite_names_name_the_suites():
     assert harness.SUITES is SUITES
 
 
-# the names ``polyflow`` exported when it imported every module eagerly
+# the names ``polyflow`` exports, each from its defining module
 EXPORTS = (
     "AtomicMeasure", "BvTimeSeries", "ClearanceViolated", "ConfigError",
-    "CouplingBounds", "DomainExit", "EpidemicParams",
-    "EuclideanSpace", "GridFunction", "GridFunctionSpace", "GridMismatch",
-    "HorizonExceeded", "InadmissibleHorizon", "InflowBoundary",
-    "KernelOutOfBox", "LocalFlow", "MassBlowup", "MeasureCoefficients",
-    "MetricSpace", "NegativeRadius", "NoCrossing", "OdeField", "ParamFlux",
-    "PolyflowError", "PredatorPreyParams", "Process", "ProcessConstants",
-    "ProductSpace", "RefineSchedule", "RefinementResult",
+    "CouplingBounds", "DomainExit", "EpidemicParams", "GridFunction",
+    "GridMismatch", "HorizonExceeded", "InadmissibleHorizon",
+    "InflowBoundary", "KernelOutOfBox", "LocalFlow", "MassBlowup",
+    "MeasureCoefficients", "NegativeRadius", "NoCrossing", "OdeField",
+    "ParamFlux", "PolyflowError", "PredatorPreyParams", "Process",
+    "ProcessConstants", "RefineSchedule", "RefinementResult",
     "RenewalCoefficients", "StepTooLarge", "SupportClearanceViolated",
     "Trajectory", "UndefinedBoundaryDatum", "boundary_crossing_time",
     "bv_estimate_checks", "characteristic", "claw_constants", "claw_solve",
     "claw_solve_many", "couple", "coupling_bounds", "entropy_residuals",
-    "epidemic_cohort_reference", "euler_polygonal", "flat_distance",
-    "godunov_flux", "ibvp_domain_bounds", "ibvp_lipschitz_constants",
-    "ibvp_solve", "ivp_domain_bounds", "ivp_lipschitz_constants",
-    "l1_distance", "make_ibvp_process", "make_ode_process",
-    "make_renewal_process", "measure_domain_bound", "measure_step",
-    "merge_constants", "ode_constants", "ode_domain_radius", "ode_solve",
-    "predator_prey_fields", "refine_to_process", "renewal_solve",
-    "run_epidemic", "run_predator_prey", "total_variation", "weak_residual",
+    "epidemic_cohort_reference", "euclidean_distance", "euler_polygonal",
+    "flat_distance", "godunov_flux", "ibvp_domain_bounds",
+    "ibvp_lipschitz_constants", "ibvp_solve", "ivp_domain_bounds",
+    "ivp_lipschitz_constants", "l1_distance", "make_ibvp_process",
+    "make_ode_process", "make_renewal_process", "measure_domain_bound",
+    "measure_step", "merge_constants", "ode_constants", "ode_domain_radius",
+    "ode_solve", "predator_prey_fields", "product_distance",
+    "refine_to_process", "renewal_solve", "run_epidemic",
+    "run_predator_prey", "total_variation", "weak_residual",
 )
 
 

@@ -5,18 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyflow.errors import DomainExit, HorizonExceeded, StepTooLarge
+from polyflow.errors import DomainExit, StepTooLarge
 from polyflow.harness import (rotation_exact, rotation_flow,
                               rotation_processes, translation_flow)
-from polyflow.metric import (CouplingBounds, EuclideanSpace, LocalFlow,
-                             Process, ProcessConstants, couple,
+from polyflow.metric import (CouplingBounds, LocalFlow, Process,
+                             ProcessConstants, RefineSchedule, couple,
                              coupling_bounds, euler_polygonal,
-                             merge_constants, refine_to_process)
+                             merge_constants, product_distance,
+                             refine_to_process)
+from polyflow.spaces import GridFunction, euclidean_distance, l1_distance
 
 
 def shift_flow(delta=10.0):
     return LocalFlow(evaluate=lambda tau, t0, x: x + tau, delta=delta,
-                     space=EuclideanSpace())
+                     distance=euclidean_distance)
 
 
 class TestEulerPolygonal:
@@ -43,12 +45,6 @@ class TestEulerPolygonal:
         f = shift_flow(delta=0.1)
         with pytest.raises(StepTooLarge):
             euler_polygonal(f, 1.0, 0.0, np.array([0.0]), 0.2)
-
-    def test_horizon_exceeded(self):
-        f = LocalFlow(evaluate=lambda tau, t0, x: x + tau, delta=1.0,
-                      space=EuclideanSpace(), interval=(0.0, 1.0))
-        with pytest.raises(HorizonExceeded):
-            euler_polygonal(f, 1.5, 0.0, np.array([0.0]), 0.5)
 
     def test_discrete_semigroup_bitexact(self):
         flow = rotation_flow(ball=4.0, horizon=4.0)
@@ -77,7 +73,7 @@ class TestCouple:
     def make_constant_process(self):
         c = ProcessConstants(c_u=0.0, c_t=0.0, c_w=0.0, horizon=2.0)
         return Process(solve=lambda t0, tau, x, w: x, constants=c,
-                       space=EuclideanSpace())
+                       distance=euclidean_distance)
 
     def test_constant_processes_identity(self):
         flow = couple(self.make_constant_process(),
@@ -89,9 +85,9 @@ class TestCouple:
         # du/dt = w (frozen), dw/dt = 0: one step gives (tau, 1)
         c = ProcessConstants(c_u=1.0, c_t=1.0, c_w=1.0, horizon=2.0)
         pu = Process(solve=lambda t0, tau, u, w: u + w * tau,
-                     constants=c, space=EuclideanSpace())
+                     constants=c, distance=euclidean_distance)
         pw = Process(solve=lambda t0, tau, w, u: w, constants=c,
-                     space=EuclideanSpace())
+                     distance=euclidean_distance)
         flow = couple(pu, pw)
         out = flow.evaluate(0.5, 0.0, (np.array([0.0]), np.array([1.0])))
         assert out[0][0] == pytest.approx(0.5)
@@ -101,9 +97,9 @@ class TestCouple:
         # dw/dt = -w while u still sees w frozen at its start value
         c = ProcessConstants(c_u=1.0, c_t=1.0, c_w=1.0, horizon=2.0)
         pu = Process(solve=lambda t0, tau, u, w: u + w * tau,
-                     constants=c, space=EuclideanSpace())
+                     constants=c, distance=euclidean_distance)
         pw = Process(solve=lambda t0, tau, w, u: w * math.exp(-tau),
-                     constants=c, space=EuclideanSpace())
+                     constants=c, distance=euclidean_distance)
         flow = couple(pu, pw)
         tau = 0.8
         out = flow.evaluate(tau, 0.0, (np.array([0.0]), np.array([1.0])))
@@ -117,31 +113,55 @@ class TestCouple:
             raise DomainExit("gone", step=4, time=t0 + tau)
 
         good = Process(solve=lambda t0, tau, x, w: x, constants=c,
-                       space=EuclideanSpace())
-        bad = Process(solve=bad_solve, constants=c, space=EuclideanSpace())
+                       distance=euclidean_distance)
+        bad = Process(solve=bad_solve, constants=c,
+                      distance=euclidean_distance)
         flow = couple(good, bad)
         with pytest.raises(DomainExit) as exc:
             flow.evaluate(0.1, 0.0, (np.array([0.0]), np.array([0.0])))
         assert exc.value.component == "w"
 
 
+class TestProductDistance:
+    def test_couple_sums_the_factor_distances_in_order(self):
+        # Euclidean first, L1 second: swapped factors would hand the
+        # arrays to l1_distance and fail
+        c = ProcessConstants(c_u=0.0, c_t=0.0, c_w=0.0, horizon=1.0)
+        pu = Process(solve=lambda t0, tau, x, w: x, constants=c,
+                     distance=euclidean_distance)
+        pw = Process(solve=lambda t0, tau, x, w: x, constants=c,
+                     distance=l1_distance)
+        grid = GridFunction(np.array([0.1, -0.7, 2.0 / 3.0]), (0.0,),
+                            (1.0 / 3.0,))
+        a = (np.array([0.1, 0.2]), grid)
+        b = (np.array([1.0 / 3.0, -2.0 / 7.0]),
+             grid.with_values(np.array([0.3, 1.0 / 7.0, -0.2])))
+        expected = pu.distance(a[0], b[0]) + pw.distance(a[1], b[1])
+        assert couple(pu, pw).distance(a, b) == expected
+        assert product_distance(euclidean_distance, l1_distance)(a, b) \
+            == expected
+        assert couple(pu, pw).distance(a, a) == 0.0
+
+
 class TestRefineToProcess:
     def test_translation_converges_immediately(self):
         flow = translation_flow()
         x0 = (np.array([0.5]), np.array([0.25]))
-        res = refine_to_process(flow, 1.0, 0.0, x0, tol=1e-12)
+        res = refine_to_process(flow, 1.0, 0.0, x0,
+                                RefineSchedule(0, 20, 1e-12))
         assert res.converged
         assert res.gap == 0.0
 
     def test_infinite_tol_returns_coarsest(self):
         flow = rotation_flow()
         x0 = (np.array([1.0]), np.array([0.0]))
-        res = refine_to_process(flow, 0.5, 0.0, x0, tol=math.inf, j0=2)
+        res = refine_to_process(flow, 0.5, 0.0, x0,
+                                RefineSchedule(2, 20, math.inf))
         coarsest = euler_polygonal(flow, 0.5, 0.0, x0, 0.5 / 4)
         assert res.level == 2
         assert math.isinf(res.gap)
         assert not res.converged
-        assert flow.space.distance(res.point, coarsest) == 0.0
+        assert flow.distance(res.point, coarsest) == 0.0
 
     def test_rotation_gap_order(self):
         flow = rotation_flow(ball=4.0)
@@ -150,19 +170,20 @@ class TestRefineToProcess:
         prev = euler_polygonal(flow, 1.0, 0.0, x0, 1.0)
         for j in range(1, 9):
             cur = euler_polygonal(flow, 1.0, 0.0, x0, 2.0 ** -j)
-            gaps.append(flow.space.distance(prev, cur))
+            gaps.append(flow.distance(prev, cur))
             prev = cur
         eps = [2.0 ** -j for j in range(1, 9)]
         slope = np.polyfit(np.log(eps), np.log(gaps), 1)[0]
         assert slope >= 0.9
         # and the limit approaches the closed form
         ref = rotation_exact(1.0)
-        assert flow.space.distance(prev, ref) < 5e-3
+        assert flow.distance(prev, ref) < 5e-3
 
     def test_no_convergence_flag(self):
         flow = rotation_flow()
         x0 = (np.array([1.0]), np.array([0.0]))
-        res = refine_to_process(flow, 0.5, 0.0, x0, tol=1e-15, j0=0, j_max=4)
+        res = refine_to_process(flow, 0.5, 0.0, x0,
+                                RefineSchedule(0, 4, 1e-15))
         assert not res.converged
         assert res.level == 4
 
@@ -171,8 +192,9 @@ class TestRefineToProcess:
         # the polygonal of level j0 would be returned labelled j_max
         flow = rotation_flow()
         x0 = (np.array([1.0]), np.array([0.0]))
-        with pytest.raises(ValueError, match="j0 5 exceeds j_max 2"):
-            refine_to_process(flow, 0.5, 0.0, x0, tol, j0=5, j_max=2)
+        with pytest.raises(ValueError,
+                           match="j0 5 must not exceed refine.j_max 2"):
+            refine_to_process(flow, 0.5, 0.0, x0, RefineSchedule(5, 2, tol))
 
     def test_negative_start_level_rejected(self):
         # levels -1 and 0 would both take one step of length tau, so their
@@ -180,7 +202,7 @@ class TestRefineToProcess:
         flow = rotation_flow(ball=4.0, horizon=1.0)
         x0 = ((1.0,), (0.0,))
         with pytest.raises(ValueError, match="j0 must be nonnegative"):
-            refine_to_process(flow, 0.5, 0.0, x0, 1.0, j0=-1, j_max=3)
+            refine_to_process(flow, 0.5, 0.0, x0, RefineSchedule(-1, 3, 1.0))
 
 
 class TestCouplingBounds:
@@ -233,10 +255,10 @@ class TestStabilityAndDomains:
             for _ in range(5):
                 x1 = (rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1))
                 x2 = (rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1))
-                d0 = flow.space.distance(x1, x2)
+                d0 = flow.distance(x1, x2)
                 if d0 < 1e-9:
                     continue
-                d1 = flow.space.distance(
+                d1 = flow.distance(
                     euler_polygonal(flow, tau, 0.0, x1, eps),
                     euler_polygonal(flow, tau, 0.0, x2, eps))
                 assert d1 <= d0 * bounds.stability_factor(tau) * (1 + 1e-6)
@@ -247,21 +269,22 @@ class TestStabilityAndDomains:
         # flow, so dyadic refinement drives both couplings to the same limit
         c = ProcessConstants(c_u=2.0, c_t=2.0, c_w=2.0, horizon=1.0)
         exact_u = Process(solve=lambda t0, tau, u, w: u * math.exp(
-            float(w[0]) * tau), constants=c, space=EuclideanSpace())
+            float(w[0]) * tau), constants=c, distance=euclidean_distance)
         exact_w = Process(solve=lambda t0, tau, w, u: w * math.exp(
-            -float(u[0]) * tau), constants=c, space=EuclideanSpace())
+            -float(u[0]) * tau), constants=c, distance=euclidean_distance)
         euler_u = Process(solve=lambda t0, tau, u, w: u * (1 + float(w[0])
                                                            * tau),
-                          constants=c, space=EuclideanSpace())
+                          constants=c, distance=euclidean_distance)
         euler_w = Process(solve=lambda t0, tau, w, u: w * (1 - float(u[0])
                                                            * tau),
-                          constants=c, space=EuclideanSpace())
+                          constants=c, distance=euclidean_distance)
         x0 = (np.array([1.0]), np.array([0.5]))
+        schedule = RefineSchedule(0, 16, 1e-5)
         lim_exact = refine_to_process(couple(exact_u, exact_w), 0.5, 0.0, x0,
-                                      tol=1e-5, j_max=16)
+                                      schedule)
         lim_euler = refine_to_process(couple(euler_u, euler_w), 0.5, 0.0, x0,
-                                      tol=1e-5, j_max=16)
-        space = couple(exact_u, exact_w).space
+                                      schedule)
+        distance = couple(exact_u, exact_w).distance
         assert lim_exact.converged and lim_euler.converged
-        assert space.distance(lim_exact.point, lim_euler.point) < 5e-4
+        assert distance(lim_exact.point, lim_euler.point) < 5e-4
 

@@ -13,11 +13,11 @@ from polyflow.harness import (_population_drift, epidemic_params_from_config,
                               load_config, predator_prey_params_from_config,
                               schedule_from_config)
 from polyflow.ibvp import ibvp_domain_bounds
+from polyflow.metric import RefineSchedule
 from polyflow.ode import OdeField, ode_solve
 from polyflow.pursuit import (PredatorPreyParams, predator_prey_fields,
                               run_predator_prey)
 from polyflow.renewal import audit_coefficients, ivp_domain_bounds
-from polyflow.scenarios import RefineSchedule
 from polyflow.spaces import BvTimeSeries, GridFunction, l1_distance
 
 

@@ -68,6 +68,45 @@ def test_one_macro_step_driver():
                 if called_name(node) == "couple"]
 
 
+def loose_refine_calls(module: ast.Module) -> list[int]:
+    """Lines of the ``refine_to_process`` calls that do not pass exactly
+    five positional arguments, none starred, and no keyword."""
+    return [node.lineno for node in ast.walk(module)
+            if called_name(node) == "refine_to_process"
+            and (len(node.args) != 5 or node.keywords
+                 or any(isinstance(a, ast.Starred) for a in node.args))]
+
+
+def test_refine_schedule_passed_positionally():
+    # perfbench/spans.py counts each refinement with a function that binds
+    # the schedule as the fifth positional argument: a ``schedule=`` keyword
+    # would raise TypeError there and report refine_to_process as broken
+    calls = 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls += sum(called_name(node) == "refine_to_process"
+                     for node in ast.walk(tree))
+        assert not loose_refine_calls(tree), path.name
+    assert calls
+
+
+def test_loose_refine_calls_pattern():
+    def lines(call):
+        return loose_refine_calls(ast.parse(call))
+
+    assert lines("refine_to_process(flow, tau, t0, x, schedule)") == []
+    assert lines("metric.refine_to_process(f, 1.0, 0.0, x, RefineSchedule())"
+                 ) == []
+    for call in ("refine_to_process(flow, tau, t0, x, schedule=s)",
+                 "refine_to_process(flow, tau, t0, x, tol, j0, j_max)",
+                 "refine_to_process(flow, tau, t0, x)",
+                 "refine_to_process(flow, tau, t0, x, s, j_max=3)",
+                 "refine_to_process(flow, tau, t0, *rest)",
+                 "refine_to_process(flow, tau, t0, x, *rest)",
+                 "refine_to_process(*args, **kwargs)"):
+        assert lines(call) == [1], call
+
+
 # the moved names that a module still serves through ``_lazy.forwarder``:
 # each is read there by a benchmark file, which its module docstring names
 FORWARDED = {
@@ -235,7 +274,7 @@ def test_speed_branches_pattern():
         assert lines(body) == [2], body
 
 
-# the fields of ``scenarios.RefineSchedule``, which owns their defaults and
+# the fields of ``metric.RefineSchedule``, which owns their defaults and
 # rules
 SCHEDULE_FIELDS = {"j0", "j_max", "tol"}
 

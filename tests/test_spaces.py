@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from polyflow.errors import GridMismatch
 from polyflow.measures import AtomicMeasure, flat_distance
-from polyflow.spaces import (BvTimeSeries, GridFunction, l1_distance,
-                             total_variation)
+from polyflow.spaces import (BvTimeSeries, GridFunction, euclidean_distance,
+                             l1_distance, total_variation)
 from polyflow.suites import bv_estimate_checks, shifted_l1_difference
 
 
@@ -448,7 +448,8 @@ class TestMetricAxioms:
         def rand_measure():
             n = rng.integers(1, 4)
             return AtomicMeasure(rng.uniform(0, 2, n), rng.uniform(0, 1, n))
-        return [(l1_distance, rand_grid), (flat_distance, rand_measure)]
+        return [(l1_distance, rand_grid), (flat_distance, rand_measure),
+                (euclidean_distance, lambda: rng.uniform(-1, 1, 3))]
 
     def test_axioms_random_triples(self):
         for dist, sample in self.spaces():
@@ -457,6 +458,19 @@ class TestMetricAxioms:
                 assert dist(a, a) <= 1e-12
                 assert abs(dist(a, b) - dist(b, a)) <= 1e-12
                 assert dist(a, c) <= dist(a, b) + dist(b, c) + 1e-12
+
+
+class TestEuclideanDistance:
+    @pytest.mark.parametrize("a, b", [
+        (0.1, -2.0 / 3.0),
+        (np.array([0.1]), np.array([1.0 / 3.0])),
+        ((0.1, 0.2, 0.3), (1.0 / 3.0, 2.0 / 7.0, 5.0 / 11.0)),
+    ])
+    def test_is_the_norm_of_the_difference(self, a, b):
+        expected = float(np.linalg.norm(np.asarray(a, float)
+                                        - np.asarray(b, float)))
+        got = euclidean_distance(a, b)
+        assert type(got) is float and got == expected
 
 
 class TestAtomicMeasure:
