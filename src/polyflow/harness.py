@@ -303,13 +303,35 @@ def _order_table(eps: list[float], errors: list[float]) -> ConvergenceTable:
         rows.append(ConvergenceRow(eps=e, error=err, order=order))
         prev = err
     orders = [r.order for r in rows if r.order is not None]
-    converged = exact or (len(orders) > 0
-                          and float(np.median(orders)) >= 0.9)
+    converged = exact or (len(orders) > 0 and _median(orders) >= 0.9)
     return ConvergenceTable(rows=rows, exact=exact, converged=converged)
 
 
+def _median(values: list[float]) -> float:
+    """The median of a nonempty list of finite numbers: the middle one,
+    or ``(a + b) / 2`` of the two middle ones, which is ``np.median``'s
+    value without the import of ``numpy.ma`` that it makes."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
+
+
+# the deepest level a convergence study may ask for: its polygonal makes
+# 2**level coupled steps over the horizon, or over each macro step
+_MAX_LEVEL = 20
+
+
 def scenario_convergence(cfg: dict, levels: int) -> ConvergenceTable:
-    """Self-refinement study for a configured scenario."""
+    """Self-refinement study for a configured scenario, at the dyadic
+    levels ``0 .. levels - 1``; a finest level beyond ``_MAX_LEVEL`` is a
+    ``ConfigError``."""
+    if levels - 1 > _MAX_LEVEL:
+        raise ConfigError(
+            f"field levels {levels} asks for a polygonal of "
+            f"2**{levels - 1} coupled steps, above the cap of "
+            f"2**{_MAX_LEVEL}: levels must be at most {_MAX_LEVEL + 1}")
     scenario = cfg["scenario"]
     horizon = float(cfg["time"]["horizon"])
     js = list(range(levels))

@@ -14,7 +14,9 @@ enters only through its distance function; the product's is the sum
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -92,7 +94,10 @@ class Process:
     evolution started from ``x`` at ``t0`` with the parameter held fixed;
     the step length comes exactly as the flow was handed it, and
     ``constants`` certify every step up to their ``horizon``.
-    ``distance(a, b)`` is the metric of the state space.
+    ``distance(a, b)`` is the metric of the state space.  The two handles
+    of a ``couple`` pair may solve at the same time on two threads, so
+    they must share no mutable state; the states they are handed are
+    shared, and read only.
     """
 
     solve: Callable[[float, float, Any, Any], Any]
@@ -191,6 +196,40 @@ def refine_to_process(flow: LocalFlow, tau: float, t0: float, x,
 # Coupling two processes
 # --------------------------------------------------------------------------
 
+# a grid of at least this many cells in a step's state makes the step
+# overlap its two solves: below it, handing the interpreter lock between the
+# threads costs more than the NumPy calls it hides (warm 2D pursuit runs on
+# a 2-vCPU x86-64 host: 100x100 cells slower by a fifth, 150x150 even,
+# 200x200 faster by about a quarter)
+_OVERLAP_CELLS = 2 ** 15
+
+
+def _overlaps(u, w) -> bool:
+    """Whether a coupled step from ``(u, w)`` runs its two solves at once.
+
+    It does when a grid function in the state (a component with a
+    ``values`` array) holds at least ``_OVERLAP_CELLS`` cells, the process
+    may run on two CPUs, and the step runs on the main thread, so the one
+    worker serves one caller and a solve on the worker never waits for it.
+    """
+    if max(getattr(getattr(u, "values", None), "size", 0),
+           getattr(getattr(w, "values", None), "size", 0)) < _OVERLAP_CELLS:
+        return False
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    import threading
+    return cpus >= 2 and threading.current_thread() is threading.main_thread()
+
+
+@functools.cache
+def _worker(pid: int):
+    """The one thread that runs the second solve of an overlapped step,
+    made on the first such step of process ``pid`` (a forked child makes
+    its own)."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=1)
+
+
 def couple(process_u: Process, process_w: Process) -> LocalFlow:
     """Pair two parametrized processes into a local flow on the product.
 
@@ -201,17 +240,32 @@ def couple(process_u: Process, process_w: Process) -> LocalFlow:
     on its steps, so one flow serves every step of a run; its distance is
     ``product_distance`` of the two processes' distances.  Domain exits
     are re-raised tagged with the failing component.
+
+    Both solves read only the step's start state, so a step whose state
+    holds a large grid (see ``_overlaps``) runs the ``w`` solve on a
+    worker thread while the ``u`` solve runs on the caller's: the two
+    handles must share no mutable state.  Each solve does the same
+    arithmetic on the same inputs either way, so the step's result is the
+    same bit for bit.  The step returns or raises only once both solves
+    have ended, and raises what the sequential order would: the ``u``
+    solve's exception if it raised one, else the ``w`` solve's.
     """
 
     def evaluate(tau, t0, state):
         u, w = state
+        pending = (_worker(os.getpid()).submit(process_w.solve, t0, tau, w, u)
+                   if _overlaps(u, w) else None)
         try:
             u_next = process_u.solve(t0, tau, u, w)
         except DomainExit as exc:
             raise DomainExit(str(exc), step=exc.step, time=exc.time,
                              component="u") from exc
+        finally:
+            if pending is not None:
+                pending.exception()  # waits for the w solve to end
         try:
-            w_next = process_w.solve(t0, tau, w, u)
+            w_next = (process_w.solve(t0, tau, w, u) if pending is None
+                      else pending.result())
         except DomainExit as exc:
             raise DomainExit(str(exc), step=exc.step, time=exc.time,
                              component="w") from exc

@@ -311,12 +311,18 @@ def predator_prey_fields(params: PredatorPreyParams,
     r = params.search_radius
     r2 = r * r
     drift_scale = -8.0 * search.amp / r2
+    # every density of the run shares the starting density's grid, so its
+    # centres and cell volume are computed once
+    start_grid = ([density.axis_centers(a) for a in range(dim)],
+                  density.cell_volume)
 
     def predator_velocity(t, p, rho: GridFunction):
         p = np.asarray(p, dtype=float)
+        centers, volume = (start_grid if rho.same_grid(density) else
+                           ([rho.axis_centers(a) for a in range(dim)],
+                            rho.cell_volume))
         z, window = [], []
-        for a in range(dim):
-            xc = rho.axis_centers(a)
+        for a, xc in enumerate(centers):
             lo, hi = np.searchsorted(xc, (p[a] - r, p[a] + r),
                                      side="right")
             z.append(p[a] - xc[lo:hi])
@@ -335,7 +341,7 @@ def predator_prey_fields(params: PredatorPreyParams,
             w *= weight
             val = np.array([np.dot(z[0], w.sum(axis=1)),
                             np.dot(z[1], w.sum(axis=0))])
-        return val * (drift_scale * rho.cell_volume)
+        return val * (drift_scale * volume)
 
     predator = OdeField(
         f=predator_velocity,

@@ -38,6 +38,12 @@ def _memo_last(fn: Callable) -> Callable:
     would keep the last density, its cached centres and the result alive
     (about 1 MB with its centres) and raise the peak memory.  The
     epidemic's 1,600-cell cohort holds about 13 KB.
+
+    The memo has no lock, and the two solves of a large coupled step run
+    on two threads (``metric.couple``), so each memo is read by one
+    component of a coupled pair only: the pursuit's squared distance by
+    the prey transport, the epidemic's exposure by its ODE and its
+    infectivity lookup by the cohort transport.
     """
     last_args, last = (), None
 

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import claw as _claw
 from . import measures as _measures
-from .harness import SCHEMA_VERSION, rotation_flow, rotation_processes
+from .harness import (SCHEMA_VERSION, _median, rotation_flow,
+                      rotation_processes)
 from .ibvp import (InflowBoundary, _envelope_norms, ibvp_domain_bounds,
                    ibvp_solve)
 from .measures import AtomicMeasure, flat_distance
@@ -545,7 +546,7 @@ def suite_measures(seed: int) -> list[CheckResult]:
         res.append(abs(r))
     orders = [math.log2(res[i] / res[i + 1]) for i in range(len(res) - 1)]
     out.append(check("measures/weak-residual-order", "first-order-scheme",
-                     0.9, float(np.median(orders))))
+                     0.9, _median(orders)))
     return out
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +208,30 @@ class TestConvergence:
             polygonal_convergence(flow, 0.0,
                                   (np.array([0.0]), np.array([0.0])), 1.0,
                                   levels=[0, 1])
+
+    @pytest.mark.parametrize("values", [
+        [1.5], [3.0, -1.0], [0.9, 1.1, 1.0], [2.0, 0.5, 1.25, 0.75],
+        [1.0, 1.0, 0.1, 3.0, 2.0, 0.3], [2.5, 2.5, -7.0, 1e-300],
+        [0.1, 0.2]])
+    def test_median_is_numpys(self, values):
+        got = harness._median(values)
+        assert type(got) is float
+        assert got == float(np.median(values))
+
+    @pytest.mark.parametrize("scenario", ["rotation", "translation",
+                                          "epidemic"])
+    def test_levels_capped_before_any_level_runs(self, scenario,
+                                                 monkeypatch):
+        def never(*args):
+            raise AssertionError("a level ran")
+
+        monkeypatch.setattr(harness, "euler_polygonal", never)
+        import polyflow.epidemic as epidemic
+        monkeypatch.setattr(epidemic, "run_epidemic", never)
+        cfg = (json.loads((CONFIG_DIR / "epidemic.json").read_text())
+               if scenario == "epidemic" else base_config(scenario=scenario))
+        with pytest.raises(ConfigError, match=r"cap of 2\*\*20"):
+            scenario_convergence(cfg, levels=22)
 
 
 def reference_suite_claw(seed, cells_per_unit):
@@ -725,6 +750,15 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert ran == [] and not (tmp_path / "out").exists()
 
+    def test_converge_levels_beyond_the_cap_exit_3(self, tmp_path, capsys):
+        started = time.perf_counter()
+        code = main(["converge", str(CONFIG_DIR / "rotation.json"), "--out",
+                     str(tmp_path / "out"), "--levels", "40"])
+        assert code == 3 and time.perf_counter() - started < 1.0
+        assert "2**39 coupled steps, above the cap of 2**20" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_converge_translation(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(base_config(scenario="translation")))
@@ -766,17 +800,23 @@ def test_import_leaves_scipy_optimize_unloaded(tmp_path):
 SRC = Path(polyflow.__file__).resolve().parent
 # what only ``verify`` runs: the suites and the two solvers no scenario uses
 VERIFY_ONLY = {"claw", "measures", "suites"}
+# modules outside polyflow that no bundled command loads: the thread pool of
+# an overlapped coupled step, for which no bundled grid is large enough, and
+# numpy.ma, which np.median imports
+WATCHED = ("concurrent.futures", "numpy.ma")
 
 
 def loaded_after(tmp_path, argv: list[str] | None) -> set[str]:
-    """polyflow modules a fresh process loads for ``polyflow argv``.
+    """polyflow modules, and ``WATCHED`` ones, that a fresh process loads
+    for ``polyflow argv``.
 
     ``None`` only imports the CLI.
     """
     code = "import sys, polyflow.cli; "
     if argv is not None:
         code += f"assert polyflow.cli.main({argv!r}) == 0; "
-    code += "print(*sorted(m for m in sys.modules if m.startswith('polyflow.')))"
+    code += ("print(*sorted(m for m in sys.modules "
+             f"if m.startswith('polyflow.') or m in {WATCHED!r}))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True, cwd=tmp_path,
                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
@@ -788,11 +828,14 @@ def cli_argv(command: str, config: str) -> list[str]:
 
 
 @pytest.mark.parametrize("argv, model, absent", [
-    (None, None, VERIFY_ONLY | {"epidemic", "pursuit", "ibvp"}),
-    (cli_argv("run", "epidemic.json"), "epidemic", VERIFY_ONLY | {"pursuit"}),
+    (None, None, VERIFY_ONLY | {"epidemic", "pursuit", "ibvp", *WATCHED}),
+    (cli_argv("run", "epidemic.json"), "epidemic",
+     VERIFY_ONLY | {"pursuit", "concurrent.futures"}),
     (cli_argv("run", "predator_prey_1d.json"), "pursuit",
-     VERIFY_ONLY | {"epidemic", "ibvp"}),
-], ids=["import", "run-epidemic", "run-pursuit"])
+     VERIFY_ONLY | {"epidemic", "ibvp", "concurrent.futures"}),
+    (cli_argv("run", "predator_prey_2d.json"), "pursuit",
+     VERIFY_ONLY | {"epidemic", "ibvp", "concurrent.futures"}),
+], ids=["import", "run-epidemic", "run-pursuit", "run-pursuit-2d"])
 def test_a_command_loads_only_what_it_runs(tmp_path, argv, model, absent):
     loaded = loaded_after(tmp_path, argv)
     assert not loaded & absent, loaded & absent
@@ -800,9 +843,11 @@ def test_a_command_loads_only_what_it_runs(tmp_path, argv, model, absent):
 
 
 def test_verify_loads_every_module_but_the_scenario_models(tmp_path):
-    # no suite runs a coupled scenario or writes its trajectory
+    # no suite runs a coupled scenario or writes its trajectory, and none
+    # takes a median through numpy.ma
     loaded = loaded_after(tmp_path, cli_argv("verify", "verify_all.json"))
     every = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    assert not loaded & set(WATCHED), loaded & set(WATCHED)
     assert loaded == every - {"epidemic", "pursuit", "trajectory"}
 
 

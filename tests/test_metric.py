@@ -1,11 +1,15 @@
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyflow.errors import DomainExit, StepTooLarge
+from polyflow import metric
+from polyflow.errors import DomainExit, StepTooLarge, SupportClearanceViolated
 from polyflow.harness import (rotation_exact, rotation_flow,
                               rotation_processes, translation_flow)
 from polyflow.metric import (CouplingBounds, LocalFlow, Process,
@@ -120,6 +124,110 @@ class TestCouple:
         with pytest.raises(DomainExit) as exc:
             flow.evaluate(0.1, 0.0, (np.array([0.0]), np.array([0.0])))
         assert exc.value.component == "w"
+
+
+class TestOverlappedStep:
+    """A step whose state holds a large grid runs its ``w`` solve on the
+    worker thread, with the results and exceptions of the sequential
+    order."""
+
+    constants = ProcessConstants(c_u=0.0, c_t=0.0, c_w=0.0, horizon=2.0)
+    state = (GridFunction.uniform((0.0, 1.0), 4), np.array([0.5]))
+
+    def flow(self, solve_u, solve_w):
+        return couple(Process(solve_u, self.constants, l1_distance),
+                      Process(solve_w, self.constants, euclidean_distance))
+
+    def test_w_solve_on_the_worker(self, overlap_gate):
+        futures = overlap_gate(True)
+        threads = []
+
+        def solve_w(t0, tau, w, u):
+            threads.append(threading.current_thread())
+            return w + u.values.sum() * tau
+
+        flow = self.flow(lambda t0, tau, u, w: u.with_values(u.values + w),
+                         solve_w)
+        u_next, w_next = flow.evaluate(0.5, 0.0, self.state)
+        assert len(futures) == 1 and threads[0] is not threading.main_thread()
+        assert list(u_next.values) == [0.5] * 4 and list(w_next) == [0.5]
+
+    @pytest.mark.parametrize("failing", ["u", "w", "uw"])
+    def test_domain_exit_as_in_sequence(self, overlap_gate, failing):
+        def solver(component):
+            def solve(t0, tau, x, param):
+                if component in failing:
+                    raise DomainExit(f"{component} left", step=3,
+                                     time=t0 + tau)
+                return x
+            return solve
+
+        raised = {}
+        for on in (False, True):
+            futures = overlap_gate(on)
+            flow = self.flow(solver("u"), solver("w"))
+            with pytest.raises(DomainExit) as exc:
+                flow.evaluate(0.25, 1.0, self.state)
+            assert len(futures) == on
+            raised[on] = exc.value
+        seq, ovl = raised[False], raised[True]
+        assert seq.component == failing[0]
+        assert (type(ovl), str(ovl), ovl.component, ovl.step, ovl.time) \
+            == (type(seq), str(seq), seq.component, seq.step, seq.time)
+
+    @pytest.mark.parametrize("on", [False, True])
+    def test_other_errors_from_w_unchanged(self, overlap_gate, on):
+        error = SupportClearanceViolated("support clearance 0.1 below 0.2")
+
+        def solve_w(t0, tau, w, u):
+            raise error
+
+        futures = overlap_gate(on)
+        flow = self.flow(lambda t0, tau, u, w: u, solve_w)
+        with pytest.raises(SupportClearanceViolated) as exc:
+            flow.evaluate(0.25, 0.0, self.state)
+        assert exc.value is error and len(futures) == on
+
+    def test_w_solve_ends_before_a_u_exit_is_raised(self, overlap_gate):
+        futures = overlap_gate(True)
+
+        def solve_u(t0, tau, u, w):
+            raise DomainExit("u left")
+
+        def solve_w(t0, tau, w, u):
+            time.sleep(0.05)
+            return w
+
+        with pytest.raises(DomainExit):
+            self.flow(solve_u, solve_w).evaluate(0.25, 0.0, self.state)
+        assert len(futures) == 1 and futures[0].done()
+
+    def test_one_cpu_or_a_small_grid_stays_sequential(self, overlap_gate,
+                                                       monkeypatch):
+        flow = self.flow(lambda t0, tau, u, w: u, lambda t0, tau, w, u: w)
+        futures = overlap_gate(True, cpus=(0,))
+        flow.evaluate(0.25, 0.0, self.state)
+        # where the affinity is unknown, the CPU count decides
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for count in (1, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            flow.evaluate(0.25, 0.0, self.state)
+        overlap_gate(True)
+        monkeypatch.setattr(metric, "_OVERLAP_CELLS", 5)
+        flow.evaluate(0.25, 0.0, self.state)
+        assert futures == []
+
+    def test_off_the_main_thread_stays_sequential(self, overlap_gate):
+        # a solve that the worker runs may step a coupled flow itself, and
+        # must not wait for the worker that runs it
+        futures = overlap_gate(True)
+        flow = self.flow(lambda t0, tau, u, w: u, lambda t0, tau, w, u: w)
+        out = []
+        thread = threading.Thread(
+            target=lambda: out.append(flow.evaluate(0.25, 0.0, self.state)))
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive() and len(out) == 1 and futures == []
 
 
 class TestProductDistance:

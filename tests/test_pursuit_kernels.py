@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from polyflow.pursuit import Bump, PredatorPreyParams, predator_prey_fields
+from polyflow.spaces import GridFunction
 from polyflow.suites import _smooth_renewal, _varying_ibvp
 
 REL_TOL = 1e-12
@@ -336,8 +337,14 @@ class TestAgainstFrozenCopy:
     def test_predator_velocity(self, dim):
         params = pursuit_params(dim)
         fields = predator_prey_fields(params)
-        for seed in (0, 5):
-            rho = random_density(params, seed)
+        # the drift reads the starting density's grid; a density on
+        # another grid (37 cells a side on a shifted box) reads its own
+        other = random_density(params, 7)
+        other = GridFunction.uniform(((-1.1, 0.9),) * dim, (37,) * dim
+                                     ).with_values(other.values[
+                                         (slice(0, 37),) * dim])
+        for seed in (0, 5, None):
+            rho = other if seed is None else random_density(params, seed)
             rho = rho.with_values(np.where(rho.values < 0.1, -0.0,
                                            rho.values))
             for p in self.predators(dim) + [np.array([np.nan, 0.1][:dim])]:

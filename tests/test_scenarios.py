@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -173,6 +174,30 @@ class TestPursuitRuns:
         # the same float operations; one-step tolerance is generous
         one_step = 2 * min(rho_d.dx)
         assert gap <= 5 * one_step
+
+    def test_overlapped_steps_give_the_sequential_bits(self, overlap_gate):
+        # the benchmark's 200x200 pursuit, refined to level 1, with every
+        # step's two solves overlapped and with none; the threads switch
+        # often, so state that the two solves shared would show
+        params = replace(pursuit_params(feeding_rate=0.5),
+                         cells=(200, 200))
+        runs = {}
+        switch = sys.getswitchinterval()
+        for on in (False, True):
+            futures = overlap_gate(on)
+            sys.setswitchinterval(1e-5)
+            try:
+                runs[on] = run_predator_prey(params,
+                                             RefineSchedule(0, 1, 1e-6))
+            finally:
+                sys.setswitchinterval(switch)
+            assert len(futures) == (3 if on else 0)
+        seq, ovl = runs[False], runs[True]
+        assert ovl.times == seq.times
+        assert repr(ovl.diagnostics) == repr(seq.diagnostics)  # NaN margins
+        for (rho_s, p_s), (rho_o, p_o) in zip(seq.states, ovl.states):
+            assert rho_o.values.tobytes() == rho_s.values.tobytes()
+            assert p_o.tobytes() == p_s.tobytes()
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_configured_run_builds_its_density_once(self, dim,

@@ -325,3 +325,51 @@ def test_schedule_restatements_pattern():
                  "cfg['refine']['j0'] >= 0", "not 0 <= tol"):
         assert found(check=f"    if {test}:\n        raise E\n") \
             == ["validate_config"], test
+
+
+def thread_imports(module: ast.Module) -> list[tuple[int, bool]]:
+    """Each import of ``threading`` or ``concurrent`` in ``module``: its
+    line, and whether it sits inside a function."""
+    found = []
+
+    def visit(node, in_function):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            names = []
+        if any(name.split(".")[0] in ("threading", "concurrent")
+               for name in names):
+            found.append((node.lineno, in_function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_function or isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+    visit(module, False)
+    return found
+
+
+def test_threads_only_in_the_coupled_step():
+    # metric's coupled step alone may overlap two solves on a worker
+    # thread, and imports what it needs only when a step overlaps, so
+    # importing the package starts no thread pool and loads none
+    for path in sorted(SRC.glob("*.py")):
+        sites = thread_imports(ast.parse(path.read_text()))
+        if path.name == "metric.py":
+            assert sites and all(inside for _, inside in sites), sites
+        else:
+            assert not sites, (path.name, sites)
+
+
+def test_thread_imports_pattern():
+    source = ("import threading\n"
+              "from concurrent.futures import ThreadPoolExecutor\n"
+              "import concurrent.futures as cf\n"
+              "import threadpoolctl\n"
+              "from .threading import x\n"
+              "def f():\n    import threading\n"
+              "class C:\n    def g(self):\n"
+              "        from concurrent import futures\n")
+    assert thread_imports(ast.parse(source)) == [
+        (1, False), (2, False), (3, False), (7, True), (10, True)]
