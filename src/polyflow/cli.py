@@ -45,8 +45,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return run(cfg, args.out, quiet=args.quiet)
         if args.command == "converge":
-            if args.levels < 3:
-                raise ConfigError("field levels must be at least 3")
             table = scenario_convergence(cfg, args.levels)
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)

@@ -155,18 +155,19 @@ def run_epidemic(params: EpidemicParams,
     cohort_mass_bound = (params.v0.l1()
                          + params.vaccination_rate.sup() * horizon + 1.0)
     ode_field = _epidemic_ode_field(params, ball, cohort_mass_bound)
-    # a macro step longer than the certified ball segment is a ConfigError
-    seg_cap = ball / (2.0 * ode_field.sup) if ode_field.sup > 0 else macro
-    if macro > seg_cap * (1 + 1e-12):
-        raise ConfigError(
-            f"time.macro_step {macro} exceeds the certified segment "
-            f"{seg_cap:.3g}; reduce it or the ball radius")
     coef, inflow = _epidemic_ibvp(params, i_bound=ball)
 
     def build(moduli_radius):
+        # called once the time grid is checked: a macro step longer than
+        # the certified ball segment is a ConfigError
+        seg_cap = ball / (2.0 * ode_field.sup) if ode_field.sup > 0 else macro
+        if macro > seg_cap * (1 + 1e-12):
+            raise ConfigError(
+                f"time.macro_step {macro} exceeds the certified segment "
+                f"{seg_cap:.3g}; reduce it or the ball radius")
         return (make_ode_process(ode_field, macro, steps_per_unit=32.0),
                 make_ibvp_process(coef, inflow, moduli_radius, macro,
-                                  n_sub_per_unit=32.0, outflow_edge=True))
+                                  n_sub_per_unit=32.0))
 
     radius_v, times, states, cols, meta = _run_coupled(
         build, (np.array([params.s0, params.i0]), params.v0), 1,

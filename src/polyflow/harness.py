@@ -88,14 +88,6 @@ def _typed(val, kind, label: str):
     return val
 
 
-def _positive(cfg: dict, key: str, where: str = "") -> float:
-    v = _need(cfg, key, float, where)
-    if v <= 0:
-        raise ConfigError(f"field {f'{where}.{key}' if where else key} "
-                          f"must be positive, got {v}")
-    return v
-
-
 def validate_config(cfg: dict) -> None:
     """Check ``cfg``: types here, a coupled model's ranges and shapes in
     its params class, whose errors come back naming the field."""
@@ -108,9 +100,12 @@ def validate_config(cfg: dict) -> None:
     _seed(cfg)
     _verify_suites(cfg)
     tcfg = _need(cfg, "time", dict)
-    horizon = _positive(tcfg, "horizon", "time")
+    horizon = _need(tcfg, "horizon", float, "time")
     if scenario in ("epidemic", "predator_prey"):
-        _macro_count(horizon, _positive(tcfg, "macro_step", "time"))
+        _macro_count(horizon, _need(tcfg, "macro_step", float, "time"))
+    elif horizon <= 0:
+        raise ConfigError(f"field time.horizon must be positive, "
+                          f"got {horizon}")
     try:
         schedule_from_config(cfg)
     except ValueError as exc:
@@ -232,11 +227,9 @@ def rotation_flow(ball: float = 2.0, horizon: float = 1.0) -> LocalFlow:
     return couple(pu, pw)
 
 
-def rotation_exact(t: float, u0: float = 1.0, w0: float = 0.0
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    u = u0 * math.cos(t) + w0 * math.sin(t)
-    w = -u0 * math.sin(t) + w0 * math.cos(t)
-    return np.array([u]), np.array([w])
+def rotation_exact(t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The harmonic pair at ``t`` from the start ``(u, w) = (1, 0)``."""
+    return np.array([math.cos(t)]), np.array([-math.sin(t)])
 
 
 def translation_flow(horizon: float = 4.0) -> LocalFlow:
@@ -325,8 +318,11 @@ _MAX_LEVEL = 20
 
 def scenario_convergence(cfg: dict, levels: int) -> ConvergenceTable:
     """Self-refinement study for a configured scenario, at the dyadic
-    levels ``0 .. levels - 1``; a finest level beyond ``_MAX_LEVEL`` is a
-    ``ConfigError``."""
+    levels ``0 .. levels - 1``; fewer than three levels, or a finest level
+    beyond ``_MAX_LEVEL``, is a ``ConfigError`` raised before any level
+    runs."""
+    if levels < 3:
+        raise ConfigError("field levels must be at least 3")
     if levels - 1 > _MAX_LEVEL:
         raise ConfigError(
             f"field levels {levels} asks for a polygonal of "
@@ -348,8 +344,6 @@ def scenario_convergence(cfg: dict, levels: int) -> ConvergenceTable:
     if scenario == "epidemic":
         from .epidemic import run_epidemic
         params = epidemic_params_from_config(cfg)
-        if levels < 3:
-            raise ConfigError("field levels must be at least 3")
         # the runner clamps sub-cell polygonal steps, which would stall the
         # age transport (cell lookup), and reports the deepest level it
         # runs; at an infinite tol level 0's states are a (0, 0, inf) run's

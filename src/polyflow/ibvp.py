@@ -116,8 +116,8 @@ def ibvp_solve(coef: RenewalCoefficients, inflow: InflowBoundary,
             and not inflow.speed_min <= coef.velocity <= coef.v_sup):
         raise ValueError(f"constant speed {coef.velocity} lies outside "
                          f"[speed_min, v_sup]")
-    if inflow.series is None or inflow.series.times.size == 0:
-        raise UndefinedBoundaryDatum("boundary series is empty")
+    if inflow.series is None:
+        raise UndefinedBoundaryDatum("boundary series is missing")
     if not outflow_edge:
         needed = coef.v_sup * tau
         clear_right = _right_clearance(u0)
@@ -216,14 +216,17 @@ def ibvp_lipschitz_constants(coef: RenewalCoefficients,
 
 
 def make_ibvp_process(coef: RenewalCoefficients, inflow: InflowBoundary,
-                      radius: float, horizon: float, n_sub_per_unit: float,
-                      outflow_edge: bool = False) -> Process:
-    """Wrap the solver as a process handle; ``radius`` sizes its moduli."""
+                      radius: float, horizon: float,
+                      n_sub_per_unit: float) -> Process:
+    """Wrap the solver as a process handle; ``radius`` sizes its moduli.
+
+    The grid's right edge is an outflow boundary (``ibvp_solve``'s
+    ``outflow_edge``): mass crossing it leaves the model."""
 
     def solve(t0, tau, u, w):
         n = max(2, int(math.ceil(tau * n_sub_per_unit - 1e-12)))
         return ibvp_solve(coef, inflow, u, w, t0, tau, n_sub=n,
-                          outflow_edge=outflow_edge)
+                          outflow_edge=True)
 
     return Process(solve=solve,
                    constants=ibvp_lipschitz_constants(coef, inflow, horizon,

@@ -155,8 +155,8 @@ class PredatorPreyFields:
 
 
 def _sampled_sup(f: Callable[[np.ndarray], np.ndarray], lo: float,
-                 hi: float, n: int = 4001) -> float:
-    xs = np.linspace(lo, hi, n)
+                 hi: float) -> float:
+    xs = np.linspace(lo, hi, 4001)
     return float(np.max(np.abs(f(xs))))
 
 

@@ -87,10 +87,12 @@ def _beyond_support(coef: RenewalCoefficients, w, grid: GridFunction,
                     margin: float = 0.0) -> np.ndarray:
     """Mask of the cell centres of ``grid``, in ``centers()`` order, at
     distance ``>= (1 + margin) radius`` from the centre of
-    ``coef.support(w)``.
+    ``coef.support(w)``; without a ``support``, no cell is beyond it.
 
     The squared distances are summed from the per-axis offsets of the
     centres, so a 2D grid forms no ``(n, 2)`` offset array."""
+    if coef.support is None:
+        return np.zeros(grid.values.size, dtype=bool)
     centre, radius = coef.support(w)
     c = np.asarray(centre, dtype=float).reshape(-1)
     d = [grid.axis_centers(a) - c[a] for a in range(grid.dim)]
@@ -117,8 +119,7 @@ def audit_coefficients(coef: RenewalCoefficients, grid: GridFunction, w,
     sampled = callable(coef.velocity)
     worst = -math.inf if sampled else abs(coef.velocity) - coef.v_sup
     pts = grid.centers()
-    outside = (pts[:0] if coef.support is None
-               else pts[_beyond_support(coef, w, grid)])
+    outside = pts[_beyond_support(coef, w, grid)]
     for _ in range(n):
         t = float(rng.uniform(*t_range))
         if sampled:
@@ -330,10 +331,11 @@ def renewal_solve(coef: RenewalCoefficients, u0: GridFunction, w,
     """Advance the datum from ``t0`` over ``tau`` with the parameter frozen.
 
     Requires the datum's support to keep ``v_sup * tau`` clearance from
-    the box edge, so no mass reaches the truncation boundary.  With a
-    ``coef.support``, only the cells inside its ball (widened by a relative
-    ``_SUPPORT_MARGIN``) are transported; every other cell keeps
-    ``u0 * 1.0 + 0.0``, which is what its standing characteristic gives.
+    the box edge, so no mass reaches the truncation boundary.  Only the
+    cells inside ``coef.support``'s ball (widened by a relative
+    ``_SUPPORT_MARGIN``), or every cell without a support, are transported;
+    every other cell keeps ``u0 * 1.0 + 0.0``, which is what its standing
+    characteristic gives.
     A constant speed is carried by ``_constant_speed_transport`` and needs
     a 1D grid.
     """
@@ -351,16 +353,11 @@ def renewal_solve(coef: RenewalCoefficients, u0: GridFunction, w,
             raise ValueError("a constant velocity is only supported in 1D")
         return _constant_speed_transport(coef, u0, w, t0, tau, n_sub,
                                          np.empty(0), np.empty(0))
-    t = t0 + tau
-    centers = u0.centers()
-    if coef.support is None:
-        vals = _carried(u0, *backward_transport(coef, w, t, t0, centers,
-                                                n_sub, u0.dx))
-        return u0.with_values(vals.reshape(u0.values.shape))
     inside = ~_beyond_support(coef, w, u0, _SUPPORT_MARGIN)
     # the kept cells are copied after the transport, not alive through it
-    moved = (_carried(u0, *backward_transport(coef, w, t, t0, centers[inside],
-                                              n_sub, u0.dx))
+    moved = (_carried(u0, *backward_transport(coef, w, t0 + tau, t0,
+                                              u0.centers()[inside], n_sub,
+                                              u0.dx))
              if inside.any() else None)
     vals = u0.values.ravel() * 1.0
     vals += 0.0

@@ -58,8 +58,13 @@ def _memo_last(fn: Callable) -> Callable:
 
 
 def _macro_count(horizon: float, macro: float) -> int:
-    """Number of macro steps; the horizon must be a multiple of the step."""
-    n_macro = int(round(horizon / macro))
+    """Number of macro steps: the step must be positive and finite, and the
+    horizon a finite multiple of it, at least one step."""
+    if not 0 < macro < math.inf:  # NaN compares false
+        raise ConfigError(f"field time.macro_step must be positive and "
+                          f"finite, got {macro}")
+    ratio = horizon / macro
+    n_macro = int(round(ratio)) if math.isfinite(ratio) else 0
     if (n_macro < 1
             or abs(n_macro * macro - horizon) > 1e-9 * max(1.0, horizon)):
         raise ConfigError("time.horizon must be a multiple of time.macro_step")

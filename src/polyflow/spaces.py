@@ -179,18 +179,15 @@ class GridFunction:
                       origin: Sequence[float], dx: Sequence[float],
                       shape: Sequence[int]) -> "GridFunction":
         """Sample ``f`` at cell centers.  1D: f(x); 2D: f(x, y), broadcast."""
-        origin = tuple(float(o) for o in np.atleast_1d(origin))
-        dx = tuple(float(d) for d in np.atleast_1d(dx))
         shape = tuple(int(s) for s in np.atleast_1d(shape))
-        if len(shape) == 1:
-            x = origin[0] + (np.arange(shape[0]) + 0.5) * dx[0]
-            vals = np.asarray(f(x), dtype=float)
+        grid = GridFunction(np.zeros(shape), origin, dx)
+        if grid.dim == 1:
+            vals = np.asarray(f(grid.axis_centers(0)), dtype=float)
         else:
-            x = origin[0] + (np.arange(shape[0]) + 0.5) * dx[0]
-            y = origin[1] + (np.arange(shape[1]) + 0.5) * dx[1]
-            X, Y = np.meshgrid(x, y, indexing="ij")
-            vals = np.asarray(f(X, Y), dtype=float)
-        return GridFunction(np.broadcast_to(vals, shape).copy(), origin, dx)
+            vals = np.asarray(f(*np.meshgrid(grid.axis_centers(0),
+                                             grid.axis_centers(1),
+                                             indexing="ij")), dtype=float)
+        return grid.with_values(np.broadcast_to(vals, shape).copy())
 
     @staticmethod
     def uniform(box: Sequence[tuple[float, float]] | tuple[float, float],

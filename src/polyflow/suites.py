@@ -261,10 +261,10 @@ def _smooth_renewal() -> RenewalCoefficients:
         q_param_lip=0.0)
 
 
-def suite_renewal(seed: int, cells: int = 400) -> list[CheckResult]:
+def suite_renewal(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out: list[CheckResult] = []
-    dx = 1.0 / cells
+    dx = 1.0 / 400
     grid = GridFunction.uniform((-2.0, 3.0), int(5.0 / dx))
     ind = GridFunction.from_callable(
         lambda x: ((x >= 0) & (x < 1)).astype(float),
@@ -344,11 +344,10 @@ def _varying_ibvp() -> RenewalCoefficients:
         v_sup=0.9, v_lip=0.1, m_sup_tv=0.7)
 
 
-def suite_ibvp(seed: int, cells: int = 400) -> list[CheckResult]:
+def suite_ibvp(seed: int) -> list[CheckResult]:
     out: list[CheckResult] = []
-    dx = 2.0 / cells
-    n = int(2.0 / dx)
-    grid = GridFunction.uniform((0.0, 2.0), n)
+    dx = 2.0 / 400
+    grid = GridFunction.uniform((0.0, 2.0), 400)
     zero = grid
     unit = InflowBoundary(BvTimeSeries.constant(1.0), speed_min=1.0,
                           b_l1=1.0, b_sup_tv=1.0)

@@ -209,6 +209,17 @@ class TestConvergence:
                                   (np.array([0.0]), np.array([0.0])), 1.0,
                                   levels=[0, 1])
 
+    @pytest.mark.parametrize("scenario", ["rotation", "translation"])
+    @pytest.mark.parametrize("levels", [-1, 0, 1, 2])
+    def test_every_scenario_needs_three_levels(self, scenario, levels,
+                                               monkeypatch):
+        def never(*args):
+            raise AssertionError("a level ran")
+
+        monkeypatch.setattr(harness, "euler_polygonal", never)
+        with pytest.raises(ConfigError, match="levels must be at least 3"):
+            scenario_convergence(base_config(scenario=scenario), levels)
+
     @pytest.mark.parametrize("values", [
         [1.5], [3.0, -1.0], [0.9, 1.1, 1.0], [2.0, 0.5, 1.25, 0.75],
         [1.0, 1.0, 0.1, 3.0, 2.0, 0.3], [2.5, 2.5, -7.0, 1e-300],
@@ -757,6 +768,13 @@ class TestCli:
         assert code == 3 and time.perf_counter() - started < 1.0
         assert "2**39 coupled steps, above the cap of 2**20" \
             in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_converge_below_three_levels_exit_3(self, tmp_path, capsys):
+        code = main(["converge", str(CONFIG_DIR / "rotation.json"), "--out",
+                     str(tmp_path / "out"), "--levels", "2"])
+        assert code == 3
+        assert "levels must be at least 3" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_converge_translation(self, tmp_path, capsys):

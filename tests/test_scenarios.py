@@ -362,6 +362,27 @@ def epidemic_params(cells=200, rho_v_scale=0.8, p_series=None,
         horizon=horizon, macro_step=macro)
 
 
+# a macro step or horizon that makes no time grid, and the field it names
+BAD_TIME_GRIDS = [
+    *[("macro", value, "time.macro_step")
+      for value in (0.0, -0.02, math.nan, math.inf)],
+    *[("horizon", value, "time.horizon")
+      for value in (0.0, -0.5, math.inf, math.nan)]]
+
+
+@pytest.mark.parametrize("key, value, field", BAD_TIME_GRIDS)
+@pytest.mark.parametrize("model", ["epidemic", "pursuit"])
+def test_runners_reject_a_bad_time_grid(model, key, value, field):
+    times = {"horizon": 0.2, "macro": 0.02, key: value}
+    schedule = RefineSchedule(0, 0, math.inf)
+    with pytest.raises(ConfigError, match=field):
+        if model == "epidemic":
+            run_epidemic(epidemic_params(**times), schedule)
+        else:
+            run_predator_prey(
+                pursuit_params(dim=1, predator=(0.1,), **times), schedule)
+
+
 class TestRefineSchedule:
     @pytest.mark.parametrize("fields, message", [
         ({"j0": 5, "j_max": 2}, "j0 5 must not exceed refine.j_max 2"),

@@ -373,3 +373,54 @@ def test_thread_imports_pattern():
               "        from concurrent import futures\n")
     assert thread_imports(ast.parse(source)) == [
         (1, False), (2, False), (3, False), (7, True), (10, True)]
+
+
+# parameters and public dataclass fields with a default in the library
+# source; a change that adds one raises this bound and says why
+SETTABLE_VALUES = 73
+
+
+def settable_values(module: ast.Module) -> list[tuple[str, int]]:
+    """``(name, line)`` of each parameter default of a function or lambda,
+    and of each public field with a default of a ``dataclass`` class."""
+    found = []
+    for node in ast.walk(module):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            args = node.args
+            count = len(args.defaults) + sum(
+                d is not None for d in args.kw_defaults)
+            found += [(getattr(node, "name", "lambda"), node.lineno)] * count
+        elif isinstance(node, ast.ClassDef) and any(
+                (called_name(d) or getattr(d, "id", getattr(d, "attr", None)))
+                == "dataclass" for d in node.decorator_list):
+            found += [(f"{node.name}.{s.target.id}", s.lineno)
+                      for s in node.body
+                      if isinstance(s, ast.AnnAssign) and s.value is not None
+                      and isinstance(s.target, ast.Name)
+                      and not s.target.id.startswith("_")]
+    return found
+
+
+def test_settable_values_bounded():
+    # each value a caller may set is one more configuration that tests and
+    # benchmarks must cover, so one that takes a single value is a constant
+    found = [(path.name, *site) for path in sorted(SRC.glob("*.py"))
+             for site in settable_values(ast.parse(path.read_text()))]
+    assert found and len(found) <= SETTABLE_VALUES, found
+
+
+def test_settable_values_pattern():
+    source = ("def f(a, b=1, *args, c, d=2, **kw):\n"
+              "    g = lambda x, y=0: x\n"
+              "async def h(n=3):\n    pass\n"
+              "def plain(a, b):\n    pass\n"
+              "@dataclass(frozen=True)\n"
+              "class P:\n    x: int\n    y: float = 0.0\n"
+              "    _z: int = 1\n    w = 5\n"
+              "@dataclasses.dataclass\nclass Q:\n    q: int = 2\n"
+              "@dataclass\nclass R:\n    r: int = field(default=1)\n"
+              "class Plain:\n    p: int = 3\n")
+    assert settable_values(ast.parse(source)) == [
+        ("f", 1), ("f", 1), ("h", 3), ("P.y", 10), ("Q.q", 15),
+        ("R.r", 18), ("lambda", 2)]
