@@ -71,12 +71,24 @@ def _rk4(f: Callable[[float, np.ndarray], np.ndarray], t: float,
          u: np.ndarray, h: float, t_first: float | None = None
          ) -> np.ndarray:
     """One classical RK4 step from ``t``; the first stage reads ``f`` at
-    ``t_first`` when given (``ode_solve`` passes the right limit of ``t``)."""
+    ``t_first`` when given (``ode_solve`` passes the right limit of ``t``).
+
+    The weighted sum ``((k1 + 2 k2) + 2 k3) + k4`` is accumulated as the
+    stages arrive, in that textbook order, so each stage is dropped once
+    used.  Plain binary operators, not in-place ones: NumPy reuses a large
+    operand that is a temporary, and on a one-element state an in-place
+    operator costs about twice as much as a new array.
+    """
     k1 = f(t if t_first is None else t_first, u)
     k2 = f(t + 0.5 * h, u + 0.5 * h * k1)
+    acc = k1 + 2.0 * k2
+    del k1
     k3 = f(t + 0.5 * h, u + 0.5 * h * k2)
+    del k2
+    acc = acc + 2.0 * k3
     k4 = f(t + h, u + h * k3)
-    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    del k3
+    return u + (h / 6.0) * (acc + k4)
 
 
 def _leaves_ball(u: np.ndarray, reach: float) -> bool:

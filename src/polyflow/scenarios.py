@@ -57,13 +57,23 @@ def _memo_last(fn: Callable) -> Callable:
     return memo
 
 
+# the most macro steps a coupled run may take: ``_run_coupled`` lists the
+# start time of every step before it takes the first
+_MAX_MACRO_STEPS = 2 ** 20
+
+
 def _macro_count(horizon: float, macro: float) -> int:
     """Number of macro steps: the step must be positive and finite, and the
-    horizon a finite multiple of it, at least one step."""
+    horizon a finite multiple of it, at least one step and at most
+    ``_MAX_MACRO_STEPS``."""
     if not 0 < macro < math.inf:  # NaN compares false
         raise ConfigError(f"field time.macro_step must be positive and "
                           f"finite, got {macro}")
     ratio = horizon / macro
+    if ratio > _MAX_MACRO_STEPS + 0.5:
+        raise ConfigError(
+            f"time.horizon / time.macro_step asks for {ratio:.12g} macro "
+            f"steps, above the cap of {_MAX_MACRO_STEPS}")
     n_macro = int(round(ratio)) if math.isfinite(ratio) else 0
     if (n_macro < 1
             or abs(n_macro * macro - horizon) > 1e-9 * max(1.0, horizon)):

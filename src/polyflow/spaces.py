@@ -207,7 +207,10 @@ class GridFunction:
 
         The bytes are those of ``csv.writer`` rows of ``repr`` floats; the
         fields are written directly since a float repr needs no quoting,
-        each row of the 2D grid as one string joined in C.
+        each row of the 2D grid as one string joined in C.  A 2D row calls
+        ``repr`` only from its first to its last cell whose bits are not
+        those of ``+0.0`` (a ``-0.0`` counts); the ``+0.0`` margins come
+        from one precomputed list.
         """
         xs = [repr(x) + "," for x in self.axis_centers(0).tolist()]
         with open(path, "w", newline="") as fh:
@@ -221,9 +224,18 @@ class GridFunction:
             ys = [repr(y) + "," for y in self.axis_centers(1).tolist()]
             if not ys:
                 return
-            for head, row in zip(xs, self.values.tolist()):
-                fh.write(head + ("\r\n" + head).join(
-                    map(operator.add, ys, map(repr, row))) + "\r\n")
+            zeros = [y + "0.0" for y in ys]
+            # a row's span ends at its last cell with a bit set (-0.0 has
+            # one); a row of +0.0 has an empty span
+            bits_set = self.values.view(np.uint64) != 0
+            first = bits_set.argmax(axis=1).tolist()
+            end = np.where(bits_set.any(axis=1),
+                           len(ys) - bits_set[:, ::-1].argmax(axis=1),
+                           0).tolist()
+            for head, row, a, b in zip(xs, self.values, first, end):
+                cells = (zeros[:a] + list(map(operator.add, ys[a:b], map(
+                    repr, row[a:b].tolist()))) + zeros[b:])
+                fh.write(head + ("\r\n" + head).join(cells) + "\r\n")
 
 
 def _grid_values(values) -> np.ndarray:

@@ -577,6 +577,30 @@ class TestCli:
         assert "time.macro_step" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", ["epidemic.json",
+                                      "predator_prey_1d.json"])
+    def test_too_many_macro_steps_exit_3(self, tmp_path, capsys, name,
+                                         monkeypatch):
+        # a billion macro steps is refused by validation, before the
+        # driver would list their start times
+        import polyflow.epidemic
+        import polyflow.pursuit
+        import polyflow.scenarios
+
+        def never(*args, **kwargs):
+            raise AssertionError("the macro-step driver was entered")
+
+        for module in (polyflow.scenarios, polyflow.epidemic,
+                       polyflow.pursuit):
+            monkeypatch.setattr(module, "_run_coupled", never)
+        code = run_edited(tmp_path, name, ("time",),
+                          {"horizon": 1e6, "macro_step": 1e-3})
+        assert code == 3
+        err = capsys.readouterr().err
+        assert ("asks for 1000000000 macro steps, above the cap of 1048576"
+                in err)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("name, path, value, field", [
         ("epidemic.json", ("params", "s0"), 1e6, "s0"),
         ("epidemic.json", ("params", "r0"), [1], "params.r0"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,3 +176,90 @@ class TestDomainRadius:
     def test_negative_radius_configuration(self):
         with pytest.raises(NegativeRadius):
             ode_domain_radius(0.0, 1.0, 1.0, 1.0)  # horizon > R/(2 sup)
+
+
+def textbook_rk4(f, t, u, h, t_first=None):
+    """The classical RK4 step as one expression: the reference whose bits
+    ``_rk4`` keeps."""
+    k1 = f(t if t_first is None else t_first, u)
+    k2 = f(t + 0.5 * h, u + 0.5 * h * k1)
+    k3 = f(t + 0.5 * h, u + 0.5 * h * k2)
+    k4 = f(t + h, u + h * k3)
+    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64),
+        np.ascontiguousarray(b).view(np.uint64))
+
+
+class TestRk4Step:
+    """``_rk4`` sums its stages as they arrive, in the textbook order, so
+    its bits are those of the one-expression step."""
+
+    @staticmethod
+    def wavy(t, x):
+        return np.sin(3.0 * x) * np.cos(t) + 0.3 * x * x - t
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (20000, 2)])
+    @pytest.mark.parametrize("t_first", [None, math.nextafter(0.25, 1.0)])
+    def test_bits_match_the_textbook_step(self, shape, t_first):
+        u = np.random.default_rng(7).uniform(-2.0, 2.0, shape)
+        kept = u.copy()
+        for h in (0.1, -0.037, 1.0 / 3.0):
+            out = _rk4(self.wavy, 0.25, u, h, t_first)
+            assert same_bits(out, textbook_rk4(self.wavy, 0.25, u, h,
+                                               t_first))
+        assert same_bits(u, kept)
+
+    def test_stages_that_broadcast_against_the_state(self):
+        # a (1,) stage for a (3,) state
+        f = lambda t, x: np.array([np.sin(x.sum()) + t])
+        u = np.array([0.3, -1.1, 2.5])
+        out = _rk4(f, 0.5, u, 0.2)
+        assert out.shape == (3,)
+        assert same_bits(out, textbook_rk4(f, 0.5, u, 0.2))
+
+    @pytest.mark.parametrize("wrap", [np.asarray, np.float64],
+                             ids=["0d-array", "numpy-scalar"])
+    def test_zero_dimensional_stages(self, wrap):
+        f = lambda t, x: wrap(math.cos(float(x.sum())) - 0.7 * t)
+        u = np.array([0.4])
+        out = _rk4(f, 1.0, u, 0.3)
+        assert same_bits(out, textbook_rk4(f, 1.0, u, 0.3))
+
+    def test_array_clock_and_step(self):
+        # ibvp's crossing times step a per-point clock by per-point steps
+        f = lambda p, s: 1.0 / (1.0 + 0.25 * np.sin(p + s))
+        pos = np.linspace(0.1, 2.0, 9)
+        tau = np.full(9, 0.8)
+        h = -pos / 5
+        assert same_bits(_rk4(f, pos, tau, h), textbook_rk4(f, pos, tau, h))
+
+    def test_field_returning_its_input(self):
+        # k1 is u itself: the step must not write into it
+        f = lambda t, x: x
+        u = np.array([1.0, -2.0, 0.5])
+        kept = u.copy()
+        out = _rk4(f, 0.0, u, 0.1)
+        assert same_bits(u, kept)
+        assert same_bits(out, textbook_rk4(f, 0.0, kept, 0.1))
+
+    def test_step_peak_memory(self):
+        # the stages are released as they are used: one step on a large
+        # state peaks at four state sizes above its inputs (the one
+        # expression held six)
+        u = np.random.default_rng(3).standard_normal((20000, 2))
+        f = lambda t, x: -x
+        _rk4(f, 0.0, u, 0.1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = _rk4(f, 0.0, u, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == u.shape
+        assert peak - base <= 4 * u.nbytes + 16384, (peak - base) / u.nbytes

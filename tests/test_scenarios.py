@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -19,6 +20,7 @@ from polyflow.ode import OdeField, ode_solve
 from polyflow.pursuit import (PredatorPreyParams, predator_prey_fields,
                               run_predator_prey)
 from polyflow.renewal import audit_coefficients, ivp_domain_bounds
+from polyflow.scenarios import _MAX_MACRO_STEPS, _macro_count
 from polyflow.spaces import BvTimeSeries, GridFunction, l1_distance
 
 
@@ -381,6 +383,21 @@ def test_runners_reject_a_bad_time_grid(model, key, value, field):
         else:
             run_predator_prey(
                 pursuit_params(dim=1, predator=(0.1,), **times), schedule)
+
+
+@pytest.mark.parametrize("horizon, macro, count", [
+    (1e6, 1e-3, "1000000000"), (1e300, 1e-3, "1e+303"),
+    (2.0 ** 20 + 1.0, 1.0, "1048577")])
+def test_macro_step_count_is_capped(horizon, macro, count):
+    # the driver lists every step's start time before the first step
+    with pytest.raises(ConfigError, match=re.escape(
+            f"asks for {count} macro steps, above the cap of 1048576")):
+        _macro_count(horizon, macro)
+
+
+def test_macro_step_count_at_the_cap():
+    assert _MAX_MACRO_STEPS == 2 ** 20
+    assert _macro_count(2.0 ** 19, 0.5) == _MAX_MACRO_STEPS
 
 
 class TestRefineSchedule:

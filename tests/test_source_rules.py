@@ -194,6 +194,19 @@ def test_one_rk4_stepper():
     assert name == "ode.py" and rk4.lineno <= line <= rk4.end_lineno
 
 
+def test_rk4_has_no_branch():
+    # one path for every state size: a size-gated second RK4 (in-place
+    # stages for large states) would be a second stepper; the conditional
+    # expression that picks the first stage's time is the one test
+    tree = ast.parse((SRC / "ode.py").read_text())
+    rk4 = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_rk4")
+    assert not [node.lineno for node in ast.walk(rk4)
+                if isinstance(node, ast.If)]
+    assert len([node for node in ast.walk(rk4)
+                if isinstance(node, ast.IfExp)]) == 1
+
+
 def test_rk4_last_stage_pattern():
     for line in ("    k4 = f(t + h, u + h * k3)", "k4=f(t, u)",
                  "    a, k4 = 1, 2"):

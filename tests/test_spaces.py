@@ -13,6 +13,14 @@ from polyflow.spaces import (BvTimeSeries, GridFunction, euclidean_distance,
 from polyflow.suites import bv_estimate_checks, shifted_l1_difference
 
 
+def compact_bump(n: int) -> np.ndarray:
+    """An ``(n, n)`` bump ``(1 - |x - c|^2 / r^2)_+^4`` on [-1, 1]^2 whose
+    support, a disc off the centre, leaves rows and margins at +0.0."""
+    c = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
+    s = ((c[:, None] - 0.1) ** 2 + (c[None, :] + 0.2) ** 2) / 0.49
+    return np.maximum(1.0 - s, 0.0) ** 4
+
+
 def read_grid_csv(path) -> GridFunction:
     """The grid function that ``GridFunction.to_csv`` wrote to ``path``."""
     with open(path, newline="") as fh:
@@ -130,7 +138,29 @@ class TestGridFunction:
         GridFunction(np.array([[1.5, -0.0, 2.0]]), (-0.3, 1.0), (0.1, 0.2)),
         GridFunction(np.array([[1.5], [-0.0], [2.0]]), (-0.3, 1.0),
                      (0.1, 0.2)),
-    ], ids=["1d", "2d", "1d-one-cell", "2d-one-row", "2d-one-column"])
+        # the 2D rows call repr only between their first and last cells
+        # whose bits are not +0.0, and take the margins from one list
+        GridFunction(compact_bump(24), (-1.0, -1.0), (2 / 24, 2 / 24)),
+        GridFunction(np.random.default_rng(5).standard_normal((7, 9)),
+                     (0.25, -3.0), (0.5, 0.125)),
+        GridFunction(np.zeros((4, 5)), (0.0, 0.0), (1.0, 0.1)),
+        GridFunction(np.array([[0.0, -0.0, 0.0, 1.5, 0.0, 0.0],
+                               [-0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                               [0.0, 0.0, 0.0, 0.0, 0.0, -0.0],
+                               [0.0, 2.0, -0.0, 0.0, 3.0, 0.0],
+                               [-0.0, 0.0, 1e-300, 0.0, 0.0, -0.0]]),
+                     (-0.3, 1.0), (0.1, 0.2)),
+        GridFunction(np.array([[0.0, 1.0, 0.0, 0.0, 2.0, 0.0],
+                               [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                               [5e-324, 0.0, 0.0, 0.0, 0.0, 7.0]]),
+                     (-0.3, 1.0), (0.1, 0.2)),
+        GridFunction(np.array([[0.0, 0.0, -4.5, 0.0, 1.0, 0.0, 0.0]]),
+                     (-0.3, 1.0), (0.1, 0.2)),
+        GridFunction(np.array([[0.0], [0.0], [1.5], [0.0], [-0.0], [0.0]]),
+                     (-0.3, 1.0), (0.1, 0.2)),
+    ], ids=["1d", "2d", "1d-one-cell", "2d-one-row", "2d-one-column",
+            "2d-compact-bump", "2d-dense", "2d-all-zero", "2d-negative-zero",
+            "2d-zero-inside-span", "2d-1xn", "2d-nx1"])
     def test_csv_bytes_match_csv_writer(self, tmp_path, g):
         ref = tmp_path / "ref.csv"
         with open(ref, "w", newline="") as fh:
