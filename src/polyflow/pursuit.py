@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import KernelOutOfBox
+from .errors import ConfigError, KernelOutOfBox
 from .metric import RefineSchedule
 from .ode import OdeField, make_ode_process, ode_domain_radius
 from .renewal import (RenewalCoefficients, ivp_domain_bounds,
@@ -30,19 +30,26 @@ from .trajectory import Trajectory
 
 @dataclass(frozen=True)
 class Bump:
-    """Profile ``s -> amp * (1 - (s / radius)^2)^4`` on ``|s| < radius``."""
+    """Profile ``s -> amp * (1 - (s / radius)^2)^4`` on ``|s| < radius``.
+
+    Every power is a product: IEEE multiplication is correctly rounded on
+    every SIMD level, where NumPy's ``power`` kernels are not."""
 
     radius: float
     amp: float = 1.0
 
     def __call__(self, s):
         y = np.asarray(s, dtype=float) / self.radius
-        return self.amp * np.maximum(1.0 - y * y, 0.0) ** 4
+        # amp * (q2 * q2) with q2 = q * q, squared in place
+        q = np.maximum(1.0 - y * y, 0.0)
+        q *= q
+        q *= q
+        return self.amp * q
 
     def slope(self, s):
         y = np.asarray(s, dtype=float) / self.radius
-        return (self.amp * 4.0 * np.maximum(1.0 - y * y, 0.0) ** 3
-                * (-2.0 * y / self.radius))
+        q = np.maximum(1.0 - y * y, 0.0)
+        return self.amp * 4.0 * (q * q * q) * (-2.0 * y / self.radius)
 
 
 def spatial_bump_norm(radius: float, dim: int) -> float:
@@ -330,14 +337,14 @@ def predator_prey_fields(params: PredatorPreyParams,
         weight = rho.values[tuple(window)]
         if dim == 1:
             q = np.maximum(1.0 - z[0] * z[0] / r2, 0.0)
-            val = np.array([np.dot(z[0], q ** 3 * weight)])
+            val = np.array([np.dot(z[0], q * q * q * weight)])
         else:
-            # w = max(1 - (z0^2 + z1^2) / r2, 0) ** 3 * weight, in place
-            w = np.add.outer(z[0] ** 2, z[1] ** 2)
+            # w = max(1 - (z0^2 + z1^2) / r2, 0)^3 * weight, in place; the
+            # cube w * (w * w) leaves 0.0 and NaN as they are
+            w = np.add.outer(z[0] * z[0], z[1] * z[1])
             w /= r2
             np.maximum(np.subtract(1.0, w, out=w), 0.0, out=w)
-            # the cells outside the disc keep their 0.0, which is 0.0 ** 3
-            np.power(w, 3, out=w, where=w > 0.0)
+            w *= w * w
             w *= weight
             val = np.array([np.dot(z[0], w.sum(axis=1)),
                             np.dot(z[1], w.sum(axis=0))])
@@ -390,8 +397,12 @@ def run_predator_prey(params: PredatorPreyParams,
 
     macro = params.macro_step
     sup_p = fields.predator.sup
-    radius_p = max(2.0 * (np.linalg.norm(p0) + 1.0),
-                   2.2 * sup_p * macro)
+    with np.errstate(over="ignore"):  # a far predator's norm is inf
+        reach_p = 2.0 * (np.linalg.norm(p0) + 1.0)
+    if not math.isfinite(reach_p):
+        raise ConfigError("params.predator_start is too far from the "
+                          "origin: the predator's ball radius is not finite")
+    radius_p = max(reach_p, 2.2 * sup_p * macro)
     predator = replace(fields.predator, radius=radius_p)
 
     def build(moduli_radius):

@@ -700,6 +700,19 @@ class TestCli:
         assert err.startswith("config error: ") and cause in err, err
         assert not (tmp_path / "out").exists()
 
+    # the predator's norm overflows, so its ODE ball would have an infinite
+    # radius and the run would write nan margins, without a warning
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name, start", [
+        ("predator_prey_2d.json", [1e300, 0.0]),
+        ("predator_prey_1d.json", [1.7e308])], ids=["2d", "1d"])
+    def test_far_predator_exit_3(self, tmp_path, capsys, name, start):
+        assert run_edited(tmp_path, name, ("params", "predator_start"),
+                          start) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: params.predator_start"), err
+        assert not (tmp_path / "out").exists()
+
     # 100 cells of width 2 or 2e298: no cell centre lies within the prey
     # radius 0.7 of the prey, so the run would carry mass 0 throughout;
     # the far centres square to inf without an overflow warning

@@ -10,6 +10,12 @@ The central differences also check the closed-form divergences of the
 verify suites' smooth speeds.
 """
 
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -37,13 +43,16 @@ def random_density(params, seed=0):
 
 def bump_reference(bump, s):
     y = np.asarray(s, dtype=float) / bump.radius
-    return np.where(np.abs(y) < 1.0, bump.amp * (1.0 - y * y) ** 4, 0.0)
+    q = 1.0 - y * y
+    q2 = q * q
+    return np.where(np.abs(y) < 1.0, bump.amp * (q2 * q2), 0.0)
 
 
 def bump_slope_reference(bump, s):
     y = np.asarray(s, dtype=float) / bump.radius
+    q = 1.0 - y * y
     return np.where(np.abs(y) < 1.0,
-                    bump.amp * 4.0 * (1.0 - y * y) ** 3
+                    bump.amp * 4.0 * (q * q * q)
                     * (-2.0 * y / bump.radius), 0.0)
 
 
@@ -256,11 +265,11 @@ def frozen_predator_velocity(search, dim, p, rho):
     weight = rho.values[tuple(window)]
     if dim == 1:
         q = np.maximum(1.0 - z[0] * z[0] / r2, 0.0)
-        val = np.array([np.dot(z[0], q ** 3 * weight)])
+        val = np.array([np.dot(z[0], q * q * q * weight)])
     else:
         q = np.maximum(1.0 - (z[0][:, None] ** 2 + z[1][None, :] ** 2)
                        / r2, 0.0)
-        w = q ** 3 * weight
+        w = q * q * q * weight
         val = np.array([np.dot(z[0], w.sum(axis=1)),
                         np.dot(z[1], w.sum(axis=0))])
     return val * (drift_scale * rho.cell_volume)
@@ -295,14 +304,17 @@ def kernel_points(params, p, rng):
                            extra])
 
 
+def predator_points(dim):
+    """Predators inside, at the centre, near and beyond the box edge, and
+    on a cell centre."""
+    return [np.array(p[:dim]) for p in
+            ([0.15, 0.0], [-0.0, 0.0], [0.95, -0.9], [1.7, 0.3],
+             [0.04 * 7 - 0.98, 0.02])]
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 class TestAgainstFrozenCopy:
     """The in-place kernels give the bits of the plain expressions."""
-
-    def predators(self, dim):
-        return [np.array(p[:dim]) for p in
-                ([0.15, 0.0], [-0.0, 0.0], [0.95, -0.9], [1.7, 0.3],
-                 [0.04 * 7 - 0.98, 0.02])]
 
     @pytest.mark.parametrize("kernel", ["velocity", "divergence", "growth"])
     def test_prey_kernels(self, dim, kernel):
@@ -311,7 +323,7 @@ class TestAgainstFrozenCopy:
         frozen = frozen_prey_kernels(fields, params)[kernel]
         rng = np.random.default_rng(11)
         with np.errstate(invalid="ignore"):
-            for p in self.predators(dim):
+            for p in predator_points(dim):
                 x = kernel_points(params, p, rng)
                 got = getattr(fields.prey, kernel)(0.0, x, p)
                 assert same_bytes(got, frozen(0.0, x, p)), p
@@ -347,7 +359,142 @@ class TestAgainstFrozenCopy:
             rho = other if seed is None else random_density(params, seed)
             rho = rho.with_values(np.where(rho.values < 0.1, -0.0,
                                            rho.values))
-            for p in self.predators(dim) + [np.array([np.nan, 0.1][:dim])]:
+            for p in predator_points(dim) + [np.array([np.nan, 0.1][:dim])]:
                 got = fields.predator.f(0.0, p, rho)
                 want = frozen_predator_velocity(fields.search, dim, p, rho)
                 assert same_bytes(got, want), p
+
+
+# --------------------------------------------------------------------------
+# The powers as products, against exact rational arithmetic
+# --------------------------------------------------------------------------
+
+# the ulp of 1.0; a correctly rounded product is off by at most half of it,
+# relative to its exact value
+ULP = Fraction(2) ** -52
+
+
+def assert_rounded_products(got, exact, factors):
+    """``got`` is ``exact`` (``Fraction``s) times ``factors`` factors
+    ``1 + d`` of the roundings, each ``|d| <= ULP / 2``: a relative error of
+    at most ``(1 + ULP / 2) ** factors - 1``, about ``factors / 2`` ulps.
+    A rounded product that is then squared gives two factors."""
+    bound = (1 + ULP / 2) ** factors - 1
+    got = np.ravel(got)
+    assert got.size == len(exact)
+    for g, e in zip(got, exact):
+        assert abs(Fraction(float(g)) - e) <= bound * abs(e), (g, float(e))
+
+
+def bump_points():
+    return np.concatenate([np.linspace(-1.0, 1.0, 401),
+                           [0.0, -0.0, 0.6, -0.6, np.nextafter(0.6, 0.0),
+                            np.nextafter(0.6, 1.0)]])
+
+
+def test_bump_powers_against_fractions():
+    # the powers of q = max(1 - y^2, 0), y = s / radius, taken as the
+    # rounded q the kernel computes before its first product
+    bump = Bump(0.6, 1.7)
+    s = bump_points()
+    y = s / bump.radius
+    q = [Fraction(float(v)) for v in np.maximum(1.0 - y * y, 0.0)]
+    amp = Fraction(bump.amp)
+    # q2 = q * q (squared next, two factors), q2 * q2 and amp * q4: 2 ulps
+    assert_rounded_products(bump(s), [amp * v ** 4 for v in q], 4)
+    # q * q, * q, (4 amp) * q3, y / radius and the last product: 2.5 ulps
+    slope = [4 * amp * v ** 3 * (-2 * Fraction(float(w))
+                                 / Fraction(bump.radius))
+             for v, w in zip(q, y)]
+    assert_rounded_products(bump.slope(s), slope, 5)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_drift_cube_against_fractions(dim):
+    """The drift of a density that is 1 on one cell and 0 elsewhere is
+    ``z * q^3 * scale``, ``z`` the predator's offset from that cell: the
+    cube of the rounded ``q = max(1 - |z|^2 / r^2, 0)``."""
+    params = pursuit_params(dim)
+    fields = predator_prey_fields(params)
+    rho = params.initial_density()
+    values = np.zeros_like(rho.values)
+    values[(25,) * dim] = 1.0
+    rho = rho.with_values(values)
+    cell = np.array([rho.axis_centers(a)[25] for a in range(dim)])
+    r2 = fields.search.radius * fields.search.radius
+    scale = -8.0 * fields.search.amp / r2 * rho.cell_volume
+    points = kernel_points(params, cell, np.random.default_rng(4))
+    points = points.reshape(-1, dim)
+    # a predator within float rounding of the search window's edge sees
+    # the cell or not by the window's own rounding, so it is left out
+    reach = np.max(np.abs(points - cell), axis=1) / fields.search.radius
+    points = points[np.isfinite(reach) & (np.abs(reach - 1.0) > 1e-9)]
+    assert len(points) > 40
+    for p in points:
+        z = [float(p[a] - cell[a]) for a in range(dim)]
+        q = max(1.0 - (z[0] * z[0] if dim == 1
+                       else z[0] * z[0] + z[1] * z[1]) / r2, 0.0)
+        exact = [Fraction(v) * Fraction(q) ** 3 * Fraction(scale) for v in z]
+        # q * q, * q, z * q3 and the scale: 2 ulps
+        assert_rounded_products(fields.predator.f(0.0, p, rho), exact, 4)
+
+
+# --------------------------------------------------------------------------
+# The same bytes on every SIMD level
+# --------------------------------------------------------------------------
+
+def dispatch_outputs() -> dict:
+    """The pursuit kernels' outputs on fixed inputs: the prey's speed,
+    divergence and sink, the predator's drift, the bump and its slope, and
+    the starting densities.  Each NaN is written as ``np.nan``: a product
+    of two NaNs keeps the sign of either, by the operand order of the SIMD
+    loop (the 1D prey speed at a NaN point multiplies ``-d`` by ``w``)."""
+    bump = Bump(0.6, 1.7)
+    out = {"bump": bump(bump_points()), "slope": bump.slope(bump_points())}
+    with np.errstate(invalid="ignore"):
+        for dim in (1, 2):
+            params = pursuit_params(dim)
+            fields = predator_prey_fields(params)
+            rho = random_density(params)
+            out[f"density{dim}"] = params.initial_density().values
+            rng = np.random.default_rng(12)
+            for i, p in enumerate(predator_points(dim)):
+                x = kernel_points(params, p, rng)
+                for kernel in ("velocity", "divergence", "growth"):
+                    out[f"{kernel}{dim}-{i}"] = getattr(fields.prey,
+                                                        kernel)(0.0, x, p)
+                out[f"drift{dim}-{i}"] = fields.predator.f(0.0, p, rho)
+    return {name: np.where(np.isnan(values), np.nan, values)
+            for name, values in out.items()}
+
+
+def test_kernels_give_the_same_bytes_on_every_simd_level(tmp_path):
+    """NumPy picks its SIMD kernels when it is imported.  A process with
+    every dispatched target of this host disabled (the baseline kernels;
+    the native ones where the host enables none) computes the pursuit
+    kernels byte for byte as this one does: products and quotients are
+    correctly rounded on every level, where ``np.power`` is not."""
+    from numpy._core import _multiarray_umath as umath
+    disabled = " ".join(sorted(target for target in umath.__cpu_dispatch__
+                               if umath.__cpu_features__.get(target)))
+    path = tmp_path / "kernels.npz"
+    code = ("import importlib.util, numpy as np\n"
+            "from numpy._core import _multiarray_umath as umath\n"
+            "spec = importlib.util.spec_from_file_location("
+            f"'kernels', {str(Path(__file__))!r})\n"
+            "module = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(module)\n"
+            f"np.savez({str(path)!r}, **module.dispatch_outputs())\n"
+            "print(sorted(t for t in umath.__cpu_dispatch__ "
+            "if umath.__cpu_features__.get(t)))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src,
+                              "NPY_DISABLE_CPU_FEATURES": disabled})
+    assert out.stdout.strip() == "[]"
+    want = dispatch_outputs()
+    with np.load(path) as got:
+        assert sorted(got.files) == sorted(want)
+        for name, values in want.items():
+            assert same_bytes(got[name], values), name

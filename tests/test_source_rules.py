@@ -437,3 +437,51 @@ def test_settable_values_pattern():
     assert settable_values(ast.parse(source)) == [
         ("f", 1), ("f", 1), ("h", 3), ("P.y", 10), ("Q.q", 15),
         ("R.r", 18), ("lambda", 2)]
+
+
+def dispatched_powers(module: ast.Module) -> list[int]:
+    """Lines that name ``power`` (an attribute, a name or an import) or
+    raise a non-literal to an integer literal of 3 or more with ``**`` or
+    ``**=``."""
+    found = []
+    for node in ast.walk(module):
+        if "power" in (getattr(node, "attr", None), getattr(node, "id", None)):
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(
+                alias.name == "power" for alias in node.names):
+            found.append(node.lineno)
+        elif (isinstance(node, (ast.BinOp, ast.AugAssign))
+              and isinstance(node.op, ast.Pow)):
+            base = node.left if isinstance(node, ast.BinOp) else node.target
+            exponent = node.right if isinstance(node, ast.BinOp) \
+                else node.value
+            if (isinstance(exponent, ast.Constant)
+                    and type(exponent.value) is int and exponent.value >= 3
+                    and not isinstance(base, ast.Constant)):
+                found.append(node.lineno)
+    return found
+
+
+def test_no_dispatched_powers():
+    # NumPy's power kernels give different bits on different SIMD levels;
+    # a product of correctly rounded multiplications gives the same bits on
+    # every level, so an integer power is written as products
+    offenders = [(path.name, line) for path in sorted(SRC.glob("*.py"))
+                 for line in dispatched_powers(ast.parse(path.read_text()))]
+    assert list(SRC.glob("*.py")) and not offenders, offenders
+
+
+def test_dispatched_powers_pattern():
+    def lines(source):
+        return dispatched_powers(ast.parse(source))
+
+    for source in ("y = x * x * x", "y = x ** 2", "n = 2 ** 20",
+                   "y = np.maximum(1 - x, 0) ** 2", "y = x ** 0.5",
+                   "y = x ** n", "powers = 3", "y = x ** 2.0"):
+        assert lines(source) == [], source
+    for source in ("y = x ** 3", "y = np.power(x, 3)",
+                   "np.power(w, 3, out=w, where=w > 0.0)",
+                   "y = (1.0 - x * x) ** 4", "w **= 3",
+                   "from numpy import power", "y = power(x, 2)",
+                   "y = numpy.power(x, 0.5)", "y = a * b ** 3 + c"):
+        assert lines(source) == [1], source
