@@ -19,7 +19,7 @@ from .metric import RefineSchedule
 from .ode import OdeField, make_ode_process
 from .renewal import RenewalCoefficients
 from .scenarios import _memo_last, _run_coupled
-from .spaces import BvTimeSeries, GridFunction
+from .spaces import MAX_GRID_CELLS, BvTimeSeries, GridFunction
 from .trajectory import Trajectory
 
 
@@ -80,6 +80,9 @@ def _age_grid(lag: float, cells: int) -> GridFunction:
         raise ValueError("immunization_lag must be positive")
     if cells <= 0:
         raise ValueError("cells must be positive")
+    if cells > MAX_GRID_CELLS:
+        raise ValueError(f"cells ask for {cells} grid cells, above the cap "
+                         f"of {MAX_GRID_CELLS}")
     return GridFunction.uniform((0.0, lag), cells)
 
 

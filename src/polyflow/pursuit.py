@@ -20,7 +20,7 @@ from .ode import OdeField, make_ode_process, ode_domain_radius
 from .renewal import (RenewalCoefficients, ivp_domain_bounds,
                       make_renewal_process)
 from .scenarios import _memo_last, _run_coupled
-from .spaces import GridFunction
+from .spaces import MAX_GRID_CELLS, GridFunction, uniform_geometry
 from .trajectory import Trajectory
 
 
@@ -113,6 +113,9 @@ class PredatorPreyParams:
             raise ValueError("box spans hi - lo must be finite")
         if not all(n > 0 for n in self.cells):
             raise ValueError("cells entries must be positive")
+        if math.prod(self.cells) > MAX_GRID_CELLS:
+            raise ValueError(f"cells ask for {math.prod(self.cells)} grid "
+                             f"cells, above the cap of {MAX_GRID_CELLS}")
         # each kernel's support, a ball of its radius, must fit the box
         span = min(hi - lo for lo, hi in self.box)
         for name in ("escape_radius", "search_radius", "feeding_radius"):
@@ -134,9 +137,6 @@ class PredatorPreyParams:
             raise ValueError("prey_radius is too small for the cells: the "
                              "prey is zero at every cell centre")
 
-    def grid(self) -> GridFunction:
-        return GridFunction.uniform(list(self.box), list(self.cells))
-
     def _prey(self, *x):
         """The prey bump at the points of coordinate arrays ``x``."""
         c = np.asarray(self.prey_center, dtype=float)
@@ -146,9 +146,9 @@ class PredatorPreyParams:
         return bump(np.hypot(x[0] - c[0], x[1] - c[1]))
 
     def initial_density(self) -> GridFunction:
-        g = self.grid()
-        return GridFunction.from_callable(self._prey, g.origin, g.dx,
-                                          g.values.shape)
+        """The prey bump sampled at the cell centres of the box's grid."""
+        return GridFunction.from_callable(
+            self._prey, *uniform_geometry(self.box, self.cells))
 
 
 @dataclass(frozen=True)
@@ -231,11 +231,10 @@ def predator_prey_fields(params: PredatorPreyParams,
     inv_r2 = 1.0 / (escape.radius * escape.radius)
     four_amp = 4.0 * escape.amp * inv_r2
 
-    def prey_divergence(t, x, p):
+    def divergence_of_sq(dist_sq):
         # inv = 1 / (alpha + s); q = max(1 - s * inv_r2, 0); q3 = q * q * q
         # g = amp * q3 * q * inv
         # dim * g - 2 * s * inv * (four_amp * q3 + g)
-        dist_sq = shared_dist_sq(x, p)
         inv = np.add(alpha, dist_sq)
         np.divide(1.0, inv, out=inv)
         q = np.multiply(dist_sq, inv_r2)
@@ -252,6 +251,9 @@ def predator_prey_fields(params: PredatorPreyParams,
         rate *= q3
         np.multiply(dim, g, out=g)
         return np.subtract(g, rate, out=g)
+
+    def prey_divergence(t, x, p):
+        return divergence_of_sq(shared_dist_sq(x, p))
 
     def prey_sink(t, x, p):
         q = _profile_sq(feeding, shared_dist_sq(x, p))
@@ -274,12 +276,12 @@ def predator_prey_fields(params: PredatorPreyParams,
         grad_div = np.gradient(div, xs)
         v_div_lip = float(np.trapezoid(np.abs(grad_div), xs)) * 1.1
     else:
-        n2 = 201
-        g1 = np.linspace(-reach, reach, n2)
-        X, Y = np.meshgrid(g1, g1, indexing="ij")
-        pts = np.column_stack([X.ravel(), Y.ravel()])
+        # the divergence of a predator at the origin on the 201 x 201
+        # points of g1 x g1; the squares of 0 - x are those of x, bit for bit
+        g1 = np.linspace(-reach, reach, 201)
         dd = g1[1] - g1[0]
-        divv = prey_divergence(0.0, pts, np.zeros(2)).reshape(n2, n2)
+        sq = g1 * g1
+        divv = divergence_of_sq(np.add.outer(sq, sq))
         gx, gy = np.gradient(divv, dd, dd)
         v_div_lip = float(np.sum(np.hypot(gx, gy)) * dd * dd) * 1.1
 

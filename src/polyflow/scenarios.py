@@ -37,7 +37,11 @@ def _memo_last(fn: Callable) -> Callable:
     keyed on a large grid function such as the 200x200 prey density: it
     would keep the last density, its cached centres and the result alive
     (about 1 MB with its centres) and raise the peak memory.  The
-    epidemic's 1,600-cell cohort holds about 13 KB.
+    epidemic's 1,600-cell cohort holds about 13 KB.  The pursuit's memo
+    of the squared distance serves the transport's midpoints only: the
+    ``v_div_lip`` certificate applies the divergence formula to squared
+    distances of its own, so no 201 x 201 point list of the certificate
+    stays alive in the memo until the first transport.
 
     The memo has no lock, and the two solves of a large coupled step run
     on two threads (``metric.couple``), so each memo is read by one

@@ -11,6 +11,7 @@ also served from here, because ``perfbench/spans.py`` traces it here.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -26,14 +27,41 @@ from .errors import GridMismatch
 # Grid functions
 # --------------------------------------------------------------------------
 
+# the most cells a model's grid may have, checked before any grid-sized
+# array is allocated: 2^20 cells (1024 x 1024 in 2D), so one float64 grid
+# array holds at most 8 MiB, and a 2D pursuit run, whose traced peak is
+# about 15 grid arrays (measured at 200 x 200), peaks near 120 MiB
+MAX_GRID_CELLS = 2 ** 20
+
+
+def _cached_norm(method: Callable[["GridFunction"], float]
+                 ) -> Callable[["GridFunction"], float]:
+    """A norm of a grid computed on the first call and then kept in the
+    grid's instance dict, as ``functools.cached_property`` keeps a value,
+    under the method's name with a leading underscore."""
+    key = "_" + method.__name__
+
+    @functools.wraps(method)
+    def norm(self: "GridFunction") -> float:
+        cache = self.__dict__
+        if key not in cache:
+            cache[key] = method(self)
+        return cache[key]
+
+    return norm
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Cell averages of a function on a uniform 1D or 2D grid.
 
     ``values`` has shape ``(n,)`` or ``(nx, ny)``; cell ``i`` (1D) covers
     ``[origin + i*dx, origin + (i+1)*dx)`` (left-closed).  Instances are
-    treated as immutable values.  The cell centres are computed once and
-    shared, read-only, by every grid that ``with_values`` derives.
+    immutable values: nothing writes ``values`` after construction.  The
+    cell centres are computed once and shared, read-only, by every grid
+    that ``with_values`` derives; the norms ``l1``, ``linf`` and ``tv``
+    are computed once each and kept on the grid, but not shared, since a
+    derived grid holds other values.
     """
 
     values: np.ndarray
@@ -45,19 +73,10 @@ class GridFunction:
     def __post_init__(self):
         vals = _grid_values(self.values)
         object.__setattr__(self, "values", vals)
-        origin, dx = self.origin, self.dx
-        if not (type(origin) is tuple and type(dx) is tuple
-                and all(type(v) is float for v in origin + dx)):
-            origin = tuple(float(o) for o in np.atleast_1d(origin))
-            dx = tuple(float(d) for d in np.atleast_1d(dx))
+        origin, dx = _grid_geometry(self.origin, self.dx, vals.ndim)
+        if origin is not self.origin or dx is not self.dx:
             object.__setattr__(self, "origin", origin)
             object.__setattr__(self, "dx", dx)
-        if len(origin) != vals.ndim or len(dx) != vals.ndim:
-            raise ValueError("origin/dx length must match dimension")
-        if any(d <= 0 for d in dx):
-            raise ValueError("dx must be positive")
-        if not all(math.isfinite(v) for v in origin + dx):
-            raise ValueError("origin and dx must be finite")
 
     # -- geometry -----------------------------------------------------------
 
@@ -70,8 +89,8 @@ class GridFunction:
         return float(np.prod(self.dx))
 
     def axis_centers(self, axis: int) -> np.ndarray:
-        n = self.values.shape[axis]
-        return self.origin[axis] + (np.arange(n) + 0.5) * self.dx[axis]
+        return _axis_centers(self.origin[axis], self.dx[axis],
+                             self.values.shape[axis])
 
     def centers(self) -> np.ndarray:
         """Cell centers, shape (n,) in 1D or (nx*ny, 2) in 2D (read-only)."""
@@ -108,12 +127,15 @@ class GridFunction:
 
     # -- functionals ---------------------------------------------------------
 
+    @_cached_norm
     def l1(self) -> float:
         return float(np.sum(np.abs(self.values)) * self.cell_volume)
 
+    @_cached_norm
     def linf(self) -> float:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
+    @_cached_norm
     def tv(self) -> float:
         return total_variation(self)
 
@@ -160,16 +182,18 @@ class GridFunction:
     def support_clearance(self) -> float:
         """Distance from the nonzero cells to the nearest box edge.
 
-        Returns ``inf`` for the zero function.
+        Returns ``inf`` for the zero function.  Each axis reads the span of
+        the cells whose slice across the other axes holds a nonzero (a
+        ``-0.0`` is zero).
         """
-        nz = np.nonzero(self.values)
-        if nz[0].size == 0:
-            return math.inf
         clear = math.inf
         for a in range(self.dim):
-            n = self.values.shape[a]
-            lo, hi = int(np.min(nz[a])), int(np.max(nz[a]))
-            clear = min(clear, lo * self.dx[a], (n - 1 - hi) * self.dx[a])
+            hit = self.values.any(axis=tuple(b for b in range(self.dim)
+                                             if b != a))
+            if not hit.any():
+                return math.inf
+            clear = min(clear, int(hit.argmax()) * self.dx[a],
+                        int(hit[::-1].argmax()) * self.dx[a])
         return clear
 
     # -- construction ---------------------------------------------------------
@@ -178,27 +202,27 @@ class GridFunction:
     def from_callable(f: Callable[..., np.ndarray],
                       origin: Sequence[float], dx: Sequence[float],
                       shape: Sequence[int]) -> "GridFunction":
-        """Sample ``f`` at cell centers.  1D: f(x); 2D: f(x, y), broadcast."""
+        """Sample ``f`` at cell centers: ``f(x)`` in 1D, ``f(x, y)`` in 2D.
+
+        In 2D ``f`` receives the open axes of ``np.meshgrid(...,
+        indexing="ij", sparse=True)``, the x centres of shape ``(nx, 1)``
+        and the y centres of shape ``(1, ny)``, so it must broadcast them;
+        its result is broadcast to the grid's shape.  No full-grid
+        coordinate array is built.
+        """
         shape = tuple(int(s) for s in np.atleast_1d(shape))
-        grid = GridFunction(np.zeros(shape), origin, dx)
-        if grid.dim == 1:
-            vals = np.asarray(f(grid.axis_centers(0)), dtype=float)
-        else:
-            vals = np.asarray(f(*np.meshgrid(grid.axis_centers(0),
-                                             grid.axis_centers(1),
-                                             indexing="ij")), dtype=float)
-        return grid.with_values(np.broadcast_to(vals, shape).copy())
+        origin, dx = _grid_geometry(origin, dx, len(shape))
+        axes = map(_axis_centers, origin, dx, shape)
+        vals = np.asarray(f(*np.meshgrid(*axes, indexing="ij", sparse=True,
+                                         copy=False)), dtype=float)
+        return GridFunction(np.broadcast_to(vals, shape).copy(), origin, dx)
 
     @staticmethod
     def uniform(box: Sequence[tuple[float, float]] | tuple[float, float],
                 cells: Sequence[int] | int) -> "GridFunction":
         """Zero grid function over ``box`` with the given cell counts."""
-        if isinstance(box[0], (int, float)):
-            box = [box]  # type: ignore[list-item]
-        cells_t = tuple(np.atleast_1d(cells).astype(int))
-        origin = tuple(float(b[0]) for b in box)
-        dx = tuple((float(b[1]) - float(b[0])) / n for b, n in zip(box, cells_t))
-        return GridFunction(np.zeros(cells_t), origin, dx)
+        origin, dx, shape = uniform_geometry(box, cells)
+        return GridFunction(np.zeros(shape), origin, dx)
 
     # -- serialization ---------------------------------------------------------
 
@@ -236,6 +260,43 @@ class GridFunction:
                 cells = (zeros[:a] + list(map(operator.add, ys[a:b], map(
                     repr, row[a:b].tolist()))) + zeros[b:])
                 fh.write(head + ("\r\n" + head).join(cells) + "\r\n")
+
+
+def uniform_geometry(box: Sequence[tuple[float, float]] | tuple[float, float],
+                     cells: Sequence[int] | int
+                     ) -> tuple[tuple[float, ...], tuple[float, ...],
+                                tuple[int, ...]]:
+    """``(origin, dx, shape)`` of the uniform grid over ``box`` with the
+    given cell counts, as ``GridFunction.uniform`` and ``from_callable``
+    take them; nothing grid-sized is allocated."""
+    if isinstance(box[0], (int, float)):
+        box = [box]  # type: ignore[list-item]
+    cells_t = tuple(np.atleast_1d(cells).astype(int))
+    origin = tuple(float(b[0]) for b in box)
+    dx = tuple((float(b[1]) - float(b[0])) / n for b, n in zip(box, cells_t))
+    return origin, dx, cells_t
+
+
+def _axis_centers(origin: float, dx: float, n: int) -> np.ndarray:
+    """The ``n`` cell centres of one axis."""
+    return origin + (np.arange(n) + 0.5) * dx
+
+
+def _grid_geometry(origin, dx, ndim: int
+                   ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """``origin`` and ``dx`` as tuples of floats (the given tuples if they
+    are already), checked to have ``ndim`` entries, positive and finite."""
+    if not (type(origin) is tuple and type(dx) is tuple
+            and all(type(v) is float for v in origin + dx)):
+        origin = tuple(float(o) for o in np.atleast_1d(origin))
+        dx = tuple(float(d) for d in np.atleast_1d(dx))
+    if len(origin) != ndim or len(dx) != ndim:
+        raise ValueError("origin/dx length must match dimension")
+    if any(d <= 0 for d in dx):
+        raise ValueError("dx must be positive")
+    if not all(math.isfinite(v) for v in origin + dx):
+        raise ValueError("origin and dx must be finite")
+    return origin, dx
 
 
 def _grid_values(values) -> np.ndarray:

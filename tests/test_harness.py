@@ -740,6 +740,27 @@ class TestCli:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    # a grid of more than spaces.MAX_GRID_CELLS cells is refused before
+    # anything grid-sized is allocated: the pursuit run died in np.zeros
+    # with exit 1, and the epidemic's validation raised NumPy's memory error
+    @pytest.mark.parametrize("name, cells", [
+        ("predator_prey_2d.json", [1000000000, 1000000000]),
+        ("predator_prey_1d.json", [2 ** 20 + 1]),
+        ("epidemic.json", 10 ** 12)], ids=["pursuit-2d", "pursuit-1d",
+                                           "epidemic"])
+    def test_grid_above_the_cell_cap_exit_3(self, tmp_path, capsys,
+                                            monkeypatch, name, cells):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid-sized array was allocated")
+
+        for alloc in ("zeros", "empty", "full", "ones", "meshgrid"):
+            monkeypatch.setattr(np, alloc, refuse)
+        assert run_edited(tmp_path, name, ("params", "cells"), cells) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: field params.cells ask for "), err
+        assert "above the cap of 1048576" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text", ["3", "[1]", "null"])
     def test_config_not_an_object_exit_3(self, tmp_path, capsys, text):
         path = tmp_path / "cfg.json"

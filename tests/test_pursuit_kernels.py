@@ -13,6 +13,7 @@ verify suites' smooth speeds.
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -363,6 +364,83 @@ class TestAgainstFrozenCopy:
                 got = fields.predator.f(0.0, p, rho)
                 want = frozen_predator_velocity(fields.search, dim, p, rho)
                 assert same_bytes(got, want), p
+
+
+# --------------------------------------------------------------------------
+# Frozen copies of the run's setup before it sampled on open axes
+# --------------------------------------------------------------------------
+
+def frozen_initial_density(params):
+    """The start density from a zero grid and, in 2D, the full meshgrid of
+    the cell centres."""
+    origin = [float(lo) for lo, _ in params.box]
+    dx = [(float(hi) - float(lo)) / n
+          for (lo, hi), n in zip(params.box, params.cells)]
+    grid = GridFunction(np.zeros(params.cells), origin, dx)
+    centres = [grid.origin[a] + (np.arange(n) + 0.5) * grid.dx[a]
+               for a, n in enumerate(params.cells)]
+    if params.dim == 1:
+        vals = np.asarray(params._prey(centres[0]), dtype=float)
+    else:
+        vals = np.asarray(params._prey(*np.meshgrid(*centres, indexing="ij")),
+                          dtype=float)
+    return grid.with_values(np.broadcast_to(vals, grid.values.shape).copy())
+
+
+def frozen_v_div_lip(fields, params):
+    """The ``v_div_lip`` certificate, in 2D from the frozen divergence at a
+    ``(201 * 201, 2)`` point list around a predator at the origin."""
+    alpha, escape = params.alpha, fields.escape
+    reach = params.escape_radius
+    if params.dim == 1:
+        radial = lambda s: s / (alpha + s * s) * escape(s)
+        h = reach / 4000.0
+        radial_slope = lambda s: (radial(s + h) - radial(s - h)) / (2 * h)
+        xs = np.linspace(-reach, reach, 2001)
+        div = radial_slope(np.abs(xs))
+        grad_div = np.gradient(div, xs)
+        return float(np.trapezoid(np.abs(grad_div), xs)) * 1.1
+    divergence = frozen_prey_kernels(fields, params)["divergence"]
+    n2 = 201
+    g1 = np.linspace(-reach, reach, n2)
+    X, Y = np.meshgrid(g1, g1, indexing="ij")
+    pts = np.column_stack([X.ravel(), Y.ravel()])
+    dd = g1[1] - g1[0]
+    divv = divergence(0.0, pts, np.zeros(2)).reshape(n2, n2)
+    gx, gy = np.gradient(divv, dd, dd)
+    return float(np.sum(np.hypot(gx, gy)) * dd * dd) * 1.1
+
+
+def setup_params():
+    """Pursuit params in 1D and 2D: the kernel tests' own, a prey off the
+    grid's centre reaching the box edge on a non-square grid, and other
+    kernel radii and ``alpha``."""
+    out = [pursuit_params(1), pursuit_params(2)]
+    for dim in (1, 2):
+        out.append(replace(pursuit_params(dim), cells=(61, 38)[:dim],
+                           prey_center=(0.73, -0.41)[:dim], prey_radius=0.55,
+                           prey_amp=2.5))
+        out.append(replace(pursuit_params(dim), alpha=0.3,
+                           escape_radius=0.45, box=((-0.6, 1.3),) * dim,
+                           cells=(45,) * dim))
+    return out
+
+
+@pytest.mark.parametrize("params", setup_params(),
+                         ids=lambda p: f"{p.dim}d-{'x'.join(map(str, p.cells))}"
+                                       f"-a{p.alpha}")
+class TestSetupAgainstFrozenCopy:
+    """The start density and the prey's divergence certificate, built from
+    the grid's axes, give the bits of the full-grid constructions."""
+
+    def test_initial_density(self, params):
+        got, want = params.initial_density(), frozen_initial_density(params)
+        assert got.same_grid(want)
+        assert same_bytes(got.values, want.values)
+
+    def test_divergence_certificate(self, params):
+        fields = predator_prey_fields(params)
+        assert fields.prey.v_div_lip == frozen_v_div_lip(fields, params)
 
 
 # --------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 import math
+import operator
 import re
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polyflow.epidemic import (EpidemicParams, _epidemic_ibvp,
+from polyflow import spaces
+from polyflow.epidemic import (EpidemicParams, _age_grid, _epidemic_ibvp,
                                _epidemic_ode_field, epidemic_cohort_reference,
                                run_epidemic)
 from polyflow.errors import ConfigError, KernelOutOfBox
@@ -21,7 +24,8 @@ from polyflow.pursuit import (PredatorPreyParams, predator_prey_fields,
                               run_predator_prey)
 from polyflow.renewal import audit_coefficients, ivp_domain_bounds
 from polyflow.scenarios import _MAX_MACRO_STEPS, _macro_count
-from polyflow.spaces import BvTimeSeries, GridFunction, l1_distance
+from polyflow.spaces import (MAX_GRID_CELLS, BvTimeSeries, GridFunction,
+                             l1_distance, total_variation)
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -123,8 +127,45 @@ class TestPursuitFields:
         speeds = np.linalg.norm(fields.prey.velocity(0.0, pts, p), axis=1)
         assert float(np.max(speeds)) <= fields.prey.v_sup * (1 + 1e-9)
 
+    def test_setup_peak_memory_in_grid_sizes(self):
+        """The start density builds no full-grid coordinate arrays, and the
+        fields build no point list for the ``v_div_lip`` certificate: the
+        traced peaks are about 4 density grids and 6 arrays of the
+        certificate's 201 x 201 sampling grid (8 and 10 when they did)."""
+        def traced_peak(fn) -> int:
+            fn()  # warm: lazy imports and caches are not the call's cost
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        params = replace(pursuit_params(), cells=(120, 120))
+        rho = params.initial_density()
+        assert traced_peak(params.initial_density) <= 5 * rho.values.nbytes
+        assert (traced_peak(lambda: predator_prey_fields(params, rho))
+                <= 7 * 201 * 201 * 8)
+
 
 class TestPursuitRuns:
+    def test_one_run_measures_each_state_once(self, monkeypatch):
+        # the driver's datum, columns and margins and the predator's mass
+        # bound all read the cached norms of each state
+        measured = []
+
+        def counted(u):
+            measured.append(u)
+            return total_variation(u)
+
+        monkeypatch.setattr(spaces, "total_variation", counted)
+        params = pursuit_params(feeding_rate=0.3, horizon=0.2, macro=0.1)
+        traj = run_predator_prey(params, RefineSchedule(0, 1, 1e-6))
+        rhos = [rho for rho, _ in traj.states]
+        assert len(rhos) == 3
+        assert len(measured) == len(rhos)
+        assert all(map(operator.is_, measured, rhos))
+
     def test_mass_conserved_without_feeding(self):
         traj = run_predator_prey(pursuit_params(),
                                  RefineSchedule(0, 0, math.inf))
@@ -276,6 +317,8 @@ class TestPursuitRuns:
         # finite ends whose span is not
         ("box", ((-1e308, 1e308), (-1.0, 1.0)), "box spans hi - lo must be"),
         ("box", ((-1.0, 1.0), (0.0, math.inf)), "box spans hi - lo must be"),
+        ("cells", (1025, 1024),
+         "cells ask for 1049600 grid cells, above the cap of 1048576"),
     ])
     def test_params_reject_out_of_range_fields(self, name, value, message):
         with pytest.raises(ValueError, match=message):
@@ -445,6 +488,15 @@ class TestRefineSchedule:
 
 
 class TestEpidemicValidation:
+    def test_age_cells_capped_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid-sized array was allocated")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        with pytest.raises(ValueError, match=f"cells ask for "
+                           f"{MAX_GRID_CELLS + 1} grid cells, above the cap"):
+            _age_grid(1.0, MAX_GRID_CELLS + 1)
+
     def test_initial_bounds_enforced(self):
         with pytest.raises(ValueError):
             epidemic_params(rho_s=1.0).__class__(

@@ -45,6 +45,33 @@ def read_grid_csv(path) -> GridFunction:
                         (dx, dy))
 
 
+def frozen_support_clearance(u: GridFunction) -> float:
+    """``GridFunction.support_clearance`` from ``np.nonzero`` index arrays,
+    as it was before it read per-axis spans."""
+    nz = np.nonzero(u.values)
+    if nz[0].size == 0:
+        return math.inf
+    clear = math.inf
+    for a in range(u.dim):
+        n = u.values.shape[a]
+        lo, hi = int(np.min(nz[a])), int(np.max(nz[a]))
+        clear = min(clear, lo * u.dx[a], (n - 1 - hi) * u.dx[a])
+    return clear
+
+
+def frozen_from_callable(f, origin, dx, shape) -> GridFunction:
+    """``GridFunction.from_callable`` as it was before it passed open axes:
+    a zero grid first, and a 2D ``f`` given the full coordinate arrays."""
+    centres = [o + (np.arange(n) + 0.5) * d
+               for o, d, n in zip(origin, dx, shape)]
+    if len(shape) == 1:
+        vals = np.asarray(f(centres[0]), dtype=float)
+    else:
+        vals = np.asarray(f(*np.meshgrid(*centres, indexing="ij")),
+                          dtype=float)
+    return GridFunction(np.broadcast_to(vals, shape).copy(), origin, dx)
+
+
 def indicator(grid, lo, hi):
     return GridFunction.from_callable(
         lambda x: ((x >= lo) & (x < hi)).astype(float),
@@ -112,6 +139,72 @@ class TestGridFunction:
                                       dtype=float))
         assert u.support_clearance() == pytest.approx(0.2)
         assert grid.support_clearance() == math.inf
+
+    @pytest.mark.parametrize("values", [
+        np.zeros(0), np.zeros((0, 3)),
+        np.zeros(7), np.full(7, -0.0), np.zeros((4, 5)),
+        np.full((4, 5), -0.0),
+        np.array([-0.0, 0.0, 1.0, 0.0, -0.0]),
+        np.array([2.0, 0.0, 0.0]), np.array([0.0, 0.0, -3.0]),
+        np.array([0.5]), np.array([[0.5]]),
+        np.array([[-0.0, 0.0, 0.0], [0.0, 1.0, -0.0], [0.0, -0.0, 0.0]]),
+        # support touching each edge cell of one axis, and a corner
+        np.eye(4, 6, 2), np.eye(6, 4, -2), np.eye(5, 5)[:, ::-1],
+        np.pad([[1.0]], ((0, 3), (2, 1))), np.pad([[1.0]], ((3, 0), (0, 4))),
+    ], ids=lambda v: f"{v.shape}-{v.tobytes().hex()[:12]}")
+    def test_support_clearance_against_frozen_copy(self, values):
+        for dx in ((0.1,) * values.ndim, (0.3, 0.07)[:values.ndim]):
+            u = GridFunction(values, (-1.0,) * values.ndim, dx)
+            assert u.support_clearance() == frozen_support_clearance(u)
+
+    @pytest.mark.parametrize("shape", [(40,), (23, 31), (31, 1), (1, 9)])
+    def test_support_clearance_random_against_frozen_copy(self, shape):
+        rng = np.random.default_rng(len(shape) * 100 + shape[0])
+        for density in (0.0, 0.01, 0.2, 1.0):
+            vals = np.where(rng.uniform(size=shape) < density,
+                            rng.normal(size=shape), -0.0)
+            u = GridFunction(vals, (0.0,) * len(shape),
+                             (0.25, 0.125)[:len(shape)])
+            assert u.support_clearance() == frozen_support_clearance(u)
+
+    @pytest.mark.parametrize("f, shape", [
+        (lambda x: np.clip(1 - np.abs(x), 0, None) ** 2, (21,)),
+        (lambda x: 3.0, (5,)),
+        (lambda x, y: np.clip(1 - 8 * (x ** 2 + y ** 2), 0, None), (17, 12)),
+        (lambda x, y: np.hypot(x - 0.1, y + 0.2), (9, 14)),
+        (lambda x, y: x, (6, 4)),
+        (lambda x, y: y * 2.0, (3, 8)),
+        (lambda x, y: -0.0, (4, 4)),
+    ])
+    def test_from_callable_against_frozen_copy(self, f, shape):
+        origin, dx = (-1.0, -0.5)[:len(shape)], (0.1, 0.075)[:len(shape)]
+        got = GridFunction.from_callable(f, origin, dx, shape)
+        want = frozen_from_callable(f, origin, dx, shape)
+        assert got.same_grid(want)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.values.flags.writeable and got.values.flags.owndata
+
+    def test_norms_are_computed_once_per_grid(self, monkeypatch):
+        from polyflow import spaces
+        calls = []
+
+        def counted(u):
+            calls.append(u)
+            return total_variation(u)
+
+        monkeypatch.setattr(spaces, "total_variation", counted)
+        u = GridFunction(compact_bump(30), (-1.0, -1.0), (2 / 30, 2 / 30))
+        vol = u.cell_volume
+        want = (float(np.sum(np.abs(u.values)) * vol),
+                float(np.max(np.abs(u.values))), total_variation(u))
+        assert (u.l1(), u.linf(), u.tv()) == want
+        assert (u.l1(), u.linf(), u.tv()) == want
+        assert calls == [u]
+        # a derived grid holds other values, and measures them afresh
+        v = u.with_values(-2.0 * u.values)
+        assert (v.l1(), v.linf(), v.tv()) == tuple(2.0 * w for w in want)
+        assert len(calls) == 2 and calls[1] is v
+        assert (u.l1(), u.linf(), u.tv()) == want
 
     def test_csv_roundtrip_1d(self, tmp_path):
         g = GridFunction(np.array([1.5, -2.0, 0.25]), (-1.0,), (0.5,))
