@@ -113,9 +113,10 @@ class PredatorPreyParams:
             raise ValueError("box spans hi - lo must be finite")
         if not all(n > 0 for n in self.cells):
             raise ValueError("cells entries must be positive")
-        if math.prod(self.cells) > MAX_GRID_CELLS:
-            raise ValueError(f"cells ask for {math.prod(self.cells)} grid "
-                             f"cells, above the cap of {MAX_GRID_CELLS}")
+        total = math.prod(self.cells)
+        if total > MAX_GRID_CELLS:
+            raise ValueError(f"cells ask for {total} grid cells, above the "
+                             f"cap of {MAX_GRID_CELLS}")
         # each kernel's support, a ball of its radius, must fit the box
         span = min(hi - lo for lo, hi in self.box)
         for name in ("escape_radius", "search_radius", "feeding_radius"):
