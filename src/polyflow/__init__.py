@@ -16,7 +16,7 @@ compiles only the modules it runs.
 from ._lazy import forwarder as _forwarder
 
 _EXPORTS = {
-    "claw": ("ParamFlux", "claw_constants", "claw_solve", "claw_solve_many",
+    "claw": ("ParamFlux", "claw_constants", "claw_solve_many",
              "entropy_residuals", "godunov_flux"),
     "errors": ("ClearanceViolated", "ConfigError", "DomainExit",
                "GridMismatch", "HorizonExceeded", "InadmissibleHorizon",

@@ -146,21 +146,17 @@ def _edge_collar_constant(u: GridFunction, width: float) -> bool:
     return (np.all(vals[:k] == vals[0]) and np.all(vals[-k:] == vals[-1]))
 
 
-def claw_solve(flux: ParamFlux, u0: GridFunction, w, t0: float, t: float,
-               cfl: float = 0.9) -> GridFunction:
-    """Explicit Godunov evolution of one datum; see ``claw_solve_many``."""
-    return claw_solve_many(flux, [u0], w, t0, t, cfl)[0]
-
-
 def claw_solve_many(flux: ParamFlux, data: list[GridFunction], w, t0: float,
-                    t: float, cfl: float = 0.9) -> list[GridFunction]:
-    """Explicit Godunov evolution from ``t0`` to ``t`` with frozen parameter.
+                    tau: float, cfl: float = 0.9) -> list[GridFunction]:
+    """Explicit Godunov evolution over ``[t0, t0 + tau]``, parameter frozen.
 
-    Evolves data that share one 1D grid together, as the rows of one padded
-    buffer, and returns one result per datum in order.  Time step
-    ``cfl * dx / lip``; requires every datum to be constant on edge collars
-    of width ``lip * (t - t0)`` so the truncation boundary never influences
-    the interior.
+    The one conservation-law entry point: a single datum ``u0`` is evolved
+    as ``claw_solve_many(flux, [u0], w, t0, tau)[0]``.  Evolves data that
+    share one 1D grid together, as the rows of one padded buffer, and
+    returns one result per datum in order.  Time step ``cfl * dx / lip``;
+    the flux does not read the time, so the steps depend on ``tau`` alone.
+    Requires every datum to be constant on edge collars of width
+    ``lip * tau`` so the truncation boundary never influences the interior.
 
     A step updates only spans of cells around each datum's own jumps.  A
     cell whose three-point stencil reads one value ``a`` sees the same flux
@@ -181,8 +177,8 @@ def claw_solve_many(flux: ParamFlux, data: list[GridFunction], w, t0: float,
     """
     if not 0 < cfl <= 1:
         raise ValueError("cfl must lie in (0, 1]")
-    if t < t0:
-        raise ValueError("t must be >= t0")
+    if tau < 0:
+        raise ValueError("tau must be >= 0")
     if not data:
         raise ValueError("no data to evolve")
     first = data[0]
@@ -191,12 +187,12 @@ def claw_solve_many(flux: ParamFlux, data: list[GridFunction], w, t0: float,
             raise ValueError("scalar law is one-dimensional")
         if not u.same_grid(first):
             raise ValueError("data must share one grid")
-    span = flux.lip * (t - t0)
+    span = flux.lip * tau
     for i, u in enumerate(data):
         if not _edge_collar_constant(u, span):
             raise ClearanceViolated(
                 f"datum {i} not constant on edge collars of width {span:.3g}")
-    if t == t0:
+    if tau == 0:
         return list(data)
     full = np.stack([u.values for u in data])
     flat = full.reshape(-1)
@@ -210,11 +206,11 @@ def claw_solve_many(flux: ParamFlux, data: list[GridFunction], w, t0: float,
         return list(data)
     n = full.shape[1]
     dx = first.dx[0]
-    dt_max = cfl * dx / flux.lip if flux.lip > 0 else (t - t0)
+    dt_max = cfl * dx / flux.lip if flux.lip > 0 else tau
     crit = _critical_values(flux, w)
-    now = t0
+    elapsed = 0.0
     steps = 0
-    while now < t - 1e-15 * max(1.0, abs(t)):
+    while elapsed < tau - 1e-15 * max(1.0, tau):
         if steps % _WINDOW_BLOCK == 0:
             if steps:
                 flat[cells] = buf[inner]
@@ -226,13 +222,13 @@ def claw_solve_many(flux: ParamFlux, data: list[GridFunction], w, t0: float,
             buf = flat[src]
             cells = src[inner]
             held = buf[ghosts]
-        dt = min(dt_max, t - now)
+        dt = min(dt_max, tau - elapsed)
         fb = flux(buf, w)
         f_iface = _godunov_select(buf[:-1], buf[1:], fb[:-1], fb[1:], crit)
         buf[1:-1] -= (dt / dx) * (f_iface[1:] - f_iface[:-1])
         buf[ghosts] = held
         buf[edge_ghosts] = buf[edge_cells]
-        now += dt
+        elapsed += dt
         steps += 1
     if steps:
         flat[cells] = buf[inner]

@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, DomainExit
+from .errors import ConfigError, DomainExit, SupportClearanceViolated
 from .harness import (_write_convergence_csv, load_config, run,
                       scenario_convergence, verify)
 
@@ -74,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    except DomainExit as exc:
+    except (DomainExit, SupportClearanceViolated) as exc:
         print(f"domain exit: {exc}", file=sys.stderr)
         return 2
 

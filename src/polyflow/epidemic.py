@@ -18,7 +18,7 @@ from .ibvp import (InflowBoundary, _envelope_norms, ibvp_domain_bounds,
 from .metric import RefineSchedule
 from .ode import OdeField, make_ode_process
 from .renewal import RenewalCoefficients
-from .scenarios import _memo_last, _run_coupled
+from .scenarios import _macro_count, _memo_last, _run_coupled
 from .spaces import MAX_GRID_CELLS, BvTimeSeries, GridFunction
 from .trajectory import Trajectory
 
@@ -139,6 +139,24 @@ def _epidemic_ibvp(params: EpidemicParams, i_bound: float
                                 b_sup_tv=p.sup() + p.tv())
 
 
+def _epidemic_model(params: EpidemicParams) -> tuple:
+    """The (S, I) ball radius and ODE field and the cohort's transport and
+    inflow, once the time grid and the ball's certified segment are checked;
+    the config layer builds it too, so a config it accepts passes both."""
+    macro, horizon = params.macro_step, params.horizon
+    _macro_count(horizon, macro)
+    ball = 2.0 * (math.hypot(params.s0, params.i0) + 0.5)
+    cohort_mass_bound = (params.v0.l1()
+                         + params.vaccination_rate.sup() * horizon + 1.0)
+    ode_field = _epidemic_ode_field(params, ball, cohort_mass_bound)
+    seg_cap = ball / (2.0 * ode_field.sup) if ode_field.sup > 0 else macro
+    if macro > seg_cap * (1 + 1e-12):
+        raise ConfigError(
+            f"time.macro_step {macro} exceeds the certified segment "
+            f"{seg_cap:.3g}; reduce it or the ball radius")
+    return ball, ode_field, *_epidemic_ibvp(params, i_bound=ball)
+
+
 def run_epidemic(params: EpidemicParams,
                  schedule: RefineSchedule = RefineSchedule()) -> Trajectory:
     """Run the coupled vaccination model over macro steps.
@@ -152,23 +170,11 @@ def run_epidemic(params: EpidemicParams,
     and ``I`` columns show where they dip below zero.
     """
     macro = params.macro_step
-    horizon = params.horizon
     pop0 = params.s0 + params.i0 + params.r0 + params.v0.l1()
-    ball = 2.0 * (math.hypot(params.s0, params.i0) + 0.5)
-    cohort_mass_bound = (params.v0.l1()
-                         + params.vaccination_rate.sup() * horizon + 1.0)
-    ode_field = _epidemic_ode_field(params, ball, cohort_mass_bound)
-    coef, inflow = _epidemic_ibvp(params, i_bound=ball)
+    ball, ode_field, coef, inflow = _epidemic_model(params)
 
     def build(moduli_radius):
-        # called once the time grid is checked: a macro step longer than
-        # the certified ball segment is a ConfigError
-        seg_cap = ball / (2.0 * ode_field.sup) if ode_field.sup > 0 else macro
-        if macro > seg_cap * (1 + 1e-12):
-            raise ConfigError(
-                f"time.macro_step {macro} exceeds the certified segment "
-                f"{seg_cap:.3g}; reduce it or the ball radius")
-        return (make_ode_process(ode_field, macro, steps_per_unit=32.0),
+        return (make_ode_process(ode_field, macro, n_sub_per_unit=32.0),
                 make_ibvp_process(coef, inflow, moduli_radius, macro,
                                   n_sub_per_unit=32.0))
 
@@ -176,7 +182,7 @@ def run_epidemic(params: EpidemicParams,
         build, (np.array([params.s0, params.i0]), params.v0), 1,
         lambda t, r, h: ibvp_domain_bounds(t, r, h, coef, inflow),
         lambda t, v: _envelope_norms(inflow, t, v),
-        macro, horizon, schedule, coef.v_sup)
+        macro, params.horizon, schedule, coef.v_sup)
 
     # triangular tail: recovered compartment by the trapezoid rule
     integrand = [params.recovery_rate * float(uu[1]) + float(vv.values[-1])

@@ -22,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from ._lazy import forwarder
-from .errors import (ConfigError, DomainExit, KernelOutOfBox,
-                     SupportClearanceViolated)
+from .errors import ConfigError, KernelOutOfBox
 from .metric import (LocalFlow, Process, ProcessConstants, RefineSchedule,
                      couple, euler_polygonal, product_distance)
 from .ode import OdeField, make_ode_process
@@ -138,7 +137,7 @@ def schedule_from_config(cfg: dict) -> RefineSchedule:
 
 
 def epidemic_params_from_config(cfg: dict) -> EpidemicParams:
-    from .epidemic import EpidemicParams, _age_grid
+    from .epidemic import EpidemicParams, _age_grid, _epidemic_model
     p = _need(cfg, "params", dict)
     tcfg = _need(cfg, "time", dict)
 
@@ -170,7 +169,7 @@ def epidemic_params_from_config(cfg: dict) -> EpidemicParams:
                               for key in ("times", "values")))
     except ValueError as exc:
         raise ConfigError(f"field params.vaccination_rate: {exc}") from None
-    return EpidemicParams(
+    params = EpidemicParams(
         **rates,
         vaccination_rate=rate,
         immunization_lag=lag,
@@ -181,6 +180,8 @@ def epidemic_params_from_config(cfg: dict) -> EpidemicParams:
         horizon=_need(tcfg, "horizon", float, "time"),
         macro_step=_need(tcfg, "macro_step", float, "time"),
     )
+    _epidemic_model(params)  # refuses what run_epidemic would refuse
+    return params
 
 
 def predator_prey_params_from_config(cfg: dict) -> PredatorPreyParams:
@@ -218,7 +219,7 @@ def rotation_processes(ball: float = 2.0, horizon: float = 1.0,
                        lip=1.0, sup=ball, radius=ball)
     w_field = OdeField(f=lambda t, w, u: -np.atleast_1d(np.asarray(u, float)),
                        lip=1.0, sup=ball, radius=ball)
-    return tuple(make_ode_process(f, horizon, steps_per_unit=1.0)
+    return tuple(make_ode_process(f, horizon, n_sub_per_unit=1.0)
                  for f in (u_field, w_field))
 
 
@@ -394,9 +395,9 @@ def verify(cfg: dict) -> VerificationReport:
 def run(cfg: dict, out_dir, quiet: bool = False) -> int:
     """Execute a configured scenario; write trajectory CSV + summary JSON.
 
-    Returns the exit code (0 ok, 2 domain or box exit, 3 config error
-    handled by the CLI wrapper).  The output directory is made only once
-    the scenario has computed, so a failed run leaves nothing behind.
+    Returns 0: a domain or box exit, or a config error, propagates to the
+    CLI.  The output directory is made only once the scenario has computed,
+    so a failed run leaves nothing behind.
     """
     scenario = cfg["scenario"]
     schedule = schedule_from_config(cfg)
@@ -404,54 +405,45 @@ def run(cfg: dict, out_dir, quiet: bool = False) -> int:
     checks: list[dict] = []
     meta = None
 
-    try:
-        if scenario == "epidemic":
-            from .epidemic import run_epidemic
-            params = epidemic_params_from_config(cfg)
-            traj = run_epidemic(params, schedule)
-            outputs = {
-                "epidemic_trajectory.csv": traj.write_csv,
-                "epidemic_cohort_final.csv": traj.states[-1][1].to_csv,
-            }
-            checks.extend(
-                {"name": "negative-state-warning",
-                 "detail": f"negative state at t={t:.6g}: "
-                           f"S={s:.3g} I={i:.3g}"}
-                for t, s, i in zip(traj.times, traj.column("S"),
-                                   traj.column("I"))
-                if min(s, i) < -1e-9)
-            drift = _population_drift(traj, params)
-            checks.append({"name": "population-balance",
-                           "value": repr(drift)})
-            meta = _run_meta(traj)
-        elif scenario == "predator_prey":
-            from .pursuit import run_predator_prey
-            params = predator_prey_params_from_config(cfg)
-            traj = run_predator_prey(params, schedule)
-            outputs = {
-                "predator_prey_trajectory.csv": traj.write_csv,
-                "prey_density_final.csv": traj.states[-1][0].to_csv,
-            }
-            masses = traj.column("mass")
-            checks.append({"name": "prey-mass-monotone",
-                           "value": bool(all(masses[i + 1]
-                                             <= masses[i] + 1e-9
-                                             for i in range(len(masses) - 1)))})
-            meta = _run_meta(traj)
-        elif scenario in ("rotation", "translation"):
-            table = scenario_convergence(cfg, levels=6)
-            outputs = {f"{scenario}_convergence.csv":
-                       lambda path: _write_convergence_csv(path, table)}
-            checks.append({"name": "self-convergence",
-                           "value": bool(table.converged)})
-        else:  # pragma: no cover - validated earlier
-            raise ConfigError(f"unknown scenario {scenario}")
-    except (DomainExit, SupportClearanceViolated) as exc:
-        # the state left its admissible domain, or the truncated box on
-        # which the transport solver is valid
-        if not quiet:
-            print(f"domain exit: {exc}")
-        return 2
+    if scenario == "epidemic":
+        from .epidemic import run_epidemic
+        params = epidemic_params_from_config(cfg)
+        traj = run_epidemic(params, schedule)
+        outputs = {
+            "epidemic_trajectory.csv": traj.write_csv,
+            "epidemic_cohort_final.csv": traj.states[-1][1].to_csv,
+        }
+        checks.extend(
+            {"name": "negative-state-warning",
+             "detail": f"negative state at t={t:.6g}: "
+                       f"S={s:.3g} I={i:.3g}"}
+            for t, s, i in zip(traj.times, traj.column("S"),
+                               traj.column("I"))
+            if min(s, i) < -1e-9)
+        drift = _population_drift(traj, params)
+        checks.append({"name": "population-balance",
+                       "value": repr(drift)})
+        meta = _run_meta(traj)
+    elif scenario == "predator_prey":
+        from .pursuit import run_predator_prey
+        params = predator_prey_params_from_config(cfg)
+        traj = run_predator_prey(params, schedule)
+        outputs = {
+            "predator_prey_trajectory.csv": traj.write_csv,
+            "prey_density_final.csv": traj.states[-1][0].to_csv,
+        }
+        masses = traj.column("mass")
+        checks.append({"name": "prey-mass-monotone",
+                       "value": bool(all(masses[i + 1]
+                                         <= masses[i] + 1e-9
+                                         for i in range(len(masses) - 1)))})
+        meta = _run_meta(traj)
+    else:  # rotation or translation; scenario_convergence refuses others
+        table = scenario_convergence(cfg, levels=6)
+        outputs = {f"{scenario}_convergence.csv":
+                   lambda path: _write_convergence_csv(path, table)}
+        checks.append({"name": "self-convergence",
+                       "value": bool(table.converged)})
 
     if meta is not None and meta["j_max"] < schedule.j_max:
         checks.append({"name": "refine-depth-clamped",

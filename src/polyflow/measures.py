@@ -231,9 +231,11 @@ def measure_domain_bound(t: float, horizon: float, radius: float,
 
 
 def evolve(coef: MeasureCoefficients, mu0: AtomicMeasure, w,
-           t0: float, t1: float, dt: float
+           t0: float, tau: float, dt: float
            ) -> tuple[list[float], list[AtomicMeasure]]:
-    """Run fixed steps from ``t0`` to ``t1`` (last step shortened)."""
+    """Times and states of fixed steps of ``dt`` from ``t0`` over ``tau``
+    (the last step shortened)."""
+    t1 = t0 + tau
     times = [t0]
     states = [mu0]
     now, mu = t0, mu0
@@ -247,25 +249,26 @@ def evolve(coef: MeasureCoefficients, mu0: AtomicMeasure, w,
 
 
 def weak_residual(coef: MeasureCoefficients, mu0: AtomicMeasure, w,
-                  t0: float, t1: float, dt: float,
+                  t0: float, tau: float, dt: float,
                   phi: Callable[[float, np.ndarray], np.ndarray],
                   phi_t: Callable[[float, np.ndarray], np.ndarray],
                   phi_x: Callable[[float, np.ndarray], np.ndarray]) -> float:
-    """Defect of the weak formulation along a discrete trajectory.
+    """Defect of the weak formulation along ``evolve``'s trajectory.
 
     For a C1, globally Lipschitz test function ``phi(t, x)`` the exact
     solution satisfies
 
         int int (phi_t + drift * phi_x - decay * phi) dmu dt
         + int int [int phi(t, .) d offspring(y)] dmu(y) dt
-        = int phi(t1) dmu(t1) - int phi(t0) dmu0,
+        = int phi(t1) dmu(t1) - int phi(t0) dmu0,   t1 = t0 + tau,
 
     and the splitting scheme drives the defect to zero at first order in
     ``dt``.  Time integrals use the left-endpoint rule on the step grid.
     ``phi`` must act elementwise on the position array: each step
     evaluates it once, on the atoms and their offspring's sites together.
     """
-    times, states = evolve(coef, mu0, w, t0, t1, dt)
+    t1 = t0 + tau
+    times, states = evolve(coef, mu0, w, t0, tau, dt)
     acc = 0.0
     for k in range(len(times) - 1):
         t = times[k]

@@ -162,14 +162,14 @@ def ode_constants(field: OdeField, horizon: float) -> ProcessConstants:
 
 
 def make_ode_process(field: OdeField, horizon: float,
-                     steps_per_unit: float) -> Process:
+                     n_sub_per_unit: float) -> Process:
     """Wrap the RK4 solver as a process handle.
 
     ``ode_solve`` raises ``DomainExit`` when a substep leaves the ball.
     """
 
     def solve(t0, tau, x, w):
-        n = max(1, int(math.ceil(tau * steps_per_unit - 1e-12)))
+        n = max(1, int(math.ceil(tau * n_sub_per_unit - 1e-12)))
         return ode_solve(field, t0, t0 + tau, x, w, n_sub=n, horizon=horizon)
 
     return Process(solve=solve, constants=ode_constants(field, horizon),

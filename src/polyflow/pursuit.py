@@ -411,7 +411,7 @@ def run_predator_prey(params: PredatorPreyParams,
     def build(moduli_radius):
         return (make_renewal_process(fields.prey, moduli_radius, macro,
                                      n_sub_per_unit=16.0),
-                make_ode_process(predator, macro, steps_per_unit=64.0))
+                make_ode_process(predator, macro, n_sub_per_unit=64.0))
 
     radius_rho, times, states, cols, meta = _run_coupled(
         build, (rho0, p0), 0,

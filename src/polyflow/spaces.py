@@ -150,6 +150,8 @@ class GridFunction:
         ``points`` has shape (m,) in 1D or (m, 2) in 2D.  ``outside`` is
         ``"zero"`` (extension by zero) or ``"clamp"`` (constant extension).
         """
+        if outside not in ("zero", "clamp"):
+            raise ValueError(f"outside {outside!r} is not 'zero' or 'clamp'")
         pts = np.asarray(points, dtype=float)
         if self.dim == 1:
             pts = pts.reshape(-1)

@@ -439,7 +439,7 @@ def suite_claw(seed: int, cells_per_unit: int = 400) -> list[CheckResult]:
     # unit Courant: the upwind update shifts exactly one cell per step
     adv = _claw.ParamFlux(f=lambda u, w: 0.7 * u, lip=0.7)
     box = grid.with_values(((xs >= 0) & (xs < 1)).astype(float))
-    got = _claw.claw_solve(adv, box, None, 0.0, 1.0, cfl=1.0)
+    got = _claw.claw_solve_many(adv, [box], None, 0.0, 1.0, cfl=1.0)[0]
     ref = grid.with_values(((xs >= 0.7) & (xs < 1.7)).astype(float))
     out.append(check("claw/linear-advection", "exact-translation",
                      l1_distance(got, ref), 2 * dx))
@@ -461,12 +461,12 @@ def suite_claw(seed: int, cells_per_unit: int = 400) -> list[CheckResult]:
     out.append(check("claw/tvd", "variation-diminishing", worst_tvd, 1e-10))
 
     u0 = _random_step_data(rng, grid)
-    got = _claw.claw_solve(burgers, u0, None, 0.0, 0.5)
+    got = _claw.claw_solve_many(burgers, [u0], None, 0.0, 0.5)[0]
     out.append(check("claw/conservation", "telescoping-fluxes",
                      abs(got.mass() - u0.mass()), 1e-12))
 
     dt = 0.9 * dx / burgers.lip
-    stepped = _claw.claw_solve(burgers, u0, None, 0.0, dt)
+    stepped = _claw.claw_solve_many(burgers, [u0], None, 0.0, dt)[0]
     worst_entropy = math.inf
     for k in rng.uniform(-1.0, 1.0, 5):
         res = _claw.entropy_residuals(burgers, u0.values, stepped.values,

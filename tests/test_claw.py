@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from polyflow import claw
 from polyflow.claw import (_WINDOW_BLOCK, ParamFlux, audit_flux,
-                           claw_constants, claw_solve, claw_solve_many,
+                           claw_constants, claw_solve_many,
                            entropy_residuals, godunov_flux)
 from polyflow.errors import ClearanceViolated
 from polyflow.spaces import GridFunction, l1_distance
@@ -77,14 +77,14 @@ class TestClawSolve:
     def test_burgers_shock(self, burgers, grid):
         xs = grid.axis_centers(0)
         u0 = grid.with_values((xs < 0.0).astype(float))
-        got = claw_solve(burgers, u0, None, 0.0, 1.0)
+        got = claw_solve_many(burgers, [u0], None, 0.0, 1.0)[0]
         ref = grid.with_values((xs < 0.5).astype(float))
         assert l1_distance(got, ref) <= 2 * grid.dx[0]
 
     def test_burgers_rarefaction(self, burgers, grid):
         xs = grid.axis_centers(0)
         u0 = grid.with_values((xs >= 0.0).astype(float))
-        got = claw_solve(burgers, u0, None, 0.0, 1.0)
+        got = claw_solve_many(burgers, [u0], None, 0.0, 1.0)[0]
         ref = grid.with_values(np.clip(xs, 0.0, 1.0))
         dx = grid.dx[0]
         assert l1_distance(got, ref) <= 5 * dx * abs(math.log(dx))
@@ -93,7 +93,7 @@ class TestClawSolve:
         flux = ParamFlux(f=lambda u, w: 0.7 * u, lip=0.7)
         xs = grid.axis_centers(0)
         u0 = grid.with_values(((xs >= 0) & (xs < 1)).astype(float))
-        got = claw_solve(flux, u0, None, 0.0, 1.0, cfl=1.0)
+        got = claw_solve_many(flux, [u0], None, 0.0, 1.0, cfl=1.0)[0]
         ref = grid.with_values(((xs >= 0.7) & (xs < 1.7)).astype(float))
         assert l1_distance(got, ref) <= 2 * grid.dx[0]
 
@@ -101,7 +101,7 @@ class TestClawSolve:
         flux = ParamFlux(f=lambda u, w: w * u, lip=1.0)
         xs = grid.axis_centers(0)
         u0 = grid.with_values(((xs >= 0) & (xs < 1)).astype(float))
-        got = claw_solve(flux, u0, 0.5, 0.0, 1.0, cfl=1.0)
+        got = claw_solve_many(flux, [u0], 0.5, 0.0, 1.0, cfl=1.0)[0]
         # parameter halves the speed (lip certificate still 1 -> courant 1/2)
         ref_mass = u0.mass()
         assert got.mass() == pytest.approx(ref_mass, abs=1e-12)
@@ -110,22 +110,22 @@ class TestClawSolve:
         xs = grid.axis_centers(0)
         ramp = grid.with_values(np.clip(xs, -1.0, 1.0))  # varies at edges
         with pytest.raises(ClearanceViolated):
-            claw_solve(burgers, ramp, None, 0.0, 1.0)
+            claw_solve_many(burgers, [ramp], None, 0.0, 1.0)[0]
 
     def test_contraction_and_tvd(self, burgers, grid):
         rng = np.random.default_rng(4)
         for _ in range(20):
             u1 = random_steps(rng, grid)
             u2 = random_steps(rng, grid)
-            v1 = claw_solve(burgers, u1, None, 0.0, 0.25)
-            v2 = claw_solve(burgers, u2, None, 0.0, 0.25)
+            v1 = claw_solve_many(burgers, [u1], None, 0.0, 0.25)[0]
+            v2 = claw_solve_many(burgers, [u2], None, 0.0, 0.25)[0]
             assert l1_distance(v1, v2) <= l1_distance(u1, u2) + 1e-10
             assert v1.tv() <= u1.tv() + 1e-10
 
     def test_conservation(self, burgers, grid):
         rng = np.random.default_rng(9)
         u0 = random_steps(rng, grid)
-        got = claw_solve(burgers, u0, None, 0.0, 0.5)
+        got = claw_solve_many(burgers, [u0], None, 0.0, 0.5)[0]
         assert abs(got.mass() - u0.mass()) <= 1e-12
 
     def test_entropy_residuals(self, burgers, grid):
@@ -133,7 +133,7 @@ class TestClawSolve:
         u0 = random_steps(rng, grid)
         dx = grid.dx[0]
         dt = 0.9 * dx / burgers.lip
-        stepped = claw_solve(burgers, u0, None, 0.0, dt)
+        stepped = claw_solve_many(burgers, [u0], None, 0.0, dt)[0]
         for k in rng.uniform(-1, 1, 8):
             res = entropy_residuals(burgers, u0.values, stepped.values,
                                     float(k), dt, dx, None)
@@ -142,9 +142,9 @@ class TestClawSolve:
     def test_semigroup(self, burgers, grid):
         xs = grid.axis_centers(0)
         u0 = grid.with_values((xs < 0.0).astype(float))
-        direct = claw_solve(burgers, u0, None, 0.0, 1.0)
-        mid = claw_solve(burgers, u0, None, 0.0, 0.5)
-        rest = claw_solve(burgers, mid, None, 0.5, 1.0)
+        direct = claw_solve_many(burgers, [u0], None, 0.0, 1.0)[0]
+        mid = claw_solve_many(burgers, [u0], None, 0.0, 0.5)[0]
+        rest = claw_solve_many(burgers, [mid], None, 0.5, 0.5)[0]
         assert l1_distance(rest, direct) <= 5 * (2 * grid.dx[0])
 
 
@@ -184,12 +184,12 @@ def cubic():
 
 
 class TestWindowedSolve:
-    """``claw_solve`` steps only near the jumps; it must equal the full grid
-    bit for bit."""
+    """``claw_solve_many`` steps only near the jumps; it must equal the full
+    grid bit for bit."""
 
     def assert_matches_full_grid(self, flux, u0, w, t, cfl=0.9):
         before = u0.values.copy()
-        got = claw_solve(flux, u0, w, 0.0, t, cfl=cfl)
+        got = claw_solve_many(flux, [u0], w, 0.0, t, cfl=cfl)[0]
         assert (got.values.tobytes()
                 == full_grid_solve(flux, u0, w, 0.0, t, cfl).tobytes())
         assert np.array_equal(u0.values, before)
@@ -311,7 +311,8 @@ class TestSolveMany:
         for u, v in zip(data, got):
             assert v.same_grid(u)
             assert (v.values.tobytes()
-                    == claw_solve(flux, u, w, 0.0, t, cfl).values.tobytes())
+                    == claw_solve_many(flux, [u], w, 0.0, t,
+                                       cfl)[0].values.tobytes())
             assert (v.values.tobytes()
                     == full_grid_solve(flux, u, w, 0.0, t, cfl).tobytes())
         for u, vals in zip(data, before):
@@ -379,7 +380,7 @@ class TestSolveMany:
     def test_no_time_returns_the_data(self, burgers, grid):
         data = [random_steps(np.random.default_rng(i), grid)
                 for i in range(3)]
-        got = claw_solve_many(burgers, data, None, 0.5, 0.5)
+        got = claw_solve_many(burgers, data, None, 0.5, 0.0)
         assert all(v is u for u, v in zip(data, got))
 
     @pytest.mark.parametrize("gap, spans", [(2 * _WINDOW_BLOCK + 2, 1),

@@ -13,7 +13,7 @@ import pytest
 
 import polyflow
 from polyflow import harness
-from polyflow.claw import (ParamFlux, claw_constants, claw_solve,
+from polyflow.claw import (ParamFlux, claw_constants, claw_solve_many,
                            entropy_residuals)
 from polyflow.cli import main
 from polyflow.errors import ConfigError
@@ -114,6 +114,17 @@ class TestConfigValidation:
         else:
             with pytest.raises(ConfigError, match="refine.j0"):
                 validate_config(cfg)
+
+    def test_uncertified_epidemic_macro_step_named(self, tmp_path):
+        # the ball's certified segment is shorter than this macro step; the
+        # run refuses it, so validation does too
+        cfg = json.loads((CONFIG_DIR / "epidemic.json").read_text())
+        cfg["time"] = {"horizon": 0.5, "macro_step": 0.5}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError, match=r"^time\.macro_step 0\.5 "
+                           "exceeds the certified segment"):
+            load_config(path)
 
     def test_epidemic_field_names(self):
         cfg = base_config(scenario="epidemic",
@@ -246,7 +257,7 @@ class TestConvergence:
 
 
 def reference_suite_claw(seed, cells_per_unit):
-    """``suite_claw`` as it was with one ``claw_solve`` call per datum."""
+    """``suite_claw`` as it was with one single-datum solve per datum."""
     rng = np.random.default_rng(seed)
     out = []
     burgers = ParamFlux(f=lambda u, w: 0.5 * u * u, lip=1.0,
@@ -254,20 +265,22 @@ def reference_suite_claw(seed, cells_per_unit):
     dx = 1.0 / cells_per_unit
     grid = GridFunction.uniform((-2.0, 3.0), int(5.0 / dx))
     xs = grid.axis_centers(0)
-    got = claw_solve(burgers, grid.with_values((xs < 0.0).astype(float)),
-                     None, 0.0, 1.0)
+    got = claw_solve_many(burgers,
+                          [grid.with_values((xs < 0.0).astype(float))],
+                          None, 0.0, 1.0)[0]
     out.append(check("claw/burgers-shock", "jump-speed-half",
                      l1_distance(got, grid.with_values(
                          (xs < 0.5).astype(float))), 2 * dx))
-    got = claw_solve(burgers, grid.with_values((xs >= 0.0).astype(float)),
-                     None, 0.0, 1.0)
+    got = claw_solve_many(burgers,
+                          [grid.with_values((xs >= 0.0).astype(float))],
+                          None, 0.0, 1.0)[0]
     out.append(check("claw/burgers-rarefaction", "fan-profile",
                      l1_distance(got, grid.with_values(
                          np.clip(xs / 1.0, 0.0, 1.0))),
                      5 * dx * abs(math.log(dx))))
     adv = ParamFlux(f=lambda u, w: 0.7 * u, lip=0.7)
     box = grid.with_values(((xs >= 0) & (xs < 1)).astype(float))
-    got = claw_solve(adv, box, None, 0.0, 1.0, cfl=1.0)
+    got = claw_solve_many(adv, [box], None, 0.0, 1.0, cfl=1.0)[0]
     ref = grid.with_values(((xs >= 0.7) & (xs < 1.7)).astype(float))
     out.append(check("claw/linear-advection", "exact-translation",
                      l1_distance(got, ref), 2 * dx))
@@ -275,8 +288,8 @@ def reference_suite_claw(seed, cells_per_unit):
     for _ in range(50):
         u1 = _random_step_data(rng, grid)
         u2 = _random_step_data(rng, grid)
-        v1 = claw_solve(burgers, u1, None, 0.0, 0.25)
-        v2 = claw_solve(burgers, u2, None, 0.0, 0.25)
+        v1 = claw_solve_many(burgers, [u1], None, 0.0, 0.25)[0]
+        v2 = claw_solve_many(burgers, [u2], None, 0.0, 0.25)[0]
         worst_contract = max(worst_contract,
                              l1_distance(v1, v2) - l1_distance(u1, u2))
         worst_tvd = max(worst_tvd, v1.tv() - u1.tv())
@@ -284,11 +297,11 @@ def reference_suite_claw(seed, cells_per_unit):
                      worst_contract, 1e-10))
     out.append(check("claw/tvd", "variation-diminishing", worst_tvd, 1e-10))
     u0 = _random_step_data(rng, grid)
-    got = claw_solve(burgers, u0, None, 0.0, 0.5)
+    got = claw_solve_many(burgers, [u0], None, 0.0, 0.5)[0]
     out.append(check("claw/conservation", "telescoping-fluxes",
                      abs(got.mass() - u0.mass()), 1e-12))
     dt = 0.9 * dx / burgers.lip
-    stepped = claw_solve(burgers, u0, None, 0.0, dt)
+    stepped = claw_solve_many(burgers, [u0], None, 0.0, dt)[0]
     worst_entropy = math.inf
     for k in rng.uniform(-1.0, 1.0, 5):
         res = entropy_residuals(burgers, u0.values, stepped.values,
@@ -551,9 +564,24 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-        out = capsys.readouterr().out
+        out = capsys.readouterr().err
         assert out.startswith("domain exit: support clearance")
         assert out.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_domain_exit_reported_under_quiet(self, tmp_path, capsys):
+        # --quiet silences the progress lines, not the reason for exit 2
+        cfg = json.loads((CONFIG_DIR / "predator_prey_1d.json").read_text())
+        cfg["params"]["prey_radius"] = 0.95
+        cfg["time"] = {"horizon": 0.3, "macro_step": 0.3}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("domain exit: support clearance")
+        assert captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_invalid_config_exit_3(self, tmp_path, capsys):
@@ -619,7 +647,7 @@ class TestCli:
          "params.prey_center must be a list"),
         ("predator_prey_1d.json", ("params", "prey_center"), [0.0, 1.0],
          "params.prey_center must hold one entry per axis"),
-        # caught inside run_epidemic, after validation
+        # caught when the config is validated
         ("epidemic.json", ("time",), {"horizon": 0.5, "macro_step": 0.5},
          "exceeds the certified segment"),
         # non-finite numbers, which json accepts
@@ -944,7 +972,7 @@ EXPORTS = (
     "ProcessConstants", "RefineSchedule", "RefinementResult",
     "RenewalCoefficients", "StepTooLarge", "SupportClearanceViolated",
     "Trajectory", "UndefinedBoundaryDatum", "boundary_crossing_time",
-    "bv_estimate_checks", "characteristic", "claw_constants", "claw_solve",
+    "bv_estimate_checks", "characteristic", "claw_constants",
     "claw_solve_many", "couple", "coupling_bounds", "entropy_residuals",
     "epidemic_cohort_reference", "euclidean_distance", "euler_polygonal",
     "flat_distance", "godunov_flux", "ibvp_domain_bounds",

@@ -133,6 +133,14 @@ class TestGridFunction:
         vals = g.lookup(np.array([-5.0, 5.0]), outside="clamp")
         assert list(vals) == [1.0, 2.0]
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_lookup_rejects_an_unknown_mode(self, dim):
+        # a misspelt mode would otherwise read as zero extension
+        g = GridFunction.uniform(((0.0, 1.0),) * dim, (4,) * dim)
+        with pytest.raises(ValueError,
+                           match="'clmap' is not 'zero' or 'clamp'"):
+            g.lookup(np.zeros((1, dim)), outside="clmap")
+
     def test_support_clearance(self):
         grid = GridFunction.uniform((0.0, 1.0), 10)
         u = grid.with_values(np.array([0, 0, 1, 1, 0, 0, 0, 0, 0, 0],
