@@ -67,8 +67,10 @@ def godunov_flux(flux: ParamFlux, u_left, u_right, w) -> np.ndarray:
     """
     ul = np.atleast_1d(np.asarray(u_left, dtype=float))
     ur = np.atleast_1d(np.asarray(u_right, dtype=float))
-    out = _godunov_select(ul, ur, flux(ul, w), flux(ur, w),
-                          _critical_values(flux, w))
+    shape = np.broadcast_shapes(ul.shape, ur.shape)
+    out = _godunov_select(*(np.broadcast_to(v, shape).reshape(-1) for v in
+                            (ul, ur, flux(ul, w), flux(ur, w))),
+                          _critical_values(flux, w)).reshape(shape)
     if np.ndim(u_left) or np.ndim(u_right):
         return out
     return float(out[0])
@@ -82,19 +84,28 @@ def _critical_values(flux: ParamFlux, w) -> tuple[tuple[float, float], ...]:
 
 def _godunov_select(ul: np.ndarray, ur: np.ndarray, fl: np.ndarray,
                     fr: np.ndarray, crit) -> np.ndarray:
-    """Godunov flux from the interface states, their flux values ``fl, fr``
-    and the critical values ``crit = ((c, f(c)), ...)``."""
-    vmin = np.minimum(fl, fr)
-    vmax = np.maximum(fl, fr)
-    if crit:
-        lo = np.minimum(ul, ur)
-        hi = np.maximum(ul, ur)
-        for c, fc in crit:
-            inside = (lo < c) & (c < hi)
-            if inside.any():
-                np.minimum(vmin, fc, out=vmin, where=inside)
-                np.maximum(vmax, fc, out=vmax, where=inside)
-    return np.where(ul <= ur, vmin, vmax)
+    """Godunov flux from the 1D interface states, their flux values ``fl,
+    fr`` (all four of one length) and the critical values ``crit = ((c,
+    f(c)), ...)``.
+
+    The endpoint extremum is selected into one buffer first.  Only an
+    interface whose states lie on two sides of ``c`` can hold it strictly
+    inside, and those are few, so the exact test ``min < c < max`` and the
+    update with ``f(c)`` run on them alone, in the order of ``crit``.
+    """
+    rising = ul <= ur
+    out = np.maximum(fl, fr)
+    np.copyto(out, np.minimum(fl, fr), where=rising)
+    for c, fc in crit:
+        at = ((ul < c) != (ur < c)).nonzero()[0]
+        if at.size:
+            # one state of a candidate lies below c: c is inside when the
+            # larger one (NaN if either is) lies above it
+            at = at[np.maximum(ul[at], ur[at]) > c]
+            vals = out[at]
+            out[at] = np.where(rising[at], np.minimum(vals, fc),
+                               np.maximum(vals, fc))
+    return out
 
 
 # claw_solve_many lays its spans out anew every this many steps, with this
@@ -177,8 +188,8 @@ def claw_solve_many(flux: ParamFlux, data: list[GridFunction], w, t0: float,
     """
     if not 0 < cfl <= 1:
         raise ValueError("cfl must lie in (0, 1]")
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
     if not data:
         raise ValueError("no data to evolve")
     first = data[0]
@@ -225,7 +236,9 @@ def claw_solve_many(flux: ParamFlux, data: list[GridFunction], w, t0: float,
         dt = min(dt_max, tau - elapsed)
         fb = flux(buf, w)
         f_iface = _godunov_select(buf[:-1], buf[1:], fb[:-1], fb[1:], crit)
-        buf[1:-1] -= (dt / dx) * (f_iface[1:] - f_iface[:-1])
+        diff = f_iface[1:] - f_iface[:-1]
+        diff *= dt / dx
+        buf[1:-1] -= diff
         buf[ghosts] = held
         buf[edge_ghosts] = buf[edge_cells]
         elapsed += dt

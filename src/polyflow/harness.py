@@ -213,11 +213,12 @@ def rotation_processes(ball: float = 2.0, horizon: float = 1.0,
     """Harmonic pair du/dt = w, dw/dt = -u as two frozen-parameter processes.
 
     RK4 is exact for both frozen problems (constant right-hand sides), so
-    the only error in any polygonal is the splitting itself.
+    the only error in any polygonal is the splitting itself.  Each slope is
+    the frozen parameter as given, which ``ode_solve`` reads as a float
+    array and broadcasts against the state.
     """
-    u_field = OdeField(f=lambda t, u, w: np.atleast_1d(np.asarray(w, float)),
-                       lip=1.0, sup=ball, radius=ball)
-    w_field = OdeField(f=lambda t, w, u: -np.atleast_1d(np.asarray(u, float)),
+    u_field = OdeField(f=lambda t, u, w: w, lip=1.0, sup=ball, radius=ball)
+    w_field = OdeField(f=lambda t, w, u: -np.asarray(u, dtype=float),
                        lip=1.0, sup=ball, radius=ball)
     return tuple(make_ode_process(f, horizon, n_sub_per_unit=1.0)
                  for f in (u_field, w_field))

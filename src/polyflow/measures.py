@@ -195,8 +195,8 @@ def measure_step(coef: MeasureCoefficients, mu: AtomicMeasure, w,
     line; with a nonnegative drift at the origin the clamp stays inactive.
     Atoms are processed in position order, so results are deterministic.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if mu.total_mass() > coef.mass_radius * (1 + 1e-12):
         raise MassBlowup(
             f"mass {mu.total_mass():.3g} exceeds radius {coef.mass_radius:.3g}")
@@ -234,7 +234,9 @@ def evolve(coef: MeasureCoefficients, mu0: AtomicMeasure, w,
            t0: float, tau: float, dt: float
            ) -> tuple[list[float], list[AtomicMeasure]]:
     """Times and states of fixed steps of ``dt`` from ``t0`` over ``tau``
-    (the last step shortened)."""
+    (the last step shortened); ``tau`` must be finite and nonnegative."""
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
     t1 = t0 + tau
     times = [t0]
     states = [mu0]
@@ -267,8 +269,19 @@ def weak_residual(coef: MeasureCoefficients, mu0: AtomicMeasure, w,
     ``phi`` must act elementwise on the position array: each step
     evaluates it once, on the atoms and their offspring's sites together.
     """
-    t1 = t0 + tau
     times, states = evolve(coef, mu0, w, t0, tau, dt)
+    return _weak_defect(coef, w, t0, tau, times, states, phi, phi_t, phi_x)
+
+
+def _weak_defect(coef: MeasureCoefficients, w, t0: float, tau: float,
+                 times: list[float], states: list[AtomicMeasure],
+                 phi: Callable[[float, np.ndarray], np.ndarray],
+                 phi_t: Callable[[float, np.ndarray], np.ndarray],
+                 phi_x: Callable[[float, np.ndarray], np.ndarray]) -> float:
+    """``weak_residual``'s defect along ``times, states``, a trajectory that
+    ``evolve(coef, states[0], w, t0, tau, dt)`` returned."""
+    t1 = t0 + tau
+    mu0 = states[0]
     acc = 0.0
     for k in range(len(times) - 1):
         t = times[k]

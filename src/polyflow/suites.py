@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .harness import (SCHEMA_VERSION, _median, rotation_flow,
 from .ibvp import (InflowBoundary, _envelope_norms, ibvp_domain_bounds,
                    ibvp_solve)
 from .measures import AtomicMeasure, flat_distance
-from .metric import (RefineSchedule, coupling_bounds, euler_polygonal,
-                     refine_to_process)
+from .metric import (LocalFlow, RefineSchedule, RefinementResult,
+                     coupling_bounds, euler_polygonal, refine_to_process)
 from .ode import OdeField, ode_solve
 from .renewal import (RenewalCoefficients, characteristic,
                       ivp_domain_bounds, renewal_solve)
@@ -195,15 +195,44 @@ def suite_metric(seed: int) -> list[CheckResult]:
     out.append(check("metric/stability", "exp-data-bound", worst,
                      bounds.stability_factor(tau) * (1 + 1e-6)))
 
-    for k in range(3, 9):
+    for k, limit, one in _tangency_ladders(flow, x0):
         tq = 2.0 ** (-k)
-        # resolve the limit to ~1% of the expected first-order gap
-        limit = refine_to_process(flow, tq, 0.0, x0,
-                                  RefineSchedule(0, 14, 1e-2 * tq * tq))
-        one = euler_polygonal(flow, tq, 0.0, x0, tq)
         lhs = flow.distance(limit.point, one) / tq
         out.append(check(f"metric/tangency-tau-2^-{k}", "first-order-gap",
                          lhs, 2.0 * bounds.tangency_rhs(tq)))
+    return out
+
+
+def _tangency_ladders(flow: LocalFlow, x0
+                      ) -> list[tuple[int, RefinementResult, Any]]:
+    """``(k, limit, one step)`` from ``x0`` at ``t0 = 0`` over ``tau =
+    2^-k`` for ``k = 3 ... 8``, all through one memo of the flow's steps.
+
+    A level-j polygonal of ``tau = 2^-k`` is the first ``2^j`` steps of the
+    same-step polygonal of ``tau = 2^-(k-1)``, and a step is a function of
+    its length, start time and state, so each distinct step runs once.  The
+    memo keys a state by its identity and keeps it alive while the ladders
+    run, so no key outlives its state; the results are the unshared
+    ladders' bit for bit.
+    """
+    memo: dict = {}
+
+    def evaluate(tau, t0, state):
+        key = (tau, t0, id(state))
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = (state, flow.evaluate(tau, t0, state))
+        return hit[1]
+
+    shared = LocalFlow(evaluate=evaluate, delta=flow.delta,
+                       distance=flow.distance)
+    out = []
+    for k in range(3, 9):
+        tq = 2.0 ** (-k)
+        # resolve the limit to ~1% of the expected first-order gap
+        limit = refine_to_process(shared, tq, 0.0, x0,
+                                  RefineSchedule(0, 14, 1e-2 * tq * tq))
+        out.append((k, limit, euler_polygonal(shared, tq, 0.0, x0, tq)))
     return out
 
 
@@ -535,10 +564,13 @@ def suite_measures(seed: int) -> list[CheckResult]:
     out.append(check("measures/mass-envelope", "exp-mass-bound",
                      worst, 10 * dt))
 
+    # the finest residual reads the trajectory the envelope checked
     res = []
     for steps in (8, 16, 32, 64):
-        r = _measures.weak_residual(
-            coef3, mu0, None, 0.0, 1.0, 1.0 / steps,
+        run = ((times, states) if 1.0 / steps == dt else
+               _measures.evolve(coef3, mu0, None, 0.0, 1.0, 1.0 / steps))
+        r = _measures._weak_defect(
+            coef3, None, 0.0, 1.0, *run,
             phi=lambda t, x: (1 + 0.5 * t) * _cutoff(x),
             phi_t=lambda t, x: 0.5 * _cutoff(x),
             phi_x=lambda t, x: (1 + 0.5 * t) * _cutoff_slope(x))

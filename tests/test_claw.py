@@ -478,6 +478,12 @@ class TestSolveMany:
             claw_solve_many(burgers, data, None, 0.0, 0.25)
         claw_solve_many(burgers, data[:2] + data[3:], None, 0.0, 0.25)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_length_not_finite_rejected(self, burgers, grid, tau):
+        u0 = random_steps(np.random.default_rng(1), grid)
+        with pytest.raises(ValueError, match="tau must be finite"):
+            claw_solve_many(burgers, [u0], None, 0.0, tau)
+
     def test_rejects_bad_batches(self, burgers, grid):
         u0 = random_steps(np.random.default_rng(1), grid)
         with pytest.raises(ValueError, match="no data"):
@@ -512,6 +518,22 @@ def frozen_godunov_flux(flux, u_left, u_right, w):
     if np.ndim(u_left) or np.ndim(u_right):
         return out
     return float(out[0])
+
+
+def frozen_godunov_select(ul, ur, fl, fr, crit):
+    """``claw._godunov_select`` before the straddle test: it tested every
+    interface against every critical point and selected with ``np.where``."""
+    vmin = np.minimum(fl, fr)
+    vmax = np.maximum(fl, fr)
+    if crit:
+        lo = np.minimum(ul, ur)
+        hi = np.maximum(ul, ur)
+        for c, fc in crit:
+            inside = (lo < c) & (c < hi)
+            if inside.any():
+                np.minimum(vmin, fc, out=vmin, where=inside)
+                np.maximum(vmax, fc, out=vmax, where=inside)
+    return np.where(ul <= ur, vmin, vmax)
 
 
 def frozen_solve_many(flux, data, w, t0, t, cfl=0.9):
@@ -632,6 +654,64 @@ class TestAgainstFrozenCopy:
         claw_solve_many(flux, data, None, 0.0, 0.2)
         assert len(steps) == math.ceil(0.2 / (0.9 * grid.dx[0] / flux.lip))
         assert len(f_calls) == len(steps) + len(flux.critical_points)
+
+
+# states and flux values that the selection must carry bit for bit
+SPECIAL = np.array([math.nan, 0.0, -0.0, math.inf, -math.inf, -1.0, 1.0,
+                    0.5, -2.0, 5e-324, -5e-324])
+
+
+# the cubic flux is NaN at infinite states (inf - inf)
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+class TestSelectAgainstFrozenCopy:
+    """The straddle test and the one-buffer selection give the bits of the
+    selection that tested every interface."""
+
+    @pytest.mark.parametrize("crit", [
+        (), ((0.0, 0.0),), ((-1.0, 2.0 / 3.0), (1.0, -2.0 / 3.0)),
+        ((1.0, -2.0 / 3.0), (-1.0, 2.0 / 3.0)), ((0.0, -0.0),),
+        ((0.5, math.nan),), ((0.0, 0.0), (0.0, 1.0)),
+        ((-0.0, -1.0), (math.inf, 0.0))])
+    def test_every_special_pair(self, crit):
+        ul, ur = (g.ravel() for g in np.meshgrid(SPECIAL, SPECIAL))
+        rng = np.random.default_rng(31)
+        for fl, fr in ((0.5 * ul * ul, 0.5 * ur * ur),
+                       (rng.choice(SPECIAL, ul.size),
+                        rng.choice(SPECIAL, ul.size))):
+            got = claw._godunov_select(ul, ur, fl, fr, crit)
+            want = frozen_godunov_select(ul, ur, fl, fr, crit)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(FLUXES))
+    def test_states_at_the_critical_points(self, name):
+        flux = FLUXES[name]
+        crit = claw._critical_values(flux, None)
+        rng = np.random.default_rng(32)
+        states = rng.choice(np.concatenate(
+            (SPECIAL, [-1.0, 1.0, np.nextafter(1.0, 2.0),
+                       np.nextafter(-1.0, -2.0)])), 600)
+        ul, ur = states[:-1], states[1:]
+        fl, fr = flux(ul, None), flux(ur, None)
+        got = claw._godunov_select(ul, ur, fl, fr, crit)
+        assert got.tobytes() == frozen_godunov_select(ul, ur, fl, fr,
+                                                      crit).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(FLUXES))
+    def test_scalar_against_array(self, name):
+        flux = FLUXES[name]
+        side = np.array([[0.5, -0.0, math.nan], [-1.0, 2.0, -math.inf]])
+        for scalar in (0.0, -0.0, -1.0, 1.0, 0.25, math.nan, math.inf):
+            for ul, ur in ((scalar, side), (side, scalar), (side[0], side),
+                           (scalar, side[1])):
+                got = godunov_flux(flux, ul, ur, None)
+                want = frozen_godunov_flux(flux, ul, ur, None)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            for other in SPECIAL:
+                got = godunov_flux(flux, scalar, float(other), None)
+                assert isinstance(got, float)
+                want = frozen_godunov_flux(flux, scalar, float(other), None)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestAudit:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import polyflow
-from polyflow import harness
+from polyflow import harness, measures, suites
 from polyflow.claw import (ParamFlux, claw_constants, claw_solve_many,
                            entropy_residuals)
 from polyflow.cli import main
@@ -21,6 +21,8 @@ from polyflow.harness import (load_config, polygonal_convergence,
                               rotation_exact, rotation_flow,
                               scenario_convergence, translation_flow,
                               validate_config, verify)
+from polyflow.metric import (LocalFlow, RefineSchedule, euler_polygonal,
+                             refine_to_process)
 from polyflow.spaces import GridFunction, l1_distance
 from polyflow.suites import _random_step_data, check, suite_claw
 
@@ -399,6 +401,73 @@ class TestVerifyReports:
         report = verify(cfg)
         failing = [c.name for c in report.checks if not c.passed]
         assert failing == []
+
+
+def counting_flow(flow: LocalFlow) -> tuple[LocalFlow, list]:
+    """``flow`` with a list that grows by one at each step it takes."""
+    steps = []
+
+    def evaluate(tau, t0, x):
+        steps.append((tau, t0))
+        return flow.evaluate(tau, t0, x)
+
+    return LocalFlow(evaluate=evaluate, delta=flow.delta,
+                     distance=flow.distance), steps
+
+
+class TestVerifyWorkCounts:
+    """The suites run each distinct piece of work once."""
+
+    def test_tangency_ladders_share_their_steps(self):
+        flow, steps = counting_flow(rotation_flow(ball=4.0, horizon=1.0))
+        x0 = (np.array([1.0]), np.array([0.0]))
+        suites._tangency_ladders(flow, x0)
+        # unshared, the refinements take 762 steps and the one-step
+        # polygonals 6 more
+        assert len(steps) == 447
+
+    def test_tangency_ladders_match_unshared_refinements(self):
+        flow = rotation_flow(ball=4.0, horizon=1.0)
+        x0 = (np.array([1.0]), np.array([0.0]))
+        ladders = suites._tangency_ladders(flow, x0)
+        assert [k for k, _, _ in ladders] == list(range(3, 9))
+        for k, got, one in ladders:
+            tq = 2.0 ** -k
+            want = refine_to_process(flow, tq, 0.0, x0,
+                                     RefineSchedule(0, 14, 1e-2 * tq * tq))
+            assert (got.level, got.converged) == (want.level, want.converged)
+            assert got.gap.hex() == want.gap.hex()
+            for a, b in zip(got.point, want.point):
+                assert a.tobytes() == b.tobytes()
+            for a, b in zip(one, euler_polygonal(flow, tq, 0.0, x0, tq)):
+                assert a.tobytes() == b.tobytes()
+
+    def test_measures_suite_evolves_each_trajectory_once(self, monkeypatch):
+        steps = []
+        step = measures.measure_step
+
+        def counted(*args):
+            steps.append(args[4])
+            return step(*args)
+
+        monkeypatch.setattr(measures, "measure_step", counted)
+        suites.suite_measures(0)
+        # the pure-drift check's one step, then the trajectories of dt =
+        # 1/64 (mass envelope and finest weak residual), 1/8, 1/16, 1/32
+        assert len(steps) == 1 + 64 + 8 + 16 + 32
+
+
+class TestRotationParameters:
+    @pytest.mark.parametrize("state", [([1.0], [0.0]), (1.0, 0.0),
+                                       ([0.25], [-0.5])])
+    def test_state_kinds_give_the_array_bits(self, state):
+        flow = rotation_flow()
+        want = flow.evaluate(0.1, 0.0, tuple(np.array(v, dtype=float, ndmin=1)
+                                             for v in state))
+        got = flow.evaluate(0.1, 0.0, state)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
 
 class TestCli:

@@ -60,6 +60,12 @@ class TestMeasureStep:
         with pytest.raises(MassBlowup):
             measure_step(coef, mu, None, 0.0, 0.1)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_step_not_positive_and_finite_rejected(self, dt):
+        mu = AtomicMeasure(np.array([0.5]), np.array([1.0]))
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            measure_step(constant_fields(decay=1.0), mu, None, 0.0, dt)
+
     def test_deterministic_merge_order(self):
         mu = AtomicMeasure(np.array([0.0, 1e-12, 1.0]),
                            np.array([0.25, 0.5, 0.125]))
@@ -128,6 +134,19 @@ def cutoff_slope(x):
     y = np.asarray(x, dtype=float) / 6.0
     return np.where(np.abs(y) < 1.0, 2.0 * (1.0 - y * y) * (-2.0 * y / 6.0),
                     0.0)
+
+
+class TestEvolve:
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_length_not_finite_rejected(self, tau):
+        mu = AtomicMeasure(np.array([0.5]), np.array([1.0]))
+        with pytest.raises(ValueError, match="tau must be finite"):
+            evolve(constant_fields(drift=1.0), mu, None, 0.0, tau, 0.125)
+
+    def test_nan_step_rejected(self):
+        mu = AtomicMeasure(np.array([0.5]), np.array([1.0]))
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            evolve(constant_fields(drift=1.0), mu, None, 0.0, 1.0, math.nan)
 
 
 class TestWeakResidual:
