@@ -10,6 +10,7 @@ restriction; the last step is shortened to land exactly on the target time.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -43,11 +44,12 @@ class ParamFlux:
 
 
 def audit_flux(flux: ParamFlux, lo: float, hi: float, w,
-               rng: np.random.Generator, n: int = 64) -> float:
-    """Sampled Lipschitz-quotient audit (worst violation, <= 0 ok)."""
+               rng: random.Random, n: int = 64) -> float:
+    """Sampled Lipschitz-quotient audit (worst violation, <= 0 ok) on
+    state pairs drawn with ``rng.uniform(lo, hi)``."""
     worst = -math.inf
     for _ in range(n):
-        u1, u2 = rng.uniform(lo, hi, 2)
+        u1, u2 = rng.uniform(lo, hi), rng.uniform(lo, hi)
         if abs(u1 - u2) < 1e-12:
             continue
         quotient = abs(float(flux(np.array([u1]), w)[0])

@@ -58,6 +58,45 @@ def load_config(path, seed: int | None = None) -> dict:
     return cfg
 
 
+class _Section(dict):
+    """A config object, its nested objects made ``_Section``s too, that
+    records each key its readers ask for (``in``, ``[]``, ``get``), present
+    or not, so that the keys no reader asked for can be refused."""
+
+    def __init__(self, section: dict):
+        super().__init__((k, _Section(v) if isinstance(v, dict) else v)
+                         for k, v in section.items())
+        self.asked: set = set()
+
+    def __contains__(self, key):
+        self.asked.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.asked.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, *default):
+        self.asked.add(key)
+        return super().get(key, *default)
+
+
+def _refuse_unread(section: _Section, where: str) -> None:
+    """A ``ConfigError`` naming the first key of ``section``, depth first,
+    that no reader asked for, and the closest key one did ask for."""
+    for key, val in section.items():
+        label = f"{where}{key}"
+        if key not in section.asked:
+            import difflib
+            close = difflib.get_close_matches(key, sorted(section.asked),
+                                              n=1)
+            hint = (f"; did you mean {where}{close[0]}?" if close else
+                    f"; this run reads {', '.join(sorted(section.asked))}")
+            raise ConfigError(f"unknown field {label}{hint}")
+        if isinstance(val, _Section):
+            _refuse_unread(val, f"{label}.")
+
+
 def _need(cfg: dict, key: str, kind, where: str = "", default=None):
     """``cfg[key]`` as ``kind``, or ``default`` if given and the key absent.
 
@@ -89,7 +128,10 @@ def _typed(val, kind, label: str):
 
 def validate_config(cfg: dict) -> None:
     """Check ``cfg``: types here, a coupled model's ranges and shapes in
-    its params class, whose errors come back naming the field."""
+    its params class, whose errors come back naming the field.  Once the
+    model is built, a key that no reader of this scenario asked for, at any
+    depth, is an error naming it."""
+    cfg = _Section(cfg)
     if _need(cfg, "schema", int) != SCHEMA_VERSION:
         raise ConfigError(f"schema must be {SCHEMA_VERSION}")
     scenario = _need(cfg, "scenario", str)
@@ -116,11 +158,11 @@ def validate_config(cfg: dict) -> None:
             build(cfg)
         except (ValueError, KernelOutOfBox) as exc:
             raise ConfigError(f"field params.{exc}") from None
+    _refuse_unread(cfg, "")
 
 
 def _seed(cfg: dict) -> int:
-    """The config's random seed, 0 by default; NumPy's generators reject a
-    negative one."""
+    """The config's random seed, 0 by default and never negative."""
     seed = _need(cfg, "seed", int, default=0)
     if seed < 0:
         raise ConfigError(f"field seed must be nonnegative, got {seed}")

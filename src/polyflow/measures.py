@@ -12,6 +12,7 @@ step.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -161,18 +162,19 @@ def default_merge_eps(mu: AtomicMeasure) -> float:
 
 
 def audit_coefficients(coef: MeasureCoefficients, mu: AtomicMeasure, w,
-                       rng: np.random.Generator, n: int = 16,
+                       rng: random.Random, n: int = 16,
                        x_hi: float = 4.0,
                        t_range: tuple[float, float] = (0.0, 1.0)) -> float:
     """Sampled bound audit (worst violation, <= 0 ok).
 
     Checks |drift| and |decay| against their bounds, the offspring mass
-    against the birth bound, and nonnegativity of the drift at the origin.
+    against the birth bound, and nonnegativity of the drift at the origin,
+    at ``n`` times and eight positions each drawn with ``rng.uniform``.
     """
     worst = -math.inf
     for _ in range(n):
-        t = float(rng.uniform(*t_range))
-        xs = rng.uniform(0.0, x_hi, 8)
+        t = rng.uniform(*t_range)
+        xs = np.array([rng.uniform(0.0, x_hi) for _ in range(8)])
         worst = max(worst, float(np.max(np.abs(coef.drift(t, mu, w, xs))))
                     - coef.drift_bound)
         worst = max(worst, float(np.max(np.abs(coef.decay(t, mu, w, xs))))

@@ -11,6 +11,7 @@ of radius ``radius - (horizon - t) * sup``.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -34,15 +35,16 @@ class OdeField:
     sup: float
     radius: float
 
-    def audit(self, rng: np.random.Generator, n: int = 64, dim: int = 1,
+    def audit(self, rng: random.Random, n: int = 64, dim: int = 1,
               params: tuple = (0.0,),
               param_distance: Callable[[Any, Any], float] | None = None,
               t_range: tuple[float, float] = (0.0, 1.0)) -> float:
         """Randomized certificate audit; returns the worst violation (<= 0 ok).
 
         Samples state pairs inside the ball and parameter pairs from
-        ``params``, then measures the sup bound and the joint Lipschitz
-        quotient against the certificates.  An audit is evidence, not proof.
+        ``params`` with ``rng``'s ``uniform`` and ``randrange``, then
+        measures the sup bound and the joint Lipschitz quotient against the
+        certificates.  An audit is evidence, not proof.
         """
         if param_distance is None:
             param_distance = lambda a, b: abs(float(a) - float(b))
@@ -50,13 +52,13 @@ class OdeField:
         worst = -math.inf
         for _ in range(n):
             t = rng.uniform(*t_range)
-            u1 = rng.uniform(-1, 1, dim)
-            u2 = rng.uniform(-1, 1, dim)
+            u1 = np.array([rng.uniform(-1, 1) for _ in range(dim)])
+            u2 = np.array([rng.uniform(-1, 1) for _ in range(dim)])
             scale = self.radius / max(1.0, float(np.linalg.norm(u1)),
                                       float(np.linalg.norm(u2)))
             u1, u2 = u1 * scale, u2 * scale
-            w1 = params[rng.integers(len(params))]
-            w2 = params[rng.integers(len(params))]
+            w1 = params[rng.randrange(len(params))]
+            w2 = params[rng.randrange(len(params))]
             f1 = np.asarray(self.f(t, u1, w1), dtype=float)
             f2 = np.asarray(self.f(t, u2, w2), dtype=float)
             worst = max(worst, float(np.linalg.norm(f1)) - self.sup)

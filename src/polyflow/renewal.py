@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
@@ -103,7 +104,7 @@ def _beyond_support(coef: RenewalCoefficients, w, grid: GridFunction,
 
 
 def audit_coefficients(coef: RenewalCoefficients, grid: GridFunction, w,
-                       rng: np.random.Generator, n: int = 16,
+                       rng: random.Random, n: int = 16,
                        t_range: tuple[float, float] = (0.0, 1.0)) -> float:
     """Randomized certificate audit on grid samples (worst violation, <=0 ok).
 
@@ -112,7 +113,8 @@ def audit_coefficients(coef: RenewalCoefficients, grid: GridFunction, w,
     sup+variation bounds of the source, with the variation taken on the
     supplied grid.  With a ``support``, the largest ``|v|``, ``|m|``,
     ``|div v|`` and ``|q|`` on the grid centres outside its ball count as
-    violations too.  A ``None`` source is audited as the zero field.
+    violations too.  A ``None`` source is audited as the zero field.  The
+    ``n`` sample times are ``rng.uniform`` draws over ``t_range``.
     Evidence, not proof.
     """
     source = coef.source or (lambda t, x, w: np.zeros(np.shape(x)[0]))
@@ -121,7 +123,7 @@ def audit_coefficients(coef: RenewalCoefficients, grid: GridFunction, w,
     pts = grid.centers()
     outside = pts[_beyond_support(coef, w, grid)]
     for _ in range(n):
-        t = float(rng.uniform(*t_range))
+        t = rng.uniform(*t_range)
         if sampled:
             v = np.asarray(coef.velocity(t, pts, w), dtype=float)
             speeds = np.abs(v) if v.ndim == 1 else np.linalg.norm(v, axis=1)

@@ -4,14 +4,18 @@ Each suite checks one solver's quantitative guarantees against closed forms
 and records, per inequality, the measured left-hand side, the bound it must
 respect, and the margin.  Reports are byte-identical across runs with the
 same configuration and seed (timings are kept out of the persisted report
-for that reason).  The discrete BV inequality checks that the ``bv`` suite
-runs live here too.  Only ``verify`` imports this module.
+for that reason).  The random data come from the standard library's
+``random.Random(seed)`` through ``uniform`` alone, whose draws are exact
+integer arithmetic and two correctly rounded operations, so a seed gives
+the same data on every host.  The discrete BV inequality checks that the
+``bv`` suite runs live here too.  Only ``verify`` imports this module.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -163,8 +167,14 @@ def bv_estimate_checks(u: GridFunction, w: GridFunction,
 # Verification suites
 # --------------------------------------------------------------------------
 
+def _uniforms(rng: random.Random, lo: float, hi: float,
+              n: int) -> np.ndarray:
+    """``n`` draws of ``rng.uniform(lo, hi)``, in order, as an array."""
+    return np.array([rng.uniform(lo, hi) for _ in range(n)])
+
+
 def suite_metric(seed: int) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     out: list[CheckResult] = []
     flow = rotation_flow(ball=4.0, horizon=1.0)
     pu, pw = rotation_processes(ball=4.0, horizon=1.0)
@@ -184,8 +194,8 @@ def suite_metric(seed: int) -> list[CheckResult]:
     worst = 0.0
     tau, eps = 0.5, 0.5 / 16
     for _ in range(20):
-        x1 = (rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1))
-        x2 = (rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1))
+        x1 = (_uniforms(rng, -1, 1, 1), _uniforms(rng, -1, 1, 1))
+        x2 = (_uniforms(rng, -1, 1, 1), _uniforms(rng, -1, 1, 1))
         d0 = flow.distance(x1, x2)
         if d0 < 1e-12:
             continue
@@ -237,7 +247,7 @@ def _tangency_ladders(flow: LocalFlow, x0
 
 
 def suite_ode(seed: int) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     out: list[CheckResult] = []
     lin = OdeField(f=lambda t, u, w: u, lip=1.0, sup=8.0, radius=8.0)
 
@@ -247,8 +257,8 @@ def suite_ode(seed: int) -> list[CheckResult]:
 
     worst = 0.0
     for _ in range(10):
-        u1 = rng.uniform(-1, 1, 2)
-        u2 = rng.uniform(-1, 1, 2)
+        u1 = _uniforms(rng, -1, 1, 2)
+        u2 = _uniforms(rng, -1, 1, 2)
         d0 = float(np.linalg.norm(u1 - u2))
         if d0 < 1e-12:
             continue
@@ -291,7 +301,7 @@ def _smooth_renewal() -> RenewalCoefficients:
 
 
 def suite_renewal(seed: int) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     out: list[CheckResult] = []
     dx = 1.0 / 400
     grid = GridFunction.uniform((-2.0, 3.0), int(5.0 / dx))
@@ -345,8 +355,8 @@ def suite_renewal(seed: int) -> list[CheckResult]:
                      worst, 10 * dx * bump.tv()))
 
     u1 = bump
-    u2 = bump.with_values(bump.values
-                          * (1 + 0.3 * rng.standard_normal(bump.values.shape)))
+    u2 = bump.with_values(bump.values * (1 + 0.3 * _uniforms(
+        rng, -1, 1, bump.values.size)))
     v1 = renewal_solve(coef, u1, None, 0.0, 0.3, n_sub=12)
     v2 = renewal_solve(coef, u2, None, 0.0, 0.3, n_sub=12)
     out.append(check("renewal/contraction", "exp-data-bound",
@@ -446,7 +456,7 @@ def suite_ibvp(seed: int) -> list[CheckResult]:
 
 
 def suite_claw(seed: int, cells_per_unit: int = 400) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     out: list[CheckResult] = []
     burgers = _claw.ParamFlux(f=lambda u, w: 0.5 * u * u, lip=1.0,
                               critical_points=(0.0,))
@@ -497,9 +507,9 @@ def suite_claw(seed: int, cells_per_unit: int = 400) -> list[CheckResult]:
     dt = 0.9 * dx / burgers.lip
     stepped = _claw.claw_solve_many(burgers, [u0], None, 0.0, dt)[0]
     worst_entropy = math.inf
-    for k in rng.uniform(-1.0, 1.0, 5):
+    for _ in range(5):
         res = _claw.entropy_residuals(burgers, u0.values, stepped.values,
-                                      float(k), dt, dx, None)
+                                      rng.uniform(-1.0, 1.0), dt, dx, None)
         worst_entropy = min(worst_entropy, float(np.min(res)))
     out.append(check("claw/entropy-residual", "discrete-entropy",
                      -worst_entropy, 1e-10))
@@ -510,14 +520,14 @@ def suite_claw(seed: int, cells_per_unit: int = 400) -> list[CheckResult]:
     return out
 
 
-def _random_step_data(rng: np.random.Generator, grid: GridFunction,
+def _random_step_data(rng: random.Random, grid: GridFunction,
                       n_steps: int = 6) -> GridFunction:
     # the steps [edges[2i], edges[2i+1]) are disjoint: a cell centre with
     # k edges at or below it lies in step (k - 1) / 2 when k is odd, and in
     # none when k is even
-    edges = np.sort(rng.uniform(-0.8, 1.8, 2 * n_steps))
+    edges = np.sort(_uniforms(rng, -0.8, 1.8, 2 * n_steps))
     level = np.zeros(2 * n_steps + 1)
-    level[1::2] = rng.uniform(-1, 1, n_steps)
+    level[1::2] = _uniforms(rng, -1, 1, n_steps)
     return grid.with_values(
         level[np.searchsorted(edges, grid.axis_centers(0), side="right")])
 
@@ -606,13 +616,13 @@ def _cutoff_slope(x):
 
 
 def suite_bv(seed: int, n_pairs: int = 100) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     grid = GridFunction.uniform((0.0, 4.0), 160)
     worst = math.inf
     for _ in range(n_pairs):
         u = _random_step_data(rng, grid)
         w = _random_step_data(rng, grid)
-        delta = grid.with_values(rng.uniform(0.0, 0.4, grid.values.shape))
+        delta = grid.with_values(_uniforms(rng, 0.0, 0.4, grid.values.size))
         worst = min(worst, *(c.margin
                              for c in bv_estimate_checks(u, w, delta)))
     return [check("bv/discrete-inequalities", "elementary-tv-bounds",

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -716,12 +717,12 @@ class TestSelectAgainstFrozenCopy:
 
 class TestAudit:
     def test_burgers_certificate(self, burgers):
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         assert audit_flux(burgers, -1.0, 1.0, None, rng, n=200) <= 0.0
 
     def test_understated_flagged(self):
         flux = ParamFlux(f=lambda u, w: 2.0 * u, lip=1.0)
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         assert audit_flux(flux, -1.0, 1.0, None, rng, n=200) > 0.5
 
 

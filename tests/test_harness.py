@@ -3,6 +3,8 @@ import importlib.util
 import json
 import math
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -61,9 +63,9 @@ def test_shipped_configs_validate(name, cfg):
     validate_config(cfg)
 
 
-def run_edited(tmp_path, name, path, value) -> int:
-    """Exit code of ``run`` on the bundled config ``name`` with the entry
-    at ``path`` set to ``value``; the output goes to ``tmp_path / "out"``."""
+def edited_config(tmp_path, name, path, value) -> Path:
+    """The bundled config ``name`` with the entry at ``path`` set to
+    ``value``, written to ``tmp_path / "cfg.json"``."""
     cfg = json.loads((CONFIG_DIR / name).read_text())
     node = cfg
     for key in path[:-1]:
@@ -71,8 +73,72 @@ def run_edited(tmp_path, name, path, value) -> int:
     node[path[-1]] = value
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    return main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
-                 "--quiet"])
+    return cfg_path
+
+
+def run_edited(tmp_path, name, path, value) -> int:
+    """Exit code of ``run`` on the bundled config ``name`` with the entry
+    at ``path`` set to ``value``; the output goes to ``tmp_path / "out"``."""
+    return main(["run", str(edited_config(tmp_path, name, path, value)),
+                 "--out", str(tmp_path / "out"), "--quiet"])
+
+
+# misspelled keys that validation once ignored: the run used an
+# infectivity of 0, a rate of 0 or the default j_max, or dropped the key,
+# and exited 0
+MISSPELLED = [
+    ("epidemic.json", ("params", "vaccinated_infectivty"), {"constant": 0.5},
+     "params.vaccinated_infectivity"),
+    ("epidemic.json", ("params", "vacination_rate"),
+     {"times": [0.0], "values": [0.3]}, "params.vaccination_rate"),
+    ("epidemic.json", ("refine", "jmax"), 5, "refine.j_max"),
+    ("rotation.json", ("tme",), {"horizon": 2.0}, "time"),
+]
+
+
+class TestUnreadKeys:
+    @pytest.mark.parametrize("name, path, value, known", MISSPELLED + [
+        ("epidemic.json", ("params", "v0", "constnt"), 0.1,
+         "params.v0.constant"),
+        ("epidemic.json", ("params", "vaccination_rate", "value"), [0.1],
+         "params.vaccination_rate.values"),
+        ("epidemic_sir.json", ("time", "macro_stp"), 0.02,
+         "time.macro_step"),
+        ("predator_prey_1d.json", ("params", "prey_centre"), [0.1],
+         "params.prey_center"),
+        ("verify_all.json", ("verfy",), ["ode"], "verify")])
+    def test_named_with_the_closest_key(self, tmp_path, name, path, value,
+                                        known):
+        unknown = ".".join(path)
+        with pytest.raises(ConfigError) as info:
+            load_config(edited_config(tmp_path, name, path, value))
+        assert str(info.value) == (f"unknown field {unknown}; "
+                                   f"did you mean {known}?")
+
+    @pytest.mark.parametrize("name, path, value, known", MISSPELLED)
+    def test_cli_exits_3(self, tmp_path, capsys, name, path, value, known):
+        assert run_edited(tmp_path, name, path, value) == 3
+        err = capsys.readouterr().err
+        assert f"unknown field {'.'.join(path)}; did you mean {known}?" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path, value", [
+        (("params",), {"dim": 1}), (("time", "macro_step"), 0.5)])
+    def test_a_key_only_another_scenario_reads(self, tmp_path, path, value):
+        with pytest.raises(ConfigError, match=(
+                rf"^unknown field {re.escape('.'.join(path))}; this run "
+                "reads ")):
+            load_config(edited_config(tmp_path, "rotation.json", path,
+                                      value))
+
+    def test_absent_optional_keys_still_load(self, tmp_path):
+        cfg = json.loads((CONFIG_DIR / "epidemic.json").read_text())
+        for key in ("r0", "vaccination_rate", "v0"):
+            del cfg["params"][key]
+        del cfg["seed"], cfg["refine"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        load_config(path)
 
 
 class TestConfigValidation:
@@ -260,7 +326,7 @@ class TestConvergence:
 
 def reference_suite_claw(seed, cells_per_unit):
     """``suite_claw`` as it was with one single-datum solve per datum."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     out = []
     burgers = ParamFlux(f=lambda u, w: 0.5 * u * u, lip=1.0,
                         critical_points=(0.0,))
@@ -305,9 +371,9 @@ def reference_suite_claw(seed, cells_per_unit):
     dt = 0.9 * dx / burgers.lip
     stepped = claw_solve_many(burgers, [u0], None, 0.0, dt)[0]
     worst_entropy = math.inf
-    for k in rng.uniform(-1.0, 1.0, 5):
+    for k in [rng.uniform(-1.0, 1.0) for _ in range(5)]:
         res = entropy_residuals(burgers, u0.values, stepped.values,
-                                float(k), dt, dx, None)
+                                k, dt, dx, None)
         worst_entropy = min(worst_entropy, float(np.min(res)))
     out.append(check("claw/entropy-residual", "discrete-entropy",
                      -worst_entropy, 1e-10))
@@ -322,7 +388,7 @@ def frozen_random_step_data(rng, grid, n_steps=6):
     draw and one masked add per step."""
     xs = grid.axis_centers(0)
     vals = np.zeros(xs.shape[0])
-    edges = np.sort(rng.uniform(-0.8, 1.8, 2 * n_steps))
+    edges = sorted(rng.uniform(-0.8, 1.8) for _ in range(2 * n_steps))
     for i in range(n_steps):
         lo, hi = edges[2 * i], edges[2 * i + 1]
         vals += rng.uniform(-1, 1) * ((xs >= lo) & (xs < hi))
@@ -336,14 +402,14 @@ def test_random_step_data_matches_frozen_copy(seed):
     grids = [GridFunction.uniform((-2.0, 3.0), 2000),
              GridFunction.uniform((0.0, 4.0), 160),
              GridFunction.uniform((-1.0, 2.0), 3)]
-    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    rng, ref = random.Random(seed), random.Random(seed)
     for _ in range(20):
         for grid in grids:
             for n_steps in (6, 1):
                 got = _random_step_data(rng, grid, n_steps)
                 want = frozen_random_step_data(ref, grid, n_steps)
                 assert got.values.tobytes() == want.values.tobytes()
-                assert rng.bit_generator.state == ref.bit_generator.state
+                assert rng.getstate() == ref.getstate()
 
 
 def test_random_step_data_on_shared_edges():
@@ -353,12 +419,8 @@ def test_random_step_data_on_shared_edges():
         def __init__(self, draws):
             self.draws = list(draws)
 
-        def uniform(self, lo, hi, size=None):
-            if size is None:
-                return self.draws.pop(0)
-            out = np.array(self.draws[:size])
-            del self.draws[:size]
-            return out
+        def uniform(self, lo, hi):
+            return self.draws.pop(0)
 
     grid = GridFunction.uniform((-0.5, 1.5), 4)   # centres -0.25 ... 1.25
     draws = [-0.25, -0.25, 0.25, 0.75, 0.75, 1.25, 0.5, -0.5, 0.25]
@@ -400,6 +462,13 @@ class TestVerifyReports:
                                   "claw", "measures", "bv"])
         report = verify(cfg)
         failing = [c.name for c in report.checks if not c.passed]
+        assert failing == []
+
+    @pytest.mark.parametrize("seed", [1, 2, 4])
+    def test_all_pass_at_other_seeds(self, seed):
+        # seeds 0 and 3 are the golden reports
+        cfg = base_config(verify=list(harness.SUITE_NAMES), seed=seed)
+        failing = [c.name for c in verify(cfg).checks if not c.passed]
         assert failing == []
 
 
@@ -957,17 +1026,18 @@ def test_import_leaves_scipy_optimize_unloaded(tmp_path):
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
-    # no verify suite needs scipy at all
+    # no verify suite needs scipy at all, and the suites draw their data
+    # from the standard library's generator, not numpy.random
     path = CONFIG_DIR / "verify_all.json"
     code = ("import sys; from polyflow.cli import main; "
             f"rc = main(['verify', {str(path)!r}, '--out', "
             f"{str(tmp_path / 'out')!r}, '--quiet']); "
             "print(rc, sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
+            "if m.split('.')[0] == 'scipy'), 'numpy.random' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "0 []"
+    assert out.stdout.strip() == "0 [] False"
 
 
 SRC = Path(polyflow.__file__).resolve().parent

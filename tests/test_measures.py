@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -182,14 +183,14 @@ class TestWeakResidual:
 class TestAudit:
     def test_honest_bounds_pass(self):
         mu = AtomicMeasure(np.array([0.2, 0.8]), np.array([0.4, 0.3]))
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         assert audit_coefficients(interacting_fields(), mu, None,
                                   rng) <= 1e-12
 
     def test_negative_origin_drift_flagged(self):
         coef = constant_fields(drift=-1.0)
         mu = AtomicMeasure(np.array([0.5]), np.array([0.5]))
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         assert audit_coefficients(coef, mu, None, rng) > 0.5
 
 

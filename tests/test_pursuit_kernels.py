@@ -551,10 +551,13 @@ def test_kernels_give_the_same_bytes_on_every_simd_level(tmp_path):
     every dispatched target of this host disabled (the baseline kernels;
     the native ones where the host enables none) computes the pursuit
     kernels byte for byte as this one does: products and quotients are
-    correctly rounded on every level, where ``np.power`` is not."""
+    correctly rounded on every level, where ``np.power`` is not.  The
+    targets a caller's ``NPY_DISABLE_CPU_FEATURES`` already disables stay
+    disabled."""
     from numpy._core import _multiarray_umath as umath
-    disabled = " ".join(sorted(target for target in umath.__cpu_dispatch__
-                               if umath.__cpu_features__.get(target)))
+    disabled = " ".join([os.environ.get("NPY_DISABLE_CPU_FEATURES", "")]
+                        + sorted(target for target in umath.__cpu_dispatch__
+                                 if umath.__cpu_features__.get(target)))
     path = tmp_path / "kernels.npz"
     code = ("import importlib.util, numpy as np\n"
             "from numpy._core import _multiarray_umath as umath\n"

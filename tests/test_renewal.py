@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -333,7 +334,7 @@ class TestProcessLaws:
 
 class TestAudit:
     def test_honest_certificates_pass(self, grid):
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         assert audit_coefficients(smooth_coefficients(), grid, None,
                                   rng) <= 1e-12
 
@@ -341,7 +342,7 @@ class TestAudit:
         coef = RenewalCoefficients(
             velocity=lambda t, x, w: np.full(np.shape(x)[0], 2.0),
             growth=zeros, source=zeros, divergence=zeros, v_sup=1.0)
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         assert audit_coefficients(coef, grid, None, rng) > 0.5
 
     @pytest.mark.parametrize("v_sup, flagged", [(2.0, False), (1.0, True)])
@@ -349,7 +350,7 @@ class TestAudit:
                                                       flagged):
         coef = coefficients(velocity=-2.0, v_sup=v_sup)
         worst = audit_coefficients(coef, grid, None,
-                                   np.random.default_rng(0))
+                                   random.Random(0))
         assert (worst > 0.5) if flagged else (worst <= 0.0)
 
 
@@ -508,7 +509,7 @@ class TestSupport:
         coef, u0 = pursuit_prey(dim)
         p = np.array([0.15] + [0.0] * (dim - 1))
         audit = lambda c: audit_coefficients(c, u0, p,
-                                             np.random.default_rng(0))
+                                             random.Random(0))
         assert audit(coef) == 0.0
         half = dataclasses.replace(coef, support=lambda w: (w, 0.4))
         assert audit(half) > 0.0
@@ -642,6 +643,6 @@ class TestNoSource:
         coef, u0 = pursuit_prey(dim)
         p = np.array([0.15] + [0.0] * (dim - 1))
         audit = lambda c: audit_coefficients(c, u0, p,
-                                             np.random.default_rng(0))
+                                             random.Random(0))
         assert coef.source is None
         assert audit(coef) == audit(dataclasses.replace(coef, source=zeros))

@@ -551,3 +551,51 @@ def test_dispatched_powers_pattern():
                    "from numpy import power", "y = power(x, 2)",
                    "y = numpy.power(x, 0.5)", "y = a * b ** 3 + c"):
         assert lines(source) == [1], source
+
+
+def numpy_random_uses(module: ast.Module) -> list[int]:
+    """Lines that reach ``numpy.random``: the attribute ``random`` of the
+    name ``np`` or ``numpy``, or an import of ``numpy.random`` or of
+    ``random`` from ``numpy``."""
+    found = []
+    for node in ast.walk(module):
+        if (isinstance(node, ast.Attribute) and node.attr == "random"
+                and getattr(node.value, "id", None) in ("np", "numpy")):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(
+                alias.name.startswith("numpy.random") for alias in node.names):
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (
+                (node.module or "").startswith("numpy.random")
+                or (node.module == "numpy"
+                    and any(alias.name == "random" for alias in node.names))):
+            found.append(node.lineno)
+    return found
+
+
+def test_no_numpy_random():
+    # importing numpy.random costs every process about 5 MB of RSS; the
+    # standard library's random.Random, loaded anyway, draws the same kind
+    # of uniform data, exactly on every host
+    offenders = [(path.name, line) for path in sorted(SRC.glob("*.py"))
+                 for line in numpy_random_uses(ast.parse(path.read_text()))]
+    assert list(SRC.glob("*.py")) and not offenders, offenders
+
+
+def test_numpy_random_uses_pattern():
+    def lines(source):
+        return numpy_random_uses(ast.parse(source))
+
+    for source in ("import random", "rng = random.Random(0)",
+                   "x = rng.random()", "from random import Random",
+                   "y = np.random_like(x)", "y = self.np.uniform(0, 1)",
+                   "import numpy as np", "from numpy import sort"):
+        assert lines(source) == [], source
+    for source in ("rng = np.random.default_rng(0)",
+                   "g: numpy.random.Generator", "import numpy.random",
+                   "import numpy.random as npr", "from numpy import random",
+                   "from numpy.random import default_rng",
+                   "from numpy import sort, random as nr",
+                   "from numpy.random._generator import Generator",
+                   "x = np.random"):
+        assert lines(source) == [1], source
